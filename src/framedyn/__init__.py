@@ -27,7 +27,7 @@ from .lagrangian import (
     vlift_deriv, clift_deriv, hessian, energy, regularity,
 )
 from .nonholonomic import (
-    NonholonomicField, RegularityError, solve_gamma, multipliers,
+    NonholonomicField, RegularityError, solve_gamma,
     residual_fundamental, residual_hamel, constrained_form_residual,
 )
 from .vakonomic import (

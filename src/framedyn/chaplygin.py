@@ -116,11 +116,10 @@ def gamma_k_residual(L, frame, split, section, states, tol=1e-9):
     nh = NonholonomicField(L, frame, split)
     worst = 0.0
     for s in states:
-        gamma = nh.gamma(s)
-        M = frame.matrix(s.q)
-        u = np.einsum("...a,...aj->...j", s.v_alpha(split),
-                      M[..., : split.m, :])
-        tvs = section.shift.taylor(s.q, s.v_alpha(split), [(u, gamma)])
+        s.require_on_C(split)
+        ctx = nh._solve(s)
+        tvs = section.shift.taylor(s.q, s.v_alpha(split),
+                                   [(ctx.u, ctx.gamma)])
         for tv in tvs:
             rate = tv.c[1] if hasattr(tv, "c") else 0.0
             worst = max(worst, float(np.max(np.abs(rate))))

@@ -349,22 +349,29 @@ _MATH_GLOBALS = {
 
 
 class _Codegen:
-    """Emit straight-line Python for the Taylor propagation of one expression.
+    """Emit straight-line Python for the Taylor propagation of expressions.
 
     Slots are represented as source strings, with None marking a structural
-    zero (dropped from emitted arithmetic).
+    zero (dropped from emitted arithmetic).  Subtrees whose keys are in
+    `shared` are bound to temporaries once and reused through `memo`; a
+    temporary whose source text was emitted before reuses the earlier one
+    (each temporary is assigned once and every primitive is pure, so equal
+    text means an equal float).
     """
 
-    def __init__(self, k, nslots):
+    def __init__(self, k, nslots, shared=frozenset()):
         self.k = k
         self.nslots = nslots
         self.lines = []
-        self.counter = 0
+        self.names = {}
+        self.shared = shared
+        self.memo = {}
 
     def temp(self, src):
-        name = f"t{self.counter}"
-        self.counter += 1
-        self.lines.append(f"    {name} = {src}")
+        name = self.names.get(src)
+        if name is None:
+            name = self.names[src] = f"t{len(self.names)}"
+            self.lines.append(f"    {name} = {src}")
         return name
 
     def bind(self, slots):
@@ -500,43 +507,81 @@ class _Codegen:
         return self.compose(a, derivs[: k + 1])
 
 
+def _repeated_subtrees(exprs):
+    """Keys of the compound subtrees that occur more than once in exprs.
+
+    A subtree's key is its repr, which tells every node type, name and
+    literal apart (0.0 and -0.0 included), so two subtrees with one key
+    evaluate to the same float.  The children of a repeated subtree are not
+    visited again: they are emitted once, inside it.
+    """
+    seen, repeated = set(), set()
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (Const, Ref)):
+            continue
+        key = repr(e)
+        if key in seen:
+            repeated.add(key)
+        elif isinstance(e, (Add, Sub, Mul, Div)):
+            seen.add(key)
+            stack += (e.right, e.left)
+        else:
+            seen.add(key)
+            stack.append(e.base if isinstance(e, Pow) else e.arg)
+    return repeated
+
+
 def _emit(gen, expr, leaf_slots):
     if isinstance(expr, Const):
         return [f"{expr.value!r}"] + [None] * (gen.nslots - 1)
     if isinstance(expr, Ref):
         return leaf_slots(expr.name)
+    key = repr(expr) if gen.shared else None
+    if key in gen.memo:
+        return gen.memo[key]
     if isinstance(expr, Neg):
-        return gen.neg(_emit(gen, expr.arg, leaf_slots))
-    if isinstance(expr, Add):
-        return gen.add(_emit(gen, expr.left, leaf_slots),
-                       _emit(gen, expr.right, leaf_slots), "+")
-    if isinstance(expr, Sub):
-        return gen.add(_emit(gen, expr.left, leaf_slots),
-                       _emit(gen, expr.right, leaf_slots), "-")
-    if isinstance(expr, Mul):
-        return gen.mul(_emit(gen, expr.left, leaf_slots),
-                       _emit(gen, expr.right, leaf_slots))
-    if isinstance(expr, Div):
-        return gen.div(_emit(gen, expr.left, leaf_slots),
-                       _emit(gen, expr.right, leaf_slots))
-    if isinstance(expr, Pow):
-        return gen.pow(_emit(gen, expr.base, leaf_slots), expr.exponent)
-    if isinstance(expr, Fun):
-        return gen.fun(_emit(gen, expr.arg, leaf_slots), expr.name)
-    raise TypeError(f"not an expression node: {expr!r}")
+        out = gen.neg(_emit(gen, expr.arg, leaf_slots))
+    elif isinstance(expr, Add):
+        out = gen.add(_emit(gen, expr.left, leaf_slots),
+                      _emit(gen, expr.right, leaf_slots), "+")
+    elif isinstance(expr, Sub):
+        out = gen.add(_emit(gen, expr.left, leaf_slots),
+                      _emit(gen, expr.right, leaf_slots), "-")
+    elif isinstance(expr, Mul):
+        out = gen.mul(_emit(gen, expr.left, leaf_slots),
+                      _emit(gen, expr.right, leaf_slots))
+    elif isinstance(expr, Div):
+        out = gen.div(_emit(gen, expr.left, leaf_slots),
+                      _emit(gen, expr.right, leaf_slots))
+    elif isinstance(expr, Pow):
+        out = gen.pow(_emit(gen, expr.base, leaf_slots), expr.exponent)
+    elif isinstance(expr, Fun):
+        out = gen.fun(_emit(gen, expr.arg, leaf_slots), expr.name)
+    else:
+        raise TypeError(f"not an expression node: {expr!r}")
+    if key in gen.shared:
+        out = gen.memo[key] = gen.bind(out)
+    return out
 
 
-def compile_taylor(expr, var_names, param_names, k):
+def compile_taylor(exprs, var_names, param_names, k):
     """Compile a scalar evaluator f(vals, params, *dirs) -> slot tuple.
 
-    vals and each direction are positional tuples following var_names; params
-    follows param_names.  Mixed leaf slots are structurally zero, which the
-    generated code exploits.
+    exprs is one expression or a sequence of them; the tuple holds the 2**k
+    slots of each expression in turn.  One generated function serves all of
+    them and evaluates every repeated subtree once.  vals and each direction
+    are positional tuples following var_names; params follows param_names.
+    Mixed leaf slots are structurally zero, which the generated code
+    exploits.
     """
+    if isinstance(exprs, Expr):
+        exprs = (exprs,)
     var_index = {name: i for i, name in enumerate(var_names)}
     param_index = {name: i for i, name in enumerate(param_names)}
     nslots = 1 << k
-    gen = _Codegen(k, nslots)
+    gen = _Codegen(k, nslots, _repeated_subtrees(exprs))
 
     def leaf_slots(name):
         if name in var_index:
@@ -558,7 +603,7 @@ def compile_taylor(expr, var_names, param_names, k):
             return out
         raise UnboundNameError(f"unbound name {name!r}")
 
-    result = gen.bind(_emit(gen, expr, leaf_slots))
+    result = [s for e in exprs for s in gen.bind(_emit(gen, e, leaf_slots))]
     dirs = ", ".join(f"d{d}" for d in range(k))
     header = f"def _f(v, p{', ' + dirs if dirs else ''}):"
     ret = ", ".join("0.0" if s is None else s for s in result)
@@ -568,6 +613,14 @@ def compile_taylor(expr, var_names, param_names, k):
     fn = namespace["_f"]
     fn.__source__ = source
     return fn
+
+
+def run_compiled(fn, *args):
+    """Call a compiled evaluator; math domain faults raise EvalDomainError."""
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        raise EvalDomainError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +655,12 @@ class ExprFunction:
         return fn
 
     def value(self, vals, params=()):
-        try:
-            return self._fn(0)(tuple(vals), tuple(params))[0]
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc)) from exc
+        return run_compiled(self._fn(0), tuple(vals), tuple(params))[0]
 
     def taylor(self, vals, params, dirs):
         """Slots of the jet along the given directions (tuple per direction)."""
-        k = len(dirs)
-        try:
-            return self._fn(k)(tuple(vals), tuple(params), *map(tuple, dirs))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvalDomainError(str(exc)) from exc
+        return run_compiled(self._fn(len(dirs)), tuple(vals), tuple(params),
+                            *map(tuple, dirs))
 
     def taylor_env(self, env):
         """Tree evaluation with arbitrary leaf values (TaylorValues/arrays)."""

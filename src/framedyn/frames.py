@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, ExprFunction, parse
+from .exprlang import Expr, ExprFunction, compile_taylor, parse, run_compiled
 from .jets import TaylorValue
 from .linsolve import det_pp
 
 __all__ = [
     "SingularFrameError", "ConstraintViolationError",
     "ConstraintSplit", "TangentPoint", "QuasiState", "VectorField", "Frame",
-    "bracket", "structure_functions", "quasi_velocities",
+    "base_velocity", "bracket", "structure_functions", "quasi_velocities",
     "velocities_from_quasi", "change_of_D_basis", "jacobi_residual",
 ]
 
@@ -66,10 +66,6 @@ class TangentPoint:
         if self.q.shape != self.u.shape:
             raise ValueError("q and u shapes differ")
 
-    @property
-    def batched(self):
-        return self.q.ndim > 1
-
 
 @dataclass
 class QuasiState:
@@ -102,7 +98,7 @@ class QuasiState:
 
     def require_on_C(self, split, tol=ON_C_TOL):
         va = self.v[..., split.m:]
-        if va.size and np.max(np.abs(va)) > tol:
+        if va.size and not np.max(np.abs(va)) <= tol:
             raise ConstraintViolationError(
                 f"state is off C: max |v^a| = {np.max(np.abs(va)):.3e} > {tol}")
 
@@ -136,7 +132,7 @@ class VectorField:
     def values(self, q):
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
-            vals = tuple(q)
+            vals = tuple(q.tolist())
             return np.array([c.value(vals, self._pvals) for c in self.components])
         env = self._env(q)
         penv = {k: v for k, v in self.params.items()}
@@ -150,7 +146,7 @@ class VectorField:
         q = np.asarray(q, dtype=float)
         w = np.asarray(w, dtype=float)
         if q.ndim == 1:
-            vals, d = tuple(q), (tuple(w),)
+            vals, d = tuple(q.tolist()), (tuple(w.tolist()),)
             return np.array([c.taylor(vals, self._pvals, d)[1]
                              for c in self.components])
         env = {}
@@ -171,33 +167,49 @@ class VectorField:
 
 
 class Frame:
-    """n vector fields with an invertible coefficient matrix."""
+    """n vector fields with an invertible coefficient matrix.
 
-    def __init__(self, rows, coords, params=None, domain_note=""):
+    Scalar points are evaluated by fused kernels: all components of the
+    fields involved are compiled into one function (see compile_taylor),
+    built on first use and cached.  Batched points walk each component's
+    expression tree over arrays.
+    """
+
+    def __init__(self, rows, coords, params=None):
         self.coords = tuple(coords)
         self.n = len(self.coords)
         self.params = dict(params or {})
-        self.domain_note = domain_note
+        self._pvals = tuple(float(v) for v in self.params.values())
         if len(rows) != self.n:
             raise ValueError(f"need {self.n} fields, got {len(rows)}")
-        self.fields = []
-        for row in rows:
-            if isinstance(row, VectorField):
-                self.fields.append(row)
-            else:
-                if len(row) != self.n:
-                    raise ValueError("field component count != n")
-                self.fields.append(VectorField(row, self.coords, self.params))
+        if any(len(row) != self.n for row in rows):
+            raise ValueError("field component count != n")
+        self.fields = [VectorField(row, self.coords, self.params)
+                       for row in rows]
+        self._kernels = {}
+
+    def _kernel(self, k, count):
+        """Fused scalar evaluator of the first `count` fields' components."""
+        fn = self._kernels.get((k, count))
+        if fn is None:
+            exprs = [c.expr for f in self.fields[:count] for c in f.components]
+            fn = compile_taylor(exprs, self.coords, tuple(self.params), k)
+            self._kernels[(k, count)] = fn
+        return fn
 
     def matrix(self, q):
         """Coefficient matrix, rows indexed by frame field: M[i, j] = X_i^j."""
         q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            flat = run_compiled(self._kernel(0, self.n), tuple(q.tolist()),
+                                self._pvals)
+            return np.array(flat).reshape(self.n, self.n)
         rows = [f.values(q) for f in self.fields]
         return np.stack(rows, axis=-2)
 
     def check_matrix(self, M):
         det = det_pp(M)
-        if np.min(np.abs(det)) <= FRAME_DET_TOL:
+        if not np.min(np.abs(det)) > FRAME_DET_TOL:
             raise SingularFrameError(
                 f"frame matrix is singular: min |det| = "
                 f"{np.min(np.abs(det)):.3e}")
@@ -207,8 +219,25 @@ class Frame:
         """(D X_i) w: derivative of field i's coefficients along w."""
         return self.fields[i].dirderiv(q, w)
 
+    def dfields(self, q, w, count):
+        """Rows (D X_i) w of the first `count` fields, shape (..., count, n)."""
+        q = np.asarray(q, dtype=float)
+        w = np.asarray(w, dtype=float)
+        if q.ndim == 1:
+            slots = run_compiled(self._kernel(1, count), tuple(q.tolist()),
+                                 self._pvals, tuple(w.tolist()))
+            return np.array(slots[1::2]).reshape(count, self.n)
+        return np.stack([f.dirderiv(q, w) for f in self.fields[:count]],
+                        axis=-2)
+
     def exprs(self):
         return [[c.expr for c in f.components] for f in self.fields]
+
+
+def base_velocity(M, v_alpha):
+    """u = v^alpha X_alpha, from the leading rows of the frame matrix M."""
+    m = v_alpha.shape[-1]
+    return np.einsum("...a,...aj->...j", v_alpha, M[..., :m, :])
 
 
 def bracket(X, Y, q):
@@ -229,7 +258,7 @@ def structure_functions(frame, q):
     n = frame.n
     M = frame.matrix(q)
     frame.check_matrix(M)
-    vals = [frame.fields[i].values(q) for i in range(n)]
+    vals = [M[..., i, :] for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     cols = []
     for i, j in pairs:
@@ -325,8 +354,7 @@ def change_of_D_basis(frame, split, A_alpha_beta, A_a_b=None, A_a_alpha=None):
         coeffs = list(A2[r]) + list(A3[r])
         idx = list(range(m, n)) + list(range(m))
         rows.append([comb(coeffs, idx, j) for j in range(n)])
-    return Frame(rows, frame.coords, frame.params,
-                 domain_note=frame.domain_note)
+    return Frame(rows, frame.coords, frame.params)
 
 
 def jacobi_residual(frame, q):

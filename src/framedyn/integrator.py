@@ -12,12 +12,12 @@ accepted steps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .frames import QuasiState
+from .frames import QuasiState, base_velocity, velocities_from_quasi
 from .lagrangian import energy, vlift_deriv
-from .frames import velocities_from_quasi
 
 __all__ = [
     "IntegrationError", "IntegratorConfig", "Trajectory", "integrate",
@@ -83,11 +83,8 @@ def _rate_fn(provider, frame, split):
             return provider.rate(QuasiState.on_C(q, v, split))
         return rate
 
-    m = split.m
-
     def rate(q, v):
-        M = frame.matrix(q)
-        u = np.einsum("...a,...aj->...j", v, M[..., :m, :])
+        u = base_velocity(frame.matrix(q), v)
         return u, np.asarray(provider(q, v), dtype=float)
 
     return rate
@@ -109,6 +106,20 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
+def _non_finite(q, v, pattern="{}"):
+    """'name = value' for the first non-finite entry of the chart pair (q, v),
+    or None when every entry is finite; pattern decorates the name."""
+    x = q.tolist() + v.tolist()
+    if math.isfinite(sum(x)):  # a NaN or an infinity makes the sum one too
+        return None
+    names = [f"q{i + 1}" for i in range(q.size)] + [
+        f"v{i + 1}" for i in range(v.size)]
+    for name, val in zip(names, x):
+        if not math.isfinite(val):
+            return f"{pattern.format(name)} = {val}"
+    return None  # finite entries whose sum overflowed
+
+
 def integrate(provider, frame, split, initial, cfg):
     """Integrate the chart ODE from an initial state on C.
 
@@ -128,9 +139,20 @@ def integrate(provider, frame, split, initial, cfg):
 
     def f(t, q, v):
         try:
-            return rate(q, v)
+            dq, dv = rate(q, v)
         except Exception as exc:
             raise IntegrationError(f"field evaluation failed: {exc}", t)
+        bad = _non_finite(dq, dv, "d{}/dt")
+        if bad:
+            raise IntegrationError(f"non-finite {bad} from the field at "
+                                   f"q = {q.tolist()}, v = {v.tolist()}", t)
+        return dq, dv
+
+    def require_finite_step(q, v, t, h):
+        bad = _non_finite(q, v)
+        if bad:
+            raise IntegrationError(
+                f"non-finite {bad} after the step of size {h}", t)
 
     if cfg.method == "rk4":
         nsteps = max(1, int(round((t1 - t0) / cfg.step)))
@@ -145,6 +167,7 @@ def integrate(provider, frame, split, initial, cfg):
             k4q, k4v = f(t + h, q + h * k3q, v + h * k3v)
             q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
             v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            require_finite_step(q, v, t, h)
             i += 1
             t = t0 + i * h_nominal if i <= nsteps else t1
             if t > t1:
@@ -176,6 +199,7 @@ def integrate(provider, frame, split, initial, cfg):
             v5 = v + h * sum(b * k for b, k in zip(_DP_B5, kvs) if b)
             q4 = q + h * sum(b * k for b, k in zip(_DP_B4, kqs) if b)
             v4 = v + h * sum(b * k for b, k in zip(_DP_B4, kvs) if b)
+            require_finite_step(q5, v5, t, h)
             err_q = q5 - q4
             err_v = v5 - v4
             scale_q = cfg.atol + cfg.rtol * np.maximum(np.abs(q), np.abs(q5))

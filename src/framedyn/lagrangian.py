@@ -52,7 +52,7 @@ class Lagrangian:
         q = np.asarray(q, dtype=float)
         u = np.asarray(u, dtype=float)
         if q.ndim == 1:
-            return self.fn.value(tuple(q) + tuple(u), self._pvals)
+            return self.fn.value(q.tolist() + u.tolist(), self._pvals)
         env = self._leaf_env(q, u, ())
         out = self.fn.taylor_env(env)
         return out.c[0] if isinstance(out, TaylorValue) else np.broadcast_to(
@@ -76,10 +76,9 @@ class Lagrangian:
         q = np.asarray(q, dtype=float)
         u = np.asarray(u, dtype=float)
         if q.ndim == 1:
-            vals = tuple(q) + tuple(u)
-            ds = [tuple(np.asarray(dq, dtype=float))
-                  + tuple(np.asarray(du, dtype=float)) for dq, du in dirs]
-            return self.fn.taylor(vals, self._pvals, ds)
+            ds = [np.asarray(dq, dtype=float).tolist()
+                  + np.asarray(du, dtype=float).tolist() for dq, du in dirs]
+            return self.fn.taylor(q.tolist() + u.tolist(), self._pvals, ds)
         dirs = [(np.broadcast_to(np.asarray(dq, dtype=float), q.shape),
                  np.broadcast_to(np.asarray(du, dtype=float), q.shape))
                 for dq, du in dirs]
@@ -142,7 +141,6 @@ class QuasiVelocityFunction:
         dq2 = np.asarray(dq2, dtype=float)
         # mixed second derivative of M^T along (dq1, dq2)
         m12 = np.zeros(MT.shape)
-        zeros = np.zeros(q.shape)
         for i, f in enumerate(F.fields):
             if q.ndim == 1:
                 t = [c.taylor(tuple(q), f._pvals,

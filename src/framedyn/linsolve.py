@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["solve_pp", "det_pp", "solve_and_det", "cond_estimate"]
+__all__ = ["det_pp", "solve_and_det", "cond_estimate"]
 
 
-def _solve_scalar(A, b):
-    """Partial-pivot elimination; returns (x, det). A and b are copied."""
-    n = len(b)
-    a = [list(map(float, row)) for row in A]
-    x = list(map(float, b))
+def _solve_scalar(a, x):
+    """Partial-pivot elimination on nested lists of floats, which it
+    overwrites; returns (x, det)."""
+    n = len(x)
     det = 1.0
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(a[r][k]))
@@ -50,7 +49,7 @@ def solve_and_det(A, b):
     if A.ndim == 2:
         if A.shape[0] == 0:
             return np.zeros(0), 1.0
-        x, det = _solve_scalar(A, b)
+        x, det = _solve_scalar(A.tolist(), b.tolist())
         if x is None:
             return None, 0.0
         return np.array(x), det
@@ -59,13 +58,6 @@ def solve_and_det(A, b):
     det = np.linalg.det(A)
     x = np.linalg.solve(A, b[..., None])[..., 0]
     return x, det
-
-
-def solve_pp(A, b):
-    x, _ = solve_and_det(A, b)
-    if x is None:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
 
 
 def det_pp(A):

@@ -6,9 +6,11 @@ tangent to C whose coefficients solve
     g_ab Gamma^b = clift X_a(L) - v^b clift X_b(vlift X_a(L)),   a,b <= m,
 
 with g the Hessian block of L over the constraint distribution.  Multipliers
-are the values of the same one-form on the complementary frame fields.  Three
+are the values of the same one-form on the complementary frame fields.  The
+frame and its derivatives along u are evaluated once per state
+(StateContext) and shared by Gamma, the multipliers and the residuals.  Three
 independently-assembled residual oracles are provided: the fundamental
-equations evaluated from fresh jets on (q, u); the Hamel form evaluated
+equations evaluated on (q, u) along the solved tangent; the Hamel form evaluated
 through the composite function L(q, X(q)v); and the constrained-Lagrangian
 form, whose right-hand side couples the momenta to the structure functions.
 """
@@ -17,12 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .frames import TangentPoint, structure_functions
-from .lagrangian import clift_deriv, dvlift, hessian, vlift_deriv
+from .frames import TangentPoint, base_velocity, structure_functions
+from .lagrangian import vlift_deriv
 from .linsolve import cond_estimate, solve_and_det
 
 __all__ = [
-    "RegularityError", "NonholonomicField", "solve_gamma", "multipliers",
+    "RegularityError", "NonholonomicField", "solve_gamma",
     "residual_fundamental", "residual_hamel", "constrained_form_residual",
 ]
 
@@ -36,6 +38,90 @@ class RegularityError(Exception):
             f"regularity condition {condition!r} failed: det = {det!r}")
         self.condition = condition
         self.det = det
+
+
+class StateContext:
+    """The evaluations at one state, made once and shared by every quantity
+    of the field there (scalar or batched).
+
+    Holds M = X(q), whose rows are the X_i; u = v^alpha X_alpha; the rows
+    D_a = (DX_a)u for a < m, which serve the drift term h = v^b D_b, the
+    complete lifts and the moving-direction correction of the vertical
+    lifts; and the system g_D Gamma = rhs with
+    rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)).  gamma is set once the
+    system is solved.
+    """
+
+    def __init__(self, L, frame, split, s):
+        self.L = L
+        self.frame = frame
+        self.split = split
+        m = split.m
+        self.q = q = s.q
+        va = s.v_alpha(split)
+        self.M = M = frame.matrix(q)
+        frame.check_matrix(M)
+        self.u = base_velocity(M, va)
+        self.D = frame.dfields(q, self.u, m)
+        h = 0.0
+        for b in range(m):
+            h = h + va[..., b, None] * self.D[..., b, :]
+        self.h = h
+        self.zq = np.zeros(q.shape)
+        self._clift = {}
+        g = np.empty(q.shape[:-1] + (m, m))
+        for a in range(m):
+            for b in range(a, m):
+                g[..., a, b] = g[..., b, a] = self.jet(
+                    (self.zq, M[..., a, :]), (self.zq, M[..., b, :]))[3]
+        self.g = g
+        self.rhs = np.stack(
+            [self.clift(a) - self.dvlift(a, h) for a in range(m)], axis=-1)
+        self.gamma = None
+
+    @property
+    def p(self):
+        return TangentPoint(self.q, self.u)
+
+    def jet(self, *dirs):
+        """Slots of L at (q, u) along (dq, du) directions."""
+        return self.L.taylor(self.q, self.u, dirs)
+
+    def dfield(self, a):
+        """D_a = (DX_a)u; the rows a >= m are evaluated on first use."""
+        m = self.split.m
+        if a < m:
+            return self.D[..., a, :]
+        if self.D.shape[-2] == m:
+            self.D = self.frame.dfields(self.q, self.u, self.split.n)
+        return self.D[..., a, :]
+
+    def clift(self, a):
+        """clift X_a(L): the derivative along (X_a, D_a)."""
+        if a not in self._clift:
+            self._clift[a] = self.jet((self.M[..., a, :], self.dfield(a)))[1]
+        return self._clift[a]
+
+    def dvlift(self, a, w):
+        """(u, w)(vlift X_a(L)); the inner direction X_a moves with the base
+        point, which adds the fibre derivative along D_a."""
+        t = self.jet((self.zq, self.M[..., a, :]), (self.u, w))
+        return t[3] + self.jet((self.zq, self.dfield(a)))[1]
+
+    def fibre(self, gamma):
+        """Fibre part h + Gamma^alpha X_alpha of the second-order tangent."""
+        return self.h + base_velocity(self.M, gamma)
+
+    def epsilon(self, indices, gamma):
+        """(u, w)(vlift X_a(L)) - clift X_a(L) for each a in indices, with w
+        the fibre part for the coefficients gamma."""
+        w = self.fibre(gamma)
+        out = [self.dvlift(a, w) - self.clift(a) for a in indices]
+        return (np.stack(out, axis=-1) if out
+                else np.zeros(self.q.shape[:-1] + (0,)))
+
+    def multipliers(self):
+        return self.epsilon(range(self.split.m, self.split.n), self.gamma)
 
 
 class NonholonomicField:
@@ -53,65 +139,44 @@ class NonholonomicField:
 
     # -- core assembly ------------------------------------------------------
 
-    def _tangent_parts(self, s):
-        """u and the drift fibre term h = v^b (D X_b) u at the state."""
-        m = self.split.m
-        M = self.frame.matrix(s.q)
-        self.frame.check_matrix(M)
-        va = s.v_alpha(self.split)
-        u = np.einsum("...a,...aj->...j", va, M[..., :m, :])
-        h = 0.0
-        for b in range(m):
-            h = h + va[..., b, None] * self.frame.dfield(b, s.q, u)
-        return u, h
+    def _context(self, s):
+        return StateContext(self.L, self.frame, self.split, s)
 
     def _solve(self, s):
-        m = self.split.m
-        u, h = self._tangent_parts(s)
-        p = TangentPoint(s.q, u)
-        g = hessian(self.L, self.frame, p, indices=range(m))
-        b = np.stack(
-            [clift_deriv(self.L, self.frame, a, p)
-             - dvlift(self.L, self.frame, a, p, u, h) for a in range(m)],
-            axis=-1)
-        gamma, det = solve_and_det(g, b)
-        if gamma is None or np.min(np.abs(det)) <= self.det_tol:
+        """The state's context with Gamma solved from g_D Gamma = rhs."""
+        ctx = self._context(s)
+        gamma, det = solve_and_det(ctx.g, ctx.rhs)
+        if gamma is None or not np.min(np.abs(det)) > self.det_tol:
             raise RegularityError("regular_D", det)
-        return u, h, p, g, gamma
+        ctx.gamma = gamma
+        return ctx
 
     def gamma(self, s):
         """Gamma^alpha at a state on C."""
         s.require_on_C(self.split)
-        return self._solve(s)[4]
+        return self._solve(s).gamma
 
     def rate(self, s):
         """ODE right side in the C chart: (qdot, vdot) = (u, Gamma)."""
-        u, _, _, _, gamma = self._solve(s)
-        return u, gamma
+        ctx = self._solve(s)
+        return ctx.u, ctx.gamma
 
     def gamma_tangent(self, s):
         """The field's tangent vector at s as a (base, fibre) pair on TQ."""
-        m = self.split.m
-        u, h, p, _, gamma = self._solve(s)
-        M = self.frame.matrix(s.q)
-        wfib = h + np.einsum("...a,...aj->...j", gamma, M[..., :m, :])
-        return u, wfib, p, gamma
+        ctx = self._solve(s)
+        return ctx.u, ctx.fibre(ctx.gamma), ctx.p, ctx.gamma
 
     def multipliers(self, s):
         """lambda_a = Gamma(vlift X_a(L)) - clift X_a(L)."""
         s.require_on_C(self.split)
-        u, wfib, p, _ = self.gamma_tangent(s)
-        out = [dvlift(self.L, self.frame, a, p, u, wfib)
-               - clift_deriv(self.L, self.frame, a, p)
-               for a in range(self.split.m, self.split.n)]
-        return np.stack(out, axis=-1) if out else np.zeros(s.q.shape[:-1] + (0,))
+        return self._solve(s).multipliers()
 
     def solve_report(self, s):
         """Solution with a condition-number diagnostic attached."""
-        u, h, p, g, gamma = self._solve(s)
-        cond = cond_estimate(g)
+        ctx = self._solve(s)
+        cond = cond_estimate(ctx.g)
         return {
-            "gamma": gamma,
+            "gamma": ctx.gamma,
             "condition": cond,
             "warning": (f"ill-conditioned Hessian block: cond = {cond:.3e}"
                         if cond > COND_WARN else None),
@@ -120,25 +185,20 @@ class NonholonomicField:
     # -- residual oracles ---------------------------------------------------
 
     def residual_fundamental(self, s, gamma=None):
-        """Gamma(vlift X_alpha(L)) - clift X_alpha(L), from fresh jets.
+        """Gamma(vlift X_alpha(L)) - clift X_alpha(L), from jets along the
+        solved second-order tangent.
 
         A gamma override substitutes trial coefficients (for falsification
         checks); by default the solver's own output is re-evaluated.
         """
         s.require_on_C(self.split)
-        m = self.split.m
         if gamma is None:
-            u, wfib, p, _ = self.gamma_tangent(s)
+            ctx = self._solve(s)
+            gamma = ctx.gamma
         else:
-            u, h = self._tangent_parts(s)
-            p = TangentPoint(s.q, u)
-            M = self.frame.matrix(s.q)
-            wfib = h + np.einsum("...a,...aj->...j", np.asarray(gamma),
-                                 M[..., :m, :])
-        out = [dvlift(self.L, self.frame, a, p, u, wfib)
-               - clift_deriv(self.L, self.frame, a, p)
-               for a in range(m)]
-        return np.stack(out, axis=-1)
+            ctx = self._context(s)
+            gamma = np.asarray(gamma)
+        return ctx.epsilon(range(self.split.m), gamma)
 
     def residual_hamel(self, s, gamma=None):
         """Hamel-form residual through the composite L(q, X(q) v)."""
@@ -147,10 +207,10 @@ class NonholonomicField:
         s.require_on_C(self.split)
         split = self.split
         m, n = split.m, split.n
+        ctx = self._solve(s) if gamma is None else self._context(s)
         if gamma is None:
-            gamma = self.gamma(s)
-        M = self.frame.matrix(s.q)
-        u = np.einsum("...a,...aj->...j", s.v_alpha(split), M[..., :m, :])
+            gamma = ctx.gamma
+        M, u = ctx.M, ctx.u
         R = structure_functions(self.frame, s.q)
         gpad = np.zeros(s.q.shape)
         gpad[..., :m] = gamma
@@ -178,13 +238,13 @@ class NonholonomicField:
         s.require_on_C(self.split)
         split = self.split
         m, n = split.m, split.n
+        ctx = self._solve(s) if gamma is None else self._context(s)
         if gamma is None:
-            gamma = self.gamma(s)
-        M = self.frame.matrix(s.q)
-        u = np.einsum("...a,...aj->...j", s.v_alpha(split), M[..., :m, :])
+            gamma = ctx.gamma
+        M, u = ctx.M, ctx.u
         R = structure_functions(self.frame, s.q)
-        p = TangentPoint(s.q, u)
-        p_mom = [vlift_deriv(self.L, self.frame, a, p) for a in range(m, n)]
+        p_mom = [vlift_deriv(self.L, self.frame, a, ctx.p)
+                 for a in range(m, n)]
         gpad = np.zeros(s.q.shape)
         gpad[..., :m] = gamma
         zq = np.zeros(s.q.shape)
@@ -215,10 +275,6 @@ class NonholonomicField:
 def solve_gamma(L, frame, split, s):
     """Gamma^alpha on C from the fundamental equations (partial-pivot solve)."""
     return NonholonomicField(L, frame, split).gamma(s)
-
-
-def multipliers(field, s):
-    return field.multipliers(s)
 
 
 def residual_fundamental(field, s):

@@ -52,8 +52,7 @@ class SystemDef:
         return ConstraintSplit(self.n, self.m)
 
     def frame(self):
-        return Frame(self.frame_exprs, self.coords, self.params,
-                     domain_note=self.domain_note)
+        return Frame(self.frame_exprs, self.coords, self.params)
 
     def lagrangian(self):
         return Lagrangian(self.lagrangian_expr, self.coords, self.vel_names,

@@ -27,9 +27,10 @@ import numpy as np
 from .exprlang import ExprFunction
 from .frames import QuasiState, TangentPoint, quasi_velocities, structure_functions
 from .jets import TaylorValue
-from .lagrangian import clift_deriv, dvlift, hessian, regularity
+from .lagrangian import regularity
 from .linsolve import solve_and_det
-from .nonholonomic import GAMMA_DET_TOL, NonholonomicField, RegularityError
+from .nonholonomic import (GAMMA_DET_TOL, NonholonomicField, RegularityError,
+                           StateContext)
 from .quasichart import QvChartPoint
 
 __all__ = [
@@ -256,53 +257,49 @@ def solve_gamma_C(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     A_a, and Lambda_a at the state.
     """
     s.require_on_C(split)
-    m, n = split.m, split.n
-    nh = NonholonomicField(L, frame, split, det_tol=det_tol)
-    u, h = nh._tangent_parts(s)
-    p = TangentPoint(s.q, u)
-    _require_vakonomic_regularity(L, frame, split, p, det_tol)
-    g = hessian(L, frame, p, indices=range(m))
-    b = np.stack(
-        [clift_deriv(L, frame, a, p) - dvlift(L, frame, a, p, u, h)
-         for a in range(m)], axis=-1)
+    ctx = StateContext(L, frame, split, s)
     phi_vals = section.values(s.q, s.v_alpha(split))
     R = structure_functions(frame, s.q)
-    b = b + _phi_R_alpha(phi_vals, R, s.v, split)
-    gamma_C, det = solve_and_det(g, b)
-    M = frame.matrix(s.q)
-    wfib = h + np.einsum("...a,...aj->...j", gamma_C, M[..., :m, :])
-    Lam = np.stack(
-        [dvlift(L, frame, a, p, u, wfib) - clift_deriv(L, frame, a, p)
-         for a in range(m, n)], axis=-1) if n > m else np.zeros(
-        s.q.shape[:-1] + (0,))
+    return _solve_C(ctx, section, s, phi_vals, R, det_tol)
+
+
+def _solve_C(ctx, section, s, phi_vals, R, det_tol):
+    """solve_gamma_C on an assembled state context: the nonholonomic system
+    with the section's phi_a R^a_alpha_beta v^beta added to its right side."""
+    split = ctx.split
+    _require_vakonomic_regularity(ctx.L, ctx.frame, split, ctx.p, det_tol)
+    b = ctx.rhs + _phi_R_alpha(phi_vals, R, s.v, split)
+    gamma_C, _ = solve_and_det(ctx.g, b)
+    Lam = ctx.epsilon(range(split.m, split.n), gamma_C)
     A = Lam - _phi_R_a(phi_vals, R, s.v, split)
     return VakonomicSolution(gamma_C, A, Lam, section)
 
 
+def _phi_rate(section, s, u, gamma, split):
+    """The rates of the section components phi_a along (u, gamma)."""
+    tvs = section.taylor(s.q, s.v_alpha(split), [(u, gamma)])
+    out = np.empty(s.q.shape[:-1] + (split.n_constraints,))
+    for i, tv in enumerate(tvs):
+        out[..., i] = tv.c[1] if isinstance(tv, TaylorValue) else 0.0
+    return out
+
+
 def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
-    """Weak, strong and tangency defects of a section at a state."""
+    """Weak, strong and tangency defects of a section at a state.
+
+    Gamma, lambda and the vakonomic solve share one state context.
+    """
     s.require_on_C(split)
-    m = split.m
-    nh = NonholonomicField(L, frame, split, det_tol=det_tol)
-    gamma = nh.gamma(s)
-    lam = nh.multipliers(s)
-    sol = solve_gamma_C(L, frame, split, section, s, det_tol=det_tol)
+    ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
+    lam = ctx.multipliers()
     phi_vals = section.values(s.q, s.v_alpha(split))
     R = structure_functions(frame, s.q)
+    sol = _solve_C(ctx, section, s, phi_vals, R, det_tol)
     weak = _phi_R_alpha(phi_vals, R, s.v, split)
-    M = frame.matrix(s.q)
-    u = np.einsum("...a,...aj->...j", s.v_alpha(split), M[..., :m, :])
     phi_shift = _phi_R_a(phi_vals, R, s.v, split)
-
-    def phi_rate(gcoeff):
-        tvs = section.taylor(s.q, s.v_alpha(split), [(u, gcoeff)])
-        out = np.empty(phi_vals.shape)
-        for i, tv in enumerate(tvs):
-            out[..., i] = tv.c[1] if isinstance(tv, TaylorValue) else 0.0
-        return out
-
-    strong = phi_rate(gamma) + phi_shift - lam
-    tangency = phi_rate(sol.gamma_C) + phi_shift - sol.Lambda
+    strong = _phi_rate(section, s, ctx.u, ctx.gamma, split) + phi_shift - lam
+    tangency = (_phi_rate(section, s, ctx.u, sol.gamma_C, split) + phi_shift
+                - sol.Lambda)
     return ConsistencyReport(weak, strong, tangency, s)
 
 
@@ -311,18 +308,11 @@ def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     (lambda_a - phi_b R^b_a_alpha v^alpha) - Gamma(phi_a).  Zero exactly when
     the problems are strongly consistent at the state."""
     s.require_on_C(split)
-    m = split.m
-    nh = NonholonomicField(L, frame, split, det_tol=det_tol)
-    gamma = nh.gamma(s)
-    lam = nh.multipliers(s)
+    ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
+    lam = ctx.multipliers()
     phi_vals = section.values(s.q, s.v_alpha(split))
     R = structure_functions(frame, s.q)
-    M = frame.matrix(s.q)
-    u = np.einsum("...a,...aj->...j", s.v_alpha(split), M[..., :m, :])
-    tvs = section.taylor(s.q, s.v_alpha(split), [(u, gamma)])
-    rate = np.empty(phi_vals.shape)
-    for i, tv in enumerate(tvs):
-        rate[..., i] = tv.c[1] if isinstance(tv, TaylorValue) else 0.0
+    rate = _phi_rate(section, s, ctx.u, ctx.gamma, split)
     return lam - _phi_R_a(phi_vals, R, s.v, split) - rate
 
 
@@ -460,7 +450,7 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
         rate = _qv_jet(Lt, frame, q, v, [(zq, e[i]), (u, zq)]).c[3]
         b[..., i] = cl - rate
     gamma, det = solve_and_det(g, b)
-    if gamma is None or np.min(np.abs(det)) <= det_tol:
+    if gamma is None or not np.min(np.abs(det)) > det_tol:
         raise RegularityError("full_hessian", det)
     return gamma
 

@@ -6,7 +6,8 @@ import pytest
 from framedyn.exprlang import (Add, Const, Div, EvalDomainError, ExprFunction,
                                ExprSyntaxError, Fun, Mul, Neg, Pow, Ref,
                                UnboundNameError, UnknownFunctionError,
-                               eval_jet2, eval_value, parse, tree_eval)
+                               compile_taylor, eval_jet2, eval_value, parse,
+                               tree_eval)
 from framedyn.jets import TaylorValue
 
 
@@ -223,3 +224,55 @@ def test_jets_match_finite_differences_on_builtin_expressions():
         assert abs(jet[3] - d12) <= (1e-6 * max(1.0, abs(jet[3]), abs(d12))
                                      + eps_floor)
         checked += 1
+
+
+def _frames_under_test():
+    """Every built-in frame and the carriage frame with D rotated by theta."""
+    from framedyn import BUILTIN_NAMES, builtin, change_of_D_basis
+    sysd = builtin("carriage")
+    rotated = change_of_D_basis(
+        sysd.frame(), sysd.split(),
+        [["cos(theta)", "-sin(theta)"], ["sin(theta)", "cos(theta)"]])
+    return [builtin(name).frame() for name in BUILTIN_NAMES] + [rotated]
+
+
+class TestFusedCompilation:
+    """compile_taylor over a sequence: one function, every slot exact."""
+
+    @staticmethod
+    def _check_exact(exprs, var_names, params, rng, samples=20):
+        pnames, pvals = tuple(params), tuple(params.values())
+        fns = [ExprFunction(e, var_names, pnames) for e in exprs]
+        for k in range(4):
+            fused = compile_taylor(exprs, var_names, pnames, k)
+            for _ in range(samples):
+                vals = tuple(rng.uniform(-1.5, 1.5, len(var_names)).tolist())
+                dirs = [tuple(rng.normal(size=len(var_names)).tolist())
+                        for _ in range(k)]
+                got = fused(vals, pvals, *dirs)
+                if k == 0:
+                    want = tuple(f.value(vals, pvals) for f in fns)
+                else:
+                    want = tuple(x for f in fns
+                                 for x in f.taylor(vals, pvals, dirs))
+                assert got == want
+
+    def test_frames_match_per_expression_slots(self, rng):
+        for frame in _frames_under_test():
+            exprs = [c.expr for f in frame.fields for c in f.components]
+            self._check_exact(exprs, frame.coords, frame.params, rng)
+
+    def test_repeated_subtrees(self, rng):
+        exprs = [parse(s) for s in (
+            "r*cos(theta)*sin(theta)", "-sin(theta)", "pow(sin(theta), 2)/r",
+            "sin(theta) + exp(r*sin(theta))", "sin(theta)")]
+        self._check_exact(exprs, ("theta", "r"), {}, rng)
+        src = compile_taylor(exprs, ("theta", "r"), (), 1).__source__
+        assert src.count("_sin(") == 1
+        assert src.count("_exp(") == 1
+
+    def test_signed_zero_literals_stay_apart(self):
+        exprs = [Mul(Const(-0.0), Ref("x")), Mul(Const(0.0), Ref("x"))]
+        neg, pos = compile_taylor(exprs, ("x",), (), 0)((1.0,), ())
+        assert math.copysign(1.0, neg) == -1.0
+        assert math.copysign(1.0, pos) == 1.0

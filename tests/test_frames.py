@@ -190,3 +190,31 @@ def test_vector_field_standalone(rng):
     assert np.allclose(Z.values(q), [q[1], -q[0], 0.0])
     w = rng.normal(size=3)
     assert np.allclose(Z.dirderiv(q, w), [w[1], -w[0], 0.0])
+
+
+def test_fused_scalar_kernels_match_fields(all_builtins, rng):
+    # Frame.matrix and Frame.dfields evaluate every component in one fused
+    # function at a scalar point; they must equal the stacked per-field
+    # values and directional derivatives bit for bit.
+    frames = [b.frame for b in all_builtins.values()]
+    carriage = all_builtins["carriage"]
+    frames.append(change_of_D_basis(
+        carriage.frame, carriage.split,
+        [["cos(theta)", "-sin(theta)"], ["sin(theta)", "cos(theta)"]]))
+    for F in frames:
+        for _ in range(10):
+            q = rng.uniform(-1.5, 1.5, F.n)
+            w = rng.normal(size=F.n)
+            want = np.stack([f.values(q) for f in F.fields])
+            assert np.array_equal(F.matrix(q), want)
+            for count in range(1, F.n + 1):
+                want = np.stack([f.dirderiv(q, w) for f in F.fields[:count]])
+                assert np.array_equal(F.dfields(q, w, count), want)
+
+
+def test_nan_point_is_a_singular_frame(particle):
+    # min |det| is NaN here; a NaN must fail the determinant test.
+    s = QuasiState.on_C(np.array([np.nan, 0.2, 0.3]), [1.0, 1.0],
+                        particle.split)
+    with np.errstate(invalid="ignore"), pytest.raises(SingularFrameError):
+        particle.field.rate(s)

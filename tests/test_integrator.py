@@ -202,3 +202,27 @@ class TestExports:
         export_csv(integrate(particle.field, particle.frame, particle.split,
                              s0, cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_non_finite_field_fails_loudly(particle, method):
+    # At |v| = 1e160 the right-hand side overflows and Gamma is NaN; the run
+    # must stop at t = 0 naming the component, not return NaN states or
+    # report a step-size underflow.
+    s0 = QuasiState.on_C(np.array([0.1, 0.2, 0.3]), [1e160, 1e160],
+                         particle.split)
+    cfg = IntegratorConfig(method=method, t_span=(0.0, 0.01))
+    with np.errstate(all="ignore"):
+        with pytest.raises(IntegrationError) as ei:
+            integrate(particle.field, particle.frame, particle.split, s0, cfg)
+    assert ei.value.t == 0.0
+    assert "non-finite dv1/dt = nan" in str(ei.value)
+
+
+def test_huge_finite_state_is_not_flagged(free3):
+    # The entries sum to inf, but each is finite: the run must go through.
+    field, F, split = free3
+    s0 = QuasiState(np.array([1e308, 1e308, 0.0]), np.array([0.0, 0.0, 1.0]))
+    traj = integrate(field, F, split, s0,
+                     IntegratorConfig(step=0.1, t_span=(0.0, 0.5)))
+    assert np.all(np.isfinite(traj.q)) and traj.q[-1, 2] == pytest.approx(0.5)
