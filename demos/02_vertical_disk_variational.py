@@ -9,9 +9,9 @@ equations reproduces the constrained dynamics exactly.
 
 import numpy as np
 
-from framedyn import (MomentumSection, NonholonomicField, builtin,
-                      consistency_report, el_field, make_variational_lagrangian,
-                      measure_density, prop6_scalar, sample_states,
+from framedyn import (MomentumSection, NonholonomicField,
+                      VariationalLagrangian, builtin, consistency_report,
+                      el_field, measure_density, prop6_scalar, sample_states,
                       tilde_tangency_check, velocities_from_quasi,
                       verify_chaplygin)
 
@@ -39,7 +39,7 @@ print(f"weak/strong/tangency defects: "
       f"{np.max(np.abs(rep.tangency_defect)):.2e}")
 
 print("\n== the variational Lagrangian reproduces the dynamics ==")
-VL = make_variational_lagrangian(L, F, split, mom)
+VL = VariationalLagrangian(L, F, split, mom)
 p = velocities_from_quasi(F, states)
 gamma_tilde = el_field(VL, F, p)
 gamma = field.gamma(states)
@@ -55,7 +55,7 @@ print("\n== contrast: the particle has no constant density ==")
 part = builtin("nonholonomic_particle")
 Lp, Fp, sp = part.lagrangian(), part.frame(), part.split()
 st = sample_states(part, 100, seed=0)
-VLp = make_variational_lagrangian(Lp, Fp, sp, MomentumSection(Lp, Fp, sp))
+VLp = VariationalLagrangian(Lp, Fp, sp, MomentumSection(Lp, Fp, sp))
 pp = velocities_from_quasi(Fp, st)
 dev = np.max(np.abs(el_field(VLp, Fp, pp)[:, :sp.m]
                     - NonholonomicField(Lp, Fp, sp).gamma(st)))

@@ -26,16 +26,13 @@ from .lagrangian import (
     Lagrangian, QuasiVelocityFunction, RegularityReport,
     vlift_deriv, clift_deriv, hessian, energy, regularity,
 )
-from .nonholonomic import (
-    NonholonomicField, RegularityError, solve_gamma,
-    residual_fundamental, residual_hamel, constrained_form_residual,
-)
+from .nonholonomic import NonholonomicField, RegularityError
 from .vakonomic import (
     Section, ZeroSection, CustomSection, MomentumSection,
     ShiftedMomentumSection, make_section, VakonomicSolution,
     ConsistencyReport, solve_gamma_C, consistency_report,
-    gamma_bar_tangency, VariationalLagrangian, make_variational_lagrangian,
-    el_field, tilde_tangency_check,
+    gamma_bar_tangency, VariationalLagrangian, el_field,
+    tilde_tangency_check,
 )
 from .chaplygin import (
     ChaplyginStructure, verify_chaplygin, prop6_scalar, shifted_section,

@@ -21,7 +21,7 @@ import numpy as np
 from .frames import bracket, structure_functions, velocities_from_quasi
 from .lagrangian import clift_field, dvlift_field, vlift_deriv
 from .nonholonomic import NonholonomicField
-from .vakonomic import ShiftedMomentumSection
+from .vakonomic import ShiftedMomentumSection, _phi_R_alpha
 
 __all__ = [
     "ChaplyginStructure", "verify_chaplygin", "prop6_scalar",
@@ -107,8 +107,7 @@ def prop6_scalar(L, frame, split, s):
     R = structure_functions(frame, s.q)
     mom = np.stack([vlift_deriv(L, frame, a, p) for a in range(m, n)],
                    axis=-1) if n > m else np.zeros(s.q.shape[:-1] + (0,))
-    Rv = np.einsum("...abk,...k->...ab", R[..., m:, :m, :], s.v)
-    return np.einsum("...a,...ab->...b", mom, Rv)
+    return _phi_R_alpha(mom, R, s.v, split)
 
 
 def gamma_k_residual(L, frame, split, section, states, tol=1e-9):

@@ -198,14 +198,20 @@ def _write_report(doc, out):
         sys.stdout.write(text)
 
 
-def cmd_simulate(args):
+def _load_run(args):
+    """The run configuration, the system with the config's params and the
+    --set overrides applied, and the system's Lagrangian, frame and split."""
     run = _load_run_config(args.config)
     system = _resolve(args, run, "system")
     _require(system is not None, "$.system", "no system given")
     overrides = dict(run.get("params", {}))
     overrides.update(_parse_set(args.set))
     sysd = _load_system(system, overrides)
-    L, F, split = sysd.lagrangian(), sysd.frame(), sysd.split()
+    return run, sysd, sysd.lagrangian(), sysd.frame(), sysd.split()
+
+
+def cmd_simulate(args):
+    run, sysd, L, F, split = _load_run(args)
     q0raw = _resolve(args, run, "q0")
     v0raw = _resolve(args, run, "v0")
     q0 = (_state_vector(q0raw, sysd.n, "$.q0") if q0raw is not None
@@ -237,13 +243,7 @@ def cmd_simulate(args):
 
 
 def cmd_consistency(args):
-    run = _load_run_config(args.config)
-    system = _resolve(args, run, "system")
-    _require(system is not None, "$.system", "no system given")
-    overrides = dict(run.get("params", {}))
-    overrides.update(_parse_set(args.set))
-    sysd = _load_system(system, overrides)
-    L, F, split = sysd.lagrangian(), sysd.frame(), sysd.split()
+    run, sysd, L, F, split = _load_run(args)
     args.samples = _resolve(args, run, "samples", 200)
     args.seed = _resolve(args, run, "seed", 0)
     args.out = _resolve(args, run, "out")
@@ -285,13 +285,7 @@ def cmd_consistency(args):
 
 
 def cmd_derive(args):
-    run = _load_run_config(args.config)
-    system = _resolve(args, run, "system")
-    _require(system is not None, "$.system", "no system given")
-    overrides = dict(run.get("params", {}))
-    overrides.update(_parse_set(args.set))
-    sysd = _load_system(system, overrides)
-    L, F, split = sysd.lagrangian(), sysd.frame(), sysd.split()
+    run, sysd, L, F, split = _load_run(args)
     args.samples = _resolve(args, run, "samples", 100)
     args.seed = _resolve(args, run, "seed", 0)
     args.out = _resolve(args, run, "out")

@@ -378,9 +378,15 @@ class _Codegen:
         return [s if (s is None or s.isidentifier()) else self.temp(s)
                 for s in slots]
 
+    def shallow(self, slots):
+        """Bind slots carrying many parentheses to temporaries: a long sum
+        nests one level per term, and Python's parser stops at 200."""
+        return [self.temp(s) if s is not None and s.count("(") > 100 else s
+                for s in slots]
+
     def add(self, a, b, sign="+"):
         out = []
-        for x, y in zip(a, b):
+        for x, y in zip(self.shallow(a), self.shallow(b)):
             if x is None and y is None:
                 out.append(None)
             elif y is None:

@@ -289,6 +289,8 @@ def quasi_velocities(frame, p):
 def velocities_from_quasi(frame, s):
     """Inverse of quasi_velocities: u = X(q)^T v."""
     M = frame.matrix(s.q)
+    # a matmul, not base_velocity's einsum: the two sum in different orders,
+    # so they can differ in the last bit, and recorded outputs follow this one
     u = (np.swapaxes(M, -1, -2) @ s.v[..., None])[..., 0]
     return TangentPoint(s.q, u)
 

@@ -5,7 +5,7 @@ directional derivatives; all of them are evaluated here through exact jets at
 a point.  The vertical lift of X has tangent (0, X(q)); the complete lift has
 tangent (X(q), (DX)u).  Differentiating a vertical-lift derivative along a
 moving direction picks up a correction from the q-dependence of the frame
-coefficients, which :func:`dvlift` accounts for.
+coefficients, which :func:`dvlift_at` accounts for.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .linsolve import det_pp
 
 __all__ = [
     "Lagrangian", "QuasiVelocityFunction", "RegularityReport",
+    "vlift_at", "clift_at", "dvlift_at", "hessian_rows", "hessian_regularity",
     "vlift_deriv", "clift_deriv", "dvlift", "dvlift_field", "clift_field",
     "epsilon_form", "hessian", "energy", "regularity",
 ]
@@ -171,15 +172,59 @@ def _zeros_like(q):
     return np.zeros(np.asarray(q).shape)
 
 
+# The lift calculus over evaluated vectors.  These are the only places where
+# a frame-calculus quantity of L is formed from frame rows; the frame-index
+# functions below and the per-state context of the nonholonomic field both
+# evaluate the rows and call them.
+
+
+def vlift_at(L, q, u, X):
+    """vlift X(L) at (q, u) for the evaluated vector X = X(q)."""
+    return L.taylor(q, u, [(_zeros_like(q), X)])[1]
+
+
+def clift_at(L, q, u, X, DX):
+    """clift X(L) at (q, u) from X = X(q) and DX = (DX)u."""
+    return L.taylor(q, u, [(X, DX)])[1]
+
+
+def dvlift_at(L, q, u, X, wq, wu, DXw):
+    """Derivative of vlift X(L) along (wq, wu), from X = X(q) and
+    DXw = (DX)wq.
+
+    The inner direction X(q) moves with the base point, so the plain mixed
+    jet acquires a correction through the fibre gradient of L.
+    """
+    zq = _zeros_like(q)
+    t = L.taylor(q, u, [(zq, X), (wq, wu)])
+    return t[3] + L.taylor(q, u, [(zq, DXw)])[1]
+
+
+def hessian_rows(taylor, q, u, rows, known=None):
+    """g_ij = vlift X_i(vlift X_j(L)) for evaluated rows X_i, shape
+    (..., k, n), from the jets taylor(q, u, dirs) of L; symmetric.  A known
+    leading block g[:j, :j] is copied in rather than recomputed."""
+    zq = _zeros_like(q)
+    k = rows.shape[-2]
+    j = 0 if known is None else known.shape[-1]
+    g = np.empty(np.shape(q)[:-1] + (k, k))
+    if j:
+        g[..., :j, :j] = known
+    for a in range(k):
+        for b in range(max(a, j), k):
+            g[..., a, b] = g[..., b, a] = taylor(
+                q, u, [(zq, rows[..., a, :]), (zq, rows[..., b, :])])[3]
+    return g
+
+
 def vlift_deriv(L, frame, i, p):
     """vlift X_i applied to a TQ function: derivative along (0, X_i(q))."""
-    Xi = frame.fields[i].values(p.q)
-    return L.taylor(p.q, p.u, [(_zeros_like(p.q), Xi)])[1]
+    return vlift_at(L, p.q, p.u, frame.fields[i].values(p.q))
 
 
 def clift_field(L, Z, q, u):
     """clift Z applied to a TQ function: derivative along (Z(q), (DZ)u)."""
-    return L.taylor(q, u, [(Z.values(q), Z.dirderiv(q, u))])[1]
+    return clift_at(L, q, u, Z.values(q), Z.dirderiv(q, u))
 
 
 def clift_deriv(L, frame, i, p):
@@ -187,15 +232,9 @@ def clift_deriv(L, frame, i, p):
 
 
 def dvlift_field(L, Z, q, u, wq, wu):
-    """Derivative of the function vlift Z(L) along the tangent vector (wq, wu).
-
-    The inner direction Z(q) moves with the base point, so the plain mixed
-    jet acquires a correction through the fibre gradient of L.
-    """
-    zq = _zeros_like(q)
-    t = L.taylor(q, u, [(zq, Z.values(q)), (wq, wu)])
-    corr = L.taylor(q, u, [(zq, Z.dirderiv(q, wq))])
-    return t[3] + corr[1]
+    """Derivative of the function vlift Z(L) along the tangent vector
+    (wq, wu); see dvlift_at."""
+    return dvlift_at(L, q, u, Z.values(q), wq, wu, Z.dirderiv(q, wq))
 
 
 def dvlift(L, frame, i, p, wq, wu):
@@ -211,18 +250,9 @@ def epsilon_form(L, Z, q, u, wq, wu):
 def hessian(L, frame, p, indices=None):
     """Hessian blocks g_ij = vlift X_i(vlift X_j(L)) in the frame; symmetric."""
     q = np.asarray(p.q, dtype=float)
-    u = np.asarray(p.u, dtype=float)
-    idx = list(range(frame.n)) if indices is None else list(indices)
-    vals = {i: frame.fields[i].values(q) for i in idx}
-    zq = _zeros_like(q)
-    k = len(idx)
-    g = np.zeros(q.shape[:-1] + (k, k))
-    for a in range(k):
-        for b in range(a, k):
-            d12 = L.taylor(q, u, [(zq, vals[idx[a]]), (zq, vals[idx[b]])])[3]
-            g[..., a, b] = d12
-            g[..., b, a] = d12
-    return g
+    M = frame.matrix(q)
+    rows = M if indices is None else M[..., list(indices), :]
+    return hessian_rows(L.taylor, q, np.asarray(p.u, dtype=float), rows)
 
 
 def energy(L, frame, p):
@@ -247,14 +277,18 @@ class RegularityReport:
 
 
 def regularity(L, frame, split, p, threshold=REGULARITY_DET_TOL):
-    """Determinant tests for the three regularity conditions.
+    """Determinant tests for the three regularity conditions at p."""
+    return hessian_regularity(hessian(L, frame, p), split, p, threshold)
+
+
+def hessian_regularity(g, split, p, threshold=REGULARITY_DET_TOL):
+    """The regularity tests on a full frame Hessian g evaluated at p.
 
     regular_D tests the D-block (g_alpha_beta); regular_Dperp the Schur
     complement g_ab - g_a_alpha g^alpha_beta g_beta_b; regular_g the plain
     (g_ab) block.
     """
     m = split.m
-    g = hessian(L, frame, p)
     gD = g[..., :m, :m]
     det_D = det_pp(gD)
     gab = g[..., m:, m:]

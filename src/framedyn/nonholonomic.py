@@ -20,13 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from .frames import TangentPoint, base_velocity, structure_functions
-from .lagrangian import vlift_deriv
+from .lagrangian import (clift_at, dvlift_at, hessian_regularity,
+                         hessian_rows, vlift_at)
 from .linsolve import cond_estimate, solve_and_det
+from .quasichart import QvChartPoint
 
-__all__ = [
-    "RegularityError", "NonholonomicField", "solve_gamma",
-    "residual_fundamental", "residual_hamel", "constrained_form_residual",
-]
+__all__ = ["RegularityError", "NonholonomicField"]
 
 GAMMA_DET_TOL = 1e-10
 COND_WARN = 1e8
@@ -49,7 +48,8 @@ class StateContext:
     complete lifts and the moving-direction correction of the vertical
     lifts; and the system g_D Gamma = rhs with
     rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)).  gamma is set once the
-    system is solved.
+    system is solved.  The lift formulas themselves are those of
+    lagrangian.py, applied to the rows held here.
     """
 
     def __init__(self, L, frame, split, s):
@@ -67,14 +67,8 @@ class StateContext:
         for b in range(m):
             h = h + va[..., b, None] * self.D[..., b, :]
         self.h = h
-        self.zq = np.zeros(q.shape)
         self._clift = {}
-        g = np.empty(q.shape[:-1] + (m, m))
-        for a in range(m):
-            for b in range(a, m):
-                g[..., a, b] = g[..., b, a] = self.jet(
-                    (self.zq, M[..., a, :]), (self.zq, M[..., b, :]))[3]
-        self.g = g
+        self.g = hessian_rows(L.taylor, q, self.u, M[..., :m, :])
         self.rhs = np.stack(
             [self.clift(a) - self.dvlift(a, h) for a in range(m)], axis=-1)
         self.gamma = None
@@ -82,10 +76,6 @@ class StateContext:
     @property
     def p(self):
         return TangentPoint(self.q, self.u)
-
-    def jet(self, *dirs):
-        """Slots of L at (q, u) along (dq, du) directions."""
-        return self.L.taylor(self.q, self.u, dirs)
 
     def dfield(self, a):
         """D_a = (DX_a)u; the rows a >= m are evaluated on first use."""
@@ -96,17 +86,27 @@ class StateContext:
             self.D = self.frame.dfields(self.q, self.u, self.split.n)
         return self.D[..., a, :]
 
+    def vlift(self, a):
+        """vlift X_a(L); for a >= m the momentum p_a."""
+        return vlift_at(self.L, self.q, self.u, self.M[..., a, :])
+
     def clift(self, a):
         """clift X_a(L): the derivative along (X_a, D_a)."""
         if a not in self._clift:
-            self._clift[a] = self.jet((self.M[..., a, :], self.dfield(a)))[1]
+            self._clift[a] = clift_at(self.L, self.q, self.u,
+                                      self.M[..., a, :], self.dfield(a))
         return self._clift[a]
 
     def dvlift(self, a, w):
-        """(u, w)(vlift X_a(L)); the inner direction X_a moves with the base
-        point, which adds the fibre derivative along D_a."""
-        t = self.jet((self.zq, self.M[..., a, :]), (self.u, w))
-        return t[3] + self.jet((self.zq, self.dfield(a)))[1]
+        """(u, w)(vlift X_a(L)), corrected along D_a (see dvlift_at)."""
+        return dvlift_at(self.L, self.q, self.u, self.M[..., a, :],
+                         self.u, w, self.dfield(a))
+
+    def regularity_report(self, threshold):
+        """The regularity tests from the full Hessian over the rows of M;
+        the g_D block is reused."""
+        g = hessian_rows(self.L.taylor, self.q, self.u, self.M, known=self.g)
+        return hessian_regularity(g, self.split, self.p, threshold)
 
     def fibre(self, gamma):
         """Fibre part h + Gamma^alpha X_alpha of the second-order tangent."""
@@ -161,11 +161,6 @@ class NonholonomicField:
         ctx = self._solve(s)
         return ctx.u, ctx.gamma
 
-    def gamma_tangent(self, s):
-        """The field's tangent vector at s as a (base, fibre) pair on TQ."""
-        ctx = self._solve(s)
-        return ctx.u, ctx.fibre(ctx.gamma), ctx.p, ctx.gamma
-
     def multipliers(self, s):
         """lambda_a = Gamma(vlift X_a(L)) - clift X_a(L)."""
         s.require_on_C(self.split)
@@ -183,107 +178,74 @@ class NonholonomicField:
         }
 
     # -- residual oracles ---------------------------------------------------
+    #
+    # A gamma override substitutes trial coefficients (for falsification
+    # checks); by default the solver's own output is re-evaluated.
 
-    def residual_fundamental(self, s, gamma=None):
-        """Gamma(vlift X_alpha(L)) - clift X_alpha(L), from jets along the
-        solved second-order tangent.
-
-        A gamma override substitutes trial coefficients (for falsification
-        checks); by default the solver's own output is re-evaluated.
-        """
+    def _residual_context(self, s, gamma):
         s.require_on_C(self.split)
         if gamma is None:
             ctx = self._solve(s)
-            gamma = ctx.gamma
-        else:
-            ctx = self._context(s)
-            gamma = np.asarray(gamma)
+            return ctx, ctx.gamma
+        return self._context(s), np.asarray(gamma)
+
+    def residual_fundamental(self, s, gamma=None):
+        """Gamma(vlift X_alpha(L)) - clift X_alpha(L), from jets along the
+        solved second-order tangent."""
+        ctx, gamma = self._residual_context(s, gamma)
         return ctx.epsilon(range(self.split.m), gamma)
+
+    def _chart_jets(self, ctx, v, gamma, corr_dir):
+        """For each alpha, three jets of the composite L(q, X(q) v) at the
+        chart point (q, v): the mixed slot along (0, e_alpha) and
+        (u, Gamma), the first slot along (X_alpha, 0), and the first slot
+        along (0, corr_dir(alpha))."""
+        m = self.split.m
+        q = ctx.q
+        zq = np.zeros(q.shape)
+        gpad = np.zeros(q.shape)
+        gpad[..., :m] = gamma
+
+        def jet(*dirs):
+            return QvChartPoint(self.frame, q, v, dirs).eval(self.L).c
+
+        for a in range(m):
+            e_va = np.zeros(q.shape)
+            e_va[..., a] = 1.0
+            yield (jet((zq, e_va), (ctx.u, gpad))[3],
+                   jet((ctx.M[..., a, :], zq))[1],
+                   jet((zq, corr_dir(a)))[1])
 
     def residual_hamel(self, s, gamma=None):
         """Hamel-form residual through the composite L(q, X(q) v)."""
-        from .quasichart import QvChartPoint
-
-        s.require_on_C(self.split)
-        split = self.split
-        m, n = split.m, split.n
-        ctx = self._solve(s) if gamma is None else self._context(s)
-        if gamma is None:
-            gamma = ctx.gamma
-        M, u = ctx.M, ctx.u
+        ctx, gamma = self._residual_context(s, gamma)
         R = structure_functions(self.frame, s.q)
-        gpad = np.zeros(s.q.shape)
-        gpad[..., :m] = gamma
-        zq = np.zeros(s.q.shape)
-        out = []
-        for a in range(m):
-            e_va = np.zeros(s.q.shape)
-            e_va[..., a] = 1.0
-            pt = QvChartPoint(self.frame, s.q, s.v,
-                              [(zq, e_va), (u, gpad)])
-            t_gamma = pt.eval(self.L).c[3]
-            base = QvChartPoint(self.frame, s.q, s.v,
-                                [(M[..., a, :], zq)]).eval(self.L).c[1]
-            z = np.einsum("...jk,...k->...j", R[..., :, a, :], s.v)
-            corr = QvChartPoint(self.frame, s.q, s.v,
-                                [(zq, z)]).eval(self.L).c[1]
-            out.append(t_gamma - base + corr)
-        return np.stack(out, axis=-1)
+        jets = self._chart_jets(
+            ctx, s.v, gamma,
+            lambda a: np.einsum("...jk,...k->...j", R[..., :, a, :], s.v))
+        return np.stack([t - base + corr for t, base, corr in jets], axis=-1)
 
     def constrained_form_residual(self, s, gamma=None):
         """Constrained-Lagrangian form: the tangent part of clift X_alpha acts
         on the restriction L_c, and the momentum term p_a carries the rest."""
-        from .quasichart import QvChartPoint
-
-        s.require_on_C(self.split)
-        split = self.split
-        m, n = split.m, split.n
-        ctx = self._solve(s) if gamma is None else self._context(s)
-        if gamma is None:
-            gamma = ctx.gamma
-        M, u = ctx.M, ctx.u
+        m, n = self.split.m, self.split.n
+        ctx, gamma = self._residual_context(s, gamma)
         R = structure_functions(self.frame, s.q)
-        p_mom = [vlift_deriv(self.L, self.frame, a, ctx.p)
-                 for a in range(m, n)]
-        gpad = np.zeros(s.q.shape)
-        gpad[..., :m] = gamma
-        zq = np.zeros(s.q.shape)
+        p_mom = [ctx.vlift(a) for a in range(m, n)]
         v_c = np.zeros(s.q.shape)
-        v_c[..., :m] = s.v_alpha(split)
+        v_c[..., :m] = s.v_alpha(self.split)
+
+        def zbeta(a):
+            z = np.zeros(s.q.shape)
+            z[..., :m] = np.einsum("...bk,...k->...b", R[..., :m, a, :], s.v)
+            return z
+
         out = []
-        for a in range(m):
-            e_va = np.zeros(s.q.shape)
-            e_va[..., a] = 1.0
-            pt = QvChartPoint(self.frame, s.q, v_c, [(zq, e_va), (u, gpad)])
-            t_gamma = pt.eval(self.L).c[3]
-            base = QvChartPoint(self.frame, s.q, v_c,
-                                [(M[..., a, :], zq)]).eval(self.L).c[1]
-            zbeta = np.zeros(s.q.shape)
-            zbeta[..., :m] = np.einsum(
-                "...bk,...k->...b", R[..., :m, a, :], s.v)
-            corr = QvChartPoint(self.frame, s.q, v_c,
-                                [(zq, zbeta)]).eval(self.L).c[1]
-            lhs = t_gamma - (base - corr)
+        for a, (t, base, corr) in enumerate(
+                self._chart_jets(ctx, v_c, gamma, zbeta)):
             rhs = 0.0
             for j, b in enumerate(range(m, n)):
                 rhs = rhs - np.einsum(
                     "...k,...k->...", R[..., b, a, :], s.v) * p_mom[j]
-            out.append(lhs - rhs)
+            out.append(t - (base - corr) - rhs)
         return np.stack(out, axis=-1)
-
-
-def solve_gamma(L, frame, split, s):
-    """Gamma^alpha on C from the fundamental equations (partial-pivot solve)."""
-    return NonholonomicField(L, frame, split).gamma(s)
-
-
-def residual_fundamental(field, s):
-    return field.residual_fundamental(s)
-
-
-def residual_hamel(field, s):
-    return field.residual_hamel(s)
-
-
-def constrained_form_residual(field, s):
-    return field.constrained_form_residual(s)

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import ExprFunction
-from .frames import QuasiState, TangentPoint, quasi_velocities, structure_functions
+from .frames import (QuasiState, TangentPoint, base_velocity,
+                     quasi_velocities, structure_functions)
 from .jets import TaylorValue
-from .lagrangian import regularity
+from .lagrangian import hessian_rows
 from .linsolve import solve_and_det
 from .nonholonomic import (GAMMA_DET_TOL, NonholonomicField, RegularityError,
                            StateContext)
@@ -38,8 +39,7 @@ __all__ = [
     "ShiftedMomentumSection", "make_section",
     "VakonomicSolution", "ConsistencyReport", "solve_gamma_C",
     "consistency_report", "gamma_bar_tangency",
-    "VariationalLagrangian", "make_variational_lagrangian",
-    "el_field", "tilde_tangency_check",
+    "VariationalLagrangian", "el_field", "tilde_tangency_check",
 ]
 
 
@@ -47,9 +47,20 @@ def _chart_names(m):
     return tuple(f"v{i + 1}" for i in range(m))
 
 
+def _slot(tvs, u, q):
+    """Slot u of each component jet, stacked on a trailing axis; a plain
+    number is a constant (its slots u > 0 vanish)."""
+    out = np.empty(np.shape(q)[:-1] + (len(tvs),))
+    for i, tv in enumerate(tvs):
+        out[..., i] = (tv.c[u] if isinstance(tv, TaylorValue)
+                       else (tv if u == 0 else 0.0))
+    return out
+
+
 class Section:
-    """Multiplier section phi: C -> R^(n-m).  Subclasses provide values and
-    exact chart jets of each component."""
+    """Multiplier section phi: C -> R^(n-m).  Subclasses provide exact jets
+    of each component along C-chart directions (taylor) and the jets of
+    their canonical extension Phi_a off C at a chart point (extension)."""
 
     kind = "abstract"
 
@@ -58,16 +69,15 @@ class Section:
         self.split = split
 
     def values(self, q, v_alpha):
-        tvs = self.taylor(q, v_alpha, ())
-        out = [tv.c[0] if isinstance(tv, TaylorValue) else tv for tv in tvs]
-        q = np.asarray(q, dtype=float)
-        res = np.empty(q.shape[:-1] + (self.split.n_constraints,))
-        for i, val in enumerate(out):
-            res[..., i] = val
-        return res
+        return _slot(self.taylor(q, v_alpha, ()), 0, q)
 
     def taylor(self, q, v_alpha, dirs):
         """Jets of phi_a along C-chart directions [(dq, dv_alpha)]."""
+        raise NotImplementedError
+
+    def extension(self, pt):
+        """TaylorValues of the extensions Phi_a at a QvChartPoint built with
+        probe=True, or None where Phi vanishes identically."""
         raise NotImplementedError
 
     def describe(self):
@@ -81,6 +91,9 @@ class ZeroSection(Section):
         k = len(dirs)
         zero = TaylorValue.constant(0.0, k)
         return [zero] * self.split.n_constraints
+
+    def extension(self, pt):
+        return None
 
 
 class CustomSection(Section):
@@ -111,12 +124,25 @@ class CustomSection(Section):
                 v_alpha[..., i], tuple(np.asarray(d[1])[..., i] for d in dirs), k)
         for name, val in self.params.items():
             env[name] = TaylorValue.constant(float(val), k)
+        return self._jets(env, k)
+
+    def extension(self, pt):
+        """The expressions re-read on TQ unchanged, which keeps the
+        extension independent of the v^a."""
+        bit = 1 << pt.ndirs
+        env = {name: tv.drop(bit) for name, tv in pt.q_tvs.items()}
+        for i, name in enumerate(_chart_names(self.split.m)):
+            env[name] = pt.v_tvs[i].drop(bit)
+        for name, val in self.params.items():
+            env.setdefault(name, val)
+        return self._jets(env, pt.ndirs)
+
+    def _jets(self, env, k):
         out = []
         for f in self.fns:
             tv = f.taylor_env(env)
-            if not isinstance(tv, TaylorValue):
-                tv = TaylorValue.constant(tv, k)
-            out.append(tv)
+            out.append(tv if isinstance(tv, TaylorValue)
+                       else TaylorValue.constant(tv, k))
         return out
 
     def describe(self):
@@ -146,10 +172,12 @@ class MomentumSection(Section):
         return QvChartPoint(self.frame, q, v, full_dirs, probe=True)
 
     def taylor(self, q, v_alpha, dirs):
-        pt = self._chart_point(q, v_alpha, dirs)
-        return self._momenta(pt, len(dirs))
+        # the momenta alone, also for the shifted subclass, which adds k_a
+        return MomentumSection.extension(
+            self, self._chart_point(q, v_alpha, dirs))
 
-    def _momenta(self, pt, k):
+    def extension(self, pt):
+        """The full momentum functions p_a on TQ."""
         n, m = self.split.n, self.split.m
         partials = [pt.eval_fibre_partial(self.L, i) for i in range(n)]
         bit = 1 << pt.ndirs
@@ -179,6 +207,10 @@ class ShiftedMomentumSection(MomentumSection):
         base = MomentumSection.taylor(self, q, v_alpha, dirs)
         extra = self.shift.taylor(q, v_alpha, dirs)
         return [b + e for b, e in zip(base, extra)]
+
+    def extension(self, pt):
+        base = MomentumSection.extension(self, pt)
+        return [b + e for b, e in zip(base, self.shift.extension(pt))]
 
     def describe(self):
         return {"kind": self.kind,
@@ -241,15 +273,6 @@ def _phi_R_a(phi_vals, R, v, split):
     return np.einsum("...b,...ba->...a", phi_vals, Rv)
 
 
-def _require_vakonomic_regularity(L, frame, split, p, det_tol):
-    rep = regularity(L, frame, split, p, threshold=det_tol)
-    if not rep.regular_D:
-        raise RegularityError("regular_D", rep.det_D)
-    if not rep.regular_Dperp:
-        raise RegularityError("regular_Dperp", rep.det_Dperp)
-    return rep
-
-
 def solve_gamma_C(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     """The unique tangent solution of the restricted vakonomic problem.
 
@@ -267,7 +290,11 @@ def _solve_C(ctx, section, s, phi_vals, R, det_tol):
     """solve_gamma_C on an assembled state context: the nonholonomic system
     with the section's phi_a R^a_alpha_beta v^beta added to its right side."""
     split = ctx.split
-    _require_vakonomic_regularity(ctx.L, ctx.frame, split, ctx.p, det_tol)
+    reg = ctx.regularity_report(det_tol)
+    if not reg.regular_D:
+        raise RegularityError("regular_D", reg.det_D)
+    if not reg.regular_Dperp:
+        raise RegularityError("regular_Dperp", reg.det_Dperp)
     b = ctx.rhs + _phi_R_alpha(phi_vals, R, s.v, split)
     gamma_C, _ = solve_and_det(ctx.g, b)
     Lam = ctx.epsilon(range(split.m, split.n), gamma_C)
@@ -277,11 +304,7 @@ def _solve_C(ctx, section, s, phi_vals, R, det_tol):
 
 def _phi_rate(section, s, u, gamma, split):
     """The rates of the section components phi_a along (u, gamma)."""
-    tvs = section.taylor(s.q, s.v_alpha(split), [(u, gamma)])
-    out = np.empty(s.q.shape[:-1] + (split.n_constraints,))
-    for i, tv in enumerate(tvs):
-        out[..., i] = tv.c[1] if isinstance(tv, TaylorValue) else 0.0
-    return out
+    return _slot(section.taylor(s.q, s.v_alpha(split), [(u, gamma)]), 1, s.q)
 
 
 def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
@@ -321,13 +344,13 @@ def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
 
 
 class VariationalLagrangian:
-    """L~ = L - Phi_a v^a for a canonical extension Phi of the section.
+    """L~ = L - Phi_a v^a for the canonical extension Phi that the section
+    supplies (Section.extension).
 
     Momentum sections extend as the full momentum functions p_a on TQ;
-    expression-backed sections are re-read on TQ unchanged, which keeps the
-    extension independent of the v^a.  Any choice of extension yields the
-    same restricted field, so one canonical extension is fixed for
-    reproducibility.
+    expression-backed sections are re-read on TQ unchanged.  Any choice of
+    extension yields the same restricted field, so one canonical extension
+    is fixed for reproducibility.
     """
 
     def __init__(self, L, frame, split, section):
@@ -336,85 +359,32 @@ class VariationalLagrangian:
         self.split = split
         self.section = section
 
-    def _phi_tvs(self, pt):
-        """TaylorValues of the extensions Phi_a at a chart point (probe on)."""
-        m, n = self.split.m, self.split.n
-        bit = 1 << pt.ndirs
-        sec = self.section
-        out = [None] * (n - m)
-        if isinstance(sec, MomentumSection):
-            partials = [pt.eval_fibre_partial(self.L, i) for i in range(n)]
-            for j, a in enumerate(range(m, n)):
-                acc = None
-                for i in range(n):
-                    coeff = pt.coeff_tvs[a][i]
-                    if isinstance(coeff, TaylorValue):
-                        coeff = coeff.drop(bit)
-                    term = partials[i] * coeff
-                    acc = term if acc is None else acc + term
-                out[j] = acc
-        expr_part = None
-        if isinstance(sec, ShiftedMomentumSection):
-            expr_part = sec.shift
-        elif isinstance(sec, CustomSection):
-            expr_part = sec
-        if expr_part is not None:
-            env = {name: tv.drop(bit) for name, tv in pt.q_tvs.items()}
-            for i in range(m):
-                env[f"v{i + 1}"] = pt.v_tvs[i].drop(bit)
-            for name, val in expr_part.params.items():
-                env.setdefault(name, val)
-            for j, f in enumerate(expr_part.fns):
-                tv = f.taylor_env(env)
-                if not isinstance(tv, TaylorValue):
-                    tv = TaylorValue.constant(tv, pt.ndirs)
-                out[j] = tv if out[j] is None else out[j] + tv
-        for j in range(n - m):
-            if out[j] is None:
-                out[j] = TaylorValue.constant(0.0, pt.ndirs)
-        return out
-
     def qv_taylor(self, q, v, dirs):
         """Jet of L~ in the (q, v) chart along full-chart directions."""
         m, n = self.split.m, self.split.n
         pt = QvChartPoint(self.frame, q, v, dirs, probe=True)
         out = pt.eval(self.L)
-        if isinstance(self.section, ZeroSection):
+        phis = self.section.extension(pt)
+        if phis is None:
             return out
-        phis = self._phi_tvs(pt)
         bit = 1 << pt.ndirs
         for j, a in enumerate(range(m, n)):
             out = out - phis[j] * pt.v_tvs[a].drop(bit)
         return out
 
     def value(self, q, v):
-        return _tv_value(self.qv_taylor(q, v, ()))
+        out = self.qv_taylor(q, v, ())
+        return out.c[0] if isinstance(out, TaylorValue) else out
 
     def phi_values(self, q, v):
         """The extension Phi_a evaluated at a full chart point."""
-        pt = QvChartPoint(self.frame, np.asarray(q, dtype=float),
-                          np.asarray(v, dtype=float), (), probe=True)
-        vals = [_tv_value(tv) for tv in self._phi_tvs(pt)]
         q = np.asarray(q, dtype=float)
-        out = np.empty(q.shape[:-1] + (self.split.n_constraints,))
-        for i, val in enumerate(vals):
-            out[..., i] = val
-        return out
-
-
-def _tv_value(tv):
-    return tv.c[0] if isinstance(tv, TaylorValue) else tv
-
-
-def make_variational_lagrangian(L, frame, split, section):
-    return VariationalLagrangian(L, frame, split, section)
-
-
-def _qv_jet(Lt, frame, q, v, dirs):
-    if isinstance(Lt, VariationalLagrangian):
-        return Lt.qv_taylor(q, v, dirs)
-    pt = QvChartPoint(frame, q, v, dirs)
-    return pt.eval(Lt)
+        pt = QvChartPoint(self.frame, q, np.asarray(v, dtype=float), (),
+                          probe=True)
+        phis = self.section.extension(pt)
+        if phis is None:
+            return np.zeros(q.shape[:-1] + (self.split.n_constraints,))
+        return _slot(phis, 0, q)
 
 
 def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
@@ -430,24 +400,20 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
     v = s.v
     M = frame.matrix(q)
     R = structure_functions(frame, q)
+    if isinstance(Lt, VariationalLagrangian):
+        jet = lambda q, v, dirs: Lt.qv_taylor(q, v, dirs).c
+    else:
+        jet = lambda q, v, dirs: QvChartPoint(frame, q, v, dirs).eval(Lt).c
+    # in the chart, vlift X_i is the derivative along the unit vector e_i
+    e = np.broadcast_to(np.eye(n), q.shape[:-1] + (n, n))
+    g = hessian_rows(jet, q, v, e)
     zq = np.zeros(q.shape)
-    e = []
-    for i in range(n):
-        ei = np.zeros(q.shape)
-        ei[..., i] = 1.0
-        e.append(ei)
-    g = np.zeros(q.shape[:-1] + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            d = _qv_jet(Lt, frame, q, v, [(zq, e[i]), (zq, e[j])]).c[3]
-            g[..., i, j] = d
-            g[..., j, i] = d
-    u = np.einsum("...i,...ij->...j", v, M)
+    u = base_velocity(M, v)
     b = np.empty(q.shape[:-1] + (n,))
     for i in range(n):
         z = -np.einsum("...jk,...k->...j", R[..., :, i, :], v)
-        cl = _qv_jet(Lt, frame, q, v, [(M[..., i, :], z)]).c[1]
-        rate = _qv_jet(Lt, frame, q, v, [(zq, e[i]), (u, zq)]).c[3]
+        cl = jet(q, v, [(M[..., i, :], z)])[1]
+        rate = jet(q, v, [(zq, e[..., i, :]), (u, zq)])[3]
         b[..., i] = cl - rate
     gamma, det = solve_and_det(g, b)
     if gamma is None or not np.min(np.abs(det)) > det_tol:
@@ -462,8 +428,7 @@ def tilde_tangency_check(Lt, frame, split, states, tol=1e-9):
     worst = 0.0
     for s in states:
         s.require_on_C(split)
-        p = TangentPoint(s.q, np.einsum(
-            "...i,...ij->...j", s.v, frame.matrix(s.q)))
+        p = TangentPoint(s.q, base_velocity(frame.matrix(s.q), s.v))
         gam = el_field(Lt, frame, p)
         resid = float(np.max(np.abs(gam[..., m:]))) if split.n_constraints \
             else 0.0

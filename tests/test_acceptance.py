@@ -11,12 +11,12 @@ import time
 
 import numpy as np
 from framedyn import (IntegratorConfig, MomentumSection, NonholonomicField,
-                      QuasiState, ShiftedMomentumSection, ZeroSection,
-                      builtin, carriage_special_length, change_of_D_basis,
+                      QuasiState, ShiftedMomentumSection,
+                      VariationalLagrangian, ZeroSection, builtin,
+                      carriage_special_length, change_of_D_basis,
                       consistency_report, el_field, integrate,
-                      make_variational_lagrangian, quasi_velocities,
-                      sample_states, solve_gamma_C, velocities_from_quasi,
-                      verify_chaplygin)
+                      quasi_velocities, sample_states, solve_gamma_C,
+                      velocities_from_quasi, verify_chaplygin)
 from framedyn.chaplygin import gamma_k_residual
 
 
@@ -129,7 +129,7 @@ def test_criterion_04_carriage_thresholds():
 
 def test_criterion_05_variational_lagrangian(particle, disk):
     sec = MomentumSection(disk.L, disk.frame, disk.split)
-    VL = make_variational_lagrangian(disk.L, disk.frame, disk.split, sec)
+    VL = VariationalLagrangian(disk.L, disk.frame, disk.split, sec)
     s = sample_states(disk.sysd, 200, seed=105)
     p = velocities_from_quasi(disk.frame, s)
     agree = float(np.max(np.abs(
@@ -137,8 +137,8 @@ def test_criterion_05_variational_lagrangian(particle, disk):
         - disk.field.gamma(s))))
 
     sec_p = MomentumSection(particle.L, particle.frame, particle.split)
-    VLp = make_variational_lagrangian(particle.L, particle.frame,
-                                      particle.split, sec_p)
+    VLp = VariationalLagrangian(particle.L, particle.frame,
+                                particle.split, sec_p)
     sp = sample_states(particle.sysd, 200, seed=105)
     pp = velocities_from_quasi(particle.frame, sp)
     differ = float(np.max(np.abs(

@@ -276,3 +276,18 @@ class TestFusedCompilation:
         neg, pos = compile_taylor(exprs, ("x",), (), 0)((1.0,), ())
         assert math.copysign(1.0, neg) == -1.0
         assert math.copysign(1.0, pos) == 1.0
+
+    def test_long_sum_compiles(self):
+        # Each term of a sum nests the generated source one level deeper;
+        # a 300-term sum must still compile and match the tree walk.
+        f = ExprFunction(" + ".join(f"x*{i}.5" for i in range(300)), ["x"])
+        x = np.array([0.7, -1.3, 2.1])
+        grads = (np.array([1.0, 0.5, -0.3]), np.array([-2.0, 0.25, 1.5]))
+        for k in range(3):
+            tv = f.taylor_env({"x": TaylorValue.variable(x, grads[:k], k)})
+            for i in range(len(x)):
+                want = tuple(float(np.broadcast_to(c, x.shape)[i])
+                             for c in tv.c)
+                dirs = [(float(g[i]),) for g in grads[:k]]
+                assert f.taylor((float(x[i]),), (), dirs) == want
+                assert f.value((float(x[i]),), ()) == want[0]

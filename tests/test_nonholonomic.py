@@ -3,9 +3,8 @@ import pytest
 
 from framedyn.frames import (ConstraintSplit, ConstraintViolationError,
                              Frame, QuasiState)
-from framedyn.lagrangian import Lagrangian
-from framedyn.nonholonomic import (NonholonomicField, RegularityError,
-                                   solve_gamma)
+from framedyn.lagrangian import Lagrangian, regularity
+from framedyn.nonholonomic import NonholonomicField, RegularityError
 
 from _oracles import coordinate_gamma_oracle
 
@@ -58,7 +57,7 @@ def test_unconstrained_free_particle_geodesic(rng):
     L = Lagrangian("(u1*u1 + u2*u2 + u3*u3)/2", coords, ["u1", "u2", "u3"])
     split = ConstraintSplit(3, 3)
     s = QuasiState(rng.normal(size=3), rng.normal(size=3))
-    assert np.max(np.abs(solve_gamma(L, F, split, s))) == 0.0
+    assert np.max(np.abs(NonholonomicField(L, F, split).gamma(s))) == 0.0
 
 
 def test_coordinate_oracle_agreement(all_builtins, rng):
@@ -182,6 +181,25 @@ def test_regularity_error_names_condition(rng):
     with pytest.raises(RegularityError) as ei:
         field.gamma(QuasiState.on_C(np.zeros(2), [1.0], split))
     assert ei.value.condition == "regular_D"
+
+
+def test_context_regularity_equals_lagrangian_regularity(all_builtins):
+    # The vakonomic solve tests regularity from the state context, which
+    # reuses its rows of M and its g_D block; the report must be the one
+    # lagrangian.regularity computes from scratch, bit for bit.
+    for bundle in all_builtins.values():
+        S = bundle.states(20, seed=41)
+        for s in [S] + [QuasiState(S.q[i], S.v[i]) for i in range(3)]:
+            ctx = bundle.field._context(s)
+            got = ctx.regularity_report(1e-10)
+            want = regularity(bundle.L, bundle.frame, bundle.split, ctx.p,
+                              threshold=1e-10)
+            for name in ("det_D", "det_Dperp", "det_g"):
+                assert (np.asarray(getattr(got, name), dtype=float).tobytes()
+                        == np.asarray(getattr(want, name),
+                                      dtype=float).tobytes())
+            for name in ("regular_D", "regular_Dperp", "regular_g"):
+                assert getattr(got, name) is getattr(want, name)
 
 
 def test_g_invariance_of_gamma(all_builtins, rng):

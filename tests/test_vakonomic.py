@@ -4,11 +4,10 @@ import pytest
 from framedyn.frames import QuasiState, TangentPoint, velocities_from_quasi
 from framedyn.nonholonomic import RegularityError
 from framedyn.vakonomic import (CustomSection, MomentumSection,
-                                ShiftedMomentumSection, ZeroSection,
-                                consistency_report, el_field,
+                                ShiftedMomentumSection, VariationalLagrangian,
+                                ZeroSection, consistency_report, el_field,
                                 gamma_bar_tangency, make_section,
-                                make_variational_lagrangian, solve_gamma_C,
-                                tilde_tangency_check)
+                                solve_gamma_C, tilde_tangency_check)
 
 
 class TestSolveGammaC:
@@ -83,6 +82,10 @@ class TestSolveGammaC:
         s = QuasiState.on_C(np.zeros(2), [1.0], split)
         with pytest.raises(RegularityError) as ei:
             solve_gamma_C(L, F, split, ZeroSection(F, split), s)
+        assert ei.value.condition == "regular_Dperp"
+        batch = QuasiState.on_C(np.zeros((3, 2)), np.ones((3, 1)), split)
+        with pytest.raises(RegularityError) as ei:
+            consistency_report(L, F, split, ZeroSection(F, split), batch)
         assert ei.value.condition == "regular_Dperp"
 
 
@@ -175,7 +178,7 @@ class TestGammaBar:
 
 class TestVariationalLagrangian:
     def test_zero_section_gives_L(self, particle, rng):
-        VL = make_variational_lagrangian(
+        VL = VariationalLagrangian(
             particle.L, particle.frame, particle.split,
             ZeroSection(particle.frame, particle.split))
         q = rng.uniform(-1, 1, 3)
@@ -186,7 +189,7 @@ class TestVariationalLagrangian:
 
     def test_delta_class_closed_form(self, particle, rng):
         # L~ = (u1^2 + u2^2 - u3^2)/2 - q1 u2 u3 for the particle.
-        VL = make_variational_lagrangian(
+        VL = VariationalLagrangian(
             particle.L, particle.frame, particle.split,
             MomentumSection(particle.L, particle.frame, particle.split))
         for _ in range(10):
@@ -198,20 +201,24 @@ class TestVariationalLagrangian:
             assert VL.value(q, v) == pytest.approx(want, abs=1e-12)
 
     def test_extension_restricts_to_section(self, carriage, rng):
-        sec = MomentumSection(carriage.L, carriage.frame, carriage.split)
-        VL = make_variational_lagrangian(carriage.L, carriage.frame,
-                                         carriage.split, sec)
-        s = carriage.states(50, seed=31)
-        got = VL.phi_values(s.q, s.v)
-        want = sec.values(s.q, s.v_alpha(carriage.split))
-        assert np.max(np.abs(got - want)) <= 1e-12
+        L, F, split = carriage.L, carriage.frame, carriage.split
+        for sec in (MomentumSection(L, F, split), ZeroSection(F, split),
+                    ShiftedMomentumSection(L, F, split,
+                                           carriage.sysd.builtin_k),
+                    CustomSection(F, split, ["x*v1", "sin(theta) + v2",
+                                             "psi1*v1*v2"])):
+            VL = VariationalLagrangian(L, F, split, sec)
+            s = carriage.states(50, seed=31)
+            got = VL.phi_values(s.q, s.v)
+            want = sec.values(s.q, s.v_alpha(split))
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_chaplygin_tilde_momentum(self, carriage, rng):
         # vlift E_a(L~) = -g_ab v^b.
         from framedyn.lagrangian import hessian
         sec = MomentumSection(carriage.L, carriage.frame, carriage.split)
-        VL = make_variational_lagrangian(carriage.L, carriage.frame,
-                                         carriage.split, sec)
+        VL = VariationalLagrangian(carriage.L, carriage.frame,
+                                   carriage.split, sec)
         split = carriage.split
         q = rng.uniform(-1, 1, 5)
         v = rng.normal(size=5)
@@ -240,7 +247,7 @@ class TestElField:
 
     def test_disk_el_field_matches_nonholonomic(self, disk):
         sec = MomentumSection(disk.L, disk.frame, disk.split)
-        VL = make_variational_lagrangian(disk.L, disk.frame, disk.split, sec)
+        VL = VariationalLagrangian(disk.L, disk.frame, disk.split, sec)
         s = disk.states(200, seed=32)
         p = velocities_from_quasi(disk.frame, s)
         gt = el_field(VL, disk.frame, p)
@@ -250,8 +257,8 @@ class TestElField:
 
     def test_particle_el_field_differs(self, particle):
         sec = MomentumSection(particle.L, particle.frame, particle.split)
-        VL = make_variational_lagrangian(particle.L, particle.frame,
-                                         particle.split, sec)
+        VL = VariationalLagrangian(particle.L, particle.frame,
+                                   particle.split, sec)
         s = particle.states(200, seed=33)
         p = velocities_from_quasi(particle.frame, s)
         gt = el_field(VL, particle.frame, p)
@@ -271,7 +278,7 @@ class TestElField:
                        {"l": carriage_special_length(base.params)})
         L, F, split = sysd.lagrangian(), sysd.frame(), sysd.split()
         sec = ShiftedMomentumSection(L, F, split, sysd.builtin_k)
-        VL = make_variational_lagrangian(L, F, split, sec)
+        VL = VariationalLagrangian(L, F, split, sec)
         s = sample_states(sysd, 50, seed=34)
         p = velocities_from_quasi(F, s)
         gt = el_field(VL, F, p)
@@ -281,8 +288,8 @@ class TestElField:
     def test_tilde_tangency_check(self, disk, carriage):
         for bundle in (disk, carriage):
             sec = MomentumSection(bundle.L, bundle.frame, bundle.split)
-            VL = make_variational_lagrangian(bundle.L, bundle.frame,
-                                             bundle.split, sec)
+            VL = VariationalLagrangian(bundle.L, bundle.frame,
+                                       bundle.split, sec)
             rep = tilde_tangency_check(VL, bundle.frame, bundle.split,
                                        [bundle.states(30, seed=35)])
             assert rep["tangent"], rep
@@ -291,8 +298,8 @@ class TestElField:
         # A non-invariant custom section generically fails the tangency of
         # its Euler-Lagrange field.
         sec = CustomSection(particle.frame, particle.split, ["q2 + v1"])
-        VL = make_variational_lagrangian(particle.L, particle.frame,
-                                         particle.split, sec)
+        VL = VariationalLagrangian(particle.L, particle.frame,
+                                   particle.split, sec)
         rep = tilde_tangency_check(VL, particle.frame, particle.split,
                                    [particle.states(30, seed=36)])
         assert not rep["tangent"]
