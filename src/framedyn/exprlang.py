@@ -10,18 +10,21 @@ the full grammar is documented in ``docs/exprlang.md``.
 
 Two evaluation routes are provided and cross-checked in the test suite: a
 generic tree walk over any coefficient algebra (floats, numpy arrays,
-TaylorValues), and per-expression compiled scalar evaluators used on hot
-paths.
+TaylorValues), and compiled straight-line kernels, whose one generated
+source runs on Python floats at scalar points and on numpy arrays at
+batched points.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import FUNCTION_NAMES, TaylorValue, taylor_fun
+from .jets import FUNCTION_NAMES, TaylorValue, _is_scalar, taylor_fun
 
 __all__ = [
     "Expr", "Const", "Ref", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
@@ -312,48 +315,93 @@ def parse(source):
 # Generic tree evaluation (floats, arrays, or TaylorValues)
 
 
-def tree_eval(expr, env):
-    """Evaluate with leaves drawn from env (name -> float/array/TaylorValue)."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Ref):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnboundNameError(f"unbound name {expr.name!r}") from None
-    if isinstance(expr, Neg):
-        return -tree_eval(expr.arg, env)
-    if isinstance(expr, Add):
-        return tree_eval(expr.left, env) + tree_eval(expr.right, env)
-    if isinstance(expr, Sub):
-        return tree_eval(expr.left, env) - tree_eval(expr.right, env)
-    if isinstance(expr, Mul):
-        return tree_eval(expr.left, env) * tree_eval(expr.right, env)
-    if isinstance(expr, Div):
-        return tree_eval(expr.left, env) / tree_eval(expr.right, env)
+def _children(expr):
+    if isinstance(expr, (Add, Sub, Mul, Div)):
+        return (expr.left, expr.right)
+    if isinstance(expr, (Neg, Fun)):
+        return (expr.arg,)
     if isinstance(expr, Pow):
-        return tree_eval(expr.base, env) ** expr.exponent
-    if isinstance(expr, Fun):
-        return taylor_fun(expr.name, tree_eval(expr.arg, env))
+        return (expr.base,)
+    if isinstance(expr, (Const, Ref)):
+        return ()
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def _postorder(root, expand=None):
+    """The nodes of root, children first and left to right, without
+    recursion.  A compound node for which expand(node) is false is yielded
+    without its subtree; expand is asked when the node is reached, so it
+    sees what the consumer did with the nodes yielded before."""
+    stack = [(root, False)]
+    while stack:
+        e, ready = stack.pop()
+        if ready or isinstance(e, (Const, Ref)) or (
+                expand is not None and not expand(e)):
+            yield e
+        else:
+            stack.append((e, True))
+            stack.extend((c, False) for c in reversed(_children(e)))
+
+
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+           Div: operator.truediv}
+
+
+def tree_eval(expr, env):
+    """Evaluate with leaves drawn from env (name -> float/array/TaylorValue).
+
+    The walk is iterative, left operand first, so deep trees (long sums)
+    need no recursion.
+    """
+    vals = []
+    for e in _postorder(expr):
+        if isinstance(e, Const):
+            vals.append(e.value)
+        elif isinstance(e, Ref):
+            try:
+                vals.append(env[e.name])
+            except KeyError:
+                raise UnboundNameError(f"unbound name {e.name!r}") from None
+        elif type(e) in _BINARY:
+            b = vals.pop()
+            vals.append(_BINARY[type(e)](vals.pop(), b))
+        elif isinstance(e, Neg):
+            vals.append(-vals.pop())
+        elif isinstance(e, Pow):
+            vals.append(vals.pop() ** e.exponent)
+        else:
+            vals.append(taylor_fun(e.name, vals.pop()))
+    return vals.pop()
+
+
 # ---------------------------------------------------------------------------
-# Compiled scalar evaluators
+# Compiled evaluators
 
 
-_MATH_GLOBALS = {
-    "_sin": math.sin, "_cos": math.cos, "_tan": math.tan,
-    "_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
-}
+def _either(name):
+    """An elementary function for the numpy binding: math on Python floats
+    (as jets._fn_derivs does, so parameter-only subtrees round the same way
+    on every route), numpy on arrays."""
+    scalar, array = getattr(math, name), getattr(np, name)
+
+    def fn(x):
+        return scalar(x) if _is_scalar(x) else array(x)
+
+    fn.__name__ = name
+    return fn
+
+
+_MATH_GLOBALS = {f"_{name}": getattr(math, name) for name in FUNCTION_NAMES}
+_NUMPY_GLOBALS = {f"_{name}": _either(name) for name in FUNCTION_NAMES}
 
 
 class _Codegen:
     """Emit straight-line Python for the Taylor propagation of expressions.
 
     Slots are represented as source strings, with None marking a structural
-    zero (dropped from emitted arithmetic).  Subtrees whose keys are in
-    `shared` are bound to temporaries once and reused through `memo`; a
+    zero (dropped from emitted arithmetic).  Subtrees whose structure
+    indices (see _structure) are in `shared` are bound to temporaries once
+    and reused through `memo`; a
     temporary whose source text was emitted before reuses the earlier one
     (each temporary is assigned once and every primitive is pure, so equal
     text means an equal float).
@@ -503,7 +551,7 @@ class _Codegen:
         elif name == "log":
             inv = self.temp(f"1.0/{x}") if k >= 1 else None
             derivs = (f"_log({x})", inv, f"(-{inv}*{inv})",
-                      f"2.0*{inv}*{inv}*{inv}")
+                      f"2.0*{inv}**3")
         elif name == "sqrt":
             r = self.temp(f"_sqrt({x})")
             inv = self.temp(f"0.5/{r}") if k >= 1 else None
@@ -513,95 +561,140 @@ class _Codegen:
         return self.compose(a, derivs[: k + 1])
 
 
-def _repeated_subtrees(exprs):
-    """Keys of the compound subtrees that occur more than once in exprs.
+def _structure(exprs):
+    """Hash-consed form of exprs, built without recursion.
 
-    A subtree's key is its repr, which tells every node type, name and
-    literal apart (0.0 and -0.0 included), so two subtrees with one key
-    evaluate to the same float.  The children of a repeated subtree are not
-    visited again: they are emitted once, inside it.
+    Returns (table, roots, ids): table lists every distinct subtree once,
+    children before parents in left-to-right post-order, as entries
+    (tag, payload, child indices); roots holds the table index of each
+    expression, and ids maps id(node) of every node in exprs to its index.
+    Literals are keyed by their repr, so 0.0 and -0.0 stay apart and two
+    subtrees with one index evaluate to the same float.
     """
-    seen, repeated = set(), set()
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (Const, Ref)):
+    table, index, ids = [], {}, {}
+    roots = []
+    for root in exprs:
+        for e in _postorder(root, lambda e: id(e) not in ids):
+            if id(e) in ids:
+                continue
+            t = type(e)
+            if t is Const:
+                entry = ("c", repr(e.value), ())
+            elif t is Ref:
+                entry = ("r", e.name, ())
+            else:
+                payload = (e.exponent if t is Pow
+                           else e.name if t is Fun else None)
+                entry = (t.__name__, payload,
+                         tuple([ids[id(c)] for c in _children(e)]))
+            sid = index.get(entry)
+            if sid is None:
+                sid = index[entry] = len(table)
+                table.append(entry)
+            ids[id(e)] = sid
+        roots.append(ids[id(root)])
+    return tuple(table), tuple(roots), ids
+
+
+def _shared(table, roots):
+    """Indices of the compound subtrees that occur more than once: those
+    referenced by more than one parent entry or root.  A subtree inside a
+    repeated one counts once, since it is emitted once, inside it."""
+    refs = [0] * len(table)
+    for _, _, kids in table:
+        for c in kids:
+            refs[c] += 1
+    for r in roots:
+        refs[r] += 1
+    return frozenset(i for i, (tag, _, _) in enumerate(table)
+                     if refs[i] > 1 and tag not in ("c", "r"))
+
+
+def _emit(gen, root, ids, leaf_slots):
+    """Slots of one expression, left operand first; a shared subtree is
+    emitted at its first occurrence only."""
+    vals = []
+    for e in _postorder(root, lambda e: ids[id(e)] not in gen.memo):
+        if isinstance(e, Const):
+            vals.append([f"{e.value!r}"] + [None] * (gen.nslots - 1))
             continue
-        key = repr(e)
-        if key in seen:
-            repeated.add(key)
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            seen.add(key)
-            stack += (e.right, e.left)
+        if isinstance(e, Ref):
+            vals.append(leaf_slots(e.name))
+            continue
+        sid = ids[id(e)]
+        if sid in gen.memo:
+            vals.append(gen.memo[sid])
+            continue
+        if isinstance(e, Neg):
+            out = gen.neg(vals.pop())
+        elif isinstance(e, Pow):
+            out = gen.pow(vals.pop(), e.exponent)
+        elif isinstance(e, Fun):
+            out = gen.fun(vals.pop(), e.name)
         else:
-            seen.add(key)
-            stack.append(e.base if isinstance(e, Pow) else e.arg)
-    return repeated
+            b = vals.pop()
+            a = vals.pop()
+            if isinstance(e, Add):
+                out = gen.add(a, b, "+")
+            elif isinstance(e, Sub):
+                out = gen.add(a, b, "-")
+            elif isinstance(e, Mul):
+                out = gen.mul(a, b)
+            else:
+                out = gen.div(a, b)
+        if sid in gen.shared:
+            out = gen.memo[sid] = gen.bind(out)
+        vals.append(out)
+    return vals.pop()
 
 
-def _emit(gen, expr, leaf_slots):
-    if isinstance(expr, Const):
-        return [f"{expr.value!r}"] + [None] * (gen.nslots - 1)
-    if isinstance(expr, Ref):
-        return leaf_slots(expr.name)
-    key = repr(expr) if gen.shared else None
-    if key in gen.memo:
-        return gen.memo[key]
-    if isinstance(expr, Neg):
-        out = gen.neg(_emit(gen, expr.arg, leaf_slots))
-    elif isinstance(expr, Add):
-        out = gen.add(_emit(gen, expr.left, leaf_slots),
-                      _emit(gen, expr.right, leaf_slots), "+")
-    elif isinstance(expr, Sub):
-        out = gen.add(_emit(gen, expr.left, leaf_slots),
-                      _emit(gen, expr.right, leaf_slots), "-")
-    elif isinstance(expr, Mul):
-        out = gen.mul(_emit(gen, expr.left, leaf_slots),
-                      _emit(gen, expr.right, leaf_slots))
-    elif isinstance(expr, Div):
-        out = gen.div(_emit(gen, expr.left, leaf_slots),
-                      _emit(gen, expr.right, leaf_slots))
-    elif isinstance(expr, Pow):
-        out = gen.pow(_emit(gen, expr.base, leaf_slots), expr.exponent)
-    elif isinstance(expr, Fun):
-        out = gen.fun(_emit(gen, expr.arg, leaf_slots), expr.name)
-    else:
-        raise TypeError(f"not an expression node: {expr!r}")
-    if key in gen.shared:
-        out = gen.memo[key] = gen.bind(out)
-    return out
+# Compiled kernels by structure: (table, roots, var_names, param_names, k)
+# -> function.  Parameter values are call arguments, so systems that differ
+# only in parameter values share their kernels.
+_KERNELS = {}
 
 
 def compile_taylor(exprs, var_names, param_names, k):
-    """Compile a scalar evaluator f(vals, params, *dirs) -> slot tuple.
+    """Compile a kernel f(vals, params, *dirs) -> slot tuple.
 
     exprs is one expression or a sequence of them; the tuple holds the 2**k
     slots of each expression in turn.  One generated function serves all of
     them and evaluates every repeated subtree once.  vals and each direction
-    are positional tuples following var_names; params follows param_names.
-    Mixed leaf slots are structurally zero, which the generated code
-    exploits.
+    are positional sequences following var_names; params follows
+    param_names.  Mixed leaf slots are structurally zero, which the
+    generated code exploits.
+
+    The source is compiled once and bound twice: the returned function runs
+    on Python floats through the math module, and its `batched` attribute
+    runs the same code on numpy arrays (see run_kernel).  Kernels are
+    memoized by expression structure, names and k.
     """
     if isinstance(exprs, Expr):
         exprs = (exprs,)
+    var_names, param_names = tuple(var_names), tuple(param_names)
+    table, roots, ids = _structure(exprs)
+    key = (table, roots, var_names, param_names, k)
+    fn = _KERNELS.get(key)
+    if fn is None:
+        fn = _KERNELS[key] = _generate(
+            exprs, ids, _shared(table, roots), var_names, param_names, k)
+    return fn
+
+
+def _generate(exprs, ids, shared, var_names, param_names, k):
     var_index = {name: i for i, name in enumerate(var_names)}
     param_index = {name: i for i, name in enumerate(param_names)}
     nslots = 1 << k
-    gen = _Codegen(k, nslots, _repeated_subtrees(exprs))
+    gen = _Codegen(k, nslots, shared)
 
     def leaf_slots(name):
         if name in var_index:
             i = var_index[name]
-            slots = [f"v[{i}]"]
-            for d in range(k):
-                slots.append(f"d{d}[{i}]")
-            # mixed slots of a linear leaf vanish
-            slots += [None] * (nslots - k - 1)
-            # reorder: singleton masks are 1, 2, 4
+            # a linear leaf: value and first slots; mixed slots vanish
             out = [None] * nslots
-            out[0] = slots[0]
+            out[0] = f"v[{i}]"
             for d in range(k):
-                out[1 << d] = slots[1 + d]
+                out[1 << d] = f"d{d}[{i}]"
             return out
         if name in param_index:
             out = [None] * nslots
@@ -609,7 +702,8 @@ def compile_taylor(exprs, var_names, param_names, k):
             return out
         raise UnboundNameError(f"unbound name {name!r}")
 
-    result = [s for e in exprs for s in gen.bind(_emit(gen, e, leaf_slots))]
+    result = [s for e in exprs
+              for s in gen.bind(_emit(gen, e, ids, leaf_slots))]
     dirs = ", ".join(f"d{d}" for d in range(k))
     header = f"def _f(v, p{', ' + dirs if dirs else ''}):"
     ret = ", ".join("0.0" if s is None else s for s in result)
@@ -618,15 +712,76 @@ def compile_taylor(exprs, var_names, param_names, k):
     exec(compile(source, f"<taylor k={k}>", "exec"), namespace)
     fn = namespace["_f"]
     fn.__source__ = source
+    fn.batched = types.FunctionType(fn.__code__, dict(_NUMPY_GLOBALS))
     return fn
+
+
+_DOMAIN_FAULTS = (ZeroDivisionError, FloatingPointError, ValueError,
+                  OverflowError)
 
 
 def run_compiled(fn, *args):
     """Call a compiled evaluator; math domain faults raise EvalDomainError."""
     try:
         return fn(*args)
-    except (ZeroDivisionError, ValueError, OverflowError) as exc:
+    except _DOMAIN_FAULTS as exc:
         raise EvalDomainError(str(exc)) from exc
+
+
+def run_batched(fn, vals, params, *dirs):
+    """The numpy binding of a kernel on per-coordinate arrays.
+
+    Division by zero and invalid operations raise EvalDomainError, as in the
+    tree walk; slots come back as the kernel made them (arrays, or Python
+    floats for slots that do not depend on the variables).
+    """
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            return fn.batched(vals, params, *dirs)
+    except _DOMAIN_FAULTS as exc:
+        raise EvalDomainError(str(exc)) from exc
+
+
+def _flat(parts):
+    out = []
+    for part in parts:
+        out += np.asarray(part, dtype=float).tolist()
+    return out
+
+
+def _columns(parts, shape):
+    """Per-coordinate views of arrays whose last axes, joined, give the
+    kernel's variables, broadcast to the batch shape."""
+    cols = []
+    for part in parts:
+        part = np.asarray(part, dtype=float)
+        if part.shape[:-1] != shape:
+            part = np.broadcast_to(part, shape + part.shape[-1:])
+        cols += [part[..., i] for i in range(part.shape[-1])]
+    return cols
+
+
+def run_kernel(fn, point, params, dirs=()):
+    """Slots of a compiled kernel at a scalar or batched point.
+
+    point is a sequence of arrays whose last axes, joined, follow the
+    kernel's variables (say (q, u) for a Lagrangian); each direction is such
+    a sequence too.  A 1-D point runs the math binding on Python floats and
+    returns the slot tuple.  A batched point, shape (..., d), runs the numpy
+    binding on per-coordinate views and returns an array of shape
+    (nslots, ...), into which slots that do not depend on the point are
+    broadcast.
+    """
+    point = [np.asarray(part, dtype=float) for part in point]
+    if point[0].ndim == 1:
+        return run_compiled(fn, _flat(point), params, *map(_flat, dirs))
+    shape = point[0].shape[:-1]
+    slots = run_batched(fn, _columns(point, shape), params,
+                        *(_columns(d, shape) for d in dirs))
+    out = np.empty((len(slots),) + shape)
+    for j, s in enumerate(slots):
+        out[j] = s
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +792,9 @@ class ExprFunction:
     """An expression resolved against an ordered declaration set.
 
     Provides plain evaluation and exact jets of any order up to three
-    directions, over scalars or batched numpy arrays.
+    directions at scalar points, its compiled kernels (which run_kernel
+    also evaluates at batched points), and the tree walk over arbitrary
+    leaf values.
     """
 
     def __init__(self, expr, var_names, param_names=()):
@@ -653,7 +810,8 @@ class ExprFunction:
                 f"unbound name(s) in expression: {', '.join(sorted(missing))}")
         self._compiled = {}
 
-    def _fn(self, k):
+    def kernel(self, k):
+        """The compiled kernel for k directions (see compile_taylor)."""
         fn = self._compiled.get(k)
         if fn is None:
             fn = compile_taylor(self.expr, self.var_names, self.param_names, k)
@@ -661,12 +819,12 @@ class ExprFunction:
         return fn
 
     def value(self, vals, params=()):
-        return run_compiled(self._fn(0), tuple(vals), tuple(params))[0]
+        return run_compiled(self.kernel(0), tuple(vals), tuple(params))[0]
 
     def taylor(self, vals, params, dirs):
         """Slots of the jet along the given directions (tuple per direction)."""
-        return run_compiled(self._fn(len(dirs)), tuple(vals), tuple(params),
-                            *map(tuple, dirs))
+        return run_compiled(self.kernel(len(dirs)), tuple(vals),
+                            tuple(params), *map(tuple, dirs))
 
     def taylor_env(self, env):
         """Tree evaluation with arbitrary leaf values (TaylorValues/arrays)."""
@@ -674,8 +832,7 @@ class ExprFunction:
         try:
             with np.errstate(divide="raise", invalid="raise"):
                 return tree_eval(self.expr, merged)
-        except (ZeroDivisionError, FloatingPointError, ValueError,
-                OverflowError) as exc:
+        except _DOMAIN_FAULTS as exc:
             raise EvalDomainError(str(exc)) from exc
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, ExprFunction, compile_taylor, parse, run_compiled
-from .jets import TaylorValue
+from .exprlang import (Expr, ExprFunction, compile_taylor, parse,
+                       run_batched, run_kernel)
 from .linsolve import det_pp
 
 __all__ = [
@@ -121,58 +121,50 @@ class VectorField:
                 raise TypeError(f"bad component {c!r}")
             comps.append(ExprFunction(c, self.coords, self._pnames))
         self.components = tuple(comps)
+        self._kernels = {}
 
     @property
     def n(self):
         return len(self.components)
 
-    def _env(self, q):
-        return {name: q[..., i] for i, name in enumerate(self.coords)}
+    def _kernel(self, k):
+        """Fused kernel of the n components for k directions."""
+        fn = self._kernels.get(k)
+        if fn is None:
+            fn = self._kernels[k] = compile_taylor(
+                [c.expr for c in self.components], self.coords, self._pnames,
+                k)
+        return fn
 
     def values(self, q):
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            vals = tuple(q.tolist())
-            return np.array([c.value(vals, self._pvals) for c in self.components])
-        env = self._env(q)
-        penv = {k: v for k, v in self.params.items()}
-        out = np.empty(q.shape[:-1] + (self.n,))
-        for j, c in enumerate(self.components):
-            out[..., j] = c.taylor_env({**env, **penv})
-        return out
+        return _derivative(self._kernel(0), q, self._pvals, ())
 
     def dirderiv(self, q, w):
         """Directional derivative of each component along base direction w."""
-        q = np.asarray(q, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if q.ndim == 1:
-            vals, d = tuple(q.tolist()), (tuple(w.tolist()),)
-            return np.array([c.taylor(vals, self._pvals, d)[1]
-                             for c in self.components])
-        env = {}
-        for i, name in enumerate(self.coords):
-            env[name] = TaylorValue.variable(q[..., i], (w[..., i],), 1)
-        for k, v in self.params.items():
-            env[k] = TaylorValue.constant(v, 1)
-        out = np.empty(q.shape[:-1] + (self.n,))
-        for j, c in enumerate(self.components):
-            tv = c.taylor_env(env)
-            out[..., j] = tv.c[1] if isinstance(tv, TaylorValue) else 0.0
-        return out
+        return _derivative(self._kernel(1), q, self._pvals, [w])
 
-    def taylor_components(self, env):
-        """Component TaylorValues over an arbitrary leaf environment."""
-        penv = {k: v for k, v in self.params.items()}
-        return [c.taylor_env({**env, **penv}) for c in self.components]
+
+def _derivative(fn, q, params, dirs):
+    """The top slot (the derivative once along every base direction in
+    dirs) of each expression of a fused kernel at q, scalar or batched;
+    shape (..., count).  The result is C-contiguous: matmul, einsum and
+    solve may sum in another order over strided input."""
+    q = np.asarray(q, dtype=float)
+    slots = run_kernel(fn, (q,), params, [(w,) for w in dirs])
+    nslots = 1 << len(dirs)
+    top = slots[nslots - 1::nslots]
+    if q.ndim == 1:
+        return np.array(top)
+    return np.ascontiguousarray(np.moveaxis(top, 0, -1))
 
 
 class Frame:
     """n vector fields with an invertible coefficient matrix.
 
-    Scalar points are evaluated by fused kernels: all components of the
-    fields involved are compiled into one function (see compile_taylor),
-    built on first use and cached.  Batched points walk each component's
-    expression tree over arrays.
+    Points are evaluated by fused kernels: all components of the fields
+    involved are compiled into one function (see compile_taylor), built on
+    first use and cached, and run at scalar and batched points alike (see
+    run_kernel).
     """
 
     def __init__(self, rows, coords, params=None):
@@ -189,7 +181,7 @@ class Frame:
         self._kernels = {}
 
     def _kernel(self, k, count):
-        """Fused scalar evaluator of the first `count` fields' components."""
+        """Fused kernel of the first `count` fields' components."""
         fn = self._kernels.get((k, count))
         if fn is None:
             exprs = [c.expr for f in self.fields[:count] for c in f.components]
@@ -197,15 +189,19 @@ class Frame:
             self._kernels[(k, count)] = fn
         return fn
 
+    def derivative(self, q, dirs, count=None):
+        """The coefficients X_i^j of the first `count` fields (all by
+        default) differentiated once along each base direction in dirs,
+        shape (..., count, n): the matrix for no direction, the rows
+        (D X_i) w for one, the mixed second derivatives for two."""
+        count = self.n if count is None else count
+        flat = _derivative(self._kernel(len(dirs), count), q, self._pvals,
+                           dirs)
+        return flat.reshape(flat.shape[:-1] + (count, self.n))
+
     def matrix(self, q):
         """Coefficient matrix, rows indexed by frame field: M[i, j] = X_i^j."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            flat = run_compiled(self._kernel(0, self.n), tuple(q.tolist()),
-                                self._pvals)
-            return np.array(flat).reshape(self.n, self.n)
-        rows = [f.values(q) for f in self.fields]
-        return np.stack(rows, axis=-2)
+        return self.derivative(q, ())
 
     def check_matrix(self, M):
         det = det_pp(M)
@@ -221,14 +217,15 @@ class Frame:
 
     def dfields(self, q, w, count):
         """Rows (D X_i) w of the first `count` fields, shape (..., count, n)."""
-        q = np.asarray(q, dtype=float)
-        w = np.asarray(w, dtype=float)
-        if q.ndim == 1:
-            slots = run_compiled(self._kernel(1, count), tuple(q.tolist()),
-                                 self._pvals, tuple(w.tolist()))
-            return np.array(slots[1::2]).reshape(count, self.n)
-        return np.stack([f.dirderiv(q, w) for f in self.fields[:count]],
-                        axis=-2)
+        return self.derivative(q, [w], count)
+
+    def coefficient_slots(self, cols, dirs):
+        """Slots of every coefficient X_i^j (row-major, 2**len(dirs) each)
+        from the numpy binding of the fused kernel, over per-coordinate
+        leaves: cols[c] and dirs[d][c] are arrays of any shape, 0-d
+        included, or floats (see run_batched)."""
+        return run_batched(self._kernel(len(dirs), self.n), cols,
+                           self._pvals, *dirs)
 
     def exprs(self):
         return [[c.expr for c in f.components] for f in self.fields]
@@ -258,17 +255,20 @@ def structure_functions(frame, q):
     n = frame.n
     M = frame.matrix(q)
     frame.check_matrix(M)
-    vals = [M[..., i, :] for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    cols = []
-    for i, j in pairs:
-        br = (frame.fields[j].dirderiv(q, vals[i])
-              - frame.fields[i].dirderiv(q, vals[j]))
-        cols.append(br)
     R = np.zeros(q.shape[:-1] + (n, n, n))
     if not pairs:
         return R
-    B = np.stack(cols, axis=-1)  # (..., n, npairs)
+    # B[..., :, (i, j)] = (D X_j) X_i - (D X_i) X_j, from one fused call per
+    # X_i: D[..., j, :] = (D X_j) X_i
+    B = np.empty(q.shape[:-1] + (n, len(pairs)))
+    for i in range(n):
+        D = frame.dfields(q, M[..., i, :], n)
+        for idx, (a, b) in enumerate(pairs):
+            if a == i:
+                B[..., :, idx] = D[..., b, :]
+            elif b == i:
+                B[..., :, idx] -= D[..., a, :]
     MT = np.swapaxes(M, -1, -2)
     coeff = np.linalg.solve(MT, B)
     for idx, (i, j) in enumerate(pairs):

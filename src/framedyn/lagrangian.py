@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import ExprFunction, parse
+from .exprlang import ExprFunction, parse, run_kernel
 from .frames import TangentPoint, quasi_velocities
-from .jets import TaylorValue
 from .linsolve import det_pp
 
 __all__ = [
@@ -50,43 +49,15 @@ class Lagrangian:
         return len(self.coords)
 
     def value(self, q, u):
-        q = np.asarray(q, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if q.ndim == 1:
-            return self.fn.value(q.tolist() + u.tolist(), self._pvals)
-        env = self._leaf_env(q, u, ())
-        out = self.fn.taylor_env(env)
-        return out.c[0] if isinstance(out, TaylorValue) else np.broadcast_to(
-            out, q.shape[:-1]).astype(float)
-
-    def _leaf_env(self, q, u, dirs):
-        k = len(dirs)
-        env = {}
-        for i, name in enumerate(self.coords):
-            env[name] = TaylorValue.variable(
-                q[..., i], tuple(d[0][..., i] for d in dirs), k)
-        for i, name in enumerate(self.vel_names):
-            env[name] = TaylorValue.variable(
-                u[..., i], tuple(d[1][..., i] for d in dirs), k)
-        for name, val in self.params.items():
-            env[name] = TaylorValue.constant(val, k)
-        return env
+        return run_kernel(self.fn.kernel(0), (q, u), self._pvals)[0]
 
     def taylor(self, q, u, dirs):
-        """Jet slots along directions; each direction is a (dq, du) pair."""
-        q = np.asarray(q, dtype=float)
-        u = np.asarray(u, dtype=float)
-        if q.ndim == 1:
-            ds = [np.asarray(dq, dtype=float).tolist()
-                  + np.asarray(du, dtype=float).tolist() for dq, du in dirs]
-            return self.fn.taylor(q.tolist() + u.tolist(), self._pvals, ds)
-        dirs = [(np.broadcast_to(np.asarray(dq, dtype=float), q.shape),
-                 np.broadcast_to(np.asarray(du, dtype=float), q.shape))
-                for dq, du in dirs]
-        out = self.fn.taylor_env(self._leaf_env(q, u, dirs))
-        if isinstance(out, TaylorValue):
-            return out.c
-        return (out,) + (0.0,) * ((1 << len(dirs)) - 1)
+        """Jet slots along directions; each direction is a (dq, du) pair.
+
+        A tuple of floats at a scalar point; at a batched point an array
+        with the slots on its first axis."""
+        return run_kernel(self.fn.kernel(len(dirs)), (q, u), self._pvals,
+                          dirs)
 
     def taylor_env(self, env):
         full = dict(env)
@@ -123,8 +94,8 @@ class QuasiVelocityFunction:
 
         def dmt(w):
             # directional derivative of M^T along base direction w
-            cols = [F.dfield(i, q, w) for i in range(n)]
-            return np.stack(cols, axis=-1)
+            return np.ascontiguousarray(
+                np.swapaxes(F.dfields(q, w, n), -1, -2))
 
         firsts = []
         for dq, du in dirs:
@@ -141,24 +112,8 @@ class QuasiVelocityFunction:
         dq1 = np.asarray(dq1, dtype=float)
         dq2 = np.asarray(dq2, dtype=float)
         # mixed second derivative of M^T along (dq1, dq2)
-        m12 = np.zeros(MT.shape)
-        for i, f in enumerate(F.fields):
-            if q.ndim == 1:
-                t = [c.taylor(tuple(q), f._pvals,
-                              (tuple(dq1), tuple(dq2)))[3]
-                     for c in f.components]
-                m12[..., :, i] = np.array(t)
-            else:
-                env = {}
-                for ci, name in enumerate(F.coords):
-                    env[name] = TaylorValue.variable(
-                        q[..., ci], (dq1[..., ci], dq2[..., ci]), 2)
-                for name, val in f.params.items():
-                    env[name] = TaylorValue.constant(val, 2)
-                for jj, c in enumerate(f.components):
-                    tv = c.taylor_env(env)
-                    m12[..., jj, i] = (tv.c[3] if isinstance(tv, TaylorValue)
-                                       else 0.0)
+        m12 = np.ascontiguousarray(
+            np.swapaxes(F.derivative(q, [dq1, dq2]), -1, -2))
         a1 = dmt(dq1)
         a2 = dmt(dq2)
         rhs = -(m12 @ v[..., None] + a1 @ firsts[1][..., None]

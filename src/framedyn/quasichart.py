@@ -2,11 +2,16 @@
 
 In the chart (q, v) of a frame, a function f(q, u) becomes the composite
 f(q, X(q)^T v).  Jets of the composite are assembled by evaluating the frame
-coefficients as TaylorValues over the base directions and multiplying them
-into the v-leaves, so no matrix inverse and no symbolic manipulation is
-involved.  An optional constant fibre probe direction yields jets of the
-velocity partials df/du^i (needed for momentum-type sections and derived
-Lagrangians), read off with :meth:`TaylorValue.extract`.
+coefficients' jets along the base directions (one call of the frame's fused
+kernel) and multiplying them into the v-leaves, so no matrix inverse and no
+symbolic manipulation is involved.  An optional constant fibre probe
+direction yields jets of the velocity partials df/du^i (needed for
+momentum-type sections and derived Lagrangians), read off with
+:meth:`TaylorValue.extract`.
+
+The coefficient jets come from the numpy binding of the kernel over the
+same per-coordinate leaves as the v-leaves (0-d arrays at a single point),
+so a chart point rounds like the tree walk over those leaves.
 """
 
 from __future__ import annotations
@@ -37,23 +42,31 @@ class QvChartPoint:
         self.k = self.ndirs + (1 if probe else 0)
         self.probe = probe
         k = self.k
-        pad = (0.0,) if probe else ()
+        n = frame.n
         dirs = [(np.broadcast_to(np.asarray(dq, dtype=float), q.shape),
                  np.broadcast_to(np.asarray(dv, dtype=float), q.shape))
                 for dq, dv in dirs]
-        self.q_tvs = {}
-        for i, name in enumerate(frame.coords):
-            self.q_tvs[name] = TaylorValue.variable(
-                q[..., i], tuple(d[0][..., i] for d in dirs) + pad, k)
+        qdirs = [[d[0][..., i] for i in range(n)] for d in dirs]
+        vdirs = [[d[1][..., i] for i in range(n)] for d in dirs]
+        if probe:
+            qdirs.append([0.0] * n)
+            vdirs.append([0.0] * n)
+        qcols = [q[..., i] for i in range(n)]
+        self.q_tvs = {name: TaylorValue.variable(
+            qcols[i], tuple(d[i] for d in qdirs), k)
+            for i, name in enumerate(frame.coords)}
         self.v_tvs = [TaylorValue.variable(
-            v[..., i], tuple(d[1][..., i] for d in dirs) + pad, k)
-            for i in range(frame.n)]
-        env = dict(self.q_tvs)
-        self.coeff_tvs = [f.taylor_components(env) for f in frame.fields]
+            v[..., i], tuple(d[i] for d in vdirs), k) for i in range(n)]
+        # the probe moves no coordinate, so its base direction is zero
+        slots = frame.coefficient_slots(qcols, qdirs)
+        nslots = 1 << k
+        tvs = [TaylorValue(k, slots[s:s + nslots])
+               for s in range(0, len(slots), nslots)]
+        self.coeff_tvs = [tvs[i * n:(i + 1) * n] for i in range(n)]
         self.u_tvs = []
-        for j in range(frame.n):
+        for j in range(n):
             acc = self.v_tvs[0] * self.coeff_tvs[0][j]
-            for i in range(1, frame.n):
+            for i in range(1, n):
                 acc = acc + self.v_tvs[i] * self.coeff_tvs[i][j]
             self.u_tvs.append(acc)
 

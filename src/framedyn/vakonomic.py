@@ -185,10 +185,7 @@ class MomentumSection(Section):
         for a in range(m, n):
             acc = None
             for i in range(n):
-                coeff = pt.coeff_tvs[a][i]
-                if isinstance(coeff, TaylorValue):
-                    coeff = coeff.drop(bit)
-                term = partials[i] * coeff
+                term = partials[i] * pt.coeff_tvs[a][i].drop(bit)
                 acc = term if acc is None else acc + term
             out.append(acc)
         return out

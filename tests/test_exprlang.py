@@ -7,7 +7,7 @@ from framedyn.exprlang import (Add, Const, Div, EvalDomainError, ExprFunction,
                                ExprSyntaxError, Fun, Mul, Neg, Pow, Ref,
                                UnboundNameError, UnknownFunctionError,
                                compile_taylor, eval_jet2, eval_value, parse,
-                               tree_eval)
+                               run_kernel, tree_eval)
 from framedyn.jets import TaylorValue
 
 
@@ -168,8 +168,9 @@ class TestExprFunction:
         batch = f.taylor_env(env)
         for i in range(40):
             got = f.taylor(tuple(pts[i]), (), (tuple(d1[i]),))
-            assert got[0] == pytest.approx(batch.c[0][i], abs=0)
-            assert got[1] == pytest.approx(batch.c[1][i], abs=0)
+            # math and numpy may round pow differently in the last bit
+            np.testing.assert_array_max_ulp(got[0], batch.c[0][i], maxulp=1)
+            np.testing.assert_array_max_ulp(got[1], batch.c[1][i], maxulp=1)
 
 
 def _builtin_expressions():
@@ -291,3 +292,144 @@ class TestFusedCompilation:
                 dirs = [(float(g[i]),) for g in grads[:k]]
                 assert f.taylor((float(x[i]),), (), dirs) == want
                 assert f.value((float(x[i]),), ()) == want[0]
+
+
+def test_deep_sum_all_routes():
+    # A left-leaning 3,000-term sum: no route may recurse once per term, and
+    # all three must add the terms left to right.
+    f = ExprFunction(" + ".join(f"x*{i}.5" for i in range(3000)), ["x"])
+    assert f.value((0.7,), ()) == f.taylor((0.7,), (), ())[0]
+    x = np.array([0.7, -1.3, 2.1])
+    grads = (np.array([1.0, 0.5, -0.3]), np.array([-2.0, 0.25, 1.5]))
+    for k in range(3):
+        tv = f.taylor_env({"x": TaylorValue.variable(x, grads[:k], k)})
+        batched = run_kernel(f.kernel(k), (x[:, None],), (),
+                             [(g[:, None],) for g in grads[:k]])
+        for i in range(len(x)):
+            want = tuple(float(np.broadcast_to(c, x.shape)[i]) for c in tv.c)
+            dirs = [(float(g[i]),) for g in grads[:k]]
+            assert f.taylor((float(x[i]),), (), dirs) == want
+            assert tuple(batched[:, i].tolist()) == want
+
+
+def _tree_slots(expr, var_names, point, params, dirs, k):
+    """Slots of the tree walk over TaylorValue.variable leaves, broadcast
+    to the batch."""
+    env = {name: TaylorValue.variable(point[:, i],
+                                      tuple(d[:, i] for d in dirs), k)
+           for i, name in enumerate(var_names)}
+    env.update({name: TaylorValue.constant(val, k)
+                for name, val in params.items()})
+    out = tree_eval(expr, env)
+    slots = out.c if isinstance(out, TaylorValue) else (
+        (out,) + (0.0,) * ((1 << k) - 1))
+    return [np.broadcast_to(s, point.shape[:1]) for s in slots]
+
+
+class TestBatchedKernels:
+    """The numpy binding of a kernel equals the tree walk slot for slot."""
+
+    @staticmethod
+    def _check(exprs, var_names, params, rng, lo=-1.5, hi=1.5):
+        pvals = tuple(params.values())
+        for k in range(4):
+            nslots = 1 << k
+            fn = compile_taylor(exprs, var_names, tuple(params), k)
+            point = rng.uniform(lo, hi, (64, len(var_names)))
+            dirs = [rng.normal(size=point.shape) for _ in range(k)]
+            got = run_kernel(fn, (point,), pvals, [(d,) for d in dirs])
+            assert got.shape == (len(exprs) * nslots, 64)
+            for e, expr in enumerate(exprs):
+                want = _tree_slots(expr, var_names, point, params, dirs, k)
+                for j, w in enumerate(want):
+                    assert np.array_equal(got[e * nslots + j], w), (
+                        expr, k, j)
+
+    def test_frames(self, rng):
+        for frame in _frames_under_test():
+            exprs = [c.expr for f in frame.fields for c in f.components]
+            self._check(exprs, frame.coords, frame.params, rng)
+
+    def test_lagrangians(self, rng):
+        from framedyn import BUILTIN_NAMES, builtin
+        for name in BUILTIN_NAMES:
+            L = builtin(name).lagrangian()
+            names = L.coords + L.vel_names
+            self._check([L.expr], names, L.params, rng)
+            # and through Lagrangian.taylor, the call site
+            q = rng.uniform(-1.5, 1.5, (64, L.n))
+            u = rng.normal(size=(64, L.n))
+            for k in range(4):
+                dirs = [(rng.normal(size=q.shape), rng.normal(size=q.shape))
+                        for _ in range(k)]
+                want = _tree_slots(
+                    L.expr, names, np.concatenate([q, u], axis=1), L.params,
+                    [np.concatenate(d, axis=1) for d in dirs], k)
+                got = L.taylor(q, u, dirs)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_mixed_expressions(self, rng):
+        exprs = [parse(s) for s in (
+            "exp(q1/2)*sin(q1*u2) - sqrt(u2+3)/tan(q1+2) + pow(u2,-2)",
+            "-(q1 - u2*(q1 + 2))*cos(u2) + log(q1*q1 + 1)",
+            "pow(sin(q1),3)*pow(u2,2) - q1/(u2*u2 + 1)")]
+        self._check(exprs, ("q1", "u2"), {}, rng, lo=0.2, hi=1.5)
+
+    def test_parameter_only_subtrees_round_as_math(self, rng):
+        # Subtrees of parameters alone see Python floats, which take the
+        # math functions on every route.  Pick c and d where numpy rounds
+        # exp, tan and log differently, so a numpy call would show.
+        cs = rng.uniform(0.1, 1.4, 4000)
+        differ = ((np.exp(cs) != [math.exp(c) for c in cs.tolist()])
+                  & (np.tan(cs) != [math.tan(c) for c in cs.tolist()]))
+        ds = rng.uniform(0.1, 10.0, 4000)
+        dlog = np.log(ds) != [math.log(d) for d in ds.tolist()]
+        assert differ.any() and dlog.any()
+        params = {"c": float(cs[differ][0]), "d": float(ds[dlog][0])}
+        self._check([parse("exp(c)*x + tan(c)*log(d)")], ("x",), params, rng)
+
+    @pytest.mark.parametrize("src, bad", [
+        ("log(x) + y", -1.0), ("sqrt(x)*y", -1.0), ("y/x", 0.0)])
+    def test_domain_fault_in_one_entry(self, rng, src, bad):
+        f = ExprFunction(src, ["x", "y"])
+        point = rng.uniform(0.5, 1.5, (64, 2))
+        for k in range(2):
+            dirs = [(np.ones(2),)] * k
+            run_kernel(f.kernel(k), (point,), (), dirs)
+            point[17, 0] = bad
+            with pytest.raises(EvalDomainError):
+                run_kernel(f.kernel(k), (point,), (), dirs)
+            point[17, 0] = 1.0
+
+
+class TestKernelCache:
+    def test_parameter_values_share_kernels(self, rng):
+        from framedyn import builtin
+        a, b = builtin("carriage"), builtin("carriage", {"l": 0.0})
+        Fa, Fb = a.frame(), b.frame()
+        La, Lb = a.lagrangian(), b.lagrangian()
+        q = rng.uniform(-1, 1, 5)
+        assert not np.array_equal(La.value(q, q), Lb.value(q, q))
+        for k in range(3):
+            assert Fa._kernel(k, Fa.n) is Fb._kernel(k, Fb.n)
+            assert La.fn.kernel(k) is Lb.fn.kernel(k)
+            for ca, cb in zip(Fa.fields[4].components,
+                              Fb.fields[4].components):
+                assert ca.kernel(k) is cb.kernel(k)
+
+    def test_signed_zero_literals_get_their_own_kernels(self):
+        x = Ref("x")
+        pos = compile_taylor(Mul(Const(0.0), x), ("x",), (), 1)
+        neg = compile_taylor(Mul(Const(-0.0), x), ("x",), (), 1)
+        assert pos is not neg
+        assert math.copysign(1.0, pos((1.0,), (), (1.0,))[1]) == 1.0
+        assert math.copysign(1.0, neg((1.0,), (), (1.0,))[1]) == -1.0
+
+    def test_variable_order_is_part_of_the_key(self):
+        e = parse("x - 2*y")
+        xy = compile_taylor(e, ("x", "y"), (), 0)
+        yx = compile_taylor(e, ("y", "x"), (), 0)
+        assert xy is not yx
+        assert xy is compile_taylor(parse("x - 2*y"), ("x", "y"), (), 0)
+        assert xy((1.0, 3.0), ()) == (-5.0,)
+        assert yx((1.0, 3.0), ()) == (1.0,)
