@@ -120,8 +120,7 @@ def gamma_k_residual(L, frame, split, section, states, tol=1e-9):
         tvs = section.shift.taylor(s.q, s.v_alpha(split),
                                    [(ctx.u, ctx.gamma)])
         for tv in tvs:
-            rate = tv.c[1] if hasattr(tv, "c") else 0.0
-            worst = max(worst, float(np.max(np.abs(rate))))
+            worst = max(worst, float(np.max(np.abs(tv.c[1]))))
     return {"max_gamma_k": worst, "conserved": worst <= tol,
             "tolerance": tol}
 

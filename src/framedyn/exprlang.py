@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import types
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -374,6 +374,23 @@ def tree_eval(expr, env):
     return vals.pop()
 
 
+def substitute(expr, mapping):
+    """expr with every Ref whose name is in mapping replaced by the
+    expression mapping[name] (one object, shared by every occurrence);
+    built without recursion."""
+    vals = []
+    for e in _postorder(expr):
+        if isinstance(e, (Const, Ref)):
+            vals.append(mapping.get(getattr(e, "name", None), e))
+        elif type(e) in _BINARY:
+            b = vals.pop()
+            vals.append(type(e)(vals.pop(), b))
+        else:
+            field = "base" if isinstance(e, Pow) else "arg"
+            vals.append(replace(e, **{field: vals.pop()}))
+    return vals.pop()
+
+
 # ---------------------------------------------------------------------------
 # Compiled evaluators
 
@@ -720,6 +737,16 @@ _DOMAIN_FAULTS = (ZeroDivisionError, FloatingPointError, ValueError,
                   OverflowError)
 
 
+def _guarded(fn, *args):
+    """fn(*args) with numpy's division by zero and invalid operations
+    raised; every math domain fault surfaces as EvalDomainError."""
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            return fn(*args)
+    except _DOMAIN_FAULTS as exc:
+        raise EvalDomainError(str(exc)) from exc
+
+
 def run_compiled(fn, *args):
     """Call a compiled evaluator; math domain faults raise EvalDomainError."""
     try:
@@ -735,11 +762,7 @@ def run_batched(fn, vals, params, *dirs):
     tree walk; slots come back as the kernel made them (arrays, or Python
     floats for slots that do not depend on the variables).
     """
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            return fn.batched(vals, params, *dirs)
-    except _DOMAIN_FAULTS as exc:
-        raise EvalDomainError(str(exc)) from exc
+    return _guarded(fn.batched, vals, params, *dirs)
 
 
 def _flat(parts):
@@ -761,6 +784,16 @@ def _columns(parts, shape):
     return cols
 
 
+def run_columns(fn, point, params, dirs=()):
+    """run_batched on per-coordinate columns of a point given as for
+    run_kernel, scalar or batched (0-d columns at a single point, so a
+    function of a coordinate rounds as numpy rounds it)."""
+    point = [np.asarray(part, dtype=float) for part in point]
+    shape = point[0].shape[:-1]
+    return run_batched(fn, _columns(point, shape), params,
+                       *(_columns(d, shape) for d in dirs))
+
+
 def run_kernel(fn, point, params, dirs=()):
     """Slots of a compiled kernel at a scalar or batched point.
 
@@ -775,10 +808,8 @@ def run_kernel(fn, point, params, dirs=()):
     point = [np.asarray(part, dtype=float) for part in point]
     if point[0].ndim == 1:
         return run_compiled(fn, _flat(point), params, *map(_flat, dirs))
-    shape = point[0].shape[:-1]
-    slots = run_batched(fn, _columns(point, shape), params,
-                        *(_columns(d, shape) for d in dirs))
-    out = np.empty((len(slots),) + shape)
+    slots = run_columns(fn, point, params, dirs)
+    out = np.empty((len(slots),) + point[0].shape[:-1])
     for j, s in enumerate(slots):
         out[j] = s
     return out
@@ -828,12 +859,7 @@ class ExprFunction:
 
     def taylor_env(self, env):
         """Tree evaluation with arbitrary leaf values (TaylorValues/arrays)."""
-        merged = dict(env)
-        try:
-            with np.errstate(divide="raise", invalid="raise"):
-                return tree_eval(self.expr, merged)
-        except _DOMAIN_FAULTS as exc:
-            raise EvalDomainError(str(exc)) from exc
+        return _guarded(tree_eval, self.expr, env)
 
 
 def _as_float_map(mapping):
@@ -845,11 +871,7 @@ def eval_value(expr, point, params=None):
     env = _as_float_map(point)
     if params:
         env.update(_as_float_map(params))
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            return tree_eval(expr, env)
-    except (ZeroDivisionError, FloatingPointError, ValueError) as exc:
-        raise EvalDomainError(str(exc)) from exc
+    return _guarded(tree_eval, expr, env)
 
 
 def eval_jet2(expr, point, params=None, dir1=None, dir2=None):
@@ -875,11 +897,7 @@ def eval_jet2(expr, point, params=None, dir1=None, dir2=None):
             if name not in point:
                 raise UnboundNameError(
                     f"direction names unknown variable {name!r}")
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            out = tree_eval(expr, env)
-    except (ZeroDivisionError, FloatingPointError, ValueError) as exc:
-        raise EvalDomainError(str(exc)) from exc
+    out = _guarded(tree_eval, expr, env)
     if not isinstance(out, TaylorValue):
         out = TaylorValue.constant(out, 2)
     return out.jet2()

@@ -252,9 +252,15 @@ def structure_functions(frame, q):
     is exact.
     """
     q = np.asarray(q, dtype=float)
-    n = frame.n
     M = frame.matrix(q)
     frame.check_matrix(M)
+    return structure_from_matrix(frame, q, M)
+
+
+def structure_from_matrix(frame, q, M):
+    """structure_functions at q from the frame matrix M = X(q), already
+    evaluated and checked."""
+    n = frame.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     R = np.zeros(q.shape[:-1] + (n, n, n))
     if not pairs:

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
+from .exprlang import EvalDomainError, ExprFunction, run_kernel
 from .frames import QuasiState, base_velocity, velocities_from_quasi
 from .lagrangian import energy, vlift_deriv
 
@@ -272,14 +273,15 @@ def attach_observables(traj, provider, frame, split, cfg):
     params = dict(frame.params)
     if L is not None:
         params.update(L.params)
+    names = frame.coords + tuple(f"v{a + 1}" for a in range(split.m))
+    pvals = tuple(float(x) for x in params.values())
     for name, expr in (cfg.custom_observables or {}).items():
-        from .exprlang import parse, tree_eval
-        env = {c: states.q[..., i] for i, c in enumerate(frame.coords)}
-        for a in range(split.m):
-            env[f"v{a + 1}"] = states.v[..., a]
-        env.update(params)
-        obs[name] = tree_eval(parse(expr) if isinstance(expr, str) else expr,
-                              env) * np.ones(len(traj.times))
+        fn = ExprFunction(expr, names, tuple(params))
+        try:
+            obs[name] = run_kernel(fn.kernel(0), (states.q, states.v_alpha(
+                split)), pvals)[0]
+        except EvalDomainError as exc:
+            raise EvalDomainError(f"observable {name!r}: {exc}") from exc
     return traj
 
 

@@ -60,10 +60,9 @@ class Lagrangian:
                           dirs)
 
     def taylor_env(self, env):
-        full = dict(env)
-        for name, val in self.params.items():
-            full.setdefault(name, val)
-        return self.fn.taylor_env(full)
+        """The tree walk of L over leaf values; parameters not in env take
+        L's values."""
+        return self.fn.taylor_env({**self.params, **env})
 
 
 class QuasiVelocityFunction:

@@ -17,9 +17,11 @@ form, whose right-hand side couples the momenta to the structure functions.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .frames import TangentPoint, base_velocity, structure_functions
+from .frames import TangentPoint, base_velocity, structure_from_matrix
 from .lagrangian import (clift_at, dvlift_at, hessian_regularity,
                          hessian_rows, vlift_at)
 from .linsolve import cond_estimate, solve_and_det
@@ -85,6 +87,11 @@ class StateContext:
         if self.D.shape[-2] == m:
             self.D = self.frame.dfields(self.q, self.u, self.split.n)
         return self.D[..., a, :]
+
+    @cached_property
+    def R(self):
+        """The structure functions at q, from M on first use."""
+        return structure_from_matrix(self.frame, self.q, self.M)
 
     def vlift(self, a):
         """vlift X_a(L); for a >= m the momentum p_a."""
@@ -219,10 +226,9 @@ class NonholonomicField:
     def residual_hamel(self, s, gamma=None):
         """Hamel-form residual through the composite L(q, X(q) v)."""
         ctx, gamma = self._residual_context(s, gamma)
-        R = structure_functions(self.frame, s.q)
         jets = self._chart_jets(
             ctx, s.v, gamma,
-            lambda a: np.einsum("...jk,...k->...j", R[..., :, a, :], s.v))
+            lambda a: np.einsum("...jk,...k->...j", ctx.R[..., :, a, :], s.v))
         return np.stack([t - base + corr for t, base, corr in jets], axis=-1)
 
     def constrained_form_residual(self, s, gamma=None):
@@ -230,7 +236,7 @@ class NonholonomicField:
         on the restriction L_c, and the momentum term p_a carries the rest."""
         m, n = self.split.m, self.split.n
         ctx, gamma = self._residual_context(s, gamma)
-        R = structure_functions(self.frame, s.q)
+        R = ctx.R
         p_mom = [ctx.vlift(a) for a in range(m, n)]
         v_c = np.zeros(s.q.shape)
         v_c[..., :m] = s.v_alpha(self.split)

@@ -1,101 +1,107 @@
 """Composite evaluation of TQ functions in the quasi-velocity chart.
 
-In the chart (q, v) of a frame, a function f(q, u) becomes the composite
-f(q, X(q)^T v).  Jets of the composite are assembled by evaluating the frame
-coefficients' jets along the base directions (one call of the frame's fused
-kernel) and multiplying them into the v-leaves, so no matrix inverse and no
-symbolic manipulation is involved.  An optional constant fibre probe
-direction yields jets of the velocity partials df/du^i (needed for
-momentum-type sections and derived Lagrangians), read off with
-:meth:`TaylorValue.extract`.
+In the chart (q, v) of a frame, L(q, u) becomes the composite
+L(q, X(q)^T v).  It is built once per (Lagrangian, frame) pair as one
+expression, each velocity u^j of L replaced by v^1 X_1^j(q) + ... +
+v^n X_n^j(q) + w^j (summed left to right, v first in each product; w is a
+fibre probe held at zero), and compiled into one kernel.  A unit direction
+in w^i gives the jets of the velocity partial dL/du^i.
 
-The coefficient jets come from the numpy binding of the kernel over the
-same per-coordinate leaves as the v-leaves (0-d arrays at a single point),
-so a chart point rounds like the tree walk over those leaves.
+The kernel runs through the numpy binding on per-coordinate columns (0-d
+arrays at a single point).  It repeats the Taylor arithmetic that forms u
+from the frame's coefficient jets and walks L over it, without the
+structurally zero terms, so its slots equal that reference (kept in the
+tests) under ==; only the sign of an exact zero can differ.
 """
 
 from __future__ import annotations
 
+import weakref
+from functools import reduce
+
 import numpy as np
 
+from .exprlang import (Add, ExprFunction, Mul, Ref, _columns, run_batched,
+                       substitute)
 from .jets import TaylorValue
 
 __all__ = ["QvChartPoint"]
 
+# L -> {frame: (composite ExprFunction, its parameter values)}
+_COMPOSITES = weakref.WeakKeyDictionary()
+
+
+def _composite(L, frame):
+    """L(q, X(q)^T v + w) over the frame's coordinates, v and w.  The names
+    of v, w and the frame's parameters contain a '.', which no parsed name
+    can, so a frame parameter keeps its value where L binds its name."""
+    by_frame = _COMPOSITES.setdefault(L, {})
+    found = by_frame.get(frame)
+    if found is None:
+        v = [f"chart.v{i}" for i in range(frame.n)]
+        w = [f"chart.w{i}" for i in range(frame.n)]
+        renamed = {p: Ref(f"frame.{p}") for p in frame.params}
+        X = [[substitute(e, renamed) for e in row] for row in frame.exprs()]
+        u = {name: Add(reduce(Add, [Mul(Ref(v[i]), X[i][j])
+                                    for i in range(frame.n)]), Ref(w[j]))
+             for j, name in enumerate(L.vel_names)}
+        fn = ExprFunction(substitute(L.expr, u), frame.coords + tuple(v + w),
+                          tuple(L.params) + tuple(r.name for r in
+                                                  renamed.values()))
+        params = tuple(float(x) for x in (*L.params.values(),
+                                          *frame.params.values()))
+        found = by_frame[frame] = (fn, params)
+    return found
+
 
 class QvChartPoint:
-    """Leaf TaylorValues at a chart point along chart directions.
+    """A chart point (q, v), scalar or batched, with directions.
 
     dirs is a sequence of (dq, dv) pairs, both of full length n (use zero
-    padding for C-restricted directions).  With probe=True an extra constant
-    fibre direction is reserved; eval_fibre_partial then returns the jet of
-    df/du^i along the real directions.
+    padding for C-restricted directions): at most three, or two where a
+    velocity partial is taken.
     """
 
-    def __init__(self, frame, q, v, dirs, probe=False):
+    def __init__(self, frame, q, v, dirs):
         self.frame = frame
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
-        self.q = q
-        self.v = v
-        self.ndirs = len(dirs)
-        self.k = self.ndirs + (1 if probe else 0)
-        self.probe = probe
-        k = self.k
-        n = frame.n
-        dirs = [(np.broadcast_to(np.asarray(dq, dtype=float), q.shape),
-                 np.broadcast_to(np.asarray(dv, dtype=float), q.shape))
-                for dq, dv in dirs]
-        qdirs = [[d[0][..., i] for i in range(n)] for d in dirs]
-        vdirs = [[d[1][..., i] for i in range(n)] for d in dirs]
-        if probe:
-            qdirs.append([0.0] * n)
-            vdirs.append([0.0] * n)
-        qcols = [q[..., i] for i in range(n)]
-        self.q_tvs = {name: TaylorValue.variable(
-            qcols[i], tuple(d[i] for d in qdirs), k)
-            for i, name in enumerate(frame.coords)}
-        self.v_tvs = [TaylorValue.variable(
-            v[..., i], tuple(d[i] for d in vdirs), k) for i in range(n)]
-        # the probe moves no coordinate, so its base direction is zero
-        slots = frame.coefficient_slots(qcols, qdirs)
-        nslots = 1 << k
-        tvs = [TaylorValue(k, slots[s:s + nslots])
-               for s in range(0, len(slots), nslots)]
-        self.coeff_tvs = [tvs[i * n:(i + 1) * n] for i in range(n)]
-        self.u_tvs = []
-        for j in range(n):
-            acc = self.v_tvs[0] * self.coeff_tvs[0][j]
-            for i in range(1, n):
-                acc = acc + self.v_tvs[i] * self.coeff_tvs[i][j]
-            self.u_tvs.append(acc)
+        self.q = q = np.asarray(q, dtype=float)
+        self.v = v = np.asarray(v, dtype=float)
+        self.dirs = list(dirs)
+        self.ndirs = len(self.dirs)
+        shape = q.shape[:-1]
+        w = [0.0] * frame.n
+        self.cols = _columns((q, v), shape) + w
+        self.dir_cols = [_columns(d, shape) + w for d in self.dirs]
 
-    def _env(self, L, u_tvs):
-        env = dict(self.q_tvs)
-        for name, tv in zip(L.vel_names, u_tvs):
-            env[name] = tv
-        return env
+    def _run(self, L, dirs):
+        fn, params = _composite(L, self.frame)
+        return run_batched(fn.kernel(len(dirs)), self.cols, params, *dirs)
 
     def eval(self, L):
-        """TaylorValue of the composite along the real directions."""
-        out = L.taylor_env(self._env(L, self.u_tvs))
-        out = self._as_tv(out, self.k)
-        if self.probe:
-            out = out.drop(1 << self.ndirs)
-        return out
+        """TaylorValue of the composite along the directions."""
+        return TaylorValue(self.ndirs, self._run(L, self.dir_cols))
 
     def eval_fibre_partial(self, L, i):
-        """TaylorValue of dL/du^i (as a chart function) along the directions."""
-        if not self.probe:
-            raise ValueError("chart point was built without a probe direction")
-        bit = 1 << self.ndirs
-        delta = TaylorValue.variable(0.0, (0.0,) * self.ndirs + (1.0,), self.k)
-        u_tvs = list(self.u_tvs)
-        u_tvs[i] = u_tvs[i] + delta
-        out = self._as_tv(L.taylor_env(self._env(L, u_tvs)), self.k)
-        return out.extract(bit)
+        """TaylorValue of dL/du^i (as a chart function) along the directions:
+        the slots of the kernel that carry a last, probe direction w^i."""
+        n = self.frame.n
+        probe = [0.0] * (3 * n)
+        probe[2 * n + i] = 1.0
+        slots = self._run(L, self.dir_cols + [probe])
+        return TaylorValue(self.ndirs, slots[1 << self.ndirs:])
 
-    def _as_tv(self, out, k):
-        if isinstance(out, TaylorValue):
-            return out
-        return TaylorValue.constant(out, k)
+    def velocity(self, i):
+        """TaylorValue of the chart velocity v^i along the directions."""
+        n = self.frame.n
+        return TaylorValue.variable(
+            self.cols[n + i], [d[n + i] for d in self.dir_cols], self.ndirs)
+
+    def coefficients(self):
+        """TaylorValues of the frame coefficients along the directions,
+        rows indexed by field: [i][j] is X_i^j."""
+        n = self.frame.n
+        slots = self.frame.coefficient_slots(
+            self.cols[:n], [d[:n] for d in self.dir_cols])
+        tvs = [TaylorValue(self.ndirs, slots[s:s + (1 << self.ndirs)])
+               for s in range(0, len(slots), 1 << self.ndirs)]
+        return [tvs[i * n:(i + 1) * n] for i in range(n)]

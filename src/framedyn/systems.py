@@ -337,14 +337,11 @@ def reference_check(system, op, states=None, count=200, seed=0):
     field_ = NonholonomicField(L, F, split)
     env = _ref_env(system, states)
     ref_exprs = system.references[op]
-    if op == "gamma":
-        got = field_.gamma(states)
-        ref = np.stack([tree_eval(parse(e), env) * np.ones(got.shape[:-1])
-                        for e in ref_exprs], axis=-1)
-    elif op == "multipliers":
-        got = field_.multipliers(states)
-        ref = np.stack([tree_eval(parse(e), env) * np.ones(got.shape[:-1])
-                        for e in ref_exprs], axis=-1)
+    ones = np.ones(states.q.shape[:-1])
+    if op in ("gamma", "multipliers"):
+        got = getattr(field_, op)(states)
+        ref = np.stack([tree_eval(parse(e), env) * ones for e in ref_exprs],
+                       axis=-1)
     elif op == "momentum_pairing":
         p = velocities_from_quasi(F, states)
         p3 = vlift_deriv(L, F, 2, p)
@@ -352,11 +349,11 @@ def reference_check(system, op, states=None, count=200, seed=0):
         th = states.q[..., 4]
         R, c = system.params["R"], system.params["c"]
         got = (R * R / (2 * c)) * (np.sin(th) * p3 - np.cos(th) * p4)
-        ref = tree_eval(parse(ref_exprs), env) * np.ones(got.shape)
+        ref = tree_eval(parse(ref_exprs), env) * ones
     elif op == "constrained_lagrangian":
         p = velocities_from_quasi(F, states)
         got = L.value(p.q, p.u)
-        ref = tree_eval(parse(ref_exprs), env) * np.ones(got.shape)
+        ref = tree_eval(parse(ref_exprs), env) * ones
     else:
         raise ValueError(f"unsupported reference op {op!r}")
     diff = float(np.max(np.abs(got - ref)))

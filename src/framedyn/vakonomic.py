@@ -21,10 +21,12 @@ frame Hessian and the lifted derivatives are plain chart jets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
-from .exprlang import ExprFunction
+from .exprlang import ExprFunction, compile_taylor, run_columns
 from .frames import (QuasiState, TangentPoint, base_velocity,
                      quasi_velocities, structure_functions)
 from .jets import TaylorValue
@@ -43,17 +45,11 @@ __all__ = [
 ]
 
 
-def _chart_names(m):
-    return tuple(f"v{i + 1}" for i in range(m))
-
-
 def _slot(tvs, u, q):
-    """Slot u of each component jet, stacked on a trailing axis; a plain
-    number is a constant (its slots u > 0 vanish)."""
+    """Slot u of each component jet, stacked on a trailing axis."""
     out = np.empty(np.shape(q)[:-1] + (len(tvs),))
     for i, tv in enumerate(tvs):
-        out[..., i] = (tv.c[u] if isinstance(tv, TaylorValue)
-                       else (tv if u == 0 else 0.0))
+        out[..., i] = tv.c[u]
     return out
 
 
@@ -76,8 +72,8 @@ class Section:
         raise NotImplementedError
 
     def extension(self, pt):
-        """TaylorValues of the extensions Phi_a at a QvChartPoint built with
-        probe=True, or None where Phi vanishes identically."""
+        """TaylorValues of the extensions Phi_a at a QvChartPoint, or None
+        where Phi vanishes identically."""
         raise NotImplementedError
 
     def describe(self):
@@ -88,9 +84,7 @@ class ZeroSection(Section):
     kind = "zero"
 
     def taylor(self, q, v_alpha, dirs):
-        k = len(dirs)
-        zero = TaylorValue.constant(0.0, k)
-        return [zero] * self.split.n_constraints
+        return [TaylorValue.constant(0.0, len(dirs))] * self.split.n_constraints
 
     def extension(self, pt):
         return None
@@ -105,45 +99,31 @@ class CustomSection(Section):
         super().__init__(frame, split)
         if len(exprs) != split.n_constraints:
             raise ValueError("need one expression per constraint index")
-        names = frame.coords + _chart_names(split.m)
-        params = dict(frame.params if params is None else params)
-        self.params = params
-        self.fns = [ExprFunction(e, names, tuple(params)) for e in exprs]
-        self.exprs = [f.expr for f in self.fns]
+        self.names = frame.coords + tuple(f"v{i + 1}" for i in range(split.m))
+        self.params = dict(frame.params if params is None else params)
+        self.exprs = [ExprFunction(e, self.names, tuple(self.params)).expr
+                      for e in exprs]
+        self._pvals = tuple(float(x) for x in self.params.values())
+        self._kernels = {}
 
     def taylor(self, q, v_alpha, dirs):
-        q = np.asarray(q, dtype=float)
-        v_alpha = np.asarray(v_alpha, dtype=float)
+        """One fused kernel of the expressions at (q, v_alpha), through the
+        numpy binding on per-coordinate columns."""
         k = len(dirs)
-        env = {}
-        for i, name in enumerate(self.frame.coords):
-            env[name] = TaylorValue.variable(
-                q[..., i], tuple(np.asarray(d[0])[..., i] for d in dirs), k)
-        for i, name in enumerate(_chart_names(self.split.m)):
-            env[name] = TaylorValue.variable(
-                v_alpha[..., i], tuple(np.asarray(d[1])[..., i] for d in dirs), k)
-        for name, val in self.params.items():
-            env[name] = TaylorValue.constant(float(val), k)
-        return self._jets(env, k)
+        fn = self._kernels.get(k)
+        if fn is None:
+            fn = self._kernels[k] = compile_taylor(
+                self.exprs, self.names, tuple(self.params), k)
+        slots = run_columns(fn, (q, v_alpha), self._pvals, dirs)
+        return [TaylorValue(k, slots[s:s + (1 << k)])
+                for s in range(0, len(slots), 1 << k)]
 
     def extension(self, pt):
         """The expressions re-read on TQ unchanged, which keeps the
         extension independent of the v^a."""
-        bit = 1 << pt.ndirs
-        env = {name: tv.drop(bit) for name, tv in pt.q_tvs.items()}
-        for i, name in enumerate(_chart_names(self.split.m)):
-            env[name] = pt.v_tvs[i].drop(bit)
-        for name, val in self.params.items():
-            env.setdefault(name, val)
-        return self._jets(env, pt.ndirs)
-
-    def _jets(self, env, k):
-        out = []
-        for f in self.fns:
-            tv = f.taylor_env(env)
-            out.append(tv if isinstance(tv, TaylorValue)
-                       else TaylorValue.constant(tv, k))
-        return out
+        m = self.split.m
+        return self.taylor(pt.q, pt.v[..., :m], [(dq, np.asarray(dv)[..., :m])
+                                                 for dq, dv in pt.dirs])
 
     def describe(self):
         return {"kind": self.kind, "phi": [str(e) for e in self.exprs]}
@@ -158,37 +138,26 @@ class MomentumSection(Section):
         super().__init__(frame, split)
         self.L = L
 
-    def _chart_point(self, q, v_alpha, dirs):
-        q = np.asarray(q, dtype=float)
-        v_alpha = np.asarray(v_alpha, dtype=float)
-        v = np.zeros(q.shape)
-        v[..., : self.split.m] = v_alpha
-        zq = np.zeros(q.shape)
-        full_dirs = []
-        for dq, dv in dirs:
-            dvf = np.zeros(q.shape)
-            dvf[..., : self.split.m] = np.asarray(dv, dtype=float)
-            full_dirs.append((np.asarray(dq, dtype=float), dvf))
-        return QvChartPoint(self.frame, q, v, full_dirs, probe=True)
-
     def taylor(self, q, v_alpha, dirs):
         # the momenta alone, also for the shifted subclass, which adds k_a
-        return MomentumSection.extension(
-            self, self._chart_point(q, v_alpha, dirs))
+        q = np.asarray(q, dtype=float)
+
+        def pad(va):
+            v = np.zeros(q.shape)
+            v[..., : self.split.m] = va
+            return v
+
+        pt = QvChartPoint(self.frame, q, pad(v_alpha),
+                          [(dq, pad(dv)) for dq, dv in dirs])
+        return MomentumSection.extension(self, pt)
 
     def extension(self, pt):
         """The full momentum functions p_a on TQ."""
         n, m = self.split.n, self.split.m
         partials = [pt.eval_fibre_partial(self.L, i) for i in range(n)]
-        bit = 1 << pt.ndirs
-        out = []
-        for a in range(m, n):
-            acc = None
-            for i in range(n):
-                term = partials[i] * pt.coeff_tvs[a][i].drop(bit)
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
+        X = pt.coefficients()
+        return [reduce(add, [p * x for p, x in zip(partials, X[a])])
+                for a in range(m, n)]
 
 
 class ShiftedMomentumSection(MomentumSection):
@@ -279,11 +248,10 @@ def solve_gamma_C(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     s.require_on_C(split)
     ctx = StateContext(L, frame, split, s)
     phi_vals = section.values(s.q, s.v_alpha(split))
-    R = structure_functions(frame, s.q)
-    return _solve_C(ctx, section, s, phi_vals, R, det_tol)
+    return _solve_C(ctx, section, s, phi_vals, det_tol)
 
 
-def _solve_C(ctx, section, s, phi_vals, R, det_tol):
+def _solve_C(ctx, section, s, phi_vals, det_tol):
     """solve_gamma_C on an assembled state context: the nonholonomic system
     with the section's phi_a R^a_alpha_beta v^beta added to its right side."""
     split = ctx.split
@@ -292,10 +260,10 @@ def _solve_C(ctx, section, s, phi_vals, R, det_tol):
         raise RegularityError("regular_D", reg.det_D)
     if not reg.regular_Dperp:
         raise RegularityError("regular_Dperp", reg.det_Dperp)
-    b = ctx.rhs + _phi_R_alpha(phi_vals, R, s.v, split)
+    b = ctx.rhs + _phi_R_alpha(phi_vals, ctx.R, s.v, split)
     gamma_C, _ = solve_and_det(ctx.g, b)
     Lam = ctx.epsilon(range(split.m, split.n), gamma_C)
-    A = Lam - _phi_R_a(phi_vals, R, s.v, split)
+    A = Lam - _phi_R_a(phi_vals, ctx.R, s.v, split)
     return VakonomicSolution(gamma_C, A, Lam, section)
 
 
@@ -313,10 +281,9 @@ def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
     phi_vals = section.values(s.q, s.v_alpha(split))
-    R = structure_functions(frame, s.q)
-    sol = _solve_C(ctx, section, s, phi_vals, R, det_tol)
-    weak = _phi_R_alpha(phi_vals, R, s.v, split)
-    phi_shift = _phi_R_a(phi_vals, R, s.v, split)
+    sol = _solve_C(ctx, section, s, phi_vals, det_tol)
+    weak = _phi_R_alpha(phi_vals, ctx.R, s.v, split)
+    phi_shift = _phi_R_a(phi_vals, ctx.R, s.v, split)
     strong = _phi_rate(section, s, ctx.u, ctx.gamma, split) + phi_shift - lam
     tangency = (_phi_rate(section, s, ctx.u, sol.gamma_C, split) + phi_shift
                 - sol.Lambda)
@@ -331,9 +298,8 @@ def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
     phi_vals = section.values(s.q, s.v_alpha(split))
-    R = structure_functions(frame, s.q)
     rate = _phi_rate(section, s, ctx.u, ctx.gamma, split)
-    return lam - _phi_R_a(phi_vals, R, s.v, split) - rate
+    return lam - _phi_R_a(phi_vals, ctx.R, s.v, split) - rate
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +325,22 @@ class VariationalLagrangian:
     def qv_taylor(self, q, v, dirs):
         """Jet of L~ in the (q, v) chart along full-chart directions."""
         m, n = self.split.m, self.split.n
-        pt = QvChartPoint(self.frame, q, v, dirs, probe=True)
+        pt = QvChartPoint(self.frame, q, v, dirs)
         out = pt.eval(self.L)
         phis = self.section.extension(pt)
         if phis is None:
             return out
-        bit = 1 << pt.ndirs
         for j, a in enumerate(range(m, n)):
-            out = out - phis[j] * pt.v_tvs[a].drop(bit)
+            out = out - phis[j] * pt.velocity(a)
         return out
 
     def value(self, q, v):
-        out = self.qv_taylor(q, v, ())
-        return out.c[0] if isinstance(out, TaylorValue) else out
+        return self.qv_taylor(q, v, ()).c[0]
 
     def phi_values(self, q, v):
         """The extension Phi_a evaluated at a full chart point."""
         q = np.asarray(q, dtype=float)
-        pt = QvChartPoint(self.frame, q, np.asarray(v, dtype=float), (),
-                          probe=True)
+        pt = QvChartPoint(self.frame, q, np.asarray(v, dtype=float), ())
         phis = self.section.extension(pt)
         if phis is None:
             return np.zeros(q.shape[:-1] + (self.split.n_constraints,))

@@ -85,3 +85,166 @@ def coordinate_gamma_oracle(sysd, q, v_alpha, h=FD_H):
         Xdot += (F.matrix(qp) - F.matrix(qm)) / (2 * h) * u[j]
     vdot = np.linalg.solve(X.T, qdd - Xdot.T @ v_full)
     return vdot[:m], sol[n:]
+
+
+class ChartPointReference:
+    """The composite L(q, X(q)^T v) of a chart point, assembled leaf by leaf.
+
+    The frame coefficients' jets come from one call of the frame's fused
+    kernel over per-coordinate leaves; u_j = sum_i v^i X_i^j is formed in
+    TaylorValue arithmetic (v first in each product, summed left to right),
+    and L is tree-walked over those full-jet leaves (Lagrangian.taylor_env).
+    With probe=True a last, constant fibre direction is reserved, along
+    which eval_fibre_partial adds a unit to u^i.  The compiled composite of
+    framedyn.quasichart must give the same slots.
+    """
+
+    def __init__(self, frame, q, v, dirs, probe=False):
+        from framedyn.jets import TaylorValue
+
+        self.frame = frame
+        q = np.asarray(q, dtype=float)
+        v = np.asarray(v, dtype=float)
+        self.ndirs = len(dirs)
+        self.k = k = self.ndirs + (1 if probe else 0)
+        self.probe = probe
+        n = frame.n
+        dirs = [(np.broadcast_to(np.asarray(dq, dtype=float), q.shape),
+                 np.broadcast_to(np.asarray(dv, dtype=float), q.shape))
+                for dq, dv in dirs]
+        qdirs = [[d[0][..., i] for i in range(n)] for d in dirs]
+        vdirs = [[d[1][..., i] for i in range(n)] for d in dirs]
+        if probe:
+            qdirs.append([0.0] * n)
+            vdirs.append([0.0] * n)
+        qcols = [q[..., i] for i in range(n)]
+        self.q_tvs = {name: TaylorValue.variable(
+            qcols[i], tuple(d[i] for d in qdirs), k)
+            for i, name in enumerate(frame.coords)}
+        self.v_tvs = [TaylorValue.variable(
+            v[..., i], tuple(d[i] for d in vdirs), k) for i in range(n)]
+        slots = frame.coefficient_slots(qcols, qdirs)
+        nslots = 1 << k
+        tvs = [TaylorValue(k, slots[s:s + nslots])
+               for s in range(0, len(slots), nslots)]
+        self.coeff_tvs = [tvs[i * n:(i + 1) * n] for i in range(n)]
+        self.u_tvs = []
+        for j in range(n):
+            acc = self.v_tvs[0] * self.coeff_tvs[0][j]
+            for i in range(1, n):
+                acc = acc + self.v_tvs[i] * self.coeff_tvs[i][j]
+            self.u_tvs.append(acc)
+
+    def _walk(self, L, u_tvs):
+        from framedyn.jets import TaylorValue
+
+        env = dict(self.q_tvs)
+        env.update(zip(L.vel_names, u_tvs))
+        out = L.taylor_env(env)
+        if not isinstance(out, TaylorValue):
+            out = TaylorValue.constant(out, self.k)
+        return out
+
+    def eval(self, L):
+        out = self._walk(L, self.u_tvs)
+        return out.drop(1 << self.ndirs) if self.probe else out
+
+    def eval_fibre_partial(self, L, i):
+        from framedyn.jets import TaylorValue
+
+        bit = 1 << self.ndirs
+        delta = TaylorValue.variable(0.0, (0.0,) * self.ndirs + (1.0,),
+                                     self.k)
+        u_tvs = list(self.u_tvs)
+        u_tvs[i] = u_tvs[i] + delta
+        return self._walk(L, u_tvs).extract(bit)
+
+
+def _custom_reference(section, q_tvs, v_tvs, k):
+    """Tree walk of a custom section's expressions over leaf TaylorValues."""
+    from framedyn.exprlang import ExprFunction
+    from framedyn.jets import TaylorValue
+
+    names = section.frame.coords + tuple(f"v{i + 1}"
+                                         for i in range(len(v_tvs)))
+    env = dict(q_tvs)
+    env.update(zip(names[len(q_tvs):], v_tvs))
+    for name, val in section.params.items():
+        env.setdefault(name, TaylorValue.constant(float(val), k))
+    out = []
+    for e in section.exprs:
+        tv = ExprFunction(e, names, tuple(section.params)).taylor_env(env)
+        out.append(tv if isinstance(tv, TaylorValue)
+                   else TaylorValue.constant(tv, k))
+    return out
+
+
+def _momentum_reference(L, split, pt):
+    """p_a = sum_i (dL/du^i) X_a^i at a probed ChartPointReference."""
+    bit = 1 << pt.ndirs
+    partials = [pt.eval_fibre_partial(L, i) for i in range(split.n)]
+    out = []
+    for a in range(split.m, split.n):
+        acc = None
+        for i in range(split.n):
+            term = partials[i] * pt.coeff_tvs[a][i].drop(bit)
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def section_extension_reference(section, pt):
+    """Phi_a of a section at a ChartPointReference built with probe=True:
+    the momenta for momentum sections (plus the shift's extension), the
+    expressions re-read on the chart leaves for custom sections, None for
+    the zero section."""
+    from framedyn.vakonomic import (CustomSection, ShiftedMomentumSection,
+                                    ZeroSection)
+
+    if isinstance(section, ZeroSection):
+        return None
+    if isinstance(section, CustomSection):
+        bit = 1 << pt.ndirs
+        q_tvs = {name: tv.drop(bit) for name, tv in pt.q_tvs.items()}
+        v_tvs = [tv.drop(bit) for tv in pt.v_tvs[:section.split.m]]
+        return _custom_reference(section, q_tvs, v_tvs, pt.ndirs)
+    out = _momentum_reference(section.L, section.split, pt)
+    if isinstance(section, ShiftedMomentumSection):
+        out = [b + e for b, e in zip(
+            out, section_extension_reference(section.shift, pt))]
+    return out
+
+
+def section_taylor_reference(section, q, v_alpha, dirs):
+    """Jets of phi_a along C-chart directions [(dq, dv_alpha)]."""
+    from framedyn.jets import TaylorValue
+    from framedyn.vakonomic import (CustomSection, ShiftedMomentumSection,
+                                    ZeroSection)
+
+    split = section.split
+    q = np.asarray(q, dtype=float)
+    v_alpha = np.asarray(v_alpha, dtype=float)
+    k = len(dirs)
+    if isinstance(section, ZeroSection):
+        return [TaylorValue.constant(0.0, k)] * split.n_constraints
+    if isinstance(section, CustomSection):
+        q_tvs = {name: TaylorValue.variable(
+            q[..., i], tuple(np.asarray(d[0])[..., i] for d in dirs), k)
+            for i, name in enumerate(section.frame.coords)}
+        v_tvs = [TaylorValue.variable(
+            v_alpha[..., i], tuple(np.asarray(d[1])[..., i] for d in dirs), k)
+            for i in range(split.m)]
+        return _custom_reference(section, q_tvs, v_tvs, k)
+
+    def pad(va):
+        v = np.zeros(q.shape)
+        v[..., :split.m] = va
+        return v
+
+    pt = ChartPointReference(section.frame, q, pad(v_alpha),
+                             [(dq, pad(dv)) for dq, dv in dirs], probe=True)
+    out = _momentum_reference(section.L, split, pt)
+    if isinstance(section, ShiftedMomentumSection):
+        out = [b + e for b, e in zip(
+            out, section_taylor_reference(section.shift, q, v_alpha, dirs))]
+    return out

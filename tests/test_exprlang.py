@@ -130,6 +130,17 @@ class TestEvalJet2:
         with pytest.raises(EvalDomainError):
             eval_value(parse("sqrt(q1)"), {"q1": -4.0})
 
+    def test_overflow_is_domain_error(self):
+        # every tree-walk entry point maps math faults alike
+        with pytest.raises(EvalDomainError):
+            eval_value(parse("exp(x)"), {"x": 1000.0})
+        with pytest.raises(EvalDomainError):
+            eval_jet2("exp(x)", {"x": 1000.0}, {}, {"x": 1.0}, {})
+        with pytest.raises(EvalDomainError):
+            ExprFunction("exp(x)", ["x"]).taylor_env({"x": 1000.0})
+        with pytest.raises(EvalDomainError):
+            ExprFunction("exp(x)", ["x"]).value((1000.0,))
+
 
 class TestExprFunction:
     def test_unbound_name_at_build(self):

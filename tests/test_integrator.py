@@ -105,6 +105,17 @@ def test_observables_pure_functions_of_state(carriage):
                           traj.v[:, 0] - traj.v[:, 1])
 
 
+def test_custom_observable_domain_fault_names_it(particle):
+    from framedyn.exprlang import EvalDomainError
+    s0 = QuasiState.on_C(np.array([-0.5, 0.1, 0.2]), [0.3, 0.1],
+                         particle.split)
+    cfg = IntegratorConfig(step=1e-2, t_span=(0.0, 0.05), observables=(),
+                           custom_observables={"spin": "v1 - v2",
+                                               "bad": "log(q1)"})
+    with pytest.raises(EvalDomainError, match="observable 'bad'"):
+        integrate(particle.field, particle.frame, particle.split, s0, cfg)
+
+
 def test_rk45_matches_rk4(carriage):
     s0 = QuasiState.on_C(np.zeros(5), [1.0, -0.4], carriage.split)
     t4 = integrate(carriage.field, carriage.frame, carriage.split, s0,
