@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .exprlang import _gathered
 from .frames import bracket, structure_functions, velocities_from_quasi
 from .lagrangian import clift_field, dvlift_field, vlift_deriv
 from .nonholonomic import NonholonomicField
@@ -105,8 +106,8 @@ def prop6_scalar(L, frame, split, s):
     m, n = split.m, split.n
     p = velocities_from_quasi(frame, s)
     R = structure_functions(frame, s.q)
-    mom = np.stack([vlift_deriv(L, frame, a, p) for a in range(m, n)],
-                   axis=-1) if n > m else np.zeros(s.q.shape[:-1] + (0,))
+    mom = _gathered([vlift_deriv(L, frame, a, p) for a in range(m, n)],
+                    s.q.shape[:-1])
     return _phi_R_alpha(mom, R, s.v, split)
 
 
@@ -115,7 +116,6 @@ def gamma_k_residual(L, frame, split, section, states, tol=1e-9):
     nh = NonholonomicField(L, frame, split)
     worst = 0.0
     for s in states:
-        s.require_on_C(split)
         ctx = nh._solve(s)
         tvs = section.shift.taylor(s.q, s.v_alpha(split),
                                    [(ctx.u, ctx.gamma)])

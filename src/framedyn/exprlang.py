@@ -21,6 +21,7 @@ import math
 import operator
 import types
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -671,7 +672,7 @@ def _emit(gen, root, ids, leaf_slots):
 _KERNELS = {}
 
 
-def compile_taylor(exprs, var_names, param_names, k):
+def compile_taylor(exprs, var_names, param_names, k, structure=None):
     """Compile a kernel f(vals, params, *dirs) -> slot tuple.
 
     exprs is one expression or a sequence of them; the tuple holds the 2**k
@@ -684,18 +685,48 @@ def compile_taylor(exprs, var_names, param_names, k):
     The source is compiled once and bound twice: the returned function runs
     on Python floats through the math module, and its `batched` attribute
     runs the same code on numpy arrays (see run_kernel).  Kernels are
-    memoized by expression structure, names and k.
+    memoized by expression structure, names and k; structure, when given,
+    is _structure(exprs), already computed (see Kernels).
     """
     if isinstance(exprs, Expr):
         exprs = (exprs,)
     var_names, param_names = tuple(var_names), tuple(param_names)
-    table, roots, ids = _structure(exprs)
+    table, roots, ids = structure or _structure(exprs)
     key = (table, roots, var_names, param_names, k)
     fn = _KERNELS.get(key)
     if fn is None:
         fn = _KERNELS[key] = _generate(
             exprs, ids, _shared(table, roots), var_names, param_names, k)
     return fn
+
+
+class Kernels:
+    """The compiled kernels of one sequence of expressions, by k and by the
+    number of leading expressions they cover.  The structure key is
+    computed once, on first use: the table of the leading expressions is a
+    prefix of the full one (each root is entered after its subtree), so
+    every kernel reuses it and keys as compile_taylor would."""
+
+    def __init__(self, exprs, var_names, param_names):
+        self.exprs = tuple(exprs)
+        self.var_names = tuple(var_names)
+        self.param_names = tuple(param_names)
+        self._kernels = {}
+
+    @cached_property
+    def structure(self):
+        return _structure(self.exprs)
+
+    def __call__(self, k, count=None):
+        count = len(self.exprs) if count is None else count
+        fn = self._kernels.get((k, count))
+        if fn is None:
+            table, roots, ids = self.structure
+            roots = roots[:count]
+            fn = self._kernels[k, count] = compile_taylor(
+                self.exprs[:count], self.var_names, self.param_names, k,
+                (table[:max(roots, default=-1) + 1], roots, ids))
+        return fn
 
 
 def _generate(exprs, ids, shared, var_names, param_names, k):
@@ -784,6 +815,15 @@ def _columns(parts, shape):
     return cols
 
 
+def _gathered(entries, shape):
+    """The inverse of _columns: entries (arrays of the batch shape, or
+    floats broadcast to it) stacked on a trailing axis."""
+    out = np.empty(shape + (len(entries),))
+    for i, x in enumerate(entries):
+        out[..., i] = x
+    return out
+
+
 def run_columns(fn, point, params, dirs=()):
     """run_batched on per-coordinate columns of a point given as for
     run_kernel, scalar or batched (0-d columns at a single point, so a
@@ -839,15 +879,8 @@ class ExprFunction:
         if missing:
             raise UnboundNameError(
                 f"unbound name(s) in expression: {', '.join(sorted(missing))}")
-        self._compiled = {}
-
-    def kernel(self, k):
-        """The compiled kernel for k directions (see compile_taylor)."""
-        fn = self._compiled.get(k)
-        if fn is None:
-            fn = compile_taylor(self.expr, self.var_names, self.param_names, k)
-            self._compiled[k] = fn
-        return fn
+        # kernel(k): the compiled kernel for k directions (see Kernels)
+        self.kernel = Kernels((expr,), self.var_names, self.param_names)
 
     def value(self, vals, params=()):
         return run_compiled(self.kernel(0), tuple(vals), tuple(params))[0]

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import (Expr, ExprFunction, compile_taylor, parse,
-                       run_batched, run_kernel)
-from .linsolve import det_pp
+from .exprlang import (Expr, ExprFunction, Kernels, parse, run_batched,
+                       run_kernel)
+from .linsolve import det_pp, min_abs
 
 __all__ = [
     "SingularFrameError", "ConstraintViolationError",
@@ -121,20 +121,13 @@ class VectorField:
                 raise TypeError(f"bad component {c!r}")
             comps.append(ExprFunction(c, self.coords, self._pnames))
         self.components = tuple(comps)
-        self._kernels = {}
+        # fused kernels of the n components, by number of directions
+        self._kernel = Kernels([c.expr for c in comps], self.coords,
+                               self._pnames)
 
     @property
     def n(self):
         return len(self.components)
-
-    def _kernel(self, k):
-        """Fused kernel of the n components for k directions."""
-        fn = self._kernels.get(k)
-        if fn is None:
-            fn = self._kernels[k] = compile_taylor(
-                [c.expr for c in self.components], self.coords, self._pnames,
-                k)
-        return fn
 
     def values(self, q):
         return _derivative(self._kernel(0), q, self._pvals, ())
@@ -178,16 +171,13 @@ class Frame:
             raise ValueError("field component count != n")
         self.fields = [VectorField(row, self.coords, self.params)
                        for row in rows]
-        self._kernels = {}
+        self._kernels = Kernels(
+            [c.expr for f in self.fields for c in f.components], self.coords,
+            tuple(self.params))
 
     def _kernel(self, k, count):
         """Fused kernel of the first `count` fields' components."""
-        fn = self._kernels.get((k, count))
-        if fn is None:
-            exprs = [c.expr for f in self.fields[:count] for c in f.components]
-            fn = compile_taylor(exprs, self.coords, tuple(self.params), k)
-            self._kernels[(k, count)] = fn
-        return fn
+        return self._kernels(k, count * self.n)
 
     def derivative(self, q, dirs, count=None):
         """The coefficients X_i^j of the first `count` fields (all by
@@ -205,10 +195,9 @@ class Frame:
 
     def check_matrix(self, M):
         det = det_pp(M)
-        if not np.min(np.abs(det)) > FRAME_DET_TOL:
+        if not min_abs(det) > FRAME_DET_TOL:
             raise SingularFrameError(
-                f"frame matrix is singular: min |det| = "
-                f"{np.min(np.abs(det)):.3e}")
+                f"frame matrix is singular: min |det| = {min_abs(det):.3e}")
         return det
 
     def dfield(self, i, q, w):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["det_pp", "solve_and_det", "cond_estimate"]
+__all__ = ["det_pp", "min_abs", "solve_and_det", "cond_estimate"]
 
 
 def _solve_scalar(a, x):
@@ -19,7 +19,10 @@ def _solve_scalar(a, x):
     n = len(x)
     det = 1.0
     for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(a[r][k]))
+        p = k  # the first row of largest |a[r][k]|, as max() picks it
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > abs(a[p][k]):
+                p = r
         if a[p][k] == 0.0:
             return None, 0.0
         if p != k:
@@ -43,21 +46,24 @@ def _solve_scalar(a, x):
 
 
 def solve_and_det(A, b):
-    """Solve A x = b, also returning det(A).  Scalar or batched."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if A.ndim == 2:
-        if A.shape[0] == 0:
-            return np.zeros(0), 1.0
-        x, det = _solve_scalar(A.tolist(), b.tolist())
-        if x is None:
-            return None, 0.0
-        return np.array(x), det
-    if A.shape[-1] == 0:
-        return np.zeros(b.shape), np.ones(A.shape[0])
-    det = np.linalg.det(A)
-    x = np.linalg.solve(A, b[..., None])[..., 0]
-    return x, det
+    """Solve A x = b, also returning det(A).  Scalar or batched; a scalar
+    system given as nested lists of floats is solved in place."""
+    if not isinstance(A, list):
+        A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        if A.ndim > 2:
+            if A.shape[-1] == 0:
+                return np.zeros(b.shape), np.ones(A.shape[0])
+            return np.linalg.solve(A, b[..., None])[..., 0], np.linalg.det(A)
+        A, b = A.tolist(), b.tolist()
+    x, det = _solve_scalar(A, b)
+    if x is None:
+        return None, 0.0
+    return np.array(x), det
+
+
+def min_abs(x):
+    """min |x| over a batch of values; a single float as it is."""
+    return abs(x) if isinstance(x, float) else np.min(np.abs(x))
 
 
 def det_pp(A):

@@ -21,10 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .frames import TangentPoint, base_velocity, structure_from_matrix
+from .exprlang import _gathered, _guarded, run_compiled
+from .frames import (ON_C_TOL, TangentPoint, base_velocity,
+                     structure_from_matrix)
 from .lagrangian import (clift_at, dvlift_at, hessian_regularity,
                          hessian_rows, vlift_at)
-from .linsolve import cond_estimate, solve_and_det
+from .linsolve import cond_estimate, min_abs, solve_and_det
 from .quasichart import QvChartPoint
 
 __all__ = ["RegularityError", "NonholonomicField"]
@@ -41,6 +43,69 @@ class RegularityError(Exception):
         self.det = det
 
 
+def _field_function(L, frame, split):
+    """s -> (M, u, D, h, g_D, rhs) at a state on C, one Python function over
+    the compiled kernels of (L, frame, split) (docs/state_context.md): their
+    math binding on float lists at a scalar state, their numpy binding on
+    per-coordinate columns at a batched one.  M is the checked array; the
+    rest are flat row-major lists of floats, or arrays of the batch shape
+    on a trailing axis.  The sums are the per-call route's, in its order."""
+    n, m = split.n, split.m
+    kernels = (frame._kernel(0, n), frame._kernel(1, m), L.fn.kernel(1),
+               L.fn.kernel(2))
+    fp, lp = frame._pvals, L._pvals
+    zq = (0.0,) * n
+
+    def checked(M):
+        frame.check_matrix(M)
+        return M
+
+    def assemble(q, v, matrix, mat, dmat, jet1, jet2):
+        X = mat(q, fp)
+        M = matrix(X)
+        rows = [X[i * n:(i + 1) * n] for i in range(m)]
+        u = h = [0.0] * n
+        for a in range(m):
+            u = [x + v[a] * y for x, y in zip(u, rows[a])]
+        DX = dmat(q, fp, u)[1::2]
+        D = [DX[a * n:(a + 1) * n] for a in range(m)]
+        for a in range(m):
+            h = [x + v[a] * y for x, y in zip(h, D[a])]
+        qu = q + u
+        g = [0.0] * (m * m)
+        for a in range(m):
+            for b in range(a, m):
+                g[a * m + b] = g[b * m + a] = jet2(qu, lp, zq + rows[a],
+                                                   zq + rows[b])[3]
+        rhs = [jet1(qu, lp, rows[a] + D[a])[1]
+               - (jet2(qu, lp, zq + rows[a], u + h)[3]
+                  + jet1(qu, lp, zq + D[a])[1]) for a in range(m)]
+        return M, u, DX, h, g, rhs
+
+    def function(s):
+        if s.q.ndim == 1:
+            q, v = s.q.tolist(), s.v.tolist()
+            if not all(abs(x) <= ON_C_TOL for x in v[m:]):
+                s.require_on_C(split)
+            return run_compiled(
+                assemble, q, v, lambda X: checked(np.array(X).reshape(n, n)),
+                *kernels)
+        s.require_on_C(split)
+        shape = s.q.shape[:-1]
+        errors = np.geterr()  # the frame check keeps the caller's settings
+
+        def matrix(X):
+            with np.errstate(**errors):
+                return checked(_gathered(X, shape).reshape(shape + (n, n)))
+
+        M, *parts = _guarded(assemble, [s.q[..., i] for i in range(n)],
+                             [s.v[..., a] for a in range(m)], matrix,
+                             *(fn.batched for fn in kernels))
+        return [M] + [_gathered(part, shape) for part in parts]
+
+    return function
+
+
 class StateContext:
     """The evaluations at one state, made once and shared by every quantity
     of the field there (scalar or batched).
@@ -49,31 +114,46 @@ class StateContext:
     D_a = (DX_a)u for a < m, which serve the drift term h = v^b D_b, the
     complete lifts and the moving-direction correction of the vertical
     lifts; and the system g_D Gamma = rhs with
-    rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)).  gamma is set once the
-    system is solved.  The lift formulas themselves are those of
-    lagrangian.py, applied to the rows held here.
+    rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)), all from one call of the
+    field function (D, h, g and rhs become arrays on first use).  gamma is
+    set once the system is solved.  The lazy quantities use the lift
+    formulas of lagrangian.py, applied to the rows held here.
     """
 
-    def __init__(self, L, frame, split, s):
-        self.L = L
-        self.frame = frame
-        self.split = split
-        m = split.m
-        self.q = q = s.q
-        va = s.v_alpha(split)
-        self.M = M = frame.matrix(q)
-        frame.check_matrix(M)
-        self.u = base_velocity(M, va)
-        self.D = frame.dfields(q, self.u, m)
-        h = 0.0
-        for b in range(m):
-            h = h + va[..., b, None] * self.D[..., b, :]
-        self.h = h
+    def __init__(self, field, s):
+        self.L = field.L
+        self.frame = field.frame
+        self.split = field.split
+        self.q = s.q
+        self.M, u, *self._parts = field._function(s)
+        self.u = np.asarray(u)
         self._clift = {}
-        self.g = hessian_rows(L.taylor, q, self.u, M[..., :m, :])
-        self.rhs = np.stack(
-            [self.clift(a) - self.dvlift(a, h) for a in range(m)], axis=-1)
         self.gamma = None
+
+    def _array(self, i, *dims):
+        return np.asarray(self._parts[i]).reshape(self.q.shape[:-1] + dims)
+
+    D = cached_property(lambda self: self._array(0, self.split.m,
+                                                 self.split.n))
+    h = cached_property(lambda self: self._array(1, self.split.n))
+    g = cached_property(lambda self: self._array(2, self.split.m,
+                                                 self.split.m))
+    rhs = cached_property(lambda self: self._array(3, self.split.m))
+
+    def solve(self, det_tol):
+        """Solve g_D Gamma = rhs for gamma, unless |det g_D| <= det_tol; at
+        a scalar state on new row lists, which the solve overwrites."""
+        m = self.split.m
+        g, rhs = self._parts[2:]
+        if isinstance(g, list):
+            g, rhs = [g[a * m:(a + 1) * m] for a in range(m)], rhs[:]
+        else:
+            g, rhs = self.g, self.rhs
+        gamma, det = solve_and_det(g, rhs)
+        if gamma is None or not min_abs(det) > det_tol:
+            raise RegularityError("regular_D", det)
+        self.gamma = gamma
+        return self
 
     @property
     def p(self):
@@ -81,10 +161,7 @@ class StateContext:
 
     def dfield(self, a):
         """D_a = (DX_a)u; the rows a >= m are evaluated on first use."""
-        m = self.split.m
-        if a < m:
-            return self.D[..., a, :]
-        if self.D.shape[-2] == m:
+        if a >= self.D.shape[-2]:
             self.D = self.frame.dfields(self.q, self.u, self.split.n)
         return self.D[..., a, :]
 
@@ -123,9 +200,8 @@ class StateContext:
         """(u, w)(vlift X_a(L)) - clift X_a(L) for each a in indices, with w
         the fibre part for the coefficients gamma."""
         w = self.fibre(gamma)
-        out = [self.dvlift(a, w) - self.clift(a) for a in indices]
-        return (np.stack(out, axis=-1) if out
-                else np.zeros(self.q.shape[:-1] + (0,)))
+        return _gathered([self.dvlift(a, w) - self.clift(a) for a in indices],
+                         self.q.shape[:-1])
 
     def multipliers(self):
         return self.epsilon(range(self.split.m, self.split.n), self.gamma)
@@ -146,21 +222,19 @@ class NonholonomicField:
 
     # -- core assembly ------------------------------------------------------
 
+    @cached_property
+    def _function(self):
+        return _field_function(self.L, self.frame, self.split)
+
     def _context(self, s):
-        return StateContext(self.L, self.frame, self.split, s)
+        return StateContext(self, s)
 
     def _solve(self, s):
         """The state's context with Gamma solved from g_D Gamma = rhs."""
-        ctx = self._context(s)
-        gamma, det = solve_and_det(ctx.g, ctx.rhs)
-        if gamma is None or not np.min(np.abs(det)) > self.det_tol:
-            raise RegularityError("regular_D", det)
-        ctx.gamma = gamma
-        return ctx
+        return self._context(s).solve(self.det_tol)
 
     def gamma(self, s):
         """Gamma^alpha at a state on C."""
-        s.require_on_C(self.split)
         return self._solve(s).gamma
 
     def rate(self, s):
@@ -170,7 +244,6 @@ class NonholonomicField:
 
     def multipliers(self, s):
         """lambda_a = Gamma(vlift X_a(L)) - clift X_a(L)."""
-        s.require_on_C(self.split)
         return self._solve(s).multipliers()
 
     def solve_report(self, s):
@@ -190,7 +263,6 @@ class NonholonomicField:
     # checks); by default the solver's own output is re-evaluated.
 
     def _residual_context(self, s, gamma):
-        s.require_on_C(self.split)
         if gamma is None:
             ctx = self._solve(s)
             return ctx, ctx.gamma

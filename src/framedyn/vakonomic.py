@@ -26,14 +26,13 @@ from operator import add
 
 import numpy as np
 
-from .exprlang import ExprFunction, compile_taylor, run_columns
+from .exprlang import ExprFunction, Kernels, _gathered, run_columns
 from .frames import (QuasiState, TangentPoint, base_velocity,
                      quasi_velocities, structure_functions)
 from .jets import TaylorValue
 from .lagrangian import hessian_rows
 from .linsolve import solve_and_det
-from .nonholonomic import (GAMMA_DET_TOL, NonholonomicField, RegularityError,
-                           StateContext)
+from .nonholonomic import GAMMA_DET_TOL, NonholonomicField, RegularityError
 from .quasichart import QvChartPoint
 
 __all__ = [
@@ -47,10 +46,7 @@ __all__ = [
 
 def _slot(tvs, u, q):
     """Slot u of each component jet, stacked on a trailing axis."""
-    out = np.empty(np.shape(q)[:-1] + (len(tvs),))
-    for i, tv in enumerate(tvs):
-        out[..., i] = tv.c[u]
-    return out
+    return _gathered([tv.c[u] for tv in tvs], np.shape(q)[:-1])
 
 
 class Section:
@@ -104,17 +100,13 @@ class CustomSection(Section):
         self.exprs = [ExprFunction(e, self.names, tuple(self.params)).expr
                       for e in exprs]
         self._pvals = tuple(float(x) for x in self.params.values())
-        self._kernels = {}
+        self._kernels = Kernels(self.exprs, self.names, tuple(self.params))
 
     def taylor(self, q, v_alpha, dirs):
         """One fused kernel of the expressions at (q, v_alpha), through the
         numpy binding on per-coordinate columns."""
         k = len(dirs)
-        fn = self._kernels.get(k)
-        if fn is None:
-            fn = self._kernels[k] = compile_taylor(
-                self.exprs, self.names, tuple(self.params), k)
-        slots = run_columns(fn, (q, v_alpha), self._pvals, dirs)
+        slots = run_columns(self._kernels(k), (q, v_alpha), self._pvals, dirs)
         return [TaylorValue(k, slots[s:s + (1 << k)])
                 for s in range(0, len(slots), 1 << k)]
 
@@ -245,8 +237,7 @@ def solve_gamma_C(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     Returns a VakonomicSolution holding Gamma_C^alpha, the multiplier rates
     A_a, and Lambda_a at the state.
     """
-    s.require_on_C(split)
-    ctx = StateContext(L, frame, split, s)
+    ctx = NonholonomicField(L, frame, split)._context(s)
     phi_vals = section.values(s.q, s.v_alpha(split))
     return _solve_C(ctx, section, s, phi_vals, det_tol)
 
@@ -277,7 +268,6 @@ def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
 
     Gamma, lambda and the vakonomic solve share one state context.
     """
-    s.require_on_C(split)
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
     phi_vals = section.values(s.q, s.v_alpha(split))
@@ -294,7 +284,6 @@ def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     """Gamma-bar applied to mu_a - phi_a on the section image:
     (lambda_a - phi_b R^b_a_alpha v^alpha) - Gamma(phi_a).  Zero exactly when
     the problems are strongly consistent at the state."""
-    s.require_on_C(split)
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
     phi_vals = section.values(s.q, s.v_alpha(split))

@@ -248,3 +248,70 @@ def section_taylor_reference(section, q, v_alpha, dirs):
         out = [b + e for b, e in zip(
             out, section_taylor_reference(section.shift, q, v_alpha, dirs))]
     return out
+
+
+class StateContextReference:
+    """The nonholonomic system at a state, assembled piece by piece: M from
+    Frame.matrix, u by base_velocity, the rows D_a by Frame.dfields, g_D by
+    hessian_rows and each rhs_a from clift_at and dvlift_at, every piece a
+    separate kernel call through run_kernel.  The field function of
+    framedyn.nonholonomic must give the same floats.
+    """
+
+    def __init__(self, L, frame, split, s):
+        from framedyn.frames import base_velocity
+        from framedyn.lagrangian import hessian_rows
+
+        s.require_on_C(split)
+        self.L, self.frame, self.split = L, frame, split
+        m = split.m
+        self.q = q = s.q
+        va = s.v_alpha(split)
+        self.M = M = frame.matrix(q)
+        frame.check_matrix(M)
+        self.u = base_velocity(M, va)
+        self.D = frame.dfields(q, self.u, m)
+        h = 0.0
+        for b in range(m):
+            h = h + va[..., b, None] * self.D[..., b, :]
+        self.h = h
+        self.g = hessian_rows(L.taylor, q, self.u, M[..., :m, :])
+        self.rhs = np.stack(
+            [self.clift(a) - self.dvlift(a, h) for a in range(m)], axis=-1)
+        self.gamma = None
+
+    def dfield(self, a):
+        if a >= self.D.shape[-2]:
+            self.D = self.frame.dfields(self.q, self.u, self.split.n)
+        return self.D[..., a, :]
+
+    def clift(self, a):
+        from framedyn.lagrangian import clift_at
+
+        return clift_at(self.L, self.q, self.u, self.M[..., a, :],
+                        self.dfield(a))
+
+    def dvlift(self, a, w):
+        from framedyn.lagrangian import dvlift_at
+
+        return dvlift_at(self.L, self.q, self.u, self.M[..., a, :],
+                         self.u, w, self.dfield(a))
+
+    def solve(self, det_tol):
+        from framedyn.linsolve import solve_and_det
+        from framedyn.nonholonomic import RegularityError
+
+        gamma, det = solve_and_det(self.g, self.rhs)
+        if gamma is None or not np.min(np.abs(det)) > det_tol:
+            raise RegularityError("regular_D", det)
+        self.gamma = gamma
+        return gamma
+
+    def multipliers(self):
+        from framedyn.frames import base_velocity
+
+        w = self.h + base_velocity(self.M, self.gamma)
+        out = [self.dvlift(a, w) - self.clift(a)
+               for a in range(self.split.m, self.split.n)]
+        return (np.stack(out, axis=-1) if out
+                else np.zeros(self.q.shape[:-1] + (0,)))

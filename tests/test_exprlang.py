@@ -444,3 +444,33 @@ class TestKernelCache:
         assert xy is compile_taylor(parse("x - 2*y"), ("x", "y"), (), 0)
         assert xy((1.0, 3.0), ()) == (-5.0,)
         assert yx((1.0, 3.0), ()) == (1.0,)
+
+    def test_leading_kernels_reuse_the_full_structure(self, monkeypatch):
+        # A frame's structure key is computed once; the kernel of its first
+        # `count` fields keys exactly as a fresh compile of those fields.
+        import framedyn.exprlang as exprlang
+        from framedyn.exprlang import _structure
+
+        for frame in _frames_under_test():
+            n = frame.n
+            exprs = [c.expr for f in frame.fields for c in f.components]
+            table, roots, _ = _structure(exprs)
+            for count in range(n + 1):
+                want_table, want_roots, _ = _structure(exprs[:count * n])
+                got_roots = roots[:count * n]
+                assert got_roots == want_roots
+                assert table[:max(got_roots, default=-1) + 1] == want_table
+        calls = []
+        real = exprlang._structure
+        monkeypatch.setattr(exprlang, "_structure",
+                            lambda exprs: calls.append(1) or real(exprs))
+        frame = _frames_under_test()[-1]
+        for k in range(3):
+            for count in (frame.n, 2, 1):
+                fn = frame._kernel(k, count)
+                assert fn is compile_taylor(
+                    [c.expr for f in frame.fields[:count]
+                     for c in f.components], frame.coords,
+                    tuple(frame.params), k)
+        # one structure for the frame, one per fresh compile_taylor above
+        assert len(calls) == 1 + 9

@@ -221,3 +221,200 @@ def test_condition_warning_attached(particle):
     rep = particle.field.solve_report(particle.states(1, seed=3))
     assert rep["condition"] >= 1.0
     assert rep["warning"] is None
+
+
+# -- the field function against the piecewise assembly ----------------------
+
+
+def _gate_systems():
+    """The four built-ins, the carriage with D rotated by theta and the
+    carriage at the special length l*: (name, sysd, L, frame, split)."""
+    from framedyn import BUILTIN_NAMES, builtin, change_of_D_basis
+    from framedyn.chaplygin import carriage_special_length
+
+    out = []
+    for name in BUILTIN_NAMES:
+        sysd = builtin(name)
+        out.append((name, sysd, sysd.lagrangian(), sysd.frame(),
+                    sysd.split()))
+    sysd = builtin("carriage")
+    rotated = change_of_D_basis(
+        sysd.frame(), sysd.split(),
+        [["cos(theta)", "-sin(theta)"], ["sin(theta)", "cos(theta)"]])
+    out.append(("carriage_rotated", sysd, sysd.lagrangian(), rotated,
+                sysd.split()))
+    lstar = builtin("carriage", {"l": carriage_special_length(sysd.params)})
+    out.append(("carriage_lstar", lstar, lstar.lagrangian(), lstar.frame(),
+                lstar.split()))
+    return out
+
+
+GATE_SYSTEMS = _gate_systems()
+
+
+def _same(got, want):
+    """Equal under == (so only the sign of an exact zero may differ), the
+    same shape, and finite."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and bool(np.all(np.isfinite(got))))
+
+
+@pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
+                         ids=[g[0] for g in GATE_SYSTEMS])
+def test_field_function_equals_piecewise_assembly(name, sysd, L, frame,
+                                                  split):
+    from framedyn import sample_states
+
+    from _oracles import StateContextReference
+
+    field = NonholonomicField(L, frame, split)
+    m = split.m
+    S = sample_states(sysd, 40, seed=17)
+    states = [S] + [QuasiState(S.q[i], S.v[i]) for i in range(40)]
+    for s in states:
+        ref = StateContextReference(L, frame, split, s)
+        ref.solve(field.det_tol)
+        ctx = field._solve(s)
+        pieces = {"M": (ctx.M, ref.M), "u": (ctx.u, ref.u),
+                  "D": (ctx.D[..., :m, :], ref.D[..., :m, :]),
+                  "g_D": (ctx.g, ref.g), "rhs": (ctx.rhs, ref.rhs),
+                  "Gamma": (ctx.gamma, ref.gamma),
+                  "lambda": (ctx.multipliers(), ref.multipliers())}
+        u, gamma = field.rate(s)
+        pieces["rate"] = (np.concatenate([u, gamma], axis=-1),
+                          np.concatenate([ref.u, ref.gamma], axis=-1))
+        for piece, (got, want) in pieces.items():
+            assert _same(got, want), (name, piece, s.q.shape)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        return exc
+    raise AssertionError("no exception raised")
+
+
+def _error_cases():
+    """(label, L, frame, split, state) whose evaluation must fail."""
+    from framedyn.frames import ConstraintSplit
+
+    coords = ["q1", "q2"]
+    vels = ["u1", "u2"]
+    identity = Frame([["1", "0"], ["0", "1"]], coords)
+    split = ConstraintSplit(2, 1)
+    regular = Lagrangian("(u1*u1 + u2*u2)/2", coords, vels)
+    q = np.array([[0.0, 0.5], [-1.0, 0.5]])
+    v = np.array([[1.0, 0.0], [0.5, 0.0]])
+    return [
+        ("singular_frame", regular,
+         Frame([["q1", "0"], ["0", "1"]], coords), split, q, v),
+        ("singular_g_D", Lagrangian("3e-11*u1*u1/2 + u2*u2/2", coords, vels),
+         identity, split, q, v),
+        ("domain_fault", Lagrangian("(u1*u1 + u2*u2)/2 + log(q1)", coords,
+                                    vels), identity, split, q, v),
+        # a NaN frame fails its determinant check on both routes, not as a
+        # numpy fault of the batched kernels' error state
+        ("nan_frame", regular, Frame([["cos(q1)", "0"], ["0", "1"]], coords),
+         split, np.array([[np.nan, 0.5], [0.2, 0.5]]), v),
+    ]
+
+
+ERROR_CASES = _error_cases()
+
+
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in det:RuntimeWarning")
+@pytest.mark.parametrize("label,L,frame,split,q,v", ERROR_CASES,
+                         ids=[c[0] for c in ERROR_CASES])
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+def test_field_function_errors_match_piecewise_assembly(label, L, frame,
+                                                        split, q, v, route):
+    from _oracles import StateContextReference
+
+    field = NonholonomicField(L, frame, split)
+    s = QuasiState(q, v) if route == "batched" else QuasiState(q[0], v[0])
+    want = _raised(lambda: StateContextReference(L, frame, split, s).solve(
+        field.det_tol))
+    for call in (field.rate, field.gamma, field.multipliers,
+                 field.solve_report):
+        got = _raised(lambda: call(s))
+        assert type(got) is type(want), (label, route, got)
+        assert str(got) == str(want), (label, route)
+        if isinstance(want, RegularityError):
+            assert got.condition == want.condition == "regular_D"
+            assert np.array_equal(got.det, want.det)
+
+
+def test_non_finite_field_in_integrate_matches_piecewise_assembly(particle):
+    # At |v| = 1e160 the right side overflows and Gamma is NaN: the run
+    # stops naming dv1/dt, with the field and with the piecewise assembly
+    # as the provider alike.
+    from framedyn.integrator import (IntegrationError, IntegratorConfig,
+                                     integrate)
+
+    from _oracles import StateContextReference
+
+    L, frame, split = particle.L, particle.frame, particle.split
+
+    def reference(q, v):
+        ref = StateContextReference(L, frame, split,
+                                    QuasiState.on_C(q, v, split))
+        return ref.solve(particle.field.det_tol)
+
+    s0 = QuasiState.on_C(np.array([0.1, 0.2, 0.3]), [1e160, 1e160], split)
+    cfg = IntegratorConfig(method="rk4", t_span=(0.0, 0.01), observables=())
+    messages = []
+    with np.errstate(all="ignore"):
+        for provider in (particle.field, reference):
+            with pytest.raises(IntegrationError) as ei:
+                integrate(provider, frame, split, s0, cfg)
+            messages.append(str(ei.value))
+    assert "non-finite dv1/dt = nan" in messages[0]
+    assert messages[0] == messages[1]
+    # the batched route at the same state fails inside a kernel, alike
+    S = QuasiState(s0.q[None], s0.v[None])
+    with np.errstate(all="ignore"):
+        got = _raised(lambda: particle.field.gamma(S))
+        want = _raised(lambda: reference(S.q, S.v[:, :split.m]))
+    assert type(got) is type(want) and str(got) == str(want)
+
+
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+def test_rate_and_solve_report_reject_off_C_states(carriage, route):
+    # v^3 = 3 lies off C; rate and solve_report used to drop it silently.
+    q, v = np.zeros(5), np.array([1.0, 2.0, 3.0, 0.0, 0.0])
+    s = QuasiState(q, v) if route == "scalar" else QuasiState(q[None],
+                                                              v[None])
+    for call in (carriage.field.rate, carriage.field.solve_report,
+                 carriage.field.gamma):
+        with pytest.raises(ConstraintViolationError,
+                           match=r"max \|v\^a\| = 3\.000e\+00"):
+            call(s)
+
+
+def test_field_evaluation_runs_no_per_kernel_dispatch(carriage, monkeypatch):
+    # A scalar rate and a batched gamma are one Python call of the field
+    # function plus arithmetic: the per-call kernel route, the Lagrangian's
+    # jets and the frame's derivative entry are not reached.
+    import framedyn.exprlang as exprlang
+    from framedyn.frames import Frame as FrameClass
+
+    field = carriage.field
+    S = carriage.states(30, seed=23)
+    s1 = QuasiState(S.q[0], S.v[0])
+    want_rate = field.rate(s1)
+    want_gamma = field.gamma(S)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-kernel dispatch reached")
+
+    monkeypatch.setattr(exprlang, "run_kernel", forbidden)
+    monkeypatch.setattr(exprlang, "_flat", forbidden)
+    monkeypatch.setattr(Lagrangian, "taylor", forbidden)
+    monkeypatch.setattr(FrameClass, "derivative", forbidden)
+    got_u, got_gamma = field.rate(s1)
+    assert np.array_equal(got_u, want_rate[0])
+    assert np.array_equal(got_gamma, want_rate[1])
+    assert np.array_equal(field.gamma(S), want_gamma)
