@@ -102,10 +102,9 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
 def prop6_scalar(L, frame, split, s):
     """R^a_alpha_beta v^beta p_a for each alpha: the single scalar family
     governing weak (and strong) consistency of the momentum section."""
-    s.require_on_C(split)
     m, n = split.m, split.n
+    R = NonholonomicField(L, frame, split)._context(s).R
     p = velocities_from_quasi(frame, s)
-    R = structure_functions(frame, s.q)
     mom = _gathered([vlift_deriv(L, frame, a, p) for a in range(m, n)],
                     s.q.shape[:-1])
     return _phi_R_alpha(mom, R, s.v, split)

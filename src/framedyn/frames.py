@@ -70,7 +70,9 @@ class TangentPoint:
 @dataclass
 class QuasiState:
     """A point of TQ in the frame chart (q, v).  v always has length n; the
-    C-restricted variant carries implicit zeros in the trailing slots."""
+    C-restricted variant carries implicit zeros in the trailing slots.  Its
+    state contexts (NonholonomicField._context) live in a private attribute
+    `_contexts`, made on first use, which no field, ==, or repr sees."""
 
     q: np.ndarray
     v: np.ndarray
@@ -80,6 +82,9 @@ class QuasiState:
         self.v = np.asarray(self.v, dtype=float)
         if self.q.shape != self.v.shape:
             raise ValueError("q and v shapes differ")
+
+    def __getstate__(self):  # copies and pickles start without contexts
+        return {k: x for k, x in vars(self).items() if k != "_contexts"}
 
     @classmethod
     def on_C(cls, q, v_alpha, split):

@@ -80,8 +80,10 @@ class Trajectory:
 
 def _rate_fn(provider, frame, split):
     if hasattr(provider, "rate"):
+        tail = np.zeros(split.n - split.m)
+
         def rate(q, v):
-            return provider.rate(QuasiState.on_C(q, v, split))
+            return provider.rate(QuasiState(q, np.concatenate((v, tail))))
         return rate
 
     def rate(q, v):

@@ -117,7 +117,9 @@ class StateContext:
     rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)), all from one call of the
     field function (D, h, g and rhs become arrays on first use).  gamma is
     set once the system is solved.  The lazy quantities use the lift
-    formulas of lagrangian.py, applied to the rows held here.
+    formulas of lagrangian.py, applied to the rows held here.  A context
+    lives as long as its state (NonholonomicField._context), so what it
+    makes (memo) serves every later call there.
     """
 
     def __init__(self, field, s):
@@ -127,7 +129,7 @@ class StateContext:
         self.q = s.q
         self.M, u, *self._parts = field._function(s)
         self.u = np.asarray(u)
-        self._clift = {}
+        self._memo = {}
         self.gamma = None
 
     def _array(self, i, *dims):
@@ -140,20 +142,31 @@ class StateContext:
                                                  self.split.m))
     rhs = cached_property(lambda self: self._array(3, self.split.m))
 
+    def memo(self, key, build):
+        """build(), made once per key while the context lives."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def solve(self, det_tol):
-        """Solve g_D Gamma = rhs for gamma, unless |det g_D| <= det_tol; at
-        a scalar state on new row lists, which the solve overwrites."""
+        """Set gamma from g_D Gamma = rhs, solved once; raises at every call
+        with |det g_D| <= det_tol."""
+        gamma, det = self.memo("gamma", self._solve_D)
+        if gamma is None or not min_abs(det) > det_tol:
+            raise RegularityError("regular_D", det)
+        self.gamma = gamma
+        return self
+
+    def _solve_D(self):
+        """(Gamma, det g_D); at a scalar state on new row lists, which the
+        solve overwrites."""
         m = self.split.m
         g, rhs = self._parts[2:]
         if isinstance(g, list):
             g, rhs = [g[a * m:(a + 1) * m] for a in range(m)], rhs[:]
         else:
             g, rhs = self.g, self.rhs
-        gamma, det = solve_and_det(g, rhs)
-        if gamma is None or not min_abs(det) > det_tol:
-            raise RegularityError("regular_D", det)
-        self.gamma = gamma
-        return self
+        return solve_and_det(g, rhs)
 
     @property
     def p(self):
@@ -176,10 +189,8 @@ class StateContext:
 
     def clift(self, a):
         """clift X_a(L): the derivative along (X_a, D_a)."""
-        if a not in self._clift:
-            self._clift[a] = clift_at(self.L, self.q, self.u,
-                                      self.M[..., a, :], self.dfield(a))
-        return self._clift[a]
+        return self.memo(("clift", a), lambda: clift_at(
+            self.L, self.q, self.u, self.M[..., a, :], self.dfield(a)))
 
     def dvlift(self, a, w):
         """(u, w)(vlift X_a(L)), corrected along D_a (see dvlift_at)."""
@@ -189,8 +200,9 @@ class StateContext:
     def regularity_report(self, threshold):
         """The regularity tests from the full Hessian over the rows of M;
         the g_D block is reused."""
-        g = hessian_rows(self.L.taylor, self.q, self.u, self.M, known=self.g)
-        return hessian_regularity(g, self.split, self.p, threshold)
+        return self.memo(("regularity", threshold), lambda: hessian_regularity(
+            hessian_rows(self.L.taylor, self.q, self.u, self.M, known=self.g),
+            self.split, self.p, threshold))
 
     def fibre(self, gamma):
         """Fibre part h + Gamma^alpha X_alpha of the second-order tangent."""
@@ -204,7 +216,8 @@ class StateContext:
                          self.q.shape[:-1])
 
     def multipliers(self):
-        return self.epsilon(range(self.split.m, self.split.n), self.gamma)
+        return self.memo("lambda", lambda: self.epsilon(
+            range(self.split.m, self.split.n), self.gamma))
 
 
 class NonholonomicField:
@@ -227,7 +240,20 @@ class NonholonomicField:
         return _field_function(self.L, self.frame, self.split)
 
     def _context(self, s):
-        return StateContext(self, s)
+        """The context of s, memoised on s by (L, frame, split) and built
+        again once s has changed since (docs/state_context.md)."""
+        key, q = self._key, s.q
+        stamp = (id(q), q.shape, q.tobytes(), s.v.tobytes())
+        memo = s.__dict__.setdefault("_contexts", {})
+        hit = memo.get(key)
+        if hit is None or hit[0] != stamp:
+            hit = memo[key] = stamp, StateContext(self, s)
+        return hit[1]
+
+    @cached_property
+    def _key(self):
+        # ids stay unique while a context holds L, frame and split
+        return id(self.L), id(self.frame), id(self.split)
 
     def _solve(self, s):
         """The state's context with Gamma solved from g_D Gamma = rhs."""
@@ -235,23 +261,23 @@ class NonholonomicField:
 
     def gamma(self, s):
         """Gamma^alpha at a state on C."""
-        return self._solve(s).gamma
+        return self._solve(s).gamma.copy()
 
     def rate(self, s):
         """ODE right side in the C chart: (qdot, vdot) = (u, Gamma)."""
         ctx = self._solve(s)
-        return ctx.u, ctx.gamma
+        return ctx.u.copy(), ctx.gamma.copy()
 
     def multipliers(self, s):
         """lambda_a = Gamma(vlift X_a(L)) - clift X_a(L)."""
-        return self._solve(s).multipliers()
+        return self._solve(s).multipliers().copy()
 
     def solve_report(self, s):
         """Solution with a condition-number diagnostic attached."""
         ctx = self._solve(s)
         cond = cond_estimate(ctx.g)
         return {
-            "gamma": ctx.gamma,
+            "gamma": ctx.gamma.copy(),
             "condition": cond,
             "warning": (f"ill-conditioned Hessian block: cond = {cond:.3e}"
                         if cond > COND_WARN else None),

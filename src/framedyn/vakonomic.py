@@ -238,24 +238,31 @@ def solve_gamma_C(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     A_a, and Lambda_a at the state.
     """
     ctx = NonholonomicField(L, frame, split)._context(s)
-    phi_vals = section.values(s.q, s.v_alpha(split))
-    return _solve_C(ctx, section, s, phi_vals, det_tol)
+    sol = _solve_C(ctx, section, s, det_tol)[1]
+    return VakonomicSolution(sol.gamma_C.copy(), sol.A.copy(),
+                             sol.Lambda.copy(), section)
 
 
-def _solve_C(ctx, section, s, phi_vals, det_tol):
-    """solve_gamma_C on an assembled state context: the nonholonomic system
-    with the section's phi_a R^a_alpha_beta v^beta added to its right side."""
-    split = ctx.split
-    reg = ctx.regularity_report(det_tol)
-    if not reg.regular_D:
-        raise RegularityError("regular_D", reg.det_D)
-    if not reg.regular_Dperp:
-        raise RegularityError("regular_Dperp", reg.det_Dperp)
-    b = ctx.rhs + _phi_R_alpha(phi_vals, ctx.R, s.v, split)
-    gamma_C, _ = solve_and_det(ctx.g, b)
-    Lam = ctx.epsilon(range(split.m, split.n), gamma_C)
-    A = Lam - _phi_R_a(phi_vals, ctx.R, s.v, split)
-    return VakonomicSolution(gamma_C, A, Lam, section)
+def _solve_C(ctx, section, s, det_tol):
+    """(phi_a, solve_gamma_C) on an assembled state context, made once per
+    (section, det_tol): the nonholonomic system with the section's
+    phi_a R^a_alpha_beta v^beta added to its right side."""
+
+    def build():
+        split = ctx.split
+        phi_vals = section.values(s.q, s.v_alpha(split))
+        reg = ctx.regularity_report(det_tol)
+        if not reg.regular_D:
+            raise RegularityError("regular_D", reg.det_D)
+        if not reg.regular_Dperp:
+            raise RegularityError("regular_Dperp", reg.det_Dperp)
+        b = ctx.rhs + _phi_R_alpha(phi_vals, ctx.R, s.v, split)
+        gamma_C, _ = solve_and_det(ctx.g, b)
+        Lam = ctx.epsilon(range(split.m, split.n), gamma_C)
+        A = Lam - _phi_R_a(phi_vals, ctx.R, s.v, split)
+        return phi_vals, VakonomicSolution(gamma_C, A, Lam, section)
+
+    return ctx.memo(("C", section, det_tol), build)
 
 
 def _phi_rate(section, s, u, gamma, split):
@@ -266,12 +273,11 @@ def _phi_rate(section, s, u, gamma, split):
 def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     """Weak, strong and tangency defects of a section at a state.
 
-    Gamma, lambda and the vakonomic solve share one state context.
+    Gamma, lambda and the vakonomic solve come from the state's context.
     """
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
-    phi_vals = section.values(s.q, s.v_alpha(split))
-    sol = _solve_C(ctx, section, s, phi_vals, det_tol)
+    phi_vals, sol = _solve_C(ctx, section, s, det_tol)
     weak = _phi_R_alpha(phi_vals, ctx.R, s.v, split)
     phi_shift = _phi_R_a(phi_vals, ctx.R, s.v, split)
     strong = _phi_rate(section, s, ctx.u, ctx.gamma, split) + phi_shift - lam

@@ -414,7 +414,250 @@ def test_field_evaluation_runs_no_per_kernel_dispatch(carriage, monkeypatch):
     monkeypatch.setattr(exprlang, "_flat", forbidden)
     monkeypatch.setattr(Lagrangian, "taylor", forbidden)
     monkeypatch.setattr(FrameClass, "derivative", forbidden)
-    got_u, got_gamma = field.rate(s1)
+    # fresh copies, so the calls evaluate instead of reading the memo
+    got_u, got_gamma = field.rate(QuasiState(s1.q.copy(), s1.v.copy()))
     assert np.array_equal(got_u, want_rate[0])
     assert np.array_equal(got_gamma, want_rate[1])
-    assert np.array_equal(field.gamma(S), want_gamma)
+    assert np.array_equal(field.gamma(QuasiState(S.q.copy(), S.v.copy())),
+                          want_gamma)
+
+
+# -- one context per state ---------------------------------------------------
+
+
+def _fresh(s):
+    """A copy of s with an empty memo: the oracle of the memo tests."""
+    return QuasiState(s.q.copy(), s.v.copy())
+
+
+def _shifted(sysd, L, frame, split):
+    """A shifted momentum section: the built-in shifts where the system has
+    them, v1 for every constraint index otherwise."""
+    from framedyn.vakonomic import ShiftedMomentumSection
+
+    k = sysd.builtin_k or ["v1"] * split.n_constraints
+    return ShiftedMomentumSection(L, frame, split, k)
+
+
+def _state_calls(sysd, L, frame, split):
+    """name -> s -> list of arrays, for every public call that reads the
+    state context."""
+    from framedyn.chaplygin import gamma_k_residual, prop6_scalar
+    from framedyn.vakonomic import (consistency_report, gamma_bar_tangency,
+                                    solve_gamma_C)
+
+    field = NonholonomicField(L, frame, split)
+    section = _shifted(sysd, L, frame, split)
+    args = (L, frame, split)
+
+    def report(s):
+        r = consistency_report(*args, section, s)
+        return [r.weak_defect, r.strong_defect, r.tangency_defect]
+
+    def vakonomic(s):
+        r = solve_gamma_C(*args, section, s)
+        return [r.gamma_C, r.A, r.Lambda]
+
+    return {
+        "gamma": lambda s: [field.gamma(s)],
+        "multipliers": lambda s: [field.multipliers(s)],
+        "consistency_report": report,
+        "solve_gamma_C": vakonomic,
+        "prop6_scalar": lambda s: [prop6_scalar(*args, s)],
+        "gamma_bar_tangency": lambda s: [
+            gamma_bar_tangency(*args, section, s)],
+        "gamma_k_residual": lambda s: [np.array(gamma_k_residual(
+            *args, section, [s])["max_gamma_k"])],
+        "residual_fundamental": lambda s: [field.residual_fundamental(s)],
+        "residual_hamel": lambda s: [field.residual_hamel(s)],
+        "constrained_form_residual": lambda s: [
+            field.constrained_form_residual(s)],
+    }
+
+
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+@pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
+                         ids=[g[0] for g in GATE_SYSTEMS])
+def test_call_order_does_not_change_values(name, sysd, L, frame, split,
+                                           route):
+    # Every call on a state reads one memoised context, whatever ran there
+    # before; the oracle is the same call on a fresh copy.  This also pins
+    # that the leading rows of the context's D stay the same when the
+    # trailing rows a >= m are evaluated and D is replaced.
+    from framedyn import sample_states
+
+    calls = _state_calls(sysd, L, frame, split)
+    names = list(calls)
+    orders = [names, names[::-1],
+              [names[i] for i in np.random.default_rng(7).permutation(
+                  len(names))]]
+    S = sample_states(sysd, 40, seed=19)
+    states = [S] if route == "batched" else [
+        QuasiState(S.q[i], S.v[i]) for i in range(40)]
+    for s in states:
+        want = {key: fn(_fresh(s)) for key, fn in calls.items()}
+        for order in orders:
+            shared = _fresh(s)
+            for key in order:
+                got = calls[key](shared)
+                assert len(got) == len(want[key])
+                for g, w in zip(got, want[key]):
+                    assert _same(g, w), (name, route, key, order.index(key))
+
+
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+@pytest.mark.parametrize("edit", ["q_in_place", "v_in_place", "signed_zero",
+                                  "q_reassigned"])
+def test_edited_state_is_evaluated_again(carriage, edit, route):
+    # The memo is stamped with the bytes and shape of q and v: any edit
+    # after a call misses it, and the next call equals one on a fresh state.
+    field = carriage.field
+    q = np.array([[0.0, 0.3, -0.2, 0.5, 0.1], [0.4, -0.6, 0.2, 0.0, -0.3]])
+    v = np.array([[0.7, -1.1, 0.0, 0.0, 0.0], [0.2, 0.5, 0.0, 0.0, 0.0]])
+    s = QuasiState(q, v) if route == "batched" else QuasiState(q[0], v[0])
+    field.gamma(s)
+    before = field._context(s)
+    if edit == "q_in_place":
+        s.q[..., 1] += 0.5
+    elif edit == "v_in_place":
+        s.v[..., 0] += 0.5
+    elif edit == "signed_zero":
+        s.q[..., 0] = -s.q[..., 0] if route == "scalar" else [-0.0, 0.4]
+    else:
+        s.q = s.q + 0.25
+    got = [field.gamma(s), *field.rate(s), field.multipliers(s)]
+    assert field._context(s) is not before
+    fresh = _fresh(s)
+    want = [field.gamma(fresh), *field.rate(fresh), field.multipliers(fresh)]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes(), edit
+
+
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+def test_results_do_not_alias_the_memo(carriage, route):
+    # Mutating what a call returned leaves every later call unchanged.
+    calls = _state_calls(carriage.sysd, carriage.L, carriage.frame,
+                         carriage.split)
+    field = carriage.field
+    calls["rate"] = lambda s: list(field.rate(s))
+    calls["solve_report"] = lambda s: [field.solve_report(s)["gamma"]]
+    S = carriage.states(6, seed=29)
+    s = S if route == "batched" else QuasiState(S.q[0], S.v[0])
+    want = {key: [a.copy() for a in fn(s)] for key, fn in calls.items()}
+    for fn in calls.values():
+        for a in fn(s):
+            a += 1.0
+    for key, fn in calls.items():
+        for g, w in zip(fn(s), want[key]):
+            assert g.tobytes() == w.tobytes(), key
+    assert len(vars(s)["_contexts"]) == 1
+
+
+def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
+    # The calls of one benchmark sweep op on one batched state run the field
+    # function once, build R once, and the vakonomic solve once.
+    import framedyn.frames as frames
+    import framedyn.nonholonomic as nonholonomic
+    import framedyn.vakonomic as vakonomic
+    from framedyn.chaplygin import gamma_k_residual, prop6_scalar
+    from framedyn.vakonomic import consistency_report, solve_gamma_C
+
+    counts = dict.fromkeys(("field", "R", "vakonomic"), 0)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    field_function = nonholonomic._field_function
+    monkeypatch.setattr(nonholonomic, "_field_function",
+                        lambda *a: counted("field", field_function(*a)))
+    build_R = counted("R", frames.structure_from_matrix)
+    for module in (frames, nonholonomic):
+        monkeypatch.setattr(module, "structure_from_matrix", build_R)
+    monkeypatch.setattr(vakonomic, "solve_and_det",
+                        counted("vakonomic", vakonomic.solve_and_det))
+    L, F, split = carriage.L, carriage.frame, carriage.split
+    section = _shifted(carriage.sysd, L, F, split)
+    field = NonholonomicField(L, F, split)  # its field function is counted
+    s = carriage.states(50, seed=31)
+    gamma = field.gamma(s)
+    field.multipliers(s)
+    consistency_report(L, F, split, section, s)
+    solve_gamma_C(L, F, split, section, s)
+    assert counts["vakonomic"] == 1
+    prop6_scalar(L, F, split, s)
+    gamma_k_residual(L, F, split, section, [s])
+    for oracle in ("residual_fundamental", "residual_hamel",
+                   "constrained_form_residual"):
+        getattr(field, oracle)(s, gamma=gamma)
+    assert counts == {"field": 1, "R": 1, "vakonomic": 1}
+
+
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in det:RuntimeWarning")
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+def test_memo_keeps_error_semantics(route):
+    from framedyn.frames import SingularFrameError
+    from framedyn.vakonomic import MomentumSection, solve_gamma_C
+
+    cases = {c[0]: c[1:] for c in ERROR_CASES}
+
+    def state(q, v):
+        return QuasiState(q, v) if route == "batched" else QuasiState(q[0],
+                                                                      v[0])
+
+    # a singular frame is never memoised: every call raises the same error
+    L, frame, split, q, v = cases["singular_frame"]
+    field = NonholonomicField(L, frame, split)
+    s = state(q, v)
+    errors = [_raised(lambda: call(s)) for call in (
+        field.gamma, field.gamma, field.rate, field.multipliers)]
+    assert all(type(e) is SingularFrameError for e in errors)
+    assert len({str(e) for e in errors}) == 1
+    assert not vars(s).get("_contexts")
+    # a singular g_D raises regular_D with the same det at every call
+    L, frame, split, q, v = cases["singular_g_D"]
+    field = NonholonomicField(L, frame, split)
+    s = state(q, v)
+    first, second = (_raised(lambda: field.gamma(s)) for _ in range(2))
+    for e in (first, second):
+        assert type(e) is RegularityError and e.condition == "regular_D"
+    assert str(first) == str(second)
+    assert np.array_equal(first.det, second.det)
+    # det g_D = 3e-11: the state passes at det_tol = 1e-12 and fails at the
+    # default 1e-10, in either order, on the field and the vakonomic solve
+    loose = NonholonomicField(L, frame, split, det_tol=1e-12)
+    section = MomentumSection(L, frame, split)
+    for tight_first in (False, True):
+        s = state(q, v)
+        tight_calls = [lambda: field.gamma(s),
+                       lambda: solve_gamma_C(L, frame, split, section, s)]
+        loose_calls = [lambda: loose.gamma(s),
+                       lambda: solve_gamma_C(L, frame, split, section, s,
+                                             det_tol=1e-12).gamma_C]
+        for _ in range(2):
+            if tight_first:
+                for call in tight_calls:
+                    assert type(_raised(call)) is RegularityError
+            got = [call() for call in loose_calls]
+            fresh = _fresh(s)
+            want = [loose.gamma(fresh), solve_gamma_C(
+                L, frame, split, section, fresh, det_tol=1e-12).gamma_C]
+            for g, w in zip(got, want):
+                assert _same(g, w)
+            for call in tight_calls:
+                assert type(_raised(call)) is RegularityError
+
+
+def test_copies_and_pickles_start_without_contexts(carriage):
+    import copy
+    import pickle
+
+    s = carriage.states(3, seed=37)
+    want = carriage.field.gamma(s)
+    for other in (copy.copy(s), copy.deepcopy(s),
+                  pickle.loads(pickle.dumps(s))):
+        assert "_contexts" not in vars(other)
+        assert np.array_equal(carriage.field.gamma(other), want)
