@@ -12,6 +12,7 @@ configurations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -396,9 +397,14 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of main, built once per process on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     if args.command == "systems" and args.action == "show" and not args.name:
         print("systems show requires a name", file=sys.stderr)
         return 2

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import types
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -413,25 +413,17 @@ _MATH_GLOBALS = {f"_{name}": getattr(math, name) for name in FUNCTION_NAMES}
 _NUMPY_GLOBALS = {f"_{name}": _either(name) for name in FUNCTION_NAMES}
 
 
-class _Codegen:
-    """Emit straight-line Python for the Taylor propagation of expressions.
+class Tape:
+    """The body of one generated function: temporaries, each assigned once,
+    numbered by source text.  A temporary whose text was emitted before
+    reuses the earlier name (every primitive is pure, so equal text over
+    names assigned once means an equal float).  Many kernel bodies can be
+    inlined on one tape (inline), so a line that several of them need is
+    emitted once."""
 
-    Slots are represented as source strings, with None marking a structural
-    zero (dropped from emitted arithmetic).  Subtrees whose structure
-    indices (see _structure) are in `shared` are bound to temporaries once
-    and reused through `memo`; a
-    temporary whose source text was emitted before reuses the earlier one
-    (each temporary is assigned once and every primitive is pure, so equal
-    text means an equal float).
-    """
-
-    def __init__(self, k, nslots, shared=frozenset()):
-        self.k = k
-        self.nslots = nslots
+    def __init__(self):
         self.lines = []
         self.names = {}
-        self.shared = shared
-        self.memo = {}
 
     def temp(self, src):
         name = self.names.get(src)
@@ -439,6 +431,46 @@ class _Codegen:
             name = self.names[src] = f"t{len(self.names)}"
             self.lines.append(f"    {name} = {src}")
         return name
+
+    def inline(self, body, leaves):
+        """Copy a kernel body (see kernel_body) onto the tape, each leaf
+        name (v[i], d{d}[i], p[j]) replaced by the source text leaves maps
+        it to; returns the body's slot texts, renamed alike.  A line whose
+        text reduces to a name is not emitted: that name stands for it."""
+        lines, slots = body
+        names = dict(leaves)
+
+        def rename(match):
+            return names[match.group()]
+
+        for line in lines:
+            name, src = line[4:].split(" = ", 1)
+            src = _NAME.sub(rename, src)
+            names[name] = src if src.isidentifier() else self.temp(src)
+        return [None if s is None else names[s] for s in slots]
+
+
+# The names in a kernel body: its temporaries and its leaves.
+_NAME = re.compile(r"\b(?:t\d+|[vp]\[\d+\]|d\d+\[\d+\])")
+
+
+class _Codegen:
+    """Emit straight-line Python for the Taylor propagation of expressions
+    onto a Tape.
+
+    Slots are represented as source strings, with None marking a structural
+    zero (dropped from emitted arithmetic).  Subtrees whose structure
+    indices (see _structure) are in `shared` are bound to temporaries once
+    and reused through `memo`.
+    """
+
+    def __init__(self, k, nslots, shared=frozenset()):
+        self.k = k
+        self.nslots = nslots
+        self.tape = Tape()
+        self.temp = self.tape.temp
+        self.shared = shared
+        self.memo = {}
 
     def bind(self, slots):
         return [s if (s is None or s.isidentifier()) else self.temp(s)
@@ -667,9 +699,20 @@ def _emit(gen, root, ids, leaf_slots):
 
 
 # Compiled kernels by structure: (table, roots, var_names, param_names, k)
-# -> function.  Parameter values are call arguments, so systems that differ
-# only in parameter values share their kernels.
+# -> function, and the generated functions built from many kernels (such as
+# the nonholonomic field) under keys of their own.  Parameter values are
+# call arguments, so systems that differ only in parameter values share
+# their kernels.
 _KERNELS = {}
+
+
+def cached_kernel(key, build):
+    """The generated function under key in the module cache, made by
+    build() on first use."""
+    fn = _KERNELS.get(key)
+    if fn is None:
+        fn = _KERNELS[key] = build()
+    return fn
 
 
 def compile_taylor(exprs, var_names, param_names, k, structure=None):
@@ -690,14 +733,11 @@ def compile_taylor(exprs, var_names, param_names, k, structure=None):
     """
     if isinstance(exprs, Expr):
         exprs = (exprs,)
-    var_names, param_names = tuple(var_names), tuple(param_names)
-    table, roots, ids = structure or _structure(exprs)
-    key = (table, roots, var_names, param_names, k)
-    fn = _KERNELS.get(key)
-    if fn is None:
-        fn = _KERNELS[key] = _generate(
-            exprs, ids, _shared(table, roots), var_names, param_names, k)
-    return fn
+    kernels = Kernels(exprs, var_names, param_names, structure)
+    table, roots, _ = kernels.structure
+    return cached_kernel(
+        (table, roots, kernels.var_names, kernels.param_names, k),
+        lambda: _generate(kernels, k))
 
 
 class Kernels:
@@ -707,33 +747,66 @@ class Kernels:
     prefix of the full one (each root is entered after its subtree), so
     every kernel reuses it and keys as compile_taylor would."""
 
-    def __init__(self, exprs, var_names, param_names):
+    def __init__(self, exprs, var_names, param_names, structure=None):
         self.exprs = tuple(exprs)
         self.var_names = tuple(var_names)
         self.param_names = tuple(param_names)
+        self._structure = structure
         self._kernels = {}
 
-    @cached_property
+    @property
     def structure(self):
-        return _structure(self.exprs)
+        if self._structure is None:
+            self._structure = _structure(self.exprs)
+        return self._structure
+
+    def prefix(self, count):
+        """The structure of the leading `count` expressions."""
+        table, roots, ids = self.structure
+        roots = roots[:count]
+        return table[:max(roots, default=-1) + 1], roots, ids
 
     def __call__(self, k, count=None):
         count = len(self.exprs) if count is None else count
         fn = self._kernels.get((k, count))
         if fn is None:
-            table, roots, ids = self.structure
-            roots = roots[:count]
             fn = self._kernels[k, count] = compile_taylor(
                 self.exprs[:count], self.var_names, self.param_names, k,
-                (table[:max(roots, default=-1) + 1], roots, ids))
+                self.prefix(count))
         return fn
 
 
-def _generate(exprs, ids, shared, var_names, param_names, k):
-    var_index = {name: i for i, name in enumerate(var_names)}
-    param_index = {name: i for i, name in enumerate(param_names)}
+def bind_source(source, name, filename, scalar=None, batched=None):
+    """Compile source once and bind its function `name` twice: to the math
+    module (the returned function) and, as its `batched` attribute, to
+    numpy (see _either).  scalar and batched add globals to each binding."""
+    namespace = {**_MATH_GLOBALS, **(scalar or {})}
+    exec(compile(source, filename, "exec"), namespace)
+    fn = namespace[name]
+    fn.__source__ = source
+    fn.batched = types.FunctionType(fn.__code__,
+                                    {**_NUMPY_GLOBALS, **(batched or {})})
+    return fn
+
+
+def kernel_body(kernels, k, count=None):
+    """(lines, slots): the body of the generated kernel of the first
+    `count` expressions of kernels (a Kernels) along k directions, over the
+    leaf names v[i], d{d}[i] and p[j], and the bound text of its 2**k slots
+    per expression, None marking a structural zero.  Made once per
+    structure, names and k, in the module cache."""
+    count = len(kernels.exprs) if count is None else count
+    table, roots, _ = kernels.prefix(count)
+    key = ("body", table, roots, kernels.var_names, kernels.param_names, k)
+    return cached_kernel(key, lambda: _emit_body(kernels, k, count))
+
+
+def _emit_body(kernels, k, count):
+    table, roots, ids = kernels.prefix(count)
+    var_index = {name: i for i, name in enumerate(kernels.var_names)}
+    param_index = {name: i for i, name in enumerate(kernels.param_names)}
     nslots = 1 << k
-    gen = _Codegen(k, nslots, shared)
+    gen = _Codegen(k, nslots, _shared(table, roots))
 
     def leaf_slots(name):
         if name in var_index:
@@ -750,18 +823,18 @@ def _generate(exprs, ids, shared, var_names, param_names, k):
             return out
         raise UnboundNameError(f"unbound name {name!r}")
 
-    result = [s for e in exprs
-              for s in gen.bind(_emit(gen, e, ids, leaf_slots))]
+    slots = [s for e in kernels.exprs[:count]
+             for s in gen.bind(_emit(gen, e, ids, leaf_slots))]
+    return tuple(gen.tape.lines), tuple(slots)
+
+
+def _generate(kernels, k):
+    lines, slots = kernel_body(kernels, k)
     dirs = ", ".join(f"d{d}" for d in range(k))
     header = f"def _f(v, p{', ' + dirs if dirs else ''}):"
-    ret = ", ".join("0.0" if s is None else s for s in result)
-    source = "\n".join([header] + gen.lines + [f"    return ({ret},)"])
-    namespace = dict(_MATH_GLOBALS)
-    exec(compile(source, f"<taylor k={k}>", "exec"), namespace)
-    fn = namespace["_f"]
-    fn.__source__ = source
-    fn.batched = types.FunctionType(fn.__code__, dict(_NUMPY_GLOBALS))
-    return fn
+    ret = ", ".join("0.0" if s is None else s for s in slots)
+    source = "\n".join([header, *lines, f"    return ({ret},)"])
+    return bind_source(source, "_f", f"<taylor k={k}>")
 
 
 _DOMAIN_FAULTS = (ZeroDivisionError, FloatingPointError, ValueError,

@@ -1,64 +1,106 @@
 """Dense linear solves for the small systems that arise at each state.
 
 Scalar points go through a pure-Python Gaussian elimination with partial
-pivoting (matrices here are at most a handful of rows); batched points are
-delegated to numpy.linalg, whose LAPACK backend performs the same
-partial-pivot LU factorisation.
+pivoting, unrolled for each size (matrices here are at most a handful of
+rows); batched points are delegated to numpy.linalg, whose LAPACK backend
+performs the same partial-pivot LU factorisation.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-__all__ = ["det_pp", "min_abs", "solve_and_det", "cond_estimate"]
+__all__ = ["det_pp", "min_abs", "solve_and_det", "cond_estimate",
+           "unrolled"]
 
 
-def _solve_scalar(a, x):
-    """Partial-pivot elimination on nested lists of floats, which it
-    overwrites; returns (x, det)."""
-    n = len(x)
-    det = 1.0
+@cache
+def unrolled(n, solve=True):
+    """Partial-pivot elimination of an n x n system, unrolled on local
+    names.  Column by column, the pivot is the first row of largest
+    |a[r][k]|; a zero pivot stops it.  Each lower row r gets the multiplier
+    f = a[r][k] * (1.0 / a[k][k]) and, unless f is 0.0, the update
+    a[r][c] -= f * a[k][c], c > k, and x[r] -= f * x[k].  Back substitution
+    subtracts a[k][c] * x[c] in increasing c, then divides by a[k][k];
+    det is the signed product of the pivots.
+
+    With solve, f(a, b) -> (x, det) for the row-major entries a of A and the
+    right side b; x is a tuple, or None with det 0.0 at a zero pivot.
+    Without, f(a) -> det alone, 0.0 at a zero pivot, and the updates are
+    made for a zero multiplier too, so a NaN entry anywhere in A makes the
+    det NaN (or a pivot zero)."""
+    a = [[f"a{r}_{c}" for c in range(n)] for r in range(n)]
+    x = [f"x{r}" for r in range(n)]
+    lines = [f"def _f(a{', b' if solve else ''}):"]
+    if n:
+        lines.append(f"    {', '.join(e for row in a for e in row)}, = a")
+        if solve:
+            lines.append(f"    {', '.join(x)}, = b")
+    lines.append("    det = 1.0")
+
+    def swap(k, p, indent):
+        cols = range(k, n)
+        lhs = [a[k][c] for c in cols] + [a[p][c] for c in cols]
+        rhs = [a[p][c] for c in cols] + [a[k][c] for c in cols]
+        if solve:
+            lhs, rhs = lhs + [x[k], x[p]], rhs + [x[p], x[k]]
+        lines.append(f"{indent}{', '.join(lhs + ['det'])} = "
+                     f"{', '.join(rhs + ['-det'])}")
+
     for k in range(n):
-        p = k  # the first row of largest |a[r][k]|, as max() picks it
+        if n - k == 2:
+            lines.append(f"    if abs({a[k + 1][k]}) > abs({a[k][k]}):")
+            swap(k, k + 1, " " * 8)
+        elif n - k > 2:
+            # the first row of largest |a[r][k]|, as max() picks it
+            lines += [f"    c{k} = abs({a[k][k]})", f"    p{k} = {k}"]
+            for r in range(k + 1, n):
+                lines += [f"    z{k}_{r} = abs({a[r][k]})",
+                          f"    if z{k}_{r} > c{k}:",
+                          f"        c{k}, p{k} = z{k}_{r}, {r}"]
+            for r in range(k + 1, n):
+                lines.append(f"    {'if' if r == k + 1 else 'elif'} "
+                             f"p{k} == {r}:")
+                swap(k, r, " " * 8)
+        lines += [f"    if {a[k][k]} == 0.0:",
+                  f"        return {'None, 0.0' if solve else '0.0'}",
+                  f"    det = det * {a[k][k]}"]
+        if k < n - 1:
+            lines.append(f"    i{k} = 1.0 / {a[k][k]}")
         for r in range(k + 1, n):
-            if abs(a[r][k]) > abs(a[p][k]):
-                p = r
-        if a[p][k] == 0.0:
-            return None, 0.0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            x[k], x[p] = x[p], x[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1.0 / a[k][k]
-        for r in range(k + 1, n):
-            f = a[r][k] * inv
-            if f != 0.0:
-                for c in range(k + 1, n):
-                    a[r][c] -= f * a[k][c]
-                x[r] -= f * x[k]
-    for k in range(n - 1, -1, -1):
-        s = x[k]
-        for c in range(k + 1, n):
-            s -= a[k][c] * x[c]
-        x[k] = s / a[k][k]
-    return x, det
+            lines.append(f"    f{r}_{k} = {a[r][k]} * i{k}")
+            if solve:
+                lines.append(f"    if f{r}_{k} != 0.0:")
+            indent = " " * (8 if solve else 4)
+            lines += [f"{indent}{a[r][c]} = {a[r][c]} - f{r}_{k} * {a[k][c]}"
+                      for c in range(k + 1, n)]
+            if solve:
+                lines.append(f"        {x[r]} = {x[r]} - f{r}_{k} * {x[k]}")
+    if solve:
+        for k in range(n - 1, -1, -1):
+            s = x[k]
+            for c in range(k + 1, n):
+                s = f"({s} - {a[k][c]} * {x[c]})"
+            lines.append(f"    {x[k]} = {s} / {a[k][k]}")
+        lines.append(f"    return ({''.join(f'{e}, ' for e in x)}), det")
+    else:
+        lines.append("    return det")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<unrolled n={n}>", "exec"), namespace)
+    return namespace["_f"]
 
 
 def solve_and_det(A, b):
-    """Solve A x = b, also returning det(A).  Scalar or batched; a scalar
-    system given as nested lists of floats is solved in place."""
-    if not isinstance(A, list):
-        A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-        if A.ndim > 2:
-            if A.shape[-1] == 0:
-                return np.zeros(b.shape), np.ones(A.shape[0])
-            return np.linalg.solve(A, b[..., None])[..., 0], np.linalg.det(A)
-        A, b = A.tolist(), b.tolist()
-    x, det = _solve_scalar(A, b)
-    if x is None:
-        return None, 0.0
-    return np.array(x), det
+    """Solve A x = b, also returning det(A), scalar or batched."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim > 2:
+        if A.shape[-1] == 0:
+            return np.zeros(b.shape), np.ones(A.shape[:-2])
+        return np.linalg.solve(A, b[..., None])[..., 0], np.linalg.det(A)
+    x, det = unrolled(len(b))(A.ravel().tolist(), b.tolist())
+    return None if x is None else np.array(x), det
 
 
 def min_abs(x):
@@ -69,7 +111,7 @@ def min_abs(x):
 def det_pp(A):
     A = np.asarray(A, dtype=float)
     if A.shape[-1] == 0:
-        return 1.0 if A.ndim == 2 else np.ones(A.shape[0])
+        return 1.0 if A.ndim == 2 else np.ones(A.shape[:-2])
     return np.linalg.det(A)
 
 

@@ -17,16 +17,18 @@ form, whose right-hand side couples the momenta to the structure functions.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .exprlang import _gathered, _guarded, run_compiled
-from .frames import (ON_C_TOL, TangentPoint, base_velocity,
+from .exprlang import (Tape, _gathered, _guarded, bind_source,
+                       cached_kernel, kernel_body, run_compiled)
+from .frames import (FRAME_DET_TOL, ON_C_TOL, TangentPoint, base_velocity,
                      structure_from_matrix)
 from .lagrangian import (clift_at, dvlift_at, hessian_regularity,
                          hessian_rows, vlift_at)
-from .linsolve import cond_estimate, min_abs, solve_and_det
+from .linsolve import cond_estimate, min_abs, solve_and_det, unrolled
 from .quasichart import QvChartPoint
 
 __all__ = ["RegularityError", "NonholonomicField"]
@@ -43,65 +45,130 @@ class RegularityError(Exception):
         self.det = det
 
 
-def _field_function(L, frame, split):
-    """s -> (M, u, D, h, g_D, rhs) at a state on C, one Python function over
-    the compiled kernels of (L, frame, split) (docs/state_context.md): their
-    math binding on float lists at a scalar state, their numpy binding on
-    per-coordinate columns at a batched one.  M is the checked array; the
-    rest are flat row-major lists of floats, or arrays of the batch shape
-    on a trailing axis.  The sums are the per-call route's, in its order."""
+# A scalar frame check passes on the unrolled det (linsolve.unrolled) when
+# it is finite and above this bound; otherwise Frame.check_matrix decides,
+# on LAPACK's det, as everywhere else.  The margin over FRAME_DET_TOL covers
+# any rounding difference between the two eliminations.
+FAST_FRAME_DET = FRAME_DET_TOL * 2.0 ** 20
+
+
+def _field_source(L, frame, split):
+    """The one generated function of the field of (L, frame, split)
+    (docs/state_context.md): f(q, v, fp, lp, check) -> (M, u, D, h, g_D,
+    rhs, solution), each piece a flat row-major sequence.  Every kernel is
+    inlined on one Tape, so a line that several of them need is emitted
+    once; the sums are the piecewise assembly's, in its order.  Shared by
+    every (L, frame, split) of the same structure."""
     n, m = split.n, split.m
-    kernels = (frame._kernel(0, n), frame._kernel(1, m), L.fn.kernel(1),
-               L.fn.kernel(2))
+    fk, lk = frame._kernels, L.fn.kernel
+    key = ("field", lk.structure[:2], lk.var_names, lk.param_names,
+           fk.structure[:2], fk.var_names, fk.param_names, m)
+    return cached_kernel(key, lambda: _generate_field(fk, lk, n, m))
+
+
+def _generate_field(fk, lk, n, m):
+    tape = Tape()
+    temp = tape.temp
+    q = [f"q{i}" for i in range(n)]
+
+    def text(slot):
+        return "0.0" if slot is None else slot
+
+    def inline(kernels, k, values, dirs, params, count=None):
+        """Slot texts of a kernel of kernels inlined at the given leaves."""
+        leaves = {f"p[{j}]": f"{params}[{j}]"
+                  for j in range(len(kernels.param_names))}
+        for i, x in enumerate(values):
+            leaves[f"v[{i}]"] = x
+            for d, w in enumerate(dirs):
+                leaves[f"d{d}[{i}]"] = w[i]
+        return tape.inline(kernel_body(kernels, k, count), leaves)
+
+    def lagrangian(k, *dirs):
+        """The top slot of L's jet at (q, u) along k directions, each a
+        (dq, du) pair."""
+        return text(inline(lk, k, q + u, [dq + du for dq, du in dirs],
+                           "lp")[(1 << k) - 1])
+
+    X = [text(s) for s in inline(fk, 0, q, [], "fp")]
+    frame_lines = len(tape.lines)  # the frame check follows them
+    rows = [X[a * n:(a + 1) * n] for a in range(m)]
+    u = h = ["0.0"] * n
+    for a in range(m):
+        u = [temp(f"{x} + v{a}*{y}") for x, y in zip(u, rows[a])]
+    D = [text(s) for s in inline(fk, 1, q, [u], "fp", m * n)[1::2]]
+    D = [D[a * n:(a + 1) * n] for a in range(m)]
+    for a in range(m):
+        h = [temp(f"{x} + v{a}*{y}") for x, y in zip(h, D[a])]
+    zq = ["0.0"] * n
+    g = [None] * (m * m)
+    for a in range(m):
+        for b in range(a, m):
+            g[a * m + b] = g[b * m + a] = lagrangian(2, (zq, rows[a]),
+                                                     (zq, rows[b]))
+    rhs = [temp(f"{lagrangian(1, (rows[a], D[a]))} - "
+                f"({lagrangian(2, (zq, rows[a]), (u, h))} + "
+                f"{lagrangian(1, (zq, D[a]))})") for a in range(m)]
+    pieces = ", ".join(f"({', '.join(p)},)" for p in (u, sum(D, []), h))
+    source = "\n".join(
+        ["def _field(q, v, fp, lp, check):",
+         f"    {', '.join(q)}, = q",
+         f"    {', '.join(f'v{a}' for a in range(m))}, = v[:{m}]"]
+        + tape.lines[:frame_lines]
+        + [f"    M = ({', '.join(X)},)",
+           "    if _scalar:",
+           "        if not _fast_det < abs(_det(M)) < _inf:",
+           "            check(M)",
+           "    else:",
+           "        M = check(M)"]
+        + tape.lines[frame_lines:]
+        + [f"    g, rhs = ({', '.join(g)},), ({', '.join(rhs)},)",
+           "    if _scalar:",
+           f"        return M, {pieces}, g, rhs, _solve(g, rhs)",
+           f"    return M, {pieces}, g, rhs, None"])
+    return bind_source(
+        source, "_field", f"<field n={n} m={m}>",
+        scalar={"_scalar": True, "_det": unrolled(n, solve=False),
+                "_solve": unrolled(m), "_fast_det": FAST_FRAME_DET,
+                "_inf": math.inf},
+        batched={"_scalar": False})
+
+
+def _field_function(L, frame, split):
+    """s -> (M, u, D, h, g_D, rhs, solution) at a state on C, from one call
+    of the generated field function (_field_source): its math binding on
+    float lists at a scalar state, where the pieces are tuples
+    and solution is (Gamma, det) of g_D Gamma = rhs or (None, 0.0); its
+    numpy binding on per-coordinate columns at a batched one, where M is
+    the checked array, the rest arrays of the batch shape on a trailing
+    axis, and solution None."""
+    n, m = split.n, split.m
+    kernel = _field_source(L, frame, split)
     fp, lp = frame._pvals, L._pvals
-    zq = (0.0,) * n
 
-    def checked(M):
-        frame.check_matrix(M)
-        return M
-
-    def assemble(q, v, matrix, mat, dmat, jet1, jet2):
-        X = mat(q, fp)
-        M = matrix(X)
-        rows = [X[i * n:(i + 1) * n] for i in range(m)]
-        u = h = [0.0] * n
-        for a in range(m):
-            u = [x + v[a] * y for x, y in zip(u, rows[a])]
-        DX = dmat(q, fp, u)[1::2]
-        D = [DX[a * n:(a + 1) * n] for a in range(m)]
-        for a in range(m):
-            h = [x + v[a] * y for x, y in zip(h, D[a])]
-        qu = q + u
-        g = [0.0] * (m * m)
-        for a in range(m):
-            for b in range(a, m):
-                g[a * m + b] = g[b * m + a] = jet2(qu, lp, zq + rows[a],
-                                                   zq + rows[b])[3]
-        rhs = [jet1(qu, lp, rows[a] + D[a])[1]
-               - (jet2(qu, lp, zq + rows[a], u + h)[3]
-                  + jet1(qu, lp, zq + D[a])[1]) for a in range(m)]
-        return M, u, DX, h, g, rhs
+    def scalar_check(M):
+        frame.check_matrix(np.array(M).reshape(n, n))
 
     def function(s):
         if s.q.ndim == 1:
             q, v = s.q.tolist(), s.v.tolist()
             if not all(abs(x) <= ON_C_TOL for x in v[m:]):
                 s.require_on_C(split)
-            return run_compiled(
-                assemble, q, v, lambda X: checked(np.array(X).reshape(n, n)),
-                *kernels)
+            return run_compiled(kernel, q, v, fp, lp, scalar_check)
         s.require_on_C(split)
         shape = s.q.shape[:-1]
         errors = np.geterr()  # the frame check keeps the caller's settings
 
-        def matrix(X):
+        def check(X):
             with np.errstate(**errors):
-                return checked(_gathered(X, shape).reshape(shape + (n, n)))
+                M = _gathered(X, shape).reshape(shape + (n, n))
+                frame.check_matrix(M)
+                return M
 
-        M, *parts = _guarded(assemble, [s.q[..., i] for i in range(n)],
-                             [s.v[..., a] for a in range(m)], matrix,
-                             *(fn.batched for fn in kernels))
-        return [M] + [_gathered(part, shape) for part in parts]
+        M, *parts, _ = _guarded(
+            kernel.batched, [s.q[..., i] for i in range(n)],
+            [s.v[..., a] for a in range(m)], fp, lp, check)
+        return [M] + [_gathered(part, shape) for part in parts] + [None]
 
     return function
 
@@ -115,8 +182,9 @@ class StateContext:
     complete lifts and the moving-direction correction of the vertical
     lifts; and the system g_D Gamma = rhs with
     rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)), all from one call of the
-    field function (D, h, g and rhs become arrays on first use).  gamma is
-    set once the system is solved.  The lazy quantities use the lift
+    field function (M, D, h, g and rhs become arrays on first use), which
+    at a scalar state also solves the system.  gamma is set once the system
+    is solved.  The lazy quantities use the lift
     formulas of lagrangian.py, applied to the rows held here.  A context
     lives as long as its state (NonholonomicField._context), so what it
     makes (memo) serves every later call there.
@@ -127,20 +195,26 @@ class StateContext:
         self.frame = field.frame
         self.split = field.split
         self.q = s.q
-        self.M, u, *self._parts = field._function(s)
-        self.u = np.asarray(u)
+        *self._parts, solution = field._function(s)
+        self.u = np.asarray(self._parts[1])
         self._memo = {}
+        if solution is not None:  # solved on the scalar route
+            gamma, det = solution
+            self._memo["gamma"] = (None if gamma is None else np.array(gamma),
+                                   det)
         self.gamma = None
 
     def _array(self, i, *dims):
         return np.asarray(self._parts[i]).reshape(self.q.shape[:-1] + dims)
 
-    D = cached_property(lambda self: self._array(0, self.split.m,
+    M = cached_property(lambda self: self._array(0, self.split.n,
                                                  self.split.n))
-    h = cached_property(lambda self: self._array(1, self.split.n))
-    g = cached_property(lambda self: self._array(2, self.split.m,
+    D = cached_property(lambda self: self._array(2, self.split.m,
+                                                 self.split.n))
+    h = cached_property(lambda self: self._array(3, self.split.n))
+    g = cached_property(lambda self: self._array(4, self.split.m,
                                                  self.split.m))
-    rhs = cached_property(lambda self: self._array(3, self.split.m))
+    rhs = cached_property(lambda self: self._array(5, self.split.m))
 
     def memo(self, key, build):
         """build(), made once per key while the context lives."""
@@ -149,24 +223,15 @@ class StateContext:
         return self._memo[key]
 
     def solve(self, det_tol):
-        """Set gamma from g_D Gamma = rhs, solved once; raises at every call
-        with |det g_D| <= det_tol."""
-        gamma, det = self.memo("gamma", self._solve_D)
+        """Set gamma from g_D Gamma = rhs, solved once (by the field
+        function at a scalar state, by LAPACK at a batched one); raises at
+        every call with |det g_D| <= det_tol."""
+        gamma, det = self.memo("gamma", lambda: solve_and_det(self.g,
+                                                              self.rhs))
         if gamma is None or not min_abs(det) > det_tol:
             raise RegularityError("regular_D", det)
         self.gamma = gamma
         return self
-
-    def _solve_D(self):
-        """(Gamma, det g_D); at a scalar state on new row lists, which the
-        solve overwrites."""
-        m = self.split.m
-        g, rhs = self._parts[2:]
-        if isinstance(g, list):
-            g, rhs = [g[a * m:(a + 1) * m] for a in range(m)], rhs[:]
-        else:
-            g, rhs = self.g, self.rhs
-        return solve_and_det(g, rhs)
 
     @property
     def p(self):

@@ -315,3 +315,36 @@ class StateContextReference:
                for a in range(self.split.m, self.split.n)]
         return (np.stack(out, axis=-1) if out
                 else np.zeros(self.q.shape[:-1] + (0,)))
+
+
+def solve_scalar_reference(a, x):
+    """Partial-pivot elimination as a loop on nested lists of floats, which
+    it overwrites; returns (x, det), or (None, 0.0) at a zero pivot.  The
+    unrolled solver of framedyn.linsolve must give the same floats."""
+    n = len(x)
+    det = 1.0
+    for k in range(n):
+        p = k  # the first row of largest |a[r][k]|, as max() picks it
+        for r in range(k + 1, n):
+            if abs(a[r][k]) > abs(a[p][k]):
+                p = r
+        if a[p][k] == 0.0:
+            return None, 0.0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            x[k], x[p] = x[p], x[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1.0 / a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] * inv
+            if f != 0.0:
+                for c in range(k + 1, n):
+                    a[r][c] -= f * a[k][c]
+                x[r] -= f * x[k]
+    for k in range(n - 1, -1, -1):
+        s = x[k]
+        for c in range(k + 1, n):
+            s -= a[k][c] * x[c]
+        x[k] = s / a[k][k]
+    return x, det

@@ -160,6 +160,30 @@ class TestConsistencyCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_main_builds_one_parser_per_process(self, capsys, tmp_path,
+                                                monkeypatch):
+        import framedyn.cli as cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        argv = ["consistency", "--system", "carriage", "--section",
+                "momentum", "--samples", "20"]
+        run(capsys, *argv, "--out", str(a))
+        # other options in between must not carry over
+        code, _, _ = run(capsys, "consistency", "--system", "carriage",
+                         "--section", "zero", "--samples", "5", "--seed", "3",
+                         "--set", "l=0.0", "--out", str(tmp_path / "c.json"))
+        assert code == 0
+        run(capsys, *argv, "--out", str(b))
+        assert a.read_bytes() == b.read_bytes()
+        assert len(built) == 1
+        assert real() is not real()
+
+
 class TestCustomSystems:
     def _write_def(self, tmp_path, **overrides):
         doc = {

@@ -237,3 +237,20 @@ def test_batched_matches_scalar(carriage, rng):
         pi = TangentPoint(q[i], u[i])
         assert np.allclose(g[i], hessian(L, F, pi), atol=1e-13)
         assert E[i] == pytest.approx(energy(L, F, pi), abs=1e-12)
+
+
+def test_empty_block_determinants_have_the_batch_shape(rng):
+    # An unconstrained system (m = n) has 0 x 0 trailing blocks; their
+    # determinants are ones of the batch shape, for any number of batch axes.
+    from framedyn.linsolve import det_pp, solve_and_det
+
+    coords, vels = ["q1", "q2"], ["u1", "u2"]
+    F = Frame([["1", "0"], ["0", "1"]], coords)
+    L = Lagrangian("(u1*u1 + u2*u2)/2 + q1*u2", coords, vels)
+    q, u = rng.normal(size=(2, 3, 2)), rng.normal(size=(2, 3, 2))
+    rep = regularity(L, F, ConstraintSplit(2, 2), TangentPoint(q, u))
+    for det in (rep.det_D, rep.det_g, rep.det_Dperp):
+        assert np.shape(det) == (2, 3)
+    assert det_pp(np.zeros((2, 3, 0, 0))).shape == (2, 3)
+    x, det = solve_and_det(np.zeros((2, 3, 0, 0)), np.zeros((2, 3, 0)))
+    assert x.shape == (2, 3, 0) and det.shape == (2, 3)

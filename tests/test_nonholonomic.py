@@ -4,7 +4,8 @@ import pytest
 from framedyn.frames import (ConstraintSplit, ConstraintViolationError,
                              Frame, QuasiState)
 from framedyn.lagrangian import Lagrangian, regularity
-from framedyn.nonholonomic import NonholonomicField, RegularityError
+from framedyn.nonholonomic import (NonholonomicField, RegularityError,
+                                   _field_source)
 
 from _oracles import coordinate_gamma_oracle
 
@@ -318,6 +319,11 @@ def _error_cases():
         # numpy fault of the batched kernels' error state
         ("nan_frame", regular, Frame([["cos(q1)", "0"], ["0", "1"]], coords),
          split, np.array([[np.nan, 0.5], [0.2, 0.5]]), v),
+        # the frame check runs before any line of L: a singular frame is
+        # reported, not the domain fault of log(q1) at the same state
+        ("singular_frame_before_domain_fault",
+         Lagrangian("(u1*u1 + u2*u2)/2 + log(q1)", coords, vels),
+         Frame([["q1", "0"], ["0", "1"]], coords), split, q, v),
     ]
 
 
@@ -420,6 +426,74 @@ def test_field_evaluation_runs_no_per_kernel_dispatch(carriage, monkeypatch):
     assert np.array_equal(got_gamma, want_rate[1])
     assert np.array_equal(field.gamma(QuasiState(S.q.copy(), S.v.copy())),
                           want_gamma)
+
+
+def test_generated_field_function_is_shared_by_structure():
+    from framedyn import builtin
+
+    def kernel(sysd, frame=None):
+        return _field_source(sysd.lagrangian(), frame or sysd.frame(),
+                             sysd.split())
+
+    first = kernel(builtin("carriage"))
+    assert kernel(builtin("carriage")) is first
+    assert kernel(builtin("carriage", {"l": 0.0})) is first
+    rotated = {g[0]: g for g in GATE_SYSTEMS}["carriage_rotated"]
+    assert _field_source(*rotated[2:]) is not first
+
+
+@pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
+                         ids=[g[0] for g in GATE_SYSTEMS])
+def test_generated_field_source_emits_each_line_once(name, sysd, L, frame,
+                                                     split):
+    # The kernels are inlined with value numbering: a line that several
+    # jets need (the values of L's subtrees at (q, u), say) is emitted once.
+    source = _field_source(L, frame, split).__source__
+    right = [line.split(" = ", 1)[1] for line in source.splitlines()
+             if " = " in line]
+    assert len(right) > 20
+    assert len(right) == len(set(right)), name
+
+
+def test_scalar_rate_runs_no_lapack_and_no_frame_check(all_builtins,
+                                                       monkeypatch):
+    # At a scalar state the generated function unrolls the frame
+    # determinant and the solve of g_D Gamma = rhs: neither the LAPACK det
+    # nor Frame.check_matrix nor solve_and_det is reached, and no kernel is
+    # compiled for a system whose field function is built.
+    import framedyn.exprlang as exprlang
+    import framedyn.linsolve as linsolve
+    import framedyn.nonholonomic as nonholonomic
+    from framedyn.frames import Frame as FrameClass
+
+    cases = []
+    for b in all_builtins.values():
+        S = b.states(5, seed=41)
+        states = [QuasiState(S.q[i], S.v[i]) for i in range(5)]
+        cases.append((b.field, states, [b.field.rate(_fresh(s))
+                                        for s in states]))
+    coords, vels = ["q1", "q2"], ["u1", "u2"]
+    fresh_system = NonholonomicField(
+        Lagrangian("(u1*u1 + 2.5*u2*u2)/2 + sin(q1)*u1*u2", coords, vels),
+        Frame([["1", "q1*q2"], ["0", "1"]], coords),
+        ConstraintSplit(2, 1))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK, frame check or kernel compile reached")
+
+    monkeypatch.setattr(FrameClass, "check_matrix", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    monkeypatch.setattr(linsolve, "solve_and_det", forbidden)
+    monkeypatch.setattr(nonholonomic, "solve_and_det", forbidden)
+    monkeypatch.setattr(exprlang, "compile_taylor", forbidden)
+    for field, states, want in cases:
+        for s, (u, gamma) in zip(states, want):
+            got_u, got_gamma = field.rate(_fresh(s))
+            assert np.array_equal(got_u, u)
+            assert np.array_equal(got_gamma, gamma)
+    u, gamma = fresh_system.rate(QuasiState(np.array([0.3, -0.7]),
+                                            np.array([1.2, 0.0])))
+    assert np.all(np.isfinite(gamma)) and gamma.shape == (1,)
 
 
 # -- one context per state ---------------------------------------------------
