@@ -19,8 +19,8 @@ import math
 import numpy as np
 
 from .exprlang import _gathered
-from .frames import bracket, structure_functions, velocities_from_quasi
-from .lagrangian import clift_field, dvlift_field, vlift_deriv
+from .frames import bracket
+from .lagrangian import dvlift_at
 from .nonholonomic import NonholonomicField
 from .vakonomic import ShiftedMomentumSection, _phi_R_alpha
 
@@ -56,11 +56,10 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
     C = structure.C
     res = {"invariance": 0.0, "structure_R": 0.0,
            "commute": 0.0, "coadjoint": 0.0}
+    nh = NonholonomicField(L, frame, split)
     for s in states:
-        s.require_on_C(split)
-        p = velocities_from_quasi(frame, s)
-        q, u = p.q, p.u
-        R = structure_functions(frame, q)
+        ctx = nh._context(s)
+        q, u, R = ctx.q, ctx.u, ctx.R
         # R^i_a_alpha = 0 and R^i_ab = -delta^i_c C^c_ab
         res["structure_R"] = max(
             res["structure_R"],
@@ -74,23 +73,23 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
             res["structure_R"] = max(
                 res["structure_R"],
                 float(np.max(np.abs(R[..., :, m:, m:] - want))))
+        mom = {c: ctx.vlift(c) for c in range(m, n)}
         for a in range(m, n):
-            Ea = frame.fields[a]
             res["invariance"] = max(res["invariance"], float(np.max(np.abs(
-                clift_field(L, Ea, q, u)))))
+                ctx.clift(a)))))
             for al in range(m):
-                br = bracket(Ea, frame.fields[al], q)
+                br = bracket(frame.fields[a], frame.fields[al], q)
                 res["commute"] = max(res["commute"],
                                      float(np.max(np.abs(br))))
-            # coadjoint: clift E_a(p_b) + C^c_ab p_c = 0
-            wq = Ea.values(q)
-            wu = Ea.dirderiv(q, u)
+            # coadjoint: clift E_a(p_b) + C^c_ab p_c = 0; DXw[b] = (DX_b)E_a
+            wq, wu = ctx.M[..., a, :], ctx.dfield(a)
+            DXw = frame.dfields(q, wq, n)
             for b in range(m, n):
-                dpb = dvlift_field(L, frame.fields[b], q, u, wq, wu)
+                dpb = dvlift_at(L, q, u, ctx.M[..., b, :], wq, wu,
+                                DXw[..., b, :])
                 shift = 0.0
                 for c in range(m, n):
-                    shift = shift + C[a - m, b - m, c - m] * vlift_deriv(
-                        L, frame, c, p)
+                    shift = shift + C[a - m, b - m, c - m] * mom[c]
                 res["coadjoint"] = max(res["coadjoint"], float(np.max(np.abs(
                     dpb + shift))))
     res["passed"] = all(v <= tol for kk, v in res.items()
@@ -103,11 +102,9 @@ def prop6_scalar(L, frame, split, s):
     """R^a_alpha_beta v^beta p_a for each alpha: the single scalar family
     governing weak (and strong) consistency of the momentum section."""
     m, n = split.m, split.n
-    R = NonholonomicField(L, frame, split)._context(s).R
-    p = velocities_from_quasi(frame, s)
-    mom = _gathered([vlift_deriv(L, frame, a, p) for a in range(m, n)],
-                    s.q.shape[:-1])
-    return _phi_R_alpha(mom, R, s.v, split)
+    ctx = NonholonomicField(L, frame, split)._context(s)
+    mom = _gathered([ctx.vlift(a) for a in range(m, n)], s.q.shape[:-1])
+    return _phi_R_alpha(mom, ctx.R, s.v, split)
 
 
 def gamma_k_residual(L, frame, split, section, states, tol=1e-9):

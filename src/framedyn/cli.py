@@ -23,8 +23,7 @@ from . import __version__
 from .frames import QuasiState
 from .integrator import (IntegratorConfig, drift_report, export_csv,
                          export_json, integrate)
-from .lagrangian import energy, vlift_deriv
-from .frames import velocities_from_quasi
+from .lagrangian import energy
 from .nonholonomic import NonholonomicField
 from .systems import BUILTIN_NAMES, SystemDef, builtin, sample_states
 from .vakonomic import (ShiftedMomentumSection, consistency_report,
@@ -246,6 +245,8 @@ def cmd_simulate(args):
 def cmd_consistency(args):
     run, sysd, L, F, split = _load_run(args)
     args.samples = _resolve(args, run, "samples", 200)
+    _require(args.samples >= 1, "$.samples",
+             f"need at least 1 sample, got {args.samples}")
     args.seed = _resolve(args, run, "seed", 0)
     args.out = _resolve(args, run, "out")
     spec = _parse_section(_resolve(args, run, "section"))
@@ -288,6 +289,8 @@ def cmd_consistency(args):
 def cmd_derive(args):
     run, sysd, L, F, split = _load_run(args)
     args.samples = _resolve(args, run, "samples", 100)
+    _require(args.samples >= 0, "$.samples",
+             f"need a non-negative sample count, got {args.samples}")
     args.seed = _resolve(args, run, "seed", 0)
     args.out = _resolve(args, run, "out")
     field = NonholonomicField(L, F, split)
@@ -315,9 +318,9 @@ def cmd_derive(args):
         states = QuasiState.on_C(pts[:, :sysd.n], pts[:, sysd.n:], split)
         gam = field.gamma(states)
         lam = field.multipliers(states)
-        p = velocities_from_quasi(F, states)
-        E = energy(L, F, p)
-        moms = [vlift_deriv(L, F, a, p) for a in range(split.m, split.n)]
+        ctx = field._context(states)
+        E = energy(L, F, ctx.p)
+        moms = [ctx.vlift(a) for a in range(split.m, split.n)]
         for i in range(len(pts)):
             row = (list(pts[i]) + list(gam[i]) + list(lam[i]) + [E[i]]
                    + [mm[i] for mm in moms])

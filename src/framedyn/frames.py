@@ -287,12 +287,9 @@ def quasi_velocities(frame, p):
 
 
 def velocities_from_quasi(frame, s):
-    """Inverse of quasi_velocities: u = X(q)^T v."""
-    M = frame.matrix(s.q)
-    # a matmul, not base_velocity's einsum: the two sum in different orders,
-    # so they can differ in the last bit, and recorded outputs follow this one
-    u = (np.swapaxes(M, -1, -2) @ s.v[..., None])[..., 0]
-    return TangentPoint(s.q, u)
+    """Inverse of quasi_velocities: u = v^i X_i, summed as base_velocity
+    sums it, so on C it is the state context's u bit for bit."""
+    return TangentPoint(s.q, base_velocity(frame.matrix(s.q), s.v))
 
 
 def _block_exprs(block, size_out, size_in):
@@ -366,34 +363,24 @@ def jacobi_residual(frame, q):
     if q.ndim != 1:
         raise ValueError("jacobi_residual takes a single point")
     n = frame.n
-    vals = np.array([f.values(q) for f in frame.fields])          # X[i][l]
-    qe = tuple(q)
-    jac = np.zeros((n, n, n))   # jac[i][l][p] = d X_i^l / d q^p
-    hess = np.zeros((n, n, n, n))  # hess[i][l][p][r]
-    basis = np.eye(n)
-    for i, f in enumerate(frame.fields):
-        for l, c in enumerate(f.components):
-            for p_ in range(n):
-                for r in range(p_, n):
-                    t = c.taylor(qe, f._pvals, (tuple(basis[p_]), tuple(basis[r])))
-                    jac[i][l][p_] = t[1]
-                    jac[i][l][r] = t[2]
-                    hess[i][l][p_][r] = t[3]
-                    hess[i][l][r][p_] = t[3]
+    e = np.eye(n)
+    vals = frame.matrix(q)                                        # X[i][l]
+    # jac[i][l][p] = d X_i^l / d q^p and hess[i][l][p][r], from the fused
+    # kernels of the whole frame
+    jac = np.stack([frame.derivative(q, [e[p]]) for p in range(n)], -1)
+    hess = np.empty((n, n, n, n))
+    for p in range(n):
+        for r in range(p, n):
+            hess[..., p, r] = hess[..., r, p] = frame.derivative(
+                q, [e[p], e[r]])
 
     def brk(i, j):
         return vals[i] @ jac[j].T - vals[j] @ jac[i].T
 
     def dbrk(i, j):
-        # d/dq^p of [X_i, X_j]^l
-        out = np.zeros((n, n))
-        for l in range(n):
-            for p_ in range(n):
-                out[l][p_] = (jac[i][:, p_] @ jac[j][l]
-                              + vals[i] @ hess[j][l][:, p_]
-                              - jac[j][:, p_] @ jac[i][l]
-                              - vals[j] @ hess[i][l][:, p_])
-        return out
+        # d/dq^p of [X_i, X_j]^l, at [l, p]
+        return (jac[j] @ jac[i] + vals[i] @ hess[j]
+                - jac[i] @ jac[j] - vals[j] @ hess[i])
 
     worst = 0.0
     for i in range(n):

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exprlang import EvalDomainError, ExprFunction, run_kernel
-from .frames import QuasiState, base_velocity, velocities_from_quasi
-from .lagrangian import energy, vlift_deriv
+from .frames import QuasiState, base_velocity
+from .lagrangian import energy
+from .nonholonomic import NonholonomicField
 
 __all__ = [
     "IntegrationError", "IntegratorConfig", "Trajectory", "integrate",
@@ -47,6 +48,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name, x in (("step", self.step), ("rtol", self.rtol),
+                        ("atol", self.atol), ("t_span[0]", self.t_span[0]),
+                        ("t_span[1]", self.t_span[1])):
+            if not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if self.method == "rk4" and self.step <= 0:
             raise ValueError("step must be positive")
         if self.method == "rk45" and (self.rtol <= 0 or self.atol <= 0):
@@ -251,13 +257,13 @@ def attach_observables(traj, provider, frame, split, cfg):
             x in ("energy", "momenta", "multipliers", "defects")
             for x in names):
         raise ValueError("named observables require a field provider with L")
+    if "energy" in names or "momenta" in names:
+        ctx = NonholonomicField(L, frame, split)._context(states)
     if "energy" in names:
-        p = velocities_from_quasi(frame, states)
-        obs["energy"] = energy(L, frame, p)
+        obs["energy"] = energy(L, frame, ctx.p)
     if "momenta" in names:
-        p = velocities_from_quasi(frame, states)
         for a in range(split.m, split.n):
-            obs[f"p{a + 1}"] = vlift_deriv(L, frame, a, p)
+            obs[f"p{a + 1}"] = ctx.vlift(a)
     if "multipliers" in names:
         lam = provider.multipliers(states)
         for j, a in enumerate(range(split.m, split.n)):
@@ -290,14 +296,11 @@ def attach_observables(traj, provider, frame, split, cfg):
 def drift_report(traj, L, frame, split):
     """Residuals of the fundamental and Hamel forms along the trajectory,
     plus energy drift; all recomputed from the stored states."""
-    from .nonholonomic import NonholonomicField
-
     states = traj.states(split)
     nh = NonholonomicField(L, frame, split)
     rf = nh.residual_fundamental(states)
     rh = nh.residual_hamel(states)
-    p = velocities_from_quasi(frame, states)
-    E = energy(L, frame, p)
+    E = energy(L, frame, nh._context(states).p)
     return {
         "max_residual_fundamental": float(np.max(np.abs(rf))),
         "max_residual_hamel": float(np.max(np.abs(rh))),

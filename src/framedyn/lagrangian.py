@@ -210,12 +210,11 @@ def hessian(L, frame, p, indices=None):
 
 
 def energy(L, frame, p):
-    """E = v^i vlift X_i(L) - L; a function on TQ, independent of the frame."""
-    s = quasi_velocities(frame, p)
-    total = 0.0
-    for i in range(frame.n):
-        total = total + s.v[..., i] * vlift_deriv(L, frame, i, p)
-    return total - L.value(p.q, p.u)
+    """E = v^i vlift X_i(L) - L = (0, u)(L) - L, since v^i X_i = u: slot 1
+    minus slot 0 of one jet of L.  A function on TQ; the frame is not
+    read."""
+    t = L.taylor(p.q, p.u, [(_zeros_like(p.q), p.u)])
+    return t[1] - t[0]
 
 
 @dataclass
@@ -249,12 +248,15 @@ def hessian_regularity(g, split, p, threshold=REGULARITY_DET_TOL):
     det_g = det_pp(gab)
     if split.n_constraints == 0:
         det_perp = det_g
-    elif np.min(np.abs(det_D)) > 0:
-        W = np.linalg.solve(gD, g[..., :m, m:])
-        schur = gab - g[..., m:, :m] @ W
-        det_perp = det_pp(schur)
     else:
-        det_perp = np.nan
+        # the Schur complement where g_D is invertible, NaN where it is not;
+        # an identity block stands in for a singular one in the batched solve
+        inv = np.abs(det_D) > 0
+        W = np.linalg.solve(np.where(inv[..., None, None], gD, np.eye(m)),
+                            g[..., :m, m:])
+        det_perp = det_pp(gab - g[..., m:, :m] @ W)
+        if not np.all(inv):  # [()]: a float at a single state
+            det_perp = np.where(inv, det_perp, np.nan)[()]
     ok = lambda d: bool(np.min(np.abs(d)) > threshold)
     return RegularityReport(
         regular_D=ok(det_D), det_D=det_D,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .exprlang import ExprFunction, Kernels, _gathered, run_columns
 from .frames import (QuasiState, TangentPoint, base_velocity,
-                     quasi_velocities, structure_functions)
+                     quasi_velocities, structure_from_matrix)
 from .jets import TaylorValue
 from .lagrangian import hessian_rows
 from .linsolve import solve_and_det
@@ -353,8 +353,8 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
     n = frame.n
     s = quasi_velocities(frame, p)
     v = s.v
-    M = frame.matrix(q)
-    R = structure_functions(frame, q)
+    M = frame.matrix(q)  # checked by quasi_velocities
+    R = structure_from_matrix(frame, q, M)
     if isinstance(Lt, VariationalLagrangian):
         jet = lambda q, v, dirs: Lt.qv_taylor(q, v, dirs).c
     else:

@@ -6,6 +6,7 @@ import pytest
 from framedyn.chaplygin import (ChaplyginStructure, carriage_special_length,
                                 prop6_scalar, shifted_section,
                                 verify_chaplygin)
+from framedyn.frames import QuasiState
 from framedyn.vakonomic import MomentumSection, consistency_report
 
 
@@ -26,6 +27,29 @@ class TestVerify:
         assert not rep["passed"]
         assert rep["structure_R"] > 0.1
         assert rep["coadjoint"] > 1e-3
+
+    def test_each_momentum_once_per_state(self, carriage, monkeypatch):
+        # p_c = vlift E_c(L) is read from the state context once per state,
+        # not once per (a, b, c) of the coadjoint law.
+        import framedyn.lagrangian as lagrangian
+        import framedyn.nonholonomic as nonholonomic
+
+        calls = []
+        vlift_at = lagrangian.vlift_at
+
+        def counted(L, q, u, X):
+            calls.append(np.shape(q))
+            return vlift_at(L, q, u, X)
+
+        for module in (lagrangian, nonholonomic):
+            monkeypatch.setattr(module, "vlift_at", counted)
+        S = carriage.states(6, seed=42)
+        states = [S] + [QuasiState(S.q[i], S.v[i]) for i in range(2)]
+        rep = verify_chaplygin(carriage.L, carriage.frame, carriage.split,
+                               carriage.sysd.chaplygin, states)
+        assert rep["passed"], rep
+        k = carriage.split.n_constraints
+        assert calls == [(6, 5)] * k + [(5,)] * (2 * k)
 
 
 class TestProp6:

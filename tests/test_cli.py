@@ -61,6 +61,10 @@ def test_derive_empty_grid(capsys, tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 1  # header only
+    # zero sampled states give the same table
+    code, _, _ = run(capsys, "derive", "--system", "nonholonomic_particle",
+                     "--samples", "0", "--out", str(out))
+    assert code == 0 and out.read_text().splitlines() == lines
 
 
 def test_derive_bad_grid_row(capsys, tmp_path):
@@ -70,6 +74,30 @@ def test_derive_bad_grid_row(capsys, tmp_path):
                        "--grid", str(grid))
     assert code == 2
     assert "$.points[0]" in err
+
+
+@pytest.mark.parametrize("command,samples", [
+    ("consistency", "0"), ("consistency", "-3"), ("derive", "-3")])
+def test_too_few_samples_is_config_error(capsys, tmp_path, command,
+                                         samples):
+    code, _, err = run(capsys, command, "--system", "carriage",
+                       "--samples", samples)
+    assert code == 2 and "$.samples" in err
+    cfgp = tmp_path / "run.json"
+    cfgp.write_text(json.dumps({"system": "carriage",
+                                "samples": int(samples)}))
+    code, _, err = run(capsys, command, "--config", str(cfgp))
+    assert code == 2 and "$.samples" in err
+
+
+def test_simulate_rejects_infinite_atol(capsys, tmp_path):
+    # atol = inf would switch DOPRI5's error control off
+    code, out, err = run(capsys, "simulate", "--system", "carriage",
+                         "--method", "rk45", "--atol", "inf", "--t-end",
+                         "0.1", "--out", str(tmp_path / "t.csv"))
+    assert code == 1 and out == ""
+    assert "atol must be finite" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_simulate_wheels_constant(capsys, tmp_path):

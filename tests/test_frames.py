@@ -76,11 +76,19 @@ def test_skew_symmetry_exact(all_builtins, rng):
         assert np.max(np.abs(R + np.swapaxes(R, -1, -2))) == 0.0
 
 
-def test_jacobi_identity(all_builtins, rng):
+def test_jacobi_identity(all_builtins, carriage, rng):
     for bundle in all_builtins.values():
         for _ in range(3):
             q = rng.uniform(-1.5, 1.5, bundle.sysd.n)
             assert jacobi_residual(bundle.frame, q) <= 1e-9
+    # a frame with no symmetry, and the carriage with D rotated by theta
+    rotated = change_of_D_basis(
+        carriage.frame, carriage.split,
+        [["cos(theta)", "-sin(theta)"], ["sin(theta)", "cos(theta)"]])
+    for F in (_random_frame(), rotated):
+        for _ in range(3):
+            q = rng.uniform(-0.8, 0.8, F.n)
+            assert jacobi_residual(F, q) <= 1e-12
 
 
 def test_quasi_velocities_coordinate_frame(coord_frame3, rng):
@@ -114,9 +122,13 @@ def test_quasi_velocities_carriage(carriage, rng):
     assert np.allclose(back.v, s.v, atol=1e-14)
 
 
+def _random_frame():
+    return Frame([["1", "q2", "0"], ["0", "exp(q1/4)", "sin(q2)"],
+                  ["q2*q3", "0", "2"]], ["q1", "q2", "q3"])
+
+
 def test_round_trip_random_frames(rng):
-    F = Frame([["1", "q2", "0"], ["0", "exp(q1/4)", "sin(q2)"],
-               ["q2*q3", "0", "2"]], ["q1", "q2", "q3"])
+    F = _random_frame()
     for _ in range(20):
         q = rng.uniform(-0.8, 0.8, 3)
         v = rng.normal(size=3)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,42 @@ def test_observables_pure_functions_of_state(carriage):
                           traj.v[:, 0] - traj.v[:, 1])
 
 
+def test_observables_and_drift_report_read_the_state_context(carriage,
+                                                             monkeypatch):
+    # Energy, momenta and multipliers share the context of the stored
+    # states, and the drift report's energy reads the one its residuals
+    # built: no field or value of L is evaluated outside a context, and at
+    # most two batched contexts are built in all.
+    import framedyn.nonholonomic as nonholonomic
+    from framedyn.frames import VectorField
+
+    def refused(*args, **kwargs):
+        raise AssertionError("evaluated outside the state context")
+
+    monkeypatch.setattr(VectorField, "values", refused)
+    monkeypatch.setattr(Lagrangian, "value", refused)
+    batched = []
+    init = nonholonomic.StateContext.__init__
+
+    def counted(self, field, s):
+        batched.append(s.batched)
+        init(self, field, s)
+
+    monkeypatch.setattr(nonholonomic.StateContext, "__init__", counted)
+    s0 = QuasiState.on_C(np.zeros(5), [0.9, -0.3], carriage.split)
+    for method in ("rk4", "rk45"):
+        cfg = IntegratorConfig(method=method, step=1e-2, t_span=(0.0, 0.2),
+                               observables=("energy", "momenta",
+                                            "multipliers"))
+        traj = integrate(carriage.field, carriage.frame, carriage.split, s0,
+                         cfg)
+        drift_report(traj, carriage.L, carriage.frame, carriage.split)
+        assert sorted(traj.observables) == [
+            "energy", "lambda3", "lambda4", "lambda5", "p3", "p4", "p5"]
+        assert batched.count(True) <= 2, method
+        batched.clear()
+
+
 def test_custom_observable_domain_fault_names_it(particle):
     from framedyn.exprlang import EvalDomainError
     s0 = QuasiState.on_C(np.array([-0.5, 0.1, 0.2]), [0.3, 0.1],
@@ -173,6 +211,20 @@ def test_config_validation():
         IntegratorConfig(step=-1.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_span=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("name,kwargs", [
+    ("step", {"step": float("nan")}),
+    ("rtol", {"method": "rk45", "rtol": float("nan")}),
+    ("atol", {"method": "rk45", "atol": float("inf")}),
+    ("t_span[0]", {"t_span": (-float("inf"), 1.0)}),
+    ("t_span[1]", {"t_span": (0.0, float("inf"))}),
+])
+def test_config_rejects_non_finite_numbers(name, kwargs):
+    # A NaN or an infinity would otherwise fail later, or be reported as a
+    # step underflow, or (atol = inf) switch off the error control.
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite"):
+        IntegratorConfig(**kwargs)
 
 
 class TestExports:

@@ -178,6 +178,21 @@ class TestEnergy:
         p = TangentPoint(rng.uniform(-1, 1, 5), rng.normal(size=5))
         assert energy(L, F, p) == pytest.approx(energy(L, F2, p), abs=1e-9)
 
+    def test_one_jet_equals_the_frame_sum(self, carriage, rng):
+        # E = (0, u)(L) - L reads no frame, so a change of D-basis gives the
+        # same floats; it is the frame formula v^i vlift X_i(L) - L.
+        L, F, split = carriage.L, carriage.frame, carriage.split
+        F2 = change_of_D_basis(F, split, [["cos(theta)", "-sin(theta)"],
+                                          ["sin(theta)", "cos(theta)"]])
+        S = carriage.states(20, seed=3)
+        for s in [S] + [QuasiState(S.q[i], S.v[i]) for i in range(3)]:
+            p = velocities_from_quasi(F, s)
+            E = energy(L, F, p)
+            assert np.array_equal(E, energy(L, F2, p))
+            frame_sum = sum(s.v[..., i] * vlift_deriv(L, F, i, p)
+                            for i in range(F.n)) - L.value(p.q, p.u)
+            assert np.max(np.abs(E - frame_sum)) <= 1e-12
+
 
 class TestRegularity:
     def test_positive_definite_all_regular(self, carriage, rng):
@@ -203,6 +218,28 @@ class TestRegularity:
                          TangentPoint(rng.normal(size=2), rng.normal(size=2)))
         assert rep.regular_D
         assert not rep.regular_g
+
+    def test_singular_D_block_leaves_other_states_alone(self):
+        # det g_D = q1^2 vanishes at the first state only; the Schur
+        # complement of the others is the one each state gives alone.
+        coords = ["q1", "q2", "q3"]
+        F = Frame([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                  coords)
+        L = Lagrangian("(q1*q1*u1*u1 + u2*u2 + u3*u3)/2 + u1*u3", coords,
+                       ["u1", "u2", "u3"])
+        q = np.zeros((3, 3))
+        q[:, 0] = [0.0, 1.0, 2.0]
+        u = np.ones((3, 3))
+        split = ConstraintSplit(3, 2)
+        rep = regularity(L, F, split, TangentPoint(q, u))
+        assert np.array_equal(rep.det_D, [0.0, 1.0, 4.0])
+        assert np.shape(rep.det_Dperp) == (3,)
+        assert np.isnan(rep.det_Dperp[0])
+        for i in (1, 2):
+            alone = regularity(L, F, split, TangentPoint(q[i], u[i]))
+            assert rep.det_Dperp[i] == alone.det_Dperp
+        assert rep.det_Dperp[2] == pytest.approx(0.75, rel=1e-15)
+        assert not rep.regular_D and not rep.regular_Dperp
 
 
 def test_epsilon_form_module_linearity(carriage, rng):

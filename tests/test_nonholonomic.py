@@ -455,6 +455,22 @@ def test_generated_field_source_emits_each_line_once(name, sysd, L, frame,
     assert len(right) == len(set(right)), name
 
 
+@pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
+                         ids=[g[0] for g in GATE_SYSTEMS])
+def test_velocities_from_quasi_is_the_context_u(name, sysd, L, frame, split):
+    # u = v^alpha X_alpha is summed in one order everywhere, so on C the
+    # public inverse chart map gives the state context's u bit for bit.
+    from framedyn import sample_states
+    from framedyn.frames import velocities_from_quasi
+
+    field = NonholonomicField(L, frame, split)
+    S = sample_states(sysd, 40, seed=23)
+    for s in [S] + [QuasiState(S.q[i], S.v[i]) for i in range(10)]:
+        u = velocities_from_quasi(frame, s).u
+        assert u.shape == s.q.shape
+        assert np.array_equal(u, field._context(s).u), name
+
+
 def test_scalar_rate_runs_no_lapack_and_no_frame_check(all_builtins,
                                                        monkeypatch):
     # At a scalar state the generated function unrolls the frame
