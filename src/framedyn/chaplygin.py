@@ -21,6 +21,7 @@ import numpy as np
 from .exprlang import _gathered
 from .frames import bracket
 from .lagrangian import dvlift_at
+from .linsolve import max_abs
 from .nonholonomic import NonholonomicField
 from .vakonomic import ShiftedMomentumSection, _phi_R_alpha
 
@@ -61,26 +62,21 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
         ctx = nh._context(s)
         q, u, R = ctx.q, ctx.u, ctx.R
         # R^i_a_alpha = 0 and R^i_ab = -delta^i_c C^c_ab
-        res["structure_R"] = max(
-            res["structure_R"],
-            float(np.max(np.abs(R[..., :, m:, :m]))) if m and k else 0.0)
+        res["structure_R"] = max_abs(R[..., :, m:, :m], res["structure_R"])
         if k:
             want = np.zeros(R[..., :, m:, m:].shape)
             for a in range(k):
                 for b in range(k):
                     for c in range(k):
                         want[..., m + c, a, b] = -C[a, b, c]
-            res["structure_R"] = max(
-                res["structure_R"],
-                float(np.max(np.abs(R[..., :, m:, m:] - want))))
+            res["structure_R"] = max_abs(R[..., :, m:, m:] - want,
+                                         res["structure_R"])
         mom = {c: ctx.vlift(c) for c in range(m, n)}
         for a in range(m, n):
-            res["invariance"] = max(res["invariance"], float(np.max(np.abs(
-                ctx.clift(a)))))
+            res["invariance"] = max_abs(ctx.clift(a), res["invariance"])
             for al in range(m):
                 br = bracket(frame.fields[a], frame.fields[al], q)
-                res["commute"] = max(res["commute"],
-                                     float(np.max(np.abs(br))))
+                res["commute"] = max_abs(br, res["commute"])
             # coadjoint: clift E_a(p_b) + C^c_ab p_c = 0; DXw[b] = (DX_b)E_a
             wq, wu = ctx.M[..., a, :], ctx.dfield(a)
             DXw = frame.dfields(q, wq, n)
@@ -90,8 +86,7 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
                 shift = 0.0
                 for c in range(m, n):
                     shift = shift + C[a - m, b - m, c - m] * mom[c]
-                res["coadjoint"] = max(res["coadjoint"], float(np.max(np.abs(
-                    dpb + shift))))
+                res["coadjoint"] = max_abs(dpb + shift, res["coadjoint"])
     res["passed"] = all(v <= tol for kk, v in res.items()
                         if kk != "passed")
     res["tolerance"] = tol
@@ -116,7 +111,7 @@ def gamma_k_residual(L, frame, split, section, states, tol=1e-9):
         tvs = section.shift.taylor(s.q, s.v_alpha(split),
                                    [(ctx.u, ctx.gamma)])
         for tv in tvs:
-            worst = max(worst, float(np.max(np.abs(tv.c[1]))))
+            worst = max_abs(tv.c[1], worst)
     return {"max_gamma_k": worst, "conserved": worst <= tol,
             "tolerance": tol}
 

@@ -418,12 +418,16 @@ class Tape:
     numbered by source text.  A temporary whose text was emitted before
     reuses the earlier name (every primitive is pure, so equal text over
     names assigned once means an equal float).  Many kernel bodies can be
-    inlined on one tape (inline), so a line that several of them need is
-    emitted once."""
+    inlined on one tape (kernel), so a line that several of them need is
+    emitted once, and a body's line is renamed once for all inlinings that
+    agree on the leaves it reads.  released() gives the lines with each
+    temporary deleted after its last read."""
 
     def __init__(self):
         self.lines = []
         self.names = {}
+        self._templates = {}  # id(body) -> its template (_template)
+        self._renamed = {}  # (body, reach, leaves) -> {line: its name}
 
     def temp(self, src):
         name = self.names.get(src)
@@ -432,26 +436,90 @@ class Tape:
             self.lines.append(f"    {name} = {src}")
         return name
 
-    def inline(self, body, leaves):
-        """Copy a kernel body (see kernel_body) onto the tape, each leaf
-        name (v[i], d{d}[i], p[j]) replaced by the source text leaves maps
-        it to; returns the body's slot texts, renamed alike.  A line whose
-        text reduces to a name is not emitted: that name stands for it."""
-        lines, slots = body
-        names = dict(leaves)
+    def released(self, keep):
+        """The lines, each temporary deleted (del) after the line that
+        reads it last, unless its name is in keep: so the numpy binding
+        frees each array of the batch as soon as no later line needs it."""
+        last = {}
+        for i, line in enumerate(self.lines):
+            for x in _TEMP.findall(line.split(" = ", 1)[1]):
+                last[x] = i
+        keep = set(keep)
+        dead = [[] for _ in self.lines]
+        for i, line in enumerate(self.lines):
+            name = line[4:].split(" = ", 1)[0]
+            if name not in keep:
+                dead[last.get(name, i)].append(name)
+        out = []
+        for line, names in zip(self.lines, dead):
+            out.append(line)
+            if names:
+                out.append(f"    del {', '.join(names)}")
+        return out
 
-        def rename(match):
-            return names[match.group()]
-
-        for line in lines:
-            name, src = line[4:].split(" = ", 1)
-            src = _NAME.sub(rename, src)
-            names[name] = src if src.isidentifier() else self.temp(src)
-        return [None if s is None else names[s] for s in slots]
+    def kernel(self, kernels, k, values, dirs, params, count=None):
+        """The slot texts of the kernel of the first `count` expressions of
+        kernels (a Kernels) along k directions, inlined at the leaf texts
+        given: values and each of the k directions follow its variables,
+        params its parameters.  Each line of the kernel's body (kernel_body)
+        is copied with its leaf names (v[i], d{d}[i], p[j]) and temporaries
+        renamed; a line whose text reduces to a name is not emitted, that
+        name stands for it.  A structural zero is "0.0"."""
+        body = kernel_body(kernels, k, count)
+        template = self._templates.get(id(body))
+        if template is None:
+            template = self._templates[id(body)] = _template(body[0])
+        names = {f"p[{j}]": x for j, x in enumerate(params)}
+        for i, x in enumerate(values):
+            names[f"v[{i}]"] = x
+            for d, w in enumerate(dirs):
+                names[f"d{d}[{i}]"] = w[i]
+        # a line renames alike at the same values and parameters and the
+        # same directions among those that reach it
+        leaves = (id(body), tuple(values), tuple(params))
+        renamed = {}
+        for name, first, pairs, reach in template:
+            memo = renamed.get(reach)
+            if memo is None:
+                memo = renamed[reach] = self._renamed.setdefault(
+                    leaves + (reach,) + tuple(
+                        tuple(w) for d, w in enumerate(dirs) if reach >> d & 1),
+                    {})
+            out = memo.get(name)
+            if out is None:
+                src = first + "".join([names[x] + text for x, text in pairs])
+                out = memo[name] = (src if src.isidentifier()
+                                    else self.temp(src))
+            names[name] = out
+        return ["0.0" if s is None else names[s] for s in body[1]]
 
 
 # The names in a kernel body: its temporaries and its leaves.
-_NAME = re.compile(r"\b(?:t\d+|[vp]\[\d+\]|d\d+\[\d+\])")
+_NAME = re.compile(r"\b(t\d+|[vp]\[\d+\]|d\d+\[\d+\])")
+_TEMP = re.compile(r"\bt\d+\b")
+
+
+def _template(lines):
+    """The lines of a kernel body split at their names, for Tape.kernel:
+    each as (name, first, pairs, reach), its text being first followed by
+    name + text for each pair; bit d of reach is set when direction d
+    reaches the line."""
+    reaches = {}
+    template = []
+    for line in lines:
+        name, src = line[4:].split(" = ", 1)
+        parts = _NAME.split(src)
+        refs = parts[1::2]
+        reach = 0
+        for x in refs:
+            if x[0] == "d":
+                reach |= 1 << int(x[1:x.index("[")])
+            else:
+                reach |= reaches.get(x, 0)
+        reaches[name] = reach
+        template.append((name, parts[0], tuple(zip(refs, parts[2::2])),
+                         reach))
+    return template
 
 
 class _Codegen:
@@ -897,6 +965,15 @@ def _gathered(entries, shape):
     return out
 
 
+def _stacked(entries, shape):
+    """entries (arrays of the batch shape, or floats broadcast to it)
+    stacked on a leading axis."""
+    out = np.empty((len(entries),) + shape)
+    for i, x in enumerate(entries):
+        out[i] = x
+    return out
+
+
 def run_columns(fn, point, params, dirs=()):
     """run_batched on per-coordinate columns of a point given as for
     run_kernel, scalar or batched (0-d columns at a single point, so a
@@ -921,11 +998,8 @@ def run_kernel(fn, point, params, dirs=()):
     point = [np.asarray(part, dtype=float) for part in point]
     if point[0].ndim == 1:
         return run_compiled(fn, _flat(point), params, *map(_flat, dirs))
-    slots = run_columns(fn, point, params, dirs)
-    out = np.empty((len(slots),) + point[0].shape[:-1])
-    for j, s in enumerate(slots):
-        out[j] = s
-    return out
+    return _stacked(run_columns(fn, point, params, dirs),
+                    point[0].shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import (Expr, ExprFunction, Kernels, parse, run_batched,
-                       run_kernel)
-from .linsolve import det_pp, min_abs
+from .exprlang import (Expr, ExprFunction, Kernels, Tape, _columns,
+                       _gathered, bind_source, cached_kernel, parse,
+                       run_batched, run_compiled, run_kernel)
+from .linsolve import det_pp, max_abs, min_abs
 
 __all__ = [
     "SingularFrameError", "ConstraintViolationError",
@@ -253,37 +254,77 @@ def structure_functions(frame, q):
 
 def structure_from_matrix(frame, q, M):
     """structure_functions at q from the frame matrix M = X(q), already
-    evaluated and checked."""
+    evaluated and checked: the brackets [X_i, X_j], i < j, solved against
+    M^T.  The bracket array is made in the call to the solve, so that it
+    is freed before R is filled."""
     n = frame.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     R = np.zeros(q.shape[:-1] + (n, n, n))
-    if not pairs:
+    if n < 2:
         return R
-    # B[..., :, (i, j)] = (D X_j) X_i - (D X_i) X_j, from one fused call per
-    # X_i: D[..., j, :] = (D X_j) X_i
-    B = np.empty(q.shape[:-1] + (n, len(pairs)))
-    for i in range(n):
-        D = frame.dfields(q, M[..., i, :], n)
-        for idx, (a, b) in enumerate(pairs):
-            if a == i:
-                B[..., :, idx] = D[..., b, :]
-            elif b == i:
-                B[..., :, idx] -= D[..., a, :]
-    MT = np.swapaxes(M, -1, -2)
-    coeff = np.linalg.solve(MT, B)
-    for idx, (i, j) in enumerate(pairs):
-        R[..., :, i, j] = coeff[..., :, idx]
-        R[..., :, j, i] = -coeff[..., :, idx]
+    i, j = np.triu_indices(n, 1)
+    coeff = np.linalg.solve(np.swapaxes(M, -1, -2), _brackets(frame, q, M))
+    R[..., :, i, j] = coeff
+    R[..., :, j, i] = -coeff
     return R
+
+
+def _brackets(frame, q, M):
+    """The brackets [X_i, X_j], i < j in row-major order, at q from the
+    frame matrix M there, shape (..., n, n(n-1)/2), from one call of the
+    frame's bracket function (_bracket_source): its math binding on floats
+    at a single point, its numpy binding on per-coordinate columns at a
+    batch."""
+    fn = _bracket_source(frame)
+    if q.ndim == 1:
+        B = run_compiled(fn, q.tolist(), M.ravel().tolist(), frame._pvals)
+        return np.array(B).reshape(frame.n, -1)
+    shape = q.shape[:-1]
+    B = run_batched(fn, _columns((q,), shape),
+                    _columns((M.reshape(shape + (-1,)),), shape),
+                    frame._pvals)
+    return _gathered(B, shape).reshape(shape + (frame.n, -1))
+
+
+def _bracket_source(frame):
+    """The one generated function of the brackets of a frame's fields
+    (docs/state_context.md): f(q, M, fp) -> the entries of
+    B[c, (i, j)] = [X_i, X_j]^c = ((DX_j)X_i - (DX_i)X_j)^c for i < j,
+    row-major, with M the flat frame matrix at q.  The frame's k = 1 kernel
+    is inlined once along each row X_i of M, on one Tape.  Shared by every
+    frame of the same structure."""
+    fk = frame._kernels
+    key = ("brackets", fk.structure[:2], fk.var_names, fk.param_names)
+    return cached_kernel(key, lambda: _generate_brackets(fk, frame.n))
+
+
+def _generate_brackets(fk, n):
+    tape = Tape()
+    q = [f"q{i}" for i in range(n)]
+    X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    fp = [f"fp[{j}]" for j in range(len(fk.param_names))]
+    # D[i][j * n + c] = ((DX_j) X_i)^c
+    D = [tape.kernel(fk, 1, q, [X[i]], fp)[1::2] for i in range(n)]
+    B = [tape.temp(f"{D[i][j * n + c]} - {D[j][i * n + c]}")
+         for c in range(n) for i in range(n) for j in range(i + 1, n)]
+    source = "\n".join(
+        ["def _brackets(q, M, fp):",
+         f"    {', '.join(q)}, = q",
+         f"    {', '.join(sum(X, []))}, = M"]
+        + tape.released(B) + [f"    return ({', '.join(B)},)"])
+    return bind_source(source, "_brackets", f"<brackets n={n}>")
 
 
 def quasi_velocities(frame, p):
     """Quasi-velocities of a tangent point: solve X(q)^T v = u."""
     M = frame.matrix(p.q)
     frame.check_matrix(M)
-    MT = np.swapaxes(M, -1, -2)
-    v = np.linalg.solve(MT, p.u[..., None])[..., 0]
-    return QuasiState(p.q, v)
+    return QuasiState(p.q, quasi_from_matrix(M, p.u))
+
+
+def quasi_from_matrix(M, u):
+    """v with X(q)^T v = u, from the frame matrix M = X(q), already
+    evaluated and checked."""
+    return np.linalg.solve(np.swapaxes(M, -1, -2), u[..., None])[..., 0]
 
 
 def velocities_from_quasi(frame, s):
@@ -391,5 +432,5 @@ def jacobi_residual(frame, q):
                     B = brk(b, c)
                     dB = dbrk(b, c)
                     total += vals[a] @ dB.T - B @ jac[a].T
-                worst = max(worst, float(np.max(np.abs(total))))
+                worst = max_abs(total, worst)
     return worst

@@ -73,7 +73,21 @@ class Trajectory:
         return QuasiState.on_C(self.q[i], self.v[i], split)
 
     def states(self, split):
-        return QuasiState.on_C(self.q, self.v, split)
+        """The stored states as one batched QuasiState.  The state made by
+        the last call is returned again, and with it its state contexts,
+        while q is the same array, unchanged since, and that state's v is
+        still v padded with zeros, byte for byte; otherwise a new state is
+        made.  It is kept in a private attribute, not a field, so == and
+        repr do not see it."""
+        state = QuasiState.on_C(self.q, self.v, split)
+        stamp = (state.q.shape, state.q.tobytes())
+        last = self.__dict__.get("_states")
+        if last is not None and last[0] is self.q and last[1] == stamp and (
+                last[2].v.shape == state.v.shape
+                and last[2].v.tobytes() == state.v.tobytes()):
+            return last[2]
+        self._states = (self.q, stamp, state)
+        return state
 
     def columns(self):
         n, m = self.q.shape[1], self.v.shape[1]

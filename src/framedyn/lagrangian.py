@@ -20,7 +20,8 @@ from .linsolve import det_pp
 
 __all__ = [
     "Lagrangian", "QuasiVelocityFunction", "RegularityReport",
-    "vlift_at", "clift_at", "dvlift_at", "hessian_rows", "hessian_regularity",
+    "vlift_at", "clift_at", "vlift_rate_at", "dvlift_at", "hessian_rows",
+    "hessian_regularity",
     "vlift_deriv", "clift_deriv", "dvlift", "dvlift_field", "clift_field",
     "epsilon_form", "hessian", "energy", "regularity",
 ]
@@ -142,16 +143,21 @@ def clift_at(L, q, u, X, DX):
     return L.taylor(q, u, [(X, DX)])[1]
 
 
+def vlift_rate_at(L, q, u, X, wq, wu):
+    """The plain mixed jet of L along (0, X) and (wq, wu), for the
+    evaluated vector X = X(q): dvlift_at without its correction."""
+    return L.taylor(q, u, [(_zeros_like(q), X), (wq, wu)])[3]
+
+
 def dvlift_at(L, q, u, X, wq, wu, DXw):
     """Derivative of vlift X(L) along (wq, wu), from X = X(q) and
     DXw = (DX)wq.
 
     The inner direction X(q) moves with the base point, so the plain mixed
-    jet acquires a correction through the fibre gradient of L.
+    jet acquires a correction through the fibre gradient of L: the vertical
+    lift of DXw.
     """
-    zq = _zeros_like(q)
-    t = L.taylor(q, u, [(zq, X), (wq, wu)])
-    return t[3] + L.taylor(q, u, [(zq, DXw)])[1]
+    return vlift_rate_at(L, q, u, X, wq, wu) + vlift_at(L, q, u, DXw)
 
 
 def hessian_rows(taylor, q, u, rows, known=None):

@@ -12,8 +12,8 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["det_pp", "min_abs", "solve_and_det", "cond_estimate",
-           "unrolled"]
+__all__ = ["det_pp", "min_abs", "max_abs", "solve_and_det",
+           "cond_estimate", "unrolled"]
 
 
 @cache
@@ -106,6 +106,12 @@ def solve_and_det(A, b):
 def min_abs(x):
     """min |x| over a batch of values; a single float as it is."""
     return abs(x) if isinstance(x, float) else np.min(np.abs(x))
+
+
+def max_abs(x, start=0.0):
+    """max(start, max |x|) as a float: NaN if x or start holds a NaN, where
+    Python's max(start, nan) would drop it."""
+    return float(np.max(np.abs(x), initial=start))
 
 
 def det_pp(A):

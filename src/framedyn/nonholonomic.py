@@ -18,16 +18,16 @@ form, whose right-hand side couples the momenta to the structure functions.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
 
-from .exprlang import (Tape, _gathered, _guarded, bind_source,
-                       cached_kernel, kernel_body, run_compiled)
+from .exprlang import (Tape, _columns, _gathered, _guarded, _stacked,
+                       bind_source, cached_kernel, run_compiled)
 from .frames import (FRAME_DET_TOL, ON_C_TOL, TangentPoint, base_velocity,
                      structure_from_matrix)
-from .lagrangian import (clift_at, dvlift_at, hessian_regularity,
-                         hessian_rows, vlift_at)
+from .lagrangian import hessian_regularity, vlift_rate_at
 from .linsolve import cond_estimate, min_abs, solve_and_det, unrolled
 from .quasichart import QvChartPoint
 
@@ -66,37 +66,30 @@ def _field_source(L, frame, split):
     return cached_kernel(key, lambda: _generate_field(fk, lk, n, m))
 
 
+def _params(kernels, name):
+    """The parameter texts name[0], name[1], ... of a kernel's parameters."""
+    return [f"{name}[{j}]" for j in range(len(kernels.param_names))]
+
+
 def _generate_field(fk, lk, n, m):
     tape = Tape()
     temp = tape.temp
     q = [f"q{i}" for i in range(n)]
-
-    def text(slot):
-        return "0.0" if slot is None else slot
-
-    def inline(kernels, k, values, dirs, params, count=None):
-        """Slot texts of a kernel of kernels inlined at the given leaves."""
-        leaves = {f"p[{j}]": f"{params}[{j}]"
-                  for j in range(len(kernels.param_names))}
-        for i, x in enumerate(values):
-            leaves[f"v[{i}]"] = x
-            for d, w in enumerate(dirs):
-                leaves[f"d{d}[{i}]"] = w[i]
-        return tape.inline(kernel_body(kernels, k, count), leaves)
+    fp, lp = _params(fk, "fp"), _params(lk, "lp")
 
     def lagrangian(k, *dirs):
         """The top slot of L's jet at (q, u) along k directions, each a
         (dq, du) pair."""
-        return text(inline(lk, k, q + u, [dq + du for dq, du in dirs],
-                           "lp")[(1 << k) - 1])
+        return tape.kernel(lk, k, q + u, [dq + du for dq, du in dirs],
+                           lp)[(1 << k) - 1]
 
-    X = [text(s) for s in inline(fk, 0, q, [], "fp")]
+    X = tape.kernel(fk, 0, q, [], fp)
     frame_lines = len(tape.lines)  # the frame check follows them
     rows = [X[a * n:(a + 1) * n] for a in range(m)]
     u = h = ["0.0"] * n
     for a in range(m):
         u = [temp(f"{x} + v{a}*{y}") for x, y in zip(u, rows[a])]
-    D = [text(s) for s in inline(fk, 1, q, [u], "fp", m * n)[1::2]]
+    D = tape.kernel(fk, 1, q, [u], fp, m * n)[1::2]
     D = [D[a * n:(a + 1) * n] for a in range(m)]
     for a in range(m):
         h = [temp(f"{x} + v{a}*{y}") for x, y in zip(h, D[a])]
@@ -173,6 +166,83 @@ def _field_function(L, frame, split):
     return function
 
 
+def _lift_source(L, frame, split):
+    """The one generated function of the constraint side of (L, frame,
+    split) (docs/state_context.md): f(q, u, M, fp, lp) -> (D, H, clift,
+    vlift, corr) at (q, u) from the frame matrix M, each piece a flat
+    sequence: the rows D_a = (DX_a)u of the trailing fields a >= m (the
+    source makes all n; the field function holds the leading ones), the
+    entries g_ij = vlift X_i(vlift X_j(L)) of the frame Hessian outside g_D
+    (i <= j, j >= m, row by row), and for every i clift X_i(L),
+    vlift X_i(L) and the correction (0, D_i)(L) of dvlift_at.  Every jet is
+    the kernel that the lift formulas of lagrangian.py call, inlined on one
+    Tape; each temporary is deleted after its last read.  Shared by every
+    (L, frame, split) of the same structure."""
+    n, m = split.n, split.m
+    fk, lk = frame._kernels, L.fn.kernel
+    key = ("lifts", lk.structure[:2], lk.var_names, lk.param_names,
+           fk.structure[:2], fk.var_names, fk.param_names, m)
+    return cached_kernel(key, lambda: _generate_lifts(fk, lk, n, m))
+
+
+def _generate_lifts(fk, lk, n, m):
+    tape = Tape()
+    q, u = [f"q{i}" for i in range(n)], [f"u{i}" for i in range(n)]
+    X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    zq = ["0.0"] * n
+    fp, lp = _params(fk, "fp"), _params(lk, "lp")
+
+    def lagrangian(k, *dirs):
+        return tape.kernel(lk, k, q + u, [dq + du for dq, du in dirs],
+                           lp)[(1 << k) - 1]
+
+    D = tape.kernel(fk, 1, q, [u], fp)[1::2]
+    rows = [D[i * n:(i + 1) * n] for i in range(n)]
+    H = [lagrangian(2, (zq, X[a]), (zq, X[b]))
+         for a in range(n) for b in range(max(a, m), n)]
+    clift = [lagrangian(1, (X[i], rows[i])) for i in range(n)]
+    vlift = [lagrangian(1, (zq, X[i])) for i in range(n)]
+    corr = [lagrangian(1, (zq, rows[i])) for i in range(n)]
+    pieces = [D[m * n:], H, clift, vlift, corr]
+    returned = ", ".join(f"({''.join(f'{x}, ' for x in p)})" for p in pieces)
+    source = "\n".join(
+        ["def _lifts(q, u, M, fp, lp):",
+         f"    {', '.join(q)}, = q",
+         f"    {', '.join(u)}, = u",
+         f"    {', '.join(sum(X, []))}, = M"]
+        + tape.released(sum(pieces, []))
+        + [f"    return {returned}"])
+    return bind_source(source, "_lifts", f"<lifts n={n} m={m}>")
+
+
+Lifts = namedtuple("Lifts", "D H clift vlift corr")
+
+
+def _lift_function(L, frame, split):
+    """(q, u, M) -> Lifts(D, H, clift, vlift, corr) of the lift source at a
+    state on C: D of shape (..., n - m, n) and the others indexed by their
+    first axis, entries floats at a scalar state (math binding on float
+    lists) and arrays of the batch shape at a batched one (numpy binding on
+    per-coordinate columns)."""
+    n, m = split.n, split.m
+    kernel = _lift_source(L, frame, split)
+    fp, lp = frame._pvals, L._pvals
+
+    def function(q, u, M):
+        if q.ndim == 1:
+            D, *rest = run_compiled(kernel, q.tolist(), u.tolist(),
+                                    M.ravel().tolist(), fp, lp)
+            return Lifts(np.array(D).reshape(n - m, n), *rest)
+        shape = q.shape[:-1]
+        D, *rest = _guarded(kernel.batched, *(
+            _columns((x.reshape(shape + (-1,)),), shape) for x in (q, u, M)),
+            fp, lp)
+        return Lifts(_gathered(D, shape).reshape(shape + (n - m, n)),
+                     *(_stacked(part, shape) for part in rest))
+
+    return function
+
+
 class StateContext:
     """The evaluations at one state, made once and shared by every quantity
     of the field there (scalar or batched).
@@ -184,16 +254,19 @@ class StateContext:
     rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)), all from one call of the
     field function (M, D, h, g and rhs become arrays on first use), which
     at a scalar state also solves the system.  gamma is set once the system
-    is solved.  The lazy quantities use the lift
-    formulas of lagrangian.py, applied to the rows held here.  A context
-    lives as long as its state (NonholonomicField._context), so what it
-    makes (memo) serves every later call there.
+    is solved.  The constraint side (the trailing rows D_a, every clift,
+    vlift and correction, the Hessian entries outside g_D) comes from one
+    call of the lift function on the first read of any of it, and R from
+    the frame's bracket function on first use.  A context lives as long as
+    its state (NonholonomicField._context), so what it makes (memo) serves
+    every later call there.
     """
 
     def __init__(self, field, s):
         self.L = field.L
         self.frame = field.frame
         self.split = field.split
+        self._field = field
         self.q = s.q
         *self._parts, solution = field._function(s)
         self.u = np.asarray(self._parts[1])
@@ -237,11 +310,17 @@ class StateContext:
     def p(self):
         return TangentPoint(self.q, self.u)
 
+    @cached_property
+    def _lifts(self):
+        """The Lifts at this state (_lift_function), from one call made on
+        the first read of any of them."""
+        return self._field._lifts(self.q, self.u, self.M)
+
     def dfield(self, a):
-        """D_a = (DX_a)u; the rows a >= m are evaluated on first use."""
-        if a >= self.D.shape[-2]:
-            self.D = self.frame.dfields(self.q, self.u, self.split.n)
-        return self.D[..., a, :]
+        """D_a = (DX_a)u: the field function's row for a < m, the lift
+        source's for a >= m."""
+        m = self.split.m
+        return self.D[..., a, :] if a < m else self._lifts.D[..., a - m, :]
 
     @cached_property
     def R(self):
@@ -250,24 +329,33 @@ class StateContext:
 
     def vlift(self, a):
         """vlift X_a(L); for a >= m the momentum p_a."""
-        return vlift_at(self.L, self.q, self.u, self.M[..., a, :])
+        p = self._lifts.vlift[a]
+        return p if self.q.ndim == 1 else p.copy()
 
     def clift(self, a):
         """clift X_a(L): the derivative along (X_a, D_a)."""
-        return self.memo(("clift", a), lambda: clift_at(
-            self.L, self.q, self.u, self.M[..., a, :], self.dfield(a)))
+        return self._lifts.clift[a]
 
     def dvlift(self, a, w):
         """(u, w)(vlift X_a(L)), corrected along D_a (see dvlift_at)."""
-        return dvlift_at(self.L, self.q, self.u, self.M[..., a, :],
-                         self.u, w, self.dfield(a))
+        return vlift_rate_at(self.L, self.q, self.u, self.M[..., a, :],
+                             self.u, w) + self._lifts.corr[a]
 
     def regularity_report(self, threshold):
-        """The regularity tests from the full Hessian over the rows of M;
-        the g_D block is reused."""
-        return self.memo(("regularity", threshold), lambda: hessian_regularity(
-            hessian_rows(self.L.taylor, self.q, self.u, self.M, known=self.g),
-            self.split, self.p, threshold))
+        """The regularity tests on the full frame Hessian: g_D copied in,
+        the other entries from the lift source."""
+
+        def build():
+            n, m = self.split.n, self.split.m
+            g = np.empty(self.q.shape[:-1] + (n, n))
+            g[..., :m, :m] = self.g
+            entries = iter(self._lifts.H)
+            for a in range(n):
+                for b in range(max(a, m), n):
+                    g[..., a, b] = g[..., b, a] = next(entries)
+            return hessian_regularity(g, self.split, self.p, threshold)
+
+        return self.memo(("regularity", threshold), build)
 
     def fibre(self, gamma):
         """Fibre part h + Gamma^alpha X_alpha of the second-order tangent."""
@@ -303,6 +391,10 @@ class NonholonomicField:
     @cached_property
     def _function(self):
         return _field_function(self.L, self.frame, self.split)
+
+    @cached_property
+    def _lifts(self):
+        return _lift_function(self.L, self.frame, self.split)
 
     def _context(self, s):
         """The context of s, memoised on s by (L, frame, split) and built

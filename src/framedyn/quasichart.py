@@ -21,8 +21,8 @@ from functools import reduce
 
 import numpy as np
 
-from .exprlang import (Add, ExprFunction, Mul, Ref, _columns, run_batched,
-                       substitute)
+from .exprlang import (Add, ExprFunction, Mul, Ref, Tape, _columns,
+                       bind_source, cached_kernel, run_batched, substitute)
 from .jets import TaylorValue
 
 __all__ = ["QvChartPoint"]
@@ -54,6 +54,38 @@ def _composite(L, frame):
     return found
 
 
+def _fibre_source(fn, n, ndirs):
+    """The one generated function of the n velocity partials of a
+    composite fn along ndirs directions: f(vals, params, *dirs) -> for each
+    i in turn, the slots of fn's kernel along the directions and a last,
+    probe direction w^i = 1 that carry the probe.  The kernel is inlined
+    once per probe on one Tape, so its lines that no probe reaches are
+    emitted once.  Shared by every composite of the same structure."""
+    kernels = fn.kernel
+    key = ("fibre", kernels.structure[:2], kernels.var_names,
+           kernels.param_names, ndirs)
+    return cached_kernel(key, lambda: _generate_fibre(kernels, n, ndirs))
+
+
+def _generate_fibre(kernels, n, ndirs):
+    tape = Tape()
+    x = [f"x{j}" for j in range(3 * n)]
+    dirs = [[f"d{d}_{j}" for j in range(3 * n)] for d in range(ndirs)]
+    params = [f"p[{j}]" for j in range(len(kernels.param_names))]
+    slots = []
+    for i in range(n):
+        probe = ["0.0"] * (3 * n)
+        probe[2 * n + i] = "1.0"
+        slots += tape.kernel(kernels, ndirs + 1, x, dirs + [probe],
+                             params)[1 << ndirs:]
+    source = "\n".join(
+        [f"def _fibre(v, p{''.join(f', d{d}' for d in range(ndirs))}):",
+         f"    {', '.join(x)}, = v"]
+        + [f"    {', '.join(dirs[d])}, = d{d}" for d in range(ndirs)]
+        + tape.released(slots) + [f"    return ({', '.join(slots)},)"])
+    return bind_source(source, "_fibre", f"<fibre n={n} k={ndirs}>")
+
+
 class QvChartPoint:
     """A chart point (q, v), scalar or batched, with directions.
 
@@ -72,6 +104,7 @@ class QvChartPoint:
         w = [0.0] * frame.n
         self.cols = _columns((q, v), shape) + w
         self.dir_cols = [_columns(d, shape) + w for d in self.dirs]
+        self._partials = {}  # L -> the n velocity partials
 
     def _run(self, L, dirs):
         fn, params = _composite(L, self.frame)
@@ -83,12 +116,19 @@ class QvChartPoint:
 
     def eval_fibre_partial(self, L, i):
         """TaylorValue of dL/du^i (as a chart function) along the directions:
-        the slots of the kernel that carry a last, probe direction w^i."""
-        n = self.frame.n
-        probe = [0.0] * (3 * n)
-        probe[2 * n + i] = 1.0
-        slots = self._run(L, self.dir_cols + [probe])
-        return TaylorValue(self.ndirs, slots[1 << self.ndirs:])
+        the slots of the kernel that carry a last, probe direction w^i.  The
+        first call at this point makes every i, in one call of the fibre
+        function (_fibre_source)."""
+        partials = self._partials.get(L)
+        if partials is None:
+            fn, params = _composite(L, self.frame)
+            slots = run_batched(_fibre_source(fn, self.frame.n, self.ndirs),
+                                self.cols, params, *self.dir_cols)
+            size = 1 << self.ndirs
+            partials = self._partials[L] = [
+                TaylorValue(self.ndirs, slots[j:j + size])
+                for j in range(0, len(slots), size)]
+        return partials[i]
 
     def velocity(self, i):
         """TaylorValue of the chart velocity v^i along the directions."""

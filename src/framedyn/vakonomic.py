@@ -28,10 +28,10 @@ import numpy as np
 
 from .exprlang import ExprFunction, Kernels, _gathered, run_columns
 from .frames import (QuasiState, TangentPoint, base_velocity,
-                     quasi_velocities, structure_from_matrix)
+                     quasi_from_matrix, structure_from_matrix)
 from .jets import TaylorValue
 from .lagrangian import hessian_rows
-from .linsolve import solve_and_det
+from .linsolve import max_abs, solve_and_det
 from .nonholonomic import GAMMA_DET_TOL, NonholonomicField, RegularityError
 from .quasichart import QvChartPoint
 
@@ -351,9 +351,9 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
     """
     q = np.asarray(p.q, dtype=float)
     n = frame.n
-    s = quasi_velocities(frame, p)
-    v = s.v
-    M = frame.matrix(q)  # checked by quasi_velocities
+    M = frame.matrix(q)
+    frame.check_matrix(M)
+    v = quasi_from_matrix(M, p.u)
     R = structure_from_matrix(frame, q, M)
     if isinstance(Lt, VariationalLagrangian):
         jet = lambda q, v, dirs: Lt.qv_taylor(q, v, dirs).c
@@ -384,10 +384,8 @@ def tilde_tangency_check(Lt, frame, split, states, tol=1e-9):
     for s in states:
         s.require_on_C(split)
         p = TangentPoint(s.q, base_velocity(frame.matrix(s.q), s.v))
-        gam = el_field(Lt, frame, p)
-        resid = float(np.max(np.abs(gam[..., m:]))) if split.n_constraints \
-            else 0.0
+        resid = max_abs(el_field(Lt, frame, p)[..., m:])
         per_point.append(resid)
-        worst = max(worst, resid)
+        worst = max_abs(resid, worst)
     return {"max_residual": worst, "tangent": worst <= tol,
             "per_point": per_point, "tolerance": tol}

@@ -348,3 +348,81 @@ def solve_scalar_reference(a, x):
             s -= a[k][c] * x[c]
         x[k] = s / a[k][k]
     return x, det
+
+
+# The constraint side as it was assembled before its generated sources
+# (framedyn.frames._bracket_source, framedyn.nonholonomic._lift_source and
+# framedyn.quasichart._fibre_source): one kernel call per piece.  Those
+# sources must give the same floats.
+
+
+def structure_from_matrix_reference(frame, q, M):
+    """R^k_ij from the brackets (D X_j) X_i - (D X_i) X_j, one
+    Frame.dfields call per X_i, assembled and reflected by Python loops."""
+    n = frame.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    R = np.zeros(q.shape[:-1] + (n, n, n))
+    if not pairs:
+        return R
+    B = np.empty(q.shape[:-1] + (n, len(pairs)))
+    for i in range(n):
+        D = frame.dfields(q, M[..., i, :], n)
+        for idx, (a, b) in enumerate(pairs):
+            if a == i:
+                B[..., :, idx] = D[..., b, :]
+            elif b == i:
+                B[..., :, idx] -= D[..., a, :]
+    coeff = np.linalg.solve(np.swapaxes(M, -1, -2), B)
+    for idx, (i, j) in enumerate(pairs):
+        R[..., :, i, j] = coeff[..., :, idx]
+        R[..., :, j, i] = -coeff[..., :, idx]
+    return R
+
+
+class StateContextLiftsReference:
+    """Methods of framedyn.nonholonomic.StateContext, each piece from the
+    lift formulas of framedyn.lagrangian, one kernel call each: the rows
+    D_a for a >= m by Frame.dfields on first use (the leading rows stay the
+    field's), clift_at, vlift_at, dvlift_at and hessian_rows over the rows
+    of M with g_D copied in."""
+
+    def dfield(self, a):
+        if a >= self.D.shape[-2]:
+            self.D = self.frame.dfields(self.q, self.u, self.split.n)
+        return self.D[..., a, :]
+
+    def vlift(self, a):
+        from framedyn.lagrangian import vlift_at
+
+        return vlift_at(self.L, self.q, self.u, self.M[..., a, :])
+
+    def clift(self, a):
+        from framedyn.lagrangian import clift_at
+
+        return clift_at(self.L, self.q, self.u, self.M[..., a, :],
+                        self.dfield(a))
+
+    def dvlift(self, a, w):
+        from framedyn.lagrangian import dvlift_at
+
+        return dvlift_at(self.L, self.q, self.u, self.M[..., a, :], self.u,
+                         w, self.dfield(a))
+
+    def regularity_report(self, threshold):
+        from framedyn.lagrangian import hessian_regularity, hessian_rows
+
+        return self.memo(("regularity", threshold), lambda: hessian_regularity(
+            hessian_rows(self.L.taylor, self.q, self.u, self.M, known=self.g),
+            self.split, self.p, threshold))
+
+
+def fibre_partial_reference(pt, L, i):
+    """QvChartPoint.eval_fibre_partial by one run of the composite's kernel
+    per partial, with the probe direction w^i = 1 appended."""
+    from framedyn.jets import TaylorValue
+
+    n = pt.frame.n
+    probe = [0.0] * (3 * n)
+    probe[2 * n + i] = 1.0
+    slots = pt._run(L, pt.dir_cols + [probe])
+    return TaylorValue(pt.ndirs, slots[1 << pt.ndirs:])

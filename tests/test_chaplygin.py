@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from framedyn.chaplygin import (ChaplyginStructure, carriage_special_length,
-                                prop6_scalar, shifted_section,
-                                verify_chaplygin)
+                                gamma_k_residual, prop6_scalar,
+                                shifted_section, verify_chaplygin)
 from framedyn.frames import QuasiState
 from framedyn.vakonomic import MomentumSection, consistency_report
 
@@ -29,27 +29,46 @@ class TestVerify:
         assert rep["coadjoint"] > 1e-3
 
     def test_each_momentum_once_per_state(self, carriage, monkeypatch):
-        # p_c = vlift E_c(L) is read from the state context once per state,
-        # not once per (a, b, c) of the coadjoint law.
-        import framedyn.lagrangian as lagrangian
+        # p_c = vlift E_c(L) is read from the state context, whose lift
+        # source makes every momentum in one call per state, not once per
+        # (a, b, c) of the coadjoint law.
         import framedyn.nonholonomic as nonholonomic
 
         calls = []
-        vlift_at = lagrangian.vlift_at
+        lift_function = nonholonomic._lift_function
 
-        def counted(L, q, u, X):
-            calls.append(np.shape(q))
-            return vlift_at(L, q, u, X)
+        def counted(*args):
+            fn = lift_function(*args)
 
-        for module in (lagrangian, nonholonomic):
-            monkeypatch.setattr(module, "vlift_at", counted)
+            def wrapper(q, u, M):
+                calls.append(np.shape(q))
+                return fn(q, u, M)
+            return wrapper
+
+        monkeypatch.setattr(nonholonomic, "_lift_function", counted)
         S = carriage.states(6, seed=42)
         states = [S] + [QuasiState(S.q[i], S.v[i]) for i in range(2)]
         rep = verify_chaplygin(carriage.L, carriage.frame, carriage.split,
                                carriage.sysd.chaplygin, states)
         assert rep["passed"], rep
-        k = carriage.split.n_constraints
-        assert calls == [(6, 5)] * k + [(5,)] * (2 * k)
+        assert calls == [(6, 5), (5,), (5,)]
+
+
+    def test_nan_state_fails_and_is_reported(self):
+        # A NaN in one of three batched states reaches the invariance and
+        # coadjoint residuals; the verdict fails instead of dropping it.
+        from framedyn.systems import builtin, sample_states
+        special = builtin("carriage", {"l": carriage_special_length(
+            builtin("carriage").params)})
+        L, F, split = special.lagrangian(), special.frame(), special.split()
+        S = sample_states(special, 3, seed=5)
+        clean = verify_chaplygin(L, F, split, special.chaplygin, [S])
+        assert clean["passed"], clean
+        S = sample_states(special, 3, seed=5)
+        S.v[1, 0] = np.nan
+        rep = verify_chaplygin(L, F, split, special.chaplygin, [S])
+        assert not rep["passed"]
+        assert math.isnan(rep["invariance"]) and math.isnan(rep["coadjoint"])
 
 
 class TestProp6:
@@ -115,6 +134,22 @@ class TestShiftedSection:
         sec2 = shifted_section(Lg, Fg, split, generic.builtin_k,
                                states=[sample_states(generic, 50, seed=50)])
         assert sec2.k_check["max_gamma_k"] > 1e-3
+
+
+    def test_nan_state_is_not_conserved(self):
+        # psi1 enters neither L nor the frame, only the shift: a NaN there
+        # makes Gamma(k) NaN at one of three states, and it is reported.
+        from framedyn.systems import builtin, sample_states
+        special = builtin("carriage", {"l": carriage_special_length(
+            builtin("carriage").params)})
+        L, F, split = special.lagrangian(), special.frame(), special.split()
+        k = [special.builtin_k[0] + " + 0*psi1*v1"] + special.builtin_k[1:]
+        sec = shifted_section(L, F, split, k)
+        S = sample_states(special, 3, seed=5)
+        assert gamma_k_residual(L, F, split, sec, [S])["conserved"]
+        S.q[1, 0] = np.nan
+        rep = gamma_k_residual(L, F, split, sec, [S])
+        assert math.isnan(rep["max_gamma_k"]) and not rep["conserved"]
 
 
 class TestSpecialLength:

@@ -91,6 +91,18 @@ def test_jacobi_identity(all_builtins, carriage, rng):
             assert jacobi_residual(F, q) <= 1e-12
 
 
+def test_jacobi_residual_reports_nan(carriage):
+    # At theta = NaN every bracket is NaN; the residual says so rather than
+    # 0.0.
+    rotated = change_of_D_basis(
+        carriage.frame, carriage.split,
+        [["cos(theta)", "-sin(theta)"], ["sin(theta)", "cos(theta)"]])
+    q = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    assert jacobi_residual(rotated, q) <= 1e-15
+    q[4] = np.nan
+    assert math.isnan(jacobi_residual(rotated, q))
+
+
 def test_quasi_velocities_coordinate_frame(coord_frame3, rng):
     u = rng.normal(size=3)
     s = quasi_velocities(coord_frame3, TangentPoint(rng.normal(size=3), u))

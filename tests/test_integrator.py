@@ -110,9 +110,9 @@ def test_observables_pure_functions_of_state(carriage):
 def test_observables_and_drift_report_read_the_state_context(carriage,
                                                              monkeypatch):
     # Energy, momenta and multipliers share the context of the stored
-    # states, and the drift report's energy reads the one its residuals
-    # built: no field or value of L is evaluated outside a context, and at
-    # most two batched contexts are built in all.
+    # states, and the drift report reads the same one (Trajectory.states
+    # returns the state it made before): no field or value of L is
+    # evaluated outside a context, and one batched context is built in all.
     import framedyn.nonholonomic as nonholonomic
     from framedyn.frames import VectorField
 
@@ -139,8 +139,51 @@ def test_observables_and_drift_report_read_the_state_context(carriage,
         drift_report(traj, carriage.L, carriage.frame, carriage.split)
         assert sorted(traj.observables) == [
             "energy", "lambda3", "lambda4", "lambda5", "p3", "p4", "p5"]
-        assert batched.count(True) <= 2, method
+        assert batched.count(True) == 1, method
         batched.clear()
+
+
+@pytest.mark.parametrize("edit", ["q_in_place", "v_in_place",
+                                  "q_reassigned", "v_reassigned"])
+def test_edited_trajectory_gives_a_fresh_state(carriage, edit):
+    # Trajectory.states returns the state it made before only while q is
+    # the same, unchanged array and v still matches that state's v; after
+    # any edit it makes a new state, and the drift report equals the one of
+    # an unedited copy of the edited trajectory.
+    s0 = QuasiState.on_C(np.zeros(5), [0.9, -0.3], carriage.split)
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_span=(0.0, 0.1),
+                           observables=("energy",))
+    traj = integrate(carriage.field, carriage.frame, carriage.split, s0, cfg)
+    split = carriage.split
+    first = traj.states(split)
+    assert traj.states(split) is first
+    if edit == "q_in_place":
+        traj.q[3, 2] += 0.25
+    elif edit == "v_in_place":
+        traj.v[3, 0] += 0.25
+    elif edit == "q_reassigned":
+        traj.q = traj.q.copy()
+    else:
+        traj.v = traj.v * 2.0
+    again = traj.states(split)
+    assert again is not first
+    assert np.array_equal(again.q, traj.q)
+    assert np.array_equal(again.v[:, :split.m], traj.v)
+    assert traj.states(split) is again
+    fresh = Trajectory(traj.times, traj.q.copy(), traj.v.copy(), {})
+    want = drift_report(fresh, carriage.L, carriage.frame, split)
+    assert drift_report(traj, carriage.L, carriage.frame, split) == want
+
+
+def test_equal_v_keeps_the_state(carriage):
+    # v reassigned with the same bytes still matches the state's v.
+    s0 = QuasiState.on_C(np.zeros(5), [0.9, -0.3], carriage.split)
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_span=(0.0, 0.05),
+                           observables=())
+    traj = integrate(carriage.field, carriage.frame, carriage.split, s0, cfg)
+    first = traj.states(carriage.split)
+    traj.v = traj.v.copy()
+    assert traj.states(carriage.split) is first
 
 
 def test_custom_observable_domain_fault_names_it(particle):

@@ -645,14 +645,21 @@ def test_results_do_not_alias_the_memo(carriage, route):
 
 def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     # The calls of one benchmark sweep op on one batched state run the field
-    # function once, build R once, and the vakonomic solve once.
+    # function once, build R once, and the vakonomic solve once.  They reach
+    # no frame derivative kernel (R and the trailing lifts come from
+    # generated sources) and 2(n - m) + m jets of L: the mixed jets along
+    # (0, X_a) and (u, w) of lambda, Lambda and the fundamental residual.
+    # The momentum partials run one generated function per chart point:
+    # for the section's values and its two rates in the report.
     import framedyn.frames as frames
     import framedyn.nonholonomic as nonholonomic
+    import framedyn.quasichart as quasichart
     import framedyn.vakonomic as vakonomic
     from framedyn.chaplygin import gamma_k_residual, prop6_scalar
     from framedyn.vakonomic import consistency_report, solve_gamma_C
 
-    counts = dict.fromkeys(("field", "R", "vakonomic"), 0)
+    counts = dict.fromkeys(("field", "R", "vakonomic", "derivative",
+                            "taylor", "fibre"), 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -668,6 +675,12 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
         monkeypatch.setattr(module, "structure_from_matrix", build_R)
     monkeypatch.setattr(vakonomic, "solve_and_det",
                         counted("vakonomic", vakonomic.solve_and_det))
+    monkeypatch.setattr(Frame, "derivative",
+                        counted("derivative", Frame.derivative))
+    monkeypatch.setattr(Lagrangian, "taylor",
+                        counted("taylor", Lagrangian.taylor))
+    monkeypatch.setattr(quasichart, "_fibre_source",
+                        counted("fibre", quasichart._fibre_source))
     L, F, split = carriage.L, carriage.frame, carriage.split
     section = _shifted(carriage.sysd, L, F, split)
     field = NonholonomicField(L, F, split)  # its field function is counted
@@ -682,7 +695,9 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     for oracle in ("residual_fundamental", "residual_hamel",
                    "constrained_form_residual"):
         getattr(field, oracle)(s, gamma=gamma)
-    assert counts == {"field": 1, "R": 1, "vakonomic": 1}
+    n, m = split.n, split.m
+    assert counts == {"field": 1, "R": 1, "vakonomic": 1, "derivative": 0,
+                      "taylor": 2 * (n - m) + m, "fibre": 3}
 
 
 @pytest.mark.filterwarnings(

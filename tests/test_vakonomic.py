@@ -294,6 +294,55 @@ class TestElField:
                                        [bundle.states(30, seed=35)])
             assert rep["tangent"], rep
 
+    def test_tilde_tangency_check_reports_nan(self, disk, monkeypatch):
+        # A NaN trailing coefficient at the second of two states fails the
+        # check and is reported, where the first state is tangent.
+        import framedyn.vakonomic as vakonomic
+
+        sec = MomentumSection(disk.L, disk.frame, disk.split)
+        VL = VariationalLagrangian(disk.L, disk.frame, disk.split, sec)
+        S = disk.states(2, seed=35)
+        states = [QuasiState(S.q[i], S.v[i]) for i in range(2)]
+        assert tilde_tangency_check(VL, disk.frame, disk.split,
+                                    states)["tangent"]
+        field = vakonomic.el_field
+        seen = []
+
+        def poisoned(Lt, frame, p):
+            gamma = field(Lt, frame, p)
+            seen.append(p)
+            if len(seen) == 2:
+                gamma[..., -1] = np.nan
+            return gamma
+
+        monkeypatch.setattr(vakonomic, "el_field", poisoned)
+        rep = tilde_tangency_check(VL, disk.frame, disk.split, states)
+        assert np.isnan(rep["max_residual"]) and not rep["tangent"]
+        assert np.isnan(rep["per_point"][1])
+
+    def test_el_field_evaluates_the_frame_once(self, carriage, monkeypatch):
+        # M serves the quasi-velocities, R and the chart jets: one
+        # Frame.matrix call per el_field call, scalar or batched, with the
+        # same values as the chart solve of quasi_velocities.
+        from framedyn.frames import Frame
+
+        s = carriage.states(4, seed=33)
+        p = velocities_from_quasi(carriage.frame, s)
+        want = el_field(carriage.L, carriage.frame, p)
+        calls = []
+        matrix = Frame.matrix
+
+        def counted(self, q):
+            calls.append(np.shape(q))
+            return matrix(self, q)
+
+        monkeypatch.setattr(Frame, "matrix", counted)
+        got = el_field(carriage.L, carriage.frame, p)
+        p1 = TangentPoint(p.q[0], p.u[0])
+        el_field(carriage.L, carriage.frame, p1)
+        assert calls == [(4, 5), (5,)]
+        assert np.array_equal(got, want)
+
     def test_adversarial_extension_not_tangent(self, particle):
         # A non-invariant custom section generically fails the tangency of
         # its Euler-Lagrange field.
