@@ -24,6 +24,7 @@ from .frames import QuasiState
 from .integrator import (IntegratorConfig, drift_report, export_csv,
                          export_json, integrate)
 from .lagrangian import energy
+from .linsolve import max_abs
 from .nonholonomic import NonholonomicField
 from .systems import BUILTIN_NAMES, SystemDef, builtin, sample_states
 from .vakonomic import (ShiftedMomentumSection, consistency_report,
@@ -253,12 +254,12 @@ def cmd_consistency(args):
     section = make_section(spec, L, F, split, builtin_k=sysd.builtin_k)
     states = sample_states(sysd, args.samples, seed=args.seed)
     rep = consistency_report(L, F, split, section, states)
-    weak = np.abs(rep.weak_defect)
-    strong = np.abs(rep.strong_defect) if rep.strong_defect.size else weak * 0
-    tang = np.abs(rep.tangency_defect) if rep.tangency_defect.size else weak * 0
-    if float(np.max(weak)) > DEFECT_TOL:
+    # max_abs propagates a NaN, which then fails its test
+    weak, strong, tang = (max_abs(d) for d in (
+        rep.weak_defect, rep.strong_defect, rep.tangency_defect))
+    if not weak <= DEFECT_TOL:
         verdict = "inconsistent"
-    elif strong.size and float(np.max(strong)) > DEFECT_TOL:
+    elif not strong <= DEFECT_TOL:
         verdict = "weakly_consistent"
     else:
         verdict = "strongly_consistent"
@@ -268,9 +269,9 @@ def cmd_consistency(args):
         "samples": args.samples,
         "verdict": verdict,
         "note": "sampled identity: defects checked at the sampled states",
-        "max_weak_defect": float(np.max(weak)),
-        "max_strong_defect": float(np.max(strong)) if strong.size else 0.0,
-        "max_tangency_defect": float(np.max(tang)) if tang.size else 0.0,
+        "max_weak_defect": weak,
+        "max_strong_defect": strong,
+        "max_tangency_defect": tang,
         "weak_defect": rep.weak_defect.tolist(),
         "strong_defect": rep.strong_defect.tolist(),
         "tangency_defect": rep.tangency_defect.tolist(),

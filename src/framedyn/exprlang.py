@@ -919,34 +919,9 @@ def _guarded(fn, *args):
         raise EvalDomainError(str(exc)) from exc
 
 
-def run_compiled(fn, *args):
-    """Call a compiled evaluator; math domain faults raise EvalDomainError."""
-    try:
-        return fn(*args)
-    except _DOMAIN_FAULTS as exc:
-        raise EvalDomainError(str(exc)) from exc
-
-
-def run_batched(fn, vals, params, *dirs):
-    """The numpy binding of a kernel on per-coordinate arrays.
-
-    Division by zero and invalid operations raise EvalDomainError, as in the
-    tree walk; slots come back as the kernel made them (arrays, or Python
-    floats for slots that do not depend on the variables).
-    """
-    return _guarded(fn.batched, vals, params, *dirs)
-
-
-def _flat(parts):
-    out = []
-    for part in parts:
-        out += np.asarray(part, dtype=float).tolist()
-    return out
-
-
 def _columns(parts, shape):
     """Per-coordinate views of arrays whose last axes, joined, give the
-    kernel's variables, broadcast to the batch shape."""
+    variables, broadcast to the batch shape (0-d views for shape ())."""
     cols = []
     for part in parts:
         part = np.asarray(part, dtype=float)
@@ -974,32 +949,33 @@ def _stacked(entries, shape):
     return out
 
 
-def run_columns(fn, point, params, dirs=()):
-    """run_batched on per-coordinate columns of a point given as for
-    run_kernel, scalar or batched (0-d columns at a single point, so a
-    function of a coordinate rounds as numpy rounds it)."""
-    point = [np.asarray(part, dtype=float) for part in point]
-    shape = point[0].shape[:-1]
-    return run_batched(fn, _columns(point, shape), params,
-                       *(_columns(d, shape) for d in dirs))
+def run(fn, point, consts, *more):
+    """fn(point, consts, *more) for a kernel f(vals, params, *dirs) or a
+    generated source.  point and each of more are sequences of arrays whose
+    last axes, joined, follow fn's inputs; consts is passed as it is.  A 1-D
+    point runs the math binding on a list of Python floats per input; a
+    batched one, shape (..., d), the numpy binding (fn.batched) on
+    per-coordinate columns broadcast to the batch shape, under _guarded.
+    Math domain faults raise EvalDomainError."""
+    shape = np.shape(point[0])[:-1]
+    if shape:
+        return _guarded(fn.batched, _columns(point, shape), consts,
+                        *[_columns(x, shape) for x in more])
+    x, *rest = [sum([np.asarray(part, dtype=float).tolist() for part in parts],
+                    []) for parts in (point, *more)]
+    try:
+        return fn(x, consts, *rest)
+    except _DOMAIN_FAULTS as exc:
+        raise EvalDomainError(str(exc)) from exc
 
 
 def run_kernel(fn, point, params, dirs=()):
-    """Slots of a compiled kernel at a scalar or batched point.
-
-    point is a sequence of arrays whose last axes, joined, follow the
-    kernel's variables (say (q, u) for a Lagrangian); each direction is such
-    a sequence too.  A 1-D point runs the math binding on Python floats and
-    returns the slot tuple.  A batched point, shape (..., d), runs the numpy
-    binding on per-coordinate views and returns an array of shape
-    (nslots, ...), into which slots that do not depend on the point are
-    broadcast.
-    """
-    point = [np.asarray(part, dtype=float) for part in point]
-    if point[0].ndim == 1:
-        return run_compiled(fn, _flat(point), params, *map(_flat, dirs))
-    return _stacked(run_columns(fn, point, params, dirs),
-                    point[0].shape[:-1])
+    """run on a kernel, its slots stacked on a leading axis at a batch:
+    the slot tuple at a 1-D point, else an array of shape (nslots, ...)
+    into which slots that do not depend on the point are broadcast."""
+    slots = run(fn, point, params, *dirs)
+    shape = np.shape(point[0])[:-1]
+    return _stacked(slots, shape) if shape else slots
 
 
 # ---------------------------------------------------------------------------
@@ -1030,12 +1006,12 @@ class ExprFunction:
         self.kernel = Kernels((expr,), self.var_names, self.param_names)
 
     def value(self, vals, params=()):
-        return run_compiled(self.kernel(0), tuple(vals), tuple(params))[0]
+        return run(self.kernel(0), (vals,), tuple(params))[0]
 
     def taylor(self, vals, params, dirs):
         """Slots of the jet along the given directions (tuple per direction)."""
-        return run_compiled(self.kernel(len(dirs)), tuple(vals),
-                            tuple(params), *map(tuple, dirs))
+        return run(self.kernel(len(dirs)), (vals,), tuple(params),
+                   *[(d,) for d in dirs])
 
     def taylor_env(self, env):
         """Tree evaluation with arbitrary leaf values (TaylorValues/arrays)."""

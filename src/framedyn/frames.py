@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import (Expr, ExprFunction, Kernels, Tape, _columns,
-                       _gathered, bind_source, cached_kernel, parse,
-                       run_batched, run_compiled, run_kernel)
+from .exprlang import (Expr, ExprFunction, Kernels, Tape, _gathered,
+                       _guarded, bind_source, cached_kernel, parse, run)
 from .linsolve import det_pp, max_abs, min_abs
 
 __all__ = [
@@ -149,12 +148,9 @@ def _derivative(fn, q, params, dirs):
     shape (..., count).  The result is C-contiguous: matmul, einsum and
     solve may sum in another order over strided input."""
     q = np.asarray(q, dtype=float)
-    slots = run_kernel(fn, (q,), params, [(w,) for w in dirs])
     nslots = 1 << len(dirs)
-    top = slots[nslots - 1::nslots]
-    if q.ndim == 1:
-        return np.array(top)
-    return np.ascontiguousarray(np.moveaxis(top, 0, -1))
+    top = run(fn, (q,), params, *[(w,) for w in dirs])[nslots - 1::nslots]
+    return _gathered(top, q.shape[:-1]) if q.ndim > 1 else np.array(top)
 
 
 class Frame:
@@ -163,7 +159,7 @@ class Frame:
     Points are evaluated by fused kernels: all components of the fields
     involved are compiled into one function (see compile_taylor), built on
     first use and cached, and run at scalar and batched points alike (see
-    run_kernel).
+    exprlang.run).
     """
 
     def __init__(self, rows, coords, params=None):
@@ -217,10 +213,11 @@ class Frame:
     def coefficient_slots(self, cols, dirs):
         """Slots of every coefficient X_i^j (row-major, 2**len(dirs) each)
         from the numpy binding of the fused kernel, over per-coordinate
-        leaves: cols[c] and dirs[d][c] are arrays of any shape, 0-d
-        included, or floats (see run_batched)."""
-        return run_batched(self._kernel(len(dirs), self.n), cols,
-                           self._pvals, *dirs)
+        leaves: cols[c] and dirs[d][c] are arrays of any shape, or floats.
+        QvChartPoint passes 0-d columns at a single point, so that the
+        coefficients round there as they do in a batch."""
+        return _guarded(self._kernel(len(dirs), self.n).batched, cols,
+                        self._pvals, *dirs)
 
     def exprs(self):
         return [[c.expr for c in f.components] for f in self.fields]
@@ -271,23 +268,16 @@ def structure_from_matrix(frame, q, M):
 def _brackets(frame, q, M):
     """The brackets [X_i, X_j], i < j in row-major order, at q from the
     frame matrix M there, shape (..., n, n(n-1)/2), from one call of the
-    frame's bracket function (_bracket_source): its math binding on floats
-    at a single point, its numpy binding on per-coordinate columns at a
-    batch."""
-    fn = _bracket_source(frame)
-    if q.ndim == 1:
-        B = run_compiled(fn, q.tolist(), M.ravel().tolist(), frame._pvals)
-        return np.array(B).reshape(frame.n, -1)
+    frame's bracket function (_bracket_source)."""
     shape = q.shape[:-1]
-    B = run_batched(fn, _columns((q,), shape),
-                    _columns((M.reshape(shape + (-1,)),), shape),
-                    frame._pvals)
+    B = run(_bracket_source(frame), (q,), frame._pvals,
+            (M.reshape(shape + (-1,)),))
     return _gathered(B, shape).reshape(shape + (frame.n, -1))
 
 
 def _bracket_source(frame):
     """The one generated function of the brackets of a frame's fields
-    (docs/state_context.md): f(q, M, fp) -> the entries of
+    (docs/state_context.md): f(q, fp, M) -> the entries of
     B[c, (i, j)] = [X_i, X_j]^c = ((DX_j)X_i - (DX_i)X_j)^c for i < j,
     row-major, with M the flat frame matrix at q.  The frame's k = 1 kernel
     is inlined once along each row X_i of M, on one Tape.  Shared by every
@@ -307,7 +297,7 @@ def _generate_brackets(fk, n):
     B = [tape.temp(f"{D[i][j * n + c]} - {D[j][i * n + c]}")
          for c in range(n) for i in range(n) for j in range(i + 1, n)]
     source = "\n".join(
-        ["def _brackets(q, M, fp):",
+        ["def _brackets(q, fp, M):",
          f"    {', '.join(q)}, = q",
          f"    {', '.join(sum(X, []))}, = M"]
         + tape.released(B) + [f"    return ({', '.join(B)},)"])

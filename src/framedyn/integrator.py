@@ -124,6 +124,7 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_DP_C = tuple(sum(row) for row in _DP_A)  # the stage times
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
@@ -158,7 +159,7 @@ def integrate(provider, frame, split, initial, cfg):
     q = np.array(initial.q, dtype=float)
     v = np.array(initial.v[:m], dtype=float)
     t0, t1 = cfg.t_span
-    times, qs, vs = [t0], [q.copy()], [v.copy()]
+    times, qs, vs = [t0], [q], [v]  # no array here is edited in place
 
     def f(t, q, v):
         try:
@@ -196,8 +197,8 @@ def integrate(provider, frame, split, initial, cfg):
             if t > t1:
                 t = t1
             times.append(t)
-            qs.append(q.copy())
-            vs.append(v.copy())
+            qs.append(q)
+            vs.append(v)
             if i > cfg.max_steps:
                 raise IntegrationError("step budget exhausted", t)
     else:
@@ -209,13 +210,12 @@ def integrate(provider, frame, split, initial, cfg):
             h = min(h, t1 - t)
             kqs, kvs = [kq1], [kv1]
             for stage in range(1, 7):
-                aq = q.copy().astype(float)
-                av = v.copy().astype(float)
+                aq, av = q, v
                 for j, aij in enumerate(_DP_A[stage]):
                     if aij:
                         aq = aq + h * aij * kqs[j]
                         av = av + h * aij * kvs[j]
-                kq, kv = f(t + h * sum(_DP_A[stage]), aq, av)
+                kq, kv = f(t + h * _DP_C[stage], aq, av)
                 kqs.append(kq)
                 kvs.append(kv)
             q5 = q + h * sum(b * k for b, k in zip(_DP_B5, kqs) if b)
@@ -235,8 +235,8 @@ def integrate(provider, frame, split, initial, cfg):
                 q, v = q5, v5
                 kq1, kv1 = kqs[6], kvs[6]  # FSAL
                 times.append(t)
-                qs.append(q.copy())
-                vs.append(v.copy())
+                qs.append(q)
+                vs.append(v)
                 nacc += 1
                 if nacc > cfg.max_steps:
                     raise IntegrationError("step budget exhausted", t)

@@ -23,9 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprlang import (Tape, _columns, _gathered, _guarded, _stacked,
-                       bind_source, cached_kernel, run_compiled)
-from .frames import (FRAME_DET_TOL, ON_C_TOL, TangentPoint, base_velocity,
+from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _gathered,
+                       _stacked, bind_source, cached_kernel, run)
+from .frames import (FRAME_DET_TOL, TangentPoint, base_velocity,
                      structure_from_matrix)
 from .lagrangian import hessian_regularity, vlift_rate_at
 from .linsolve import cond_estimate, min_abs, solve_and_det, unrolled
@@ -54,9 +54,9 @@ FAST_FRAME_DET = FRAME_DET_TOL * 2.0 ** 20
 
 def _field_source(L, frame, split):
     """The one generated function of the field of (L, frame, split)
-    (docs/state_context.md): f(q, v, fp, lp, check) -> (M, u, D, h, g_D,
-    rhs, solution), each piece a flat row-major sequence.  Every kernel is
-    inlined on one Tape, so a line that several of them need is emitted
+    (docs/state_context.md): f(q + v, (fp, lp, check)) -> (M, u, D, h,
+    g_D, rhs, solution), each piece a flat row-major sequence.  Every kernel
+    is inlined on one Tape, so a line that several of them need is emitted
     once; the sums are the piecewise assembly's, in its order.  Shared by
     every (L, frame, split) of the same structure."""
     n, m = split.n, split.m
@@ -104,9 +104,10 @@ def _generate_field(fk, lk, n, m):
                 f"{lagrangian(1, (zq, D[a]))})") for a in range(m)]
     pieces = ", ".join(f"({', '.join(p)},)" for p in (u, sum(D, []), h))
     source = "\n".join(
-        ["def _field(q, v, fp, lp, check):",
-         f"    {', '.join(q)}, = q",
-         f"    {', '.join(f'v{a}' for a in range(m))}, = v[:{m}]"]
+        ["def _field(x, c):",
+         f"    {', '.join(q)}, = x[:{n}]",
+         f"    {', '.join(f'v{a}' for a in range(m))}, = x[{n}:{n + m}]",
+         "    fp, lp, check = c"]
         + tape.lines[:frame_lines]
         + [f"    M = ({', '.join(X)},)",
            "    if _scalar:",
@@ -128,39 +129,40 @@ def _generate_field(fk, lk, n, m):
 
 
 def _field_function(L, frame, split):
-    """s -> (M, u, D, h, g_D, rhs, solution) at a state on C, from one call
-    of the generated field function (_field_source): its math binding on
-    float lists at a scalar state, where the pieces are tuples
-    and solution is (Gamma, det) of g_D Gamma = rhs or (None, 0.0); its
-    numpy binding on per-coordinate columns at a batched one, where M is
-    the checked array, the rest arrays of the batch shape on a trailing
-    axis, and solution None."""
+    """s -> (M, u, D, h, g_D, rhs, solution) at a state on C, from one run
+    of the generated field function (_field_source).  At a scalar state the
+    pieces are tuples and solution is (Gamma, det) of g_D Gamma = rhs or
+    (None, 0.0); at a batched one M is the checked array, the rest arrays
+    of the batch shape on a trailing axis, and solution None."""
     n, m = split.n, split.m
     kernel = _field_source(L, frame, split)
-    fp, lp = frame._pvals, L._pvals
+    on_C = [0.0] * (n - m)
 
-    def scalar_check(M):
-        frame.check_matrix(np.array(M).reshape(n, n))
-
-    def function(s):
-        if s.q.ndim == 1:
-            q, v = s.q.tolist(), s.v.tolist()
-            if not all(abs(x) <= ON_C_TOL for x in v[m:]):
-                s.require_on_C(split)
-            return run_compiled(kernel, q, v, fp, lp, scalar_check)
-        s.require_on_C(split)
-        shape = s.q.shape[:-1]
-        errors = np.geterr()  # the frame check keeps the caller's settings
-
+    def consts(shape, errors):  # the frame check keeps the caller's settings
         def check(X):
             with np.errstate(**errors):
                 M = _gathered(X, shape).reshape(shape + (n, n))
                 frame.check_matrix(M)
                 return M
 
-        M, *parts, _ = _guarded(
-            kernel.batched, [s.q[..., i] for i in range(n)],
-            [s.v[..., a] for a in range(m)], fp, lp, check)
+        return frame._pvals, L._pvals, check
+
+    scalar = consts((), {})  # the math binding runs outside any errstate
+
+    def function(s):
+        if s.q.ndim == 1:
+            # The integrator's hot path calls the math binding itself, as
+            # run would: run's generic flattening costs 2-3 us a call.
+            x = s.q.tolist() + s.v.tolist()
+            if x[n + m:] != on_C:  # a nonzero v^a: the full test
+                s.require_on_C(split)
+            try:
+                return kernel(x, scalar)
+            except _DOMAIN_FAULTS as exc:
+                raise EvalDomainError(str(exc)) from exc
+        s.require_on_C(split)
+        shape = s.q.shape[:-1]
+        M, *parts, _ = run(kernel, (s.q, s.v), consts(shape, np.geterr()))
         return [M] + [_gathered(part, shape) for part in parts] + [None]
 
     return function
@@ -168,7 +170,7 @@ def _field_function(L, frame, split):
 
 def _lift_source(L, frame, split):
     """The one generated function of the constraint side of (L, frame,
-    split) (docs/state_context.md): f(q, u, M, fp, lp) -> (D, H, clift,
+    split) (docs/state_context.md): f(q, (fp, lp), u, M) -> (D, H, clift,
     vlift, corr) at (q, u) from the frame matrix M, each piece a flat
     sequence: the rows D_a = (DX_a)u of the trailing fields a >= m (the
     source makes all n; the field function holds the leading ones), the
@@ -206,8 +208,9 @@ def _generate_lifts(fk, lk, n, m):
     pieces = [D[m * n:], H, clift, vlift, corr]
     returned = ", ".join(f"({''.join(f'{x}, ' for x in p)})" for p in pieces)
     source = "\n".join(
-        ["def _lifts(q, u, M, fp, lp):",
+        ["def _lifts(q, c, u, M):",
          f"    {', '.join(q)}, = q",
+         "    fp, lp = c",
          f"    {', '.join(u)}, = u",
          f"    {', '.join(sum(X, []))}, = M"]
         + tape.released(sum(pieces, []))
@@ -220,25 +223,18 @@ Lifts = namedtuple("Lifts", "D H clift vlift corr")
 
 def _lift_function(L, frame, split):
     """(q, u, M) -> Lifts(D, H, clift, vlift, corr) of the lift source at a
-    state on C: D of shape (..., n - m, n) and the others indexed by their
-    first axis, entries floats at a scalar state (math binding on float
-    lists) and arrays of the batch shape at a batched one (numpy binding on
-    per-coordinate columns)."""
+    state on C: D of shape (..., n - m, n) and the others arrays with their
+    entries on the first axis."""
     n, m = split.n, split.m
     kernel = _lift_source(L, frame, split)
-    fp, lp = frame._pvals, L._pvals
+    consts = frame._pvals, L._pvals
 
     def function(q, u, M):
-        if q.ndim == 1:
-            D, *rest = run_compiled(kernel, q.tolist(), u.tolist(),
-                                    M.ravel().tolist(), fp, lp)
-            return Lifts(np.array(D).reshape(n - m, n), *rest)
         shape = q.shape[:-1]
-        D, *rest = _guarded(kernel.batched, *(
-            _columns((x.reshape(shape + (-1,)),), shape) for x in (q, u, M)),
-            fp, lp)
+        D, *rest = run(kernel, (q,), consts, (u,),
+                       (M.reshape(shape + (-1,)),))
         return Lifts(_gathered(D, shape).reshape(shape + (n - m, n)),
-                     *(_stacked(part, shape) for part in rest))
+                     *[_stacked(part, shape) for part in rest])
 
     return function
 
@@ -329,8 +325,7 @@ class StateContext:
 
     def vlift(self, a):
         """vlift X_a(L); for a >= m the momentum p_a."""
-        p = self._lifts.vlift[a]
-        return p if self.q.ndim == 1 else p.copy()
+        return self._lifts.vlift[a].copy()
 
     def clift(self, a):
         """clift X_a(L): the derivative along (X_a, D_a)."""

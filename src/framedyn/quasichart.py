@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .exprlang import (Add, ExprFunction, Mul, Ref, Tape, _columns,
-                       bind_source, cached_kernel, run_batched, substitute)
+                       _guarded, bind_source, cached_kernel, substitute)
 from .jets import TaylorValue
 
 __all__ = ["QvChartPoint"]
@@ -107,8 +107,11 @@ class QvChartPoint:
         self._partials = {}  # L -> the n velocity partials
 
     def _run(self, L, dirs):
+        # the numpy binding also at a single point, on 0-d columns, so that
+        # functions of the coordinates round there as they do in a batch
         fn, params = _composite(L, self.frame)
-        return run_batched(fn.kernel(len(dirs)), self.cols, params, *dirs)
+        return _guarded(fn.kernel(len(dirs)).batched, self.cols, params,
+                        *dirs)
 
     def eval(self, L):
         """TaylorValue of the composite along the directions."""
@@ -122,8 +125,8 @@ class QvChartPoint:
         partials = self._partials.get(L)
         if partials is None:
             fn, params = _composite(L, self.frame)
-            slots = run_batched(_fibre_source(fn, self.frame.n, self.ndirs),
-                                self.cols, params, *self.dir_cols)
+            fibre = _fibre_source(fn, self.frame.n, self.ndirs).batched
+            slots = _guarded(fibre, self.cols, params, *self.dir_cols)
             size = 1 << self.ndirs
             partials = self._partials[L] = [
                 TaylorValue(self.ndirs, slots[j:j + size])

@@ -26,7 +26,7 @@ from operator import add
 
 import numpy as np
 
-from .exprlang import ExprFunction, Kernels, _gathered, run_columns
+from .exprlang import ExprFunction, Kernels, _columns, _gathered, _guarded
 from .frames import (QuasiState, TangentPoint, base_velocity,
                      quasi_from_matrix, structure_from_matrix)
 from .jets import TaylorValue
@@ -96,6 +96,7 @@ class CustomSection(Section):
         if len(exprs) != split.n_constraints:
             raise ValueError("need one expression per constraint index")
         self.names = frame.coords + tuple(f"v{i + 1}" for i in range(split.m))
+        self.phi = list(exprs)  # as given, for describe
         self.params = dict(frame.params if params is None else params)
         self.exprs = [ExprFunction(e, self.names, tuple(self.params)).expr
                       for e in exprs]
@@ -103,10 +104,13 @@ class CustomSection(Section):
         self._kernels = Kernels(self.exprs, self.names, tuple(self.params))
 
     def taylor(self, q, v_alpha, dirs):
-        """One fused kernel of the expressions at (q, v_alpha), through the
-        numpy binding on per-coordinate columns."""
+        """One fused kernel of the expressions at (q, v_alpha)."""
         k = len(dirs)
-        slots = run_columns(self._kernels(k), (q, v_alpha), self._pvals, dirs)
+        shape = np.shape(q)[:-1]
+        # the numpy binding also at a single state, on 0-d columns, so that
+        # functions of the coordinates round there as they do in a batch
+        x, *d = [_columns(p, shape) for p in [(q, v_alpha), *dirs]]
+        slots = _guarded(self._kernels(k).batched, x, self._pvals, *d)
         return [TaylorValue(k, slots[s:s + (1 << k)])
                 for s in range(0, len(slots), 1 << k)]
 
@@ -118,7 +122,7 @@ class CustomSection(Section):
                                                  for dq, dv in pt.dirs])
 
     def describe(self):
-        return {"kind": self.kind, "phi": [str(e) for e in self.exprs]}
+        return {"kind": self.kind, "phi": [str(e) for e in self.phi]}
 
 
 class MomentumSection(Section):
@@ -171,8 +175,7 @@ class ShiftedMomentumSection(MomentumSection):
         return [b + e for b, e in zip(base, self.shift.extension(pt))]
 
     def describe(self):
-        return {"kind": self.kind,
-                "k": [str(e) for e in self.shift.exprs]}
+        return {"kind": self.kind, "k": [str(e) for e in self.shift.phi]}
 
 
 def make_section(spec, L, frame, split, builtin_k=None):

@@ -178,6 +178,55 @@ class TestConsistencyCommand:
         assert doc["gamma_k_residual"] <= 1e-9
         assert doc["k_conserved"] is True
 
+    @pytest.mark.parametrize("defect,verdict", [
+        ("weak", "inconsistent"), ("strong", "weakly_consistent")])
+    def test_nan_defect_fails_its_test(self, capsys, tmp_path, monkeypatch,
+                                       defect, verdict):
+        # The disk's momentum section is strongly consistent; a NaN defect
+        # must fail the test it enters instead of passing it.
+        import framedyn.cli as cli
+
+        real = cli.consistency_report
+
+        def with_nan(*args):
+            rep = real(*args)
+            name = f"{defect}_defect"
+            setattr(rep, name, np.full_like(getattr(rep, name), np.nan))
+            return rep
+
+        monkeypatch.setattr(cli, "consistency_report", with_nan)
+        out = tmp_path / "r.json"
+        code, _, _ = run(capsys, "consistency", "--system", "vertical_disk",
+                         "--section", "momentum", "--samples", "5",
+                         "--out", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == verdict
+        assert np.isnan(doc[f"max_{defect}_defect"])
+
+    def test_section_report_gives_the_expressions_as_written(
+            self, capsys, tmp_path):
+        from framedyn.systems import builtin
+
+        cases = [
+            ("nonholonomic_particle", '{"kind": "custom", "phi": '
+             '["exp(1000*q1)"]}', "phi", ["exp(1000*q1)"]),
+            ("carriage", '{"kind": "custom", "phi": ["0", "v1*y", "x"]}',
+             "phi", ["0", "v1*y", "x"]),
+            ("carriage", '{"kind": "momentum_shifted", "k": '
+             '["v1", "x*v2", "0"]}', "k", ["v1", "x*v2", "0"]),
+            ("carriage", "momentum_shifted", "k",
+             builtin("carriage").builtin_k),
+        ]
+        for system, spec, key, want in cases:
+            out = tmp_path / "r.json"
+            code, _, _ = run(capsys, "consistency", "--system", system,
+                             "--section", spec, "--samples", "3",
+                             "--out", str(out))
+            assert code == 0
+            section = json.loads(out.read_text())["section"]
+            assert section[key] == want, spec
+
     def test_reports_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

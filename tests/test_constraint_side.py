@@ -170,3 +170,43 @@ def test_generated_constraint_side_emits_each_line_once(name, sysd, L, frame,
                  for line in fn.__source__.splitlines() if " = " in line]
         assert len(right) > 10, (name, fn.__name__)
         assert len(right) == len(set(right)), (name, fn.__name__)
+
+
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+def test_domain_faults_in_lift_and_bracket_sources(route, monkeypatch):
+    # X_3 = (sqrt(q1), 0, 1) is finite at q1 = 0 and the frame is regular,
+    # but its first derivative divides by zero there.  Gamma reads no
+    # derivative of X_3; the lifts and the brackets do, and must raise
+    # EvalDomainError as the piecewise routes do.
+    from framedyn import (ConstraintSplit, EvalDomainError, Frame,
+                          Lagrangian, ZeroSection)
+
+    from test_nonholonomic import _raised
+
+    coords = ("q1", "q2", "q3")
+    frame = Frame([["1", "0", "0"], ["0", "1", "0"], ["sqrt(q1)", "0", "1"]],
+                  coords)
+    L = Lagrangian("(u1*u1 + u2*u2 + u3*u3)/2 + q2*u1", coords,
+                   ("u1", "u2", "u3"))
+    split = ConstraintSplit(3, 2)
+    field = NonholonomicField(L, frame, split)
+    q = np.array([[0.0, 0.3, -0.2], [0.5, 0.1, 0.2]])
+    v = np.array([[0.7, -0.4, 0.0], [0.2, 0.9, 0.0]])
+    s = QuasiState(q, v) if route == "batched" else QuasiState(q[0], v[0])
+
+    def fresh():
+        return QuasiState(s.q.copy(), s.v.copy())
+
+    calls = {
+        "multipliers": lambda: field.multipliers(fresh()),
+        "R": lambda: structure_functions(frame, fresh().q),
+        "consistency_report": lambda: consistency_report(
+            L, frame, split, ZeroSection(frame, split), fresh()),
+    }
+    assert np.all(np.isfinite(field.gamma(fresh())))
+    got = {name: _raised(call) for name, call in calls.items()}
+    _use_piecewise_routes(monkeypatch)
+    for name, call in calls.items():
+        want = _raised(call)
+        assert type(got[name]) is type(want) is EvalDomainError, name
+        assert str(got[name]) == str(want), name

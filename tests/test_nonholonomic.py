@@ -402,10 +402,13 @@ def test_rate_and_solve_report_reject_off_C_states(carriage, route):
 
 def test_field_evaluation_runs_no_per_kernel_dispatch(carriage, monkeypatch):
     # A scalar rate and a batched gamma are one Python call of the field
-    # function plus arithmetic: the per-call kernel route, the Lagrangian's
-    # jets and the frame's derivative entry are not reached.
+    # function plus arithmetic: no per-expression kernel, the Lagrangian's
+    # jets or the frame's derivative entry is reached, and the runner sees
+    # the field source alone (the scalar route calls its math binding
+    # directly).
     import framedyn.exprlang as exprlang
-    from framedyn.frames import Frame as FrameClass
+    import framedyn.frames as frames
+    import framedyn.nonholonomic as nonholonomic
 
     field = carriage.field
     S = carriage.states(30, seed=23)
@@ -416,16 +419,27 @@ def test_field_evaluation_runs_no_per_kernel_dispatch(carriage, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("per-kernel dispatch reached")
 
+    ran = []
+    real_run = nonholonomic.run
+
+    def run(fn, *args):
+        ran.append(fn)
+        return real_run(fn, *args)
+
+    monkeypatch.setattr(nonholonomic, "run", run)
     monkeypatch.setattr(exprlang, "run_kernel", forbidden)
-    monkeypatch.setattr(exprlang, "_flat", forbidden)
+    monkeypatch.setattr(exprlang.Kernels, "__call__", forbidden)
+    monkeypatch.setattr(frames, "run", forbidden)
     monkeypatch.setattr(Lagrangian, "taylor", forbidden)
-    monkeypatch.setattr(FrameClass, "derivative", forbidden)
+    monkeypatch.setattr(Frame, "derivative", forbidden)
     # fresh copies, so the calls evaluate instead of reading the memo
     got_u, got_gamma = field.rate(QuasiState(s1.q.copy(), s1.v.copy()))
     assert np.array_equal(got_u, want_rate[0])
     assert np.array_equal(got_gamma, want_rate[1])
     assert np.array_equal(field.gamma(QuasiState(S.q.copy(), S.v.copy())),
                           want_gamma)
+    source = _field_source(carriage.L, carriage.frame, carriage.split)
+    assert ran == [source]
 
 
 def test_generated_field_function_is_shared_by_structure():
