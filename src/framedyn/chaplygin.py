@@ -23,7 +23,7 @@ from .frames import _brackets
 from .lagrangian import dvlift_at
 from .linsolve import max_abs
 from .nonholonomic import NonholonomicField
-from .vakonomic import ShiftedMomentumSection, _phi_R_alpha
+from .vakonomic import ShiftedMomentumSection, _phi_Rv
 
 __all__ = [
     "ChaplyginStructure", "verify_chaplygin", "prop6_scalar",
@@ -97,7 +97,7 @@ def prop6_scalar(L, frame, split, s):
     m, n = split.m, split.n
     ctx = NonholonomicField(L, frame, split)._context(s)
     mom = _gathered([ctx.vlift(a) for a in range(m, n)], s.q.shape[:-1])
-    return _phi_R_alpha(mom, ctx.R, s.v, split)
+    return _phi_Rv(mom, ctx.Rv[..., m:, :m])
 
 
 def gamma_k_residual(L, frame, split, section, states, tol=1e-9):

@@ -55,21 +55,32 @@ def _load_json(path):
         raise ConfigError("$", f"invalid JSON in {path}: {exc}")
 
 
-def _load_system(name_or_path, overrides):
+def _load_system(name_or_path, params, sets):
+    """The system with the config's params, then the --set values, applied;
+    each name must be a base parameter (of a JSON system: a declared one)."""
     if name_or_path in BUILTIN_NAMES:
-        return builtin(name_or_path, overrides or None)
-    if os.path.exists(name_or_path) or name_or_path.endswith(".json"):
+        sysd = builtin(name_or_path)
+    elif os.path.exists(name_or_path) or name_or_path.endswith(".json"):
         doc = _load_json(name_or_path)
         _validate_system_doc(doc)
         sysd = SystemDef.from_json_dict(doc)
-        if overrides:
-            sysd.params.update(overrides)
         if sysd.sample_box is None:
             sysd.sample_box = {"q": [[-2.0, 2.0]] * sysd.n,
                                "v": [[-2.0, 2.0]] * sysd.m}
-        return sysd
-    raise ConfigError("$.system",
-                      f"unknown system {name_or_path!r} and no such file")
+    else:
+        raise ConfigError("$.system",
+                          f"unknown system {name_or_path!r} and no such file")
+    accepted = [k for k in sysd.params if k not in sysd.derived]
+    for names, path in ((params, "$.params.{}"), (sets, "$.set")):
+        for k in names:
+            _require(k in accepted, path.format(k),
+                     f"unknown parameter {k!r} of {sysd.name}; accepted: "
+                     f"{', '.join(accepted) or 'none'}")
+    overrides = {**params, **sets}
+    if overrides and name_or_path in BUILTIN_NAMES:
+        return builtin(name_or_path, overrides)  # derived ones follow
+    sysd.params.update(overrides)
+    return sysd
 
 
 def _validate_system_doc(doc):
@@ -205,9 +216,7 @@ def _load_run(args):
     run = _load_run_config(args.config)
     system = _resolve(args, run, "system")
     _require(system is not None, "$.system", "no system given")
-    overrides = dict(run.get("params", {}))
-    overrides.update(_parse_set(args.set))
-    sysd = _load_system(system, overrides)
+    sysd = _load_system(system, run.get("params", {}), _parse_set(args.set))
     return run, sysd, sysd.lagrangian(), sysd.frame(), sysd.split()
 
 
@@ -340,7 +349,7 @@ def cmd_systems(args):
         for name in BUILTIN_NAMES:
             print(name)
         return 0
-    sysd = _load_system(args.name, _parse_set(args.set))
+    sysd = _load_system(args.name, {}, _parse_set(args.set))
     print(json.dumps(sysd.to_json_dict(), indent=1, sort_keys=True))
     return 0
 

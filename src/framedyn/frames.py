@@ -265,6 +265,12 @@ def structure_from_matrix(frame, q, M):
     return R
 
 
+def contract_structure(R, v):
+    """Rv[..., k, i] = R^k_ij v^j, the one contraction of R with v: the
+    residuals, the vakonomic solve and the defects read slices of it."""
+    return np.einsum("...ijk,...k->...ij", R, v)
+
+
 def _brackets(frame, q, M):
     """The brackets [X_i, X_j], i < j in row-major order, at q from the
     frame matrix M there, shape (..., n, n(n-1)/2), from one call of the

@@ -69,9 +69,6 @@ class Trajectory:
     observables: dict
     meta: dict = field(default_factory=dict)
 
-    def state(self, i, split):
-        return QuasiState.on_C(self.q[i], self.v[i], split)
-
     def states(self, split):
         """The stored states as one batched QuasiState.  The state made by
         the last call is returned again, and with it its state contexts,
@@ -324,10 +321,6 @@ def drift_report(traj, L, frame, split):
     }
 
 
-def _fmt(x):
-    return f"{x:.17g}"
-
-
 def export_csv(traj, path):
     """CSV export: header t,q1..qn,v1..vm,<observables...>, 17-significant-
     digit decimal floats."""
@@ -336,7 +329,7 @@ def export_csv(traj, path):
         fh.write(",".join(name for name, _ in cols) + "\n")
         rows = len(traj.times)
         for i in range(rows):
-            fh.write(",".join(_fmt(float(col[i])) for _, col in cols) + "\n")
+            fh.write(",".join(f"{float(c[i]):.17g}" for _, c in cols) + "\n")
 
 
 def export_json(traj, path):

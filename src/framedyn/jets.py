@@ -185,9 +185,6 @@ class TaylorValue:
             raise ValueError("jet2 requires a 2-direction TaylorValue")
         return Jet2(*self.c)
 
-    def slot(self, mask):
-        return self.c[mask]
-
     def extract(self, bit):
         """Collapse one direction: the sub-value whose slot U is the slot
         U | bit of self.  This is the Taylor expansion, in the remaining

@@ -26,7 +26,7 @@ import numpy as np
 from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _gathered,
                        _stacked, bind_source, cached_kernel, run)
 from .frames import (FRAME_DET_TOL, TangentPoint, base_velocity,
-                     structure_from_matrix)
+                     contract_structure, structure_from_matrix)
 from .lagrangian import hessian_regularity, vlift_rate_at
 from .linsolve import cond_estimate, min_abs, solve_and_det, unrolled
 from .quasichart import QvChartPoint
@@ -252,9 +252,9 @@ class StateContext:
     at a scalar state also solves the system.  gamma is set once the system
     is solved.  The constraint side (the trailing rows D_a, every clift,
     vlift and correction, the Hessian entries outside g_D) comes from one
-    call of the lift function on the first read of any of it, and R from
-    the frame's bracket function on first use.  A context lives as long as
-    its state (NonholonomicField._context), so what it makes (memo) serves
+    call of the lift function on the first read of any of it, R and R
+    contracted with v (Rv) on first use.  A context lives as long as its
+    state (NonholonomicField._context), so what it makes (memo) serves
     every later call there.
     """
 
@@ -263,7 +263,7 @@ class StateContext:
         self.frame = field.frame
         self.split = field.split
         self._field = field
-        self.q = s.q
+        self.q, self.v = s.q, s.v
         *self._parts, solution = field._function(s)
         self.u = np.asarray(self._parts[1])
         self._memo = {}
@@ -322,6 +322,9 @@ class StateContext:
     def R(self):
         """The structure functions at q, from M on first use."""
         return structure_from_matrix(self.frame, self.q, self.M)
+
+    # R^k_ij v^j at [..., k, i], for every reader of R contracted with v
+    Rv = cached_property(lambda self: contract_structure(self.R, self.v))
 
     def vlift(self, a):
         """vlift X_a(L); for a >= m the momentum p_a."""
@@ -395,7 +398,7 @@ class NonholonomicField:
         """The context of s, memoised on s by (L, frame, split) and built
         again once s has changed since (docs/state_context.md)."""
         key, q = self._key, s.q
-        stamp = (id(q), q.shape, q.tobytes(), s.v.tobytes())
+        stamp = (id(q), id(s.v), q.shape, q.tobytes(), s.v.tobytes())
         memo = s.__dict__.setdefault("_contexts", {})
         hit = memo.get(key)
         if hit is None or hit[0] != stamp:
@@ -476,9 +479,7 @@ class NonholonomicField:
     def residual_hamel(self, s, gamma=None):
         """Hamel-form residual through the composite L(q, X(q) v)."""
         ctx, gamma = self._residual_context(s, gamma)
-        jets = self._chart_jets(
-            ctx, s.v, gamma,
-            lambda a: np.einsum("...jk,...k->...j", ctx.R[..., :, a, :], s.v))
+        jets = self._chart_jets(ctx, s.v, gamma, lambda a: ctx.Rv[..., :, a])
         return np.stack([t - base + corr for t, base, corr in jets], axis=-1)
 
     def constrained_form_residual(self, s, gamma=None):
@@ -486,14 +487,14 @@ class NonholonomicField:
         on the restriction L_c, and the momentum term p_a carries the rest."""
         m, n = self.split.m, self.split.n
         ctx, gamma = self._residual_context(s, gamma)
-        R = ctx.R
+        Rv = ctx.Rv
         p_mom = [ctx.vlift(a) for a in range(m, n)]
         v_c = np.zeros(s.q.shape)
         v_c[..., :m] = s.v_alpha(self.split)
 
         def zbeta(a):
             z = np.zeros(s.q.shape)
-            z[..., :m] = np.einsum("...bk,...k->...b", R[..., :m, a, :], s.v)
+            z[..., :m] = Rv[..., :m, a]
             return z
 
         out = []
@@ -501,7 +502,6 @@ class NonholonomicField:
                 self._chart_jets(ctx, v_c, gamma, zbeta)):
             rhs = 0.0
             for j, b in enumerate(range(m, n)):
-                rhs = rhs - np.einsum(
-                    "...k,...k->...", R[..., b, a, :], s.v) * p_mom[j]
+                rhs = rhs - Rv[..., b, a] * p_mom[j]
             out.append(t - (base - corr) - rhs)
         return np.stack(out, axis=-1)

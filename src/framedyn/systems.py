@@ -47,6 +47,7 @@ class SystemDef:
     sample_box: Optional[dict] = None
     delta_info: Optional[dict] = None
     domain_note: str = ""
+    derived: tuple = ()  # names of the parameters computed from the others
 
     def split(self):
         return ConstraintSplit(self.n, self.m)
@@ -211,7 +212,8 @@ def _carriage(params=None):
     _require_positive(p, ["m0", "m1", "J", "J2", "R", "c"])
     if p["l"] < 0:
         raise ValueError(f"parameter l must be nonnegative, got {p['l']}")
-    p.update(carriage_derived_params(p))
+    derived = carriage_derived_params(p)
+    p.update(derived)
     coords = ("psi1", "psi2", "x", "y", "theta")
     vels = ("upsi1", "upsi2", "ux", "uy", "utheta")
     rows = [
@@ -259,7 +261,8 @@ def _carriage(params=None):
         chaplygin=ChaplyginStructure(C, action, name="SE(2)"),
         references=refs, builtin_k=builtin_k,
         sample_box={"q": [[-2.0, 2.0]] * 4 + [[-math.pi, math.pi]],
-                    "v": [[-2.0, 2.0]] * 2})
+                    "v": [[-2.0, 2.0]] * 2},
+        derived=tuple(derived))
 
 
 def builtin(name, params=None, **kwargs):
@@ -293,10 +296,10 @@ def measure_density(system, q1):
     return 1.0 / math.sqrt(total)
 
 
-def sample_states(system, count, seed=0, box=None):
+def sample_states(system, count, seed=0):
     """Batched random states on C drawn from the system's sample box."""
     rng = np.random.default_rng(seed)
-    box = box or system.sample_box
+    box = system.sample_box
     qlo = np.array([b[0] for b in box["q"]])
     qhi = np.array([b[1] for b in box["q"]])
     vlo = np.array([b[0] for b in box["v"]])

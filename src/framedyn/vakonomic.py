@@ -28,7 +28,8 @@ import numpy as np
 
 from .exprlang import ExprFunction, Kernels, _columns, _gathered, _guarded
 from .frames import (QuasiState, TangentPoint, base_velocity,
-                     quasi_from_matrix, structure_from_matrix)
+                     contract_structure, quasi_from_matrix,
+                     structure_from_matrix)
 from .jets import TaylorValue
 from .lagrangian import hessian_rows
 from .linsolve import max_abs, solve_and_det
@@ -220,18 +221,10 @@ class ConsistencyReport:
     point: QuasiState
 
 
-def _phi_R_alpha(phi_vals, R, v, split):
-    """phi_a R^a_alpha_beta v^beta for each alpha."""
-    m, n = split.m, split.n
-    Rv = np.einsum("...abk,...k->...ab", R[..., m:, :m, :], v)
-    return np.einsum("...a,...ab->...b", phi_vals, Rv)
-
-
-def _phi_R_a(phi_vals, R, v, split):
-    """phi_b R^b_a_alpha v^alpha for each a."""
-    m, n = split.m, split.n
-    Rv = np.einsum("...bak,...k->...ba", R[..., m:, m:, :], v)
-    return np.einsum("...b,...ba->...a", phi_vals, Rv)
+def _phi_Rv(phi_vals, block):
+    """phi_a R^a_ij v^j for each column i of a block Rv[..., m:, cols] of
+    StateContext.Rv: for i = alpha < m, or for i = a >= m."""
+    return np.einsum("...a,...ai->...i", phi_vals, block)
 
 
 def solve_gamma_C(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
@@ -241,29 +234,30 @@ def solve_gamma_C(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     A_a, and Lambda_a at the state.
     """
     ctx = NonholonomicField(L, frame, split)._context(s)
-    sol = _solve_C(ctx, section, s, det_tol)[1]
+    sol = _solve_C(ctx, section, s, det_tol)[0]
     return VakonomicSolution(sol.gamma_C.copy(), sol.A.copy(),
                              sol.Lambda.copy(), section)
 
 
 def _solve_C(ctx, section, s, det_tol):
-    """(phi_a, solve_gamma_C) on an assembled state context, made once per
-    (section, det_tol): the nonholonomic system with the section's
-    phi_a R^a_alpha_beta v^beta added to its right side."""
+    """(solve_gamma_C, phi_a R^a_alpha_beta v^beta, phi_b R^b_a_alpha v^alpha)
+    on a state context, made once per (section, det_tol): the nonholonomic
+    system with the first product added to its right side."""
 
     def build():
-        split = ctx.split
+        split, m = ctx.split, ctx.split.m
         phi_vals = section.values(s.q, s.v_alpha(split))
         reg = ctx.regularity_report(det_tol)
         if not reg.regular_D:
             raise RegularityError("regular_D", reg.det_D)
         if not reg.regular_Dperp:
             raise RegularityError("regular_Dperp", reg.det_Dperp)
-        b = ctx.rhs + _phi_R_alpha(phi_vals, ctx.R, s.v, split)
-        gamma_C, _ = solve_and_det(ctx.g, b)
-        Lam = ctx.epsilon(range(split.m, split.n), gamma_C)
-        A = Lam - _phi_R_a(phi_vals, ctx.R, s.v, split)
-        return phi_vals, VakonomicSolution(gamma_C, A, Lam, section)
+        weak = _phi_Rv(phi_vals, ctx.Rv[..., m:, :m])
+        gamma_C, _ = solve_and_det(ctx.g, ctx.rhs + weak)
+        Lam = ctx.epsilon(range(m, split.n), gamma_C)
+        shift = _phi_Rv(phi_vals, ctx.Rv[..., m:, m:])
+        sol = VakonomicSolution(gamma_C, Lam - shift, Lam, section)
+        return sol, weak, shift
 
     return ctx.memo(("C", section, det_tol), build)
 
@@ -280,13 +274,11 @@ def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     """
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
-    phi_vals, sol = _solve_C(ctx, section, s, det_tol)
-    weak = _phi_R_alpha(phi_vals, ctx.R, s.v, split)
-    phi_shift = _phi_R_a(phi_vals, ctx.R, s.v, split)
+    sol, weak, phi_shift = _solve_C(ctx, section, s, det_tol)
     strong = _phi_rate(section, s, ctx.u, ctx.gamma, split) + phi_shift - lam
     tangency = (_phi_rate(section, s, ctx.u, sol.gamma_C, split) + phi_shift
                 - sol.Lambda)
-    return ConsistencyReport(weak, strong, tangency, s)
+    return ConsistencyReport(weak.copy(), strong, tangency, s)
 
 
 def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
@@ -297,7 +289,7 @@ def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     lam = ctx.multipliers()
     phi_vals = section.values(s.q, s.v_alpha(split))
     rate = _phi_rate(section, s, ctx.u, ctx.gamma, split)
-    return lam - _phi_R_a(phi_vals, ctx.R, s.v, split) - rate
+    return lam - _phi_Rv(phi_vals, ctx.Rv[..., split.m:, split.m:]) - rate
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +349,7 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
     M = frame.matrix(q)
     frame.check_matrix(M)
     v = quasi_from_matrix(M, p.u)
-    R = structure_from_matrix(frame, q, M)
+    Rv = contract_structure(structure_from_matrix(frame, q, M), v)
     if isinstance(Lt, VariationalLagrangian):
         jet = lambda q, v, dirs: Lt.qv_taylor(q, v, dirs).c
     else:
@@ -369,7 +361,7 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
     u = base_velocity(M, v)
     b = np.empty(q.shape[:-1] + (n,))
     for i in range(n):
-        z = -np.einsum("...jk,...k->...j", R[..., :, i, :], v)
+        z = -Rv[..., :, i]
         cl = jet(q, v, [(M[..., i, :], z)])[1]
         rate = jet(q, v, [(zq, e[..., i, :]), (u, zq)])[3]
         b[..., i] = cl - rate

@@ -27,6 +27,25 @@ def test_systems_show(capsys):
     assert len(doc["frame"]) == 5
 
 
+@pytest.mark.parametrize("name", ["lx", "P"])
+def test_set_accepts_only_base_params(capsys, tmp_path, name):
+    # A misspelt name would be ignored, and a derived one (the carriage's P)
+    # overwritten by the value derived from the base parameters.
+    out = tmp_path / "c.json"
+    code, _, err = run(capsys, "consistency", "--system", "carriage",
+                       "--set", f"{name}=2", "--samples", "3", "--out",
+                       str(out))
+    assert code == 2
+    assert "$.set" in err and f"'{name}'" in err
+    assert "accepted: m0, m1, J, J2, R, c, l" in err
+    assert not out.exists()
+    code, _, err = run(capsys, "systems", "show", "carriage", "--set",
+                       f"{name}=2")
+    assert code == 2 and "$.set" in err
+    code, shown, _ = run(capsys, "systems", "show", "carriage", "--set", "l=2")
+    assert code == 0 and json.loads(shown)["params"]["l"] == 2.0
+
+
 def test_systems_show_requires_name(capsys):
     code, _, err = run(capsys, "systems", "show")
     assert code == 2
@@ -299,6 +318,18 @@ class TestCustomSystems:
         assert code == 2
         assert "$.params.g" in err
 
+    def test_only_declared_params_may_be_set(self, capsys, tmp_path):
+        path = self._write_def(tmp_path, params={"g": 9.81})
+        out = tmp_path / "t.csv"
+        argv = ("derive", "--system", str(path), "--samples", "2", "--out",
+                str(out))
+        assert run(capsys, *argv, "--set", "g=1")[0] == 0
+        out.unlink()
+        code, _, err = run(capsys, *argv, "--set", "h=1")
+        assert code == 2
+        assert "$.set" in err and "'h'" in err and "accepted: g" in err
+        assert not out.exists()
+
     def test_singular_frame_is_runtime_error(self, capsys, tmp_path):
         path = self._write_def(tmp_path, frame=[["1", "0", "0"],
                                                 ["1", "0", "0"],
@@ -350,6 +381,16 @@ class TestRunConfig:
         code, _, err = run(capsys, "derive", "--config", str(cfgp))
         assert code == 2
         assert "$.params.l" in err
+
+    def test_unknown_config_param(self, capsys, tmp_path):
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps({"system": "vertical_disk",
+                                    "params": {"mass": 2.0}}))
+        code, _, err = run(capsys, "derive", "--config", str(cfgp),
+                           "--samples", "2", "--out", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert "$.params.mass" in err
+        assert "accepted: M, axial_inertia, steer_inertia, R" in err
 
     def test_missing_system_everywhere(self, capsys):
         code, _, err = run(capsys, "derive")

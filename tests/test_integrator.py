@@ -107,6 +107,31 @@ def test_observables_pure_functions_of_state(carriage):
                           traj.v[:, 0] - traj.v[:, 1])
 
 
+def test_defect_observables_are_the_consistency_report(carriage):
+    # One column per component of each defect, == to consistency_report on
+    # the stored states; without a section there are no defects to give.
+    from framedyn.vakonomic import ShiftedMomentumSection, consistency_report
+    L, F, split = carriage.L, carriage.frame, carriage.split
+    section = ShiftedMomentumSection(L, F, split, carriage.sysd.builtin_k)
+    s0 = QuasiState.on_C(np.zeros(5), [0.9, -0.3], split)
+    cfg = IntegratorConfig(step=1e-2, t_span=(0.0, 0.2),
+                           observables=("defects",), section=section)
+    traj = integrate(carriage.field, F, split, s0, cfg)
+    rep = consistency_report(L, F, split, section, traj.states(split))
+    want = {f"weak_defect_{a + 1}": rep.weak_defect[:, a]
+            for a in range(split.m)}
+    for j, a in enumerate(range(split.m, split.n)):
+        want[f"strong_defect_{a + 1}"] = rep.strong_defect[:, j]
+        want[f"tangency_defect_{a + 1}"] = rep.tangency_defect[:, j]
+    assert sorted(traj.observables) == sorted(want)
+    for name, col in want.items():
+        assert np.array_equal(traj.observables[name], col), name
+    assert np.max(np.abs(rep.strong_defect)) > 1e-3  # l != l*
+    cfg.section = None
+    with pytest.raises(ValueError, match="require cfg.section"):
+        integrate(carriage.field, F, split, s0, cfg)
+
+
 def test_observables_and_drift_report_read_the_state_context(carriage,
                                                              monkeypatch):
     # Energy, momenta and multipliers share the context of the stored

@@ -611,10 +611,12 @@ def test_call_order_does_not_change_values(name, sysd, L, frame, split,
 
 @pytest.mark.parametrize("route", ["scalar", "batched"])
 @pytest.mark.parametrize("edit", ["q_in_place", "v_in_place", "signed_zero",
-                                  "q_reassigned"])
+                                  "q_reassigned", "v_reassigned"])
 def test_edited_state_is_evaluated_again(carriage, edit, route):
-    # The memo is stamped with the bytes and shape of q and v: any edit
-    # after a call misses it, and the next call equals one on a fresh state.
+    # The memo is stamped with the bytes and shape of q and v and the ids of
+    # both arrays: any edit after a call misses it, and the next call equals
+    # one on a fresh state.  v_reassigned gives s an equal copy of v and then
+    # edits the old array, which a context reads R.v from on first use.
     field = carriage.field
     q = np.array([[0.0, 0.3, -0.2, 0.5, 0.1], [0.4, -0.6, 0.2, 0.0, -0.3]])
     v = np.array([[0.7, -1.1, 0.0, 0.0, 0.0], [0.2, 0.5, 0.0, 0.0, 0.0]])
@@ -627,12 +629,17 @@ def test_edited_state_is_evaluated_again(carriage, edit, route):
         s.v[..., 0] += 0.5
     elif edit == "signed_zero":
         s.q[..., 0] = -s.q[..., 0] if route == "scalar" else [-0.0, 0.4]
-    else:
+    elif edit == "q_reassigned":
         s.q = s.q + 0.25
-    got = [field.gamma(s), *field.rate(s), field.multipliers(s)]
+    else:
+        old, s.v = s.v, s.v.copy()
+        old[..., 0] += 0.5
+    got = [field.gamma(s), *field.rate(s), field.multipliers(s),
+           field.residual_hamel(s)]
     assert field._context(s) is not before
     fresh = _fresh(s)
-    want = [field.gamma(fresh), *field.rate(fresh), field.multipliers(fresh)]
+    want = [field.gamma(fresh), *field.rate(fresh), field.multipliers(fresh),
+            field.residual_hamel(fresh)]
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes(), edit
 
@@ -659,7 +666,10 @@ def test_results_do_not_alias_the_memo(carriage, route):
 
 def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     # The calls of one benchmark sweep op on one batched state run the field
-    # function once, build R once, and the vakonomic solve once.  They reach
+    # function once, build R once, contract it with v once, and run the
+    # vakonomic solve once; every other product with R.v (the residuals'
+    # corrections, the phi R v products of the solve, the defects and
+    # prop6_scalar) is a slice of that one contraction.  They reach
     # no frame derivative kernel (R and the trailing lifts come from
     # generated sources) and 2(n - m) + m jets of L: the mixed jets along
     # (0, X_a) and (u, w) of lambda, Lambda and the fundamental residual.
@@ -672,8 +682,8 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     from framedyn.chaplygin import gamma_k_residual, prop6_scalar
     from framedyn.vakonomic import consistency_report, solve_gamma_C
 
-    counts = dict.fromkeys(("field", "R", "vakonomic", "derivative",
-                            "taylor", "fibre"), 0)
+    counts = dict.fromkeys(("field", "R", "Rv", "einsum", "vakonomic",
+                            "derivative", "taylor", "fibre"), 0)
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -687,6 +697,9 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     build_R = counted("R", frames.structure_from_matrix)
     for module in (frames, nonholonomic):
         monkeypatch.setattr(module, "structure_from_matrix", build_R)
+    monkeypatch.setattr(nonholonomic, "contract_structure",
+                        counted("Rv", frames.contract_structure))
+    monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
     monkeypatch.setattr(vakonomic, "solve_and_det",
                         counted("vakonomic", vakonomic.solve_and_det))
     monkeypatch.setattr(Frame, "derivative",
@@ -710,7 +723,11 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
                    "constrained_form_residual"):
         getattr(field, oracle)(s, gamma=gamma)
     n, m = split.n, split.m
-    assert counts == {"field": 1, "R": 1, "vakonomic": 1, "derivative": 0,
+    # einsum: the contraction, the solve's two phi R v products, the one of
+    # prop6_scalar, and u = w^alpha X_alpha in the fibre of lambda, Lambda
+    # and the fundamental residual
+    assert counts == {"field": 1, "R": 1, "Rv": 1, "einsum": 7,
+                      "vakonomic": 1, "derivative": 0,
                       "taylor": 2 * (n - m) + m, "fibre": 3}
 
 
