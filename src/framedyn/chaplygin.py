@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .exprlang import _gathered
-from .frames import _brackets
 from .lagrangian import dvlift_at
 from .linsolve import max_abs
 from .nonholonomic import NonholonomicField
@@ -62,6 +61,8 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
     nh = NonholonomicField(L, frame, split)
     for s in states:
         ctx = nh._context(s)
+        # the brackets are read first, so that R is solved from them
+        brackets = ctx.brackets if k else None
         q, u, R = ctx.q, ctx.u, ctx.R
         # R^i_a_alpha = 0 and R^i_ab = -delta^i_c C^c_ab
         res["structure_R"] = max_abs(R[..., :, m:, :m], res["structure_R"])
@@ -70,8 +71,7 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
             want[..., m:, :, :] = -np.moveaxis(C, 2, 0)  # -C^c_ab at [c, a, b]
             res["structure_R"] = max_abs(R[..., :, m:, m:] - want,
                                          res["structure_R"])
-            res["commute"] = max_abs(_brackets(frame, q, ctx.M)[..., commute],
-                                     res["commute"])
+            res["commute"] = max_abs(brackets[..., commute], res["commute"])
         mom = {c: ctx.vlift(c) for c in range(m, n)}
         for a in range(m, n):
             res["invariance"] = max_abs(ctx.clift(a), res["invariance"])

@@ -249,17 +249,19 @@ def structure_functions(frame, q):
     return structure_from_matrix(frame, q, M)
 
 
-def structure_from_matrix(frame, q, M):
+def structure_from_matrix(frame, q, M, B=None):
     """structure_functions at q from the frame matrix M = X(q), already
     evaluated and checked: the brackets [X_i, X_j], i < j, solved against
-    M^T.  The bracket array is made in the call to the solve, so that it
-    is freed before R is filled."""
+    M^T.  B is the bracket array _brackets(frame, q, M) where the caller
+    keeps it; otherwise it is made in the call to the solve, so that it is
+    freed before R is filled."""
     n = frame.n
     R = np.zeros(q.shape[:-1] + (n, n, n))
     if n < 2:
         return R
     i, j = np.triu_indices(n, 1)
-    coeff = np.linalg.solve(np.swapaxes(M, -1, -2), _brackets(frame, q, M))
+    coeff = np.linalg.solve(np.swapaxes(M, -1, -2),
+                            _brackets(frame, q, M) if B is None else B)
     R[..., :, i, j] = coeff
     R[..., :, j, i] = -coeff
     return R

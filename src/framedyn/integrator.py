@@ -96,16 +96,25 @@ class Trajectory:
 
 
 def _rate_fn(provider, frame, split):
+    """y -> qdot + vdot at the chart state y = q + (v^alpha), both lists of
+    Python floats."""
+    n = split.n
+    if isinstance(provider, NonholonomicField):
+        return provider._float_rate()
     if hasattr(provider, "rate"):
-        tail = np.zeros(split.n - split.m)
+        tail = [0.0] * (n - split.m)
 
-        def rate(q, v):
-            return provider.rate(QuasiState(q, np.concatenate((v, tail))))
+        def rate(y):
+            dq, dv = provider.rate(QuasiState(np.array(y[:n]),
+                                              np.array(y[n:] + tail)))
+            return dq.tolist() + dv.tolist()
         return rate
 
-    def rate(q, v):
+    def rate(y):
+        q, v = np.array(y[:n]), np.array(y[n:])
         u = base_velocity(frame.matrix(q), v)
-        return u, np.asarray(provider(q, v), dtype=float)
+        return u.tolist() + np.asarray(provider(q, v), dtype=float).reshape(
+            v.shape).tolist()
 
     return rate
 
@@ -127,18 +136,37 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 
 
-def _non_finite(q, v, pattern="{}"):
-    """'name = value' for the first non-finite entry of the chart pair (q, v),
-    or None when every entry is finite; pattern decorates the name."""
-    x = q.tolist() + v.tolist()
-    if math.isfinite(sum(x)):  # a NaN or an infinity makes the sum one too
+def _non_finite(y, n, pattern="{}"):
+    """'name = value' for the first non-finite entry of the chart state
+    y = q + v (q the first n entries), or None when every entry is finite;
+    pattern decorates the name."""
+    if math.isfinite(sum(y)):  # a NaN or an infinity makes the sum one too
         return None
-    names = [f"q{i + 1}" for i in range(q.size)] + [
-        f"v{i + 1}" for i in range(v.size)]
-    for name, val in zip(names, x):
+    for i, val in enumerate(y):
         if not math.isfinite(val):
+            name = f"q{i + 1}" if i < n else f"v{i - n + 1}"
             return f"{pattern.format(name)} = {val}"
     return None  # finite entries whose sum overflowed
+
+
+def _added(y, h, weights, ks):
+    """y + (h w_1) k_1 + (h w_2) k_2 + ... over the nonzero weights, added
+    to y one term at a time (docs/integrator.md, "Stepping")."""
+    for w, k in zip(weights, ks):
+        if w:
+            hw = h * w
+            y = [x + hw * z for x, z in zip(y, k)]
+    return y
+
+
+def _error_part(y, y5, y4, atol, rtol):
+    """The sum of the squared weighted errors over entries of one part of
+    the state, from 0.0 one entry at a time."""
+    total = 0.0
+    for x, a, b in zip(y, y5, y4):
+        e = (a - b) / (atol + rtol * max(abs(x), abs(a)))
+        total = total + e * e
+    return total
 
 
 def integrate(provider, frame, split, initial, cfg):
@@ -146,31 +174,31 @@ def integrate(provider, frame, split, initial, cfg):
 
     provider is a NonholonomicField-like object (with .rate) or a plain
     callable (q, v_alpha) -> Gamma^alpha.  Returns a Trajectory sampled at
-    every accepted step, with the requested observables attached.
+    every accepted step, with the requested observables attached.  The
+    stages run on lists of Python floats (docs/integrator.md, "Stepping").
     """
     initial.require_on_C(split)
     if initial.batched:
         raise ValueError("integrate takes a single initial state")
     rate = _rate_fn(provider, frame, split)
-    m = split.m
-    q = np.array(initial.q, dtype=float)
-    v = np.array(initial.v[:m], dtype=float)
+    n = split.n
+    y = initial.q.tolist() + initial.v[:split.m].tolist()
     t0, t1 = cfg.t_span
-    times, qs, vs = [t0], [q], [v]  # no array here is edited in place
+    times, ys = [t0], [y]  # no list here is edited in place
 
-    def f(t, q, v):
+    def f(t, y):
         try:
-            dq, dv = rate(q, v)
+            k = rate(y)
         except Exception as exc:
             raise IntegrationError(f"field evaluation failed: {exc}", t)
-        bad = _non_finite(dq, dv, "d{}/dt")
+        bad = _non_finite(k, n, "d{}/dt")
         if bad:
             raise IntegrationError(f"non-finite {bad} from the field at "
-                                   f"q = {q.tolist()}, v = {v.tolist()}", t)
-        return dq, dv
+                                   f"q = {y[:n]}, v = {y[n:]}", t)
+        return k
 
-    def require_finite_step(q, v, t, h):
-        bad = _non_finite(q, v)
+    def require_finite_step(y, t, h):
+        bad = _non_finite(y, n)
         if bad:
             raise IntegrationError(
                 f"non-finite {bad} after the step of size {h}", t)
@@ -182,58 +210,49 @@ def integrate(provider, frame, split, initial, cfg):
         i = 0
         while t < t1 - 1e-15 * max(1.0, abs(t1)):
             h = min(h_nominal, t1 - t)
-            k1q, k1v = f(t, q, v)
-            k2q, k2v = f(t + h / 2, q + h / 2 * k1q, v + h / 2 * k1v)
-            k3q, k3v = f(t + h / 2, q + h / 2 * k2q, v + h / 2 * k2v)
-            k4q, k4v = f(t + h, q + h * k3q, v + h * k3v)
-            q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
-            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
-            require_finite_step(q, v, t, h)
+            h2, h6 = h / 2, h / 6
+            k1 = f(t, y)
+            k2 = f(t + h2, [x + h2 * k for x, k in zip(y, k1)])
+            k3 = f(t + h2, [x + h2 * k for x, k in zip(y, k2)])
+            k4 = f(t + h, [x + h * k for x, k in zip(y, k3)])
+            y = [x + h6 * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+            require_finite_step(y, t, h)
             i += 1
             t = t0 + i * h_nominal if i <= nsteps else t1
             if t > t1:
                 t = t1
             times.append(t)
-            qs.append(q)
-            vs.append(v)
+            ys.append(y)
             if i > cfg.max_steps:
                 raise IntegrationError("step budget exhausted", t)
     else:
+        atol, rtol = cfg.atol, cfg.rtol
+        zeros = [0.0] * len(y)
         t = t0
         h = min(cfg.step if cfg.step > 0 else (t1 - t0) / 100, t1 - t0)
-        kq1, kv1 = f(t, q, v)
+        k1 = f(t, y)
         nacc = 0
         while t < t1 - 1e-15 * max(1.0, abs(t1)):
             h = min(h, t1 - t)
-            kqs, kvs = [kq1], [kv1]
+            ks = [k1]
             for stage in range(1, 7):
-                aq, av = q, v
-                for j, aij in enumerate(_DP_A[stage]):
-                    if aij:
-                        aq = aq + h * aij * kqs[j]
-                        av = av + h * aij * kvs[j]
-                kq, kv = f(t + h * _DP_C[stage], aq, av)
-                kqs.append(kq)
-                kvs.append(kv)
-            q5 = q + h * sum(b * k for b, k in zip(_DP_B5, kqs) if b)
-            v5 = v + h * sum(b * k for b, k in zip(_DP_B5, kvs) if b)
-            q4 = q + h * sum(b * k for b, k in zip(_DP_B4, kqs) if b)
-            v4 = v + h * sum(b * k for b, k in zip(_DP_B4, kvs) if b)
-            require_finite_step(q5, v5, t, h)
-            err_q = q5 - q4
-            err_v = v5 - v4
-            scale_q = cfg.atol + cfg.rtol * np.maximum(np.abs(q), np.abs(q5))
-            scale_v = cfg.atol + cfg.rtol * np.maximum(np.abs(v), np.abs(v5))
-            err = np.sqrt(
-                (np.sum((err_q / scale_q) ** 2) + np.sum((err_v / scale_v) ** 2))
-                / (q.size + v.size))
+                ks.append(f(t + h * _DP_C[stage],
+                            _added(y, h, _DP_A[stage], ks)))
+            # x + h (0 + b_1 k_1 + ...): the sum starts at 0.0, which turns
+            # a -0.0 into 0.0 as sum() over arrays did
+            y5 = [x + h * s for x, s in zip(y, _added(zeros, 1.0, _DP_B5, ks))]
+            y4 = [x + h * s for x, s in zip(y, _added(zeros, 1.0, _DP_B4, ks))]
+            require_finite_step(y5, t, h)
+            err = math.sqrt(
+                (_error_part(y[:n], y5[:n], y4[:n], atol, rtol)
+                 + _error_part(y[n:], y5[n:], y4[n:], atol, rtol)) / len(y))
             if err <= 1.0:
                 t = t + h
-                q, v = q5, v5
-                kq1, kv1 = kqs[6], kvs[6]  # FSAL
+                y = y5
+                k1 = ks[6]  # FSAL
                 times.append(t)
-                qs.append(q)
-                vs.append(v)
+                ys.append(y)
                 nacc += 1
                 if nacc > cfg.max_steps:
                     raise IntegrationError("step budget exhausted", t)
@@ -242,9 +261,10 @@ def integrate(provider, frame, split, initial, cfg):
             if h < 1e-13 * (t1 - t0):
                 raise IntegrationError("adaptive step underflow", t)
 
+    samples = np.array(ys)
     traj = Trajectory(
-        times=np.array(times), q=np.array(qs), v=np.array(vs),
-        observables={},
+        times=np.array(times), q=np.ascontiguousarray(samples[:, :n]),
+        v=np.ascontiguousarray(samples[:, n:]), observables={},
         meta={"method": cfg.method,
               "step": cfg.step if cfg.method == "rk4" else None,
               "rtol": cfg.rtol if cfg.method == "rk45" else None,

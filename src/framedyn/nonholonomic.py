@@ -25,7 +25,7 @@ import numpy as np
 
 from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _gathered,
                        _stacked, bind_source, cached_kernel, run)
-from .frames import (FRAME_DET_TOL, TangentPoint, base_velocity,
+from .frames import (FRAME_DET_TOL, TangentPoint, _brackets, base_velocity,
                      contract_structure, structure_from_matrix)
 from .lagrangian import hessian_regularity, vlift_rate_at
 from .linsolve import cond_estimate, min_abs, solve_and_det, unrolled
@@ -43,6 +43,13 @@ class RegularityError(Exception):
             f"regularity condition {condition!r} failed: det = {det!r}")
         self.condition = condition
         self.det = det
+
+
+def _require_regular_D(gamma, det, det_tol):
+    """Raise RegularityError("regular_D", det) unless g_D Gamma = rhs was
+    solved (gamma is not None) with |det g_D| > det_tol at every state."""
+    if gamma is None or not min_abs(det) > det_tol:
+        raise RegularityError("regular_D", det)
 
 
 # A scalar frame check passes on the unrolled det (linsolve.unrolled) when
@@ -133,7 +140,9 @@ def _field_function(L, frame, split):
     of the generated field function (_field_source).  At a scalar state the
     pieces are tuples and solution is (Gamma, det) of g_D Gamma = rhs or
     (None, 0.0); at a batched one M is the checked array, the rest arrays
-    of the batch shape on a trailing axis, and solution None."""
+    of the batch shape on a trailing axis, and solution None.  Its
+    attribute `floats` is the scalar entry on x = q + v, a list of Python
+    floats, which the integrator's stages call without a state."""
     n, m = split.n, split.m
     kernel = _field_source(L, frame, split)
     on_C = [0.0] * (n - m)
@@ -149,22 +158,26 @@ def _field_function(L, frame, split):
 
     scalar = consts((), {})  # the math binding runs outside any errstate
 
+    def floats(x):
+        # the math binding called as run would call it: run's generic
+        # flattening costs 2-3 us a call
+        try:
+            return kernel(x, scalar)
+        except _DOMAIN_FAULTS as exc:
+            raise EvalDomainError(str(exc)) from exc
+
     def function(s):
         if s.q.ndim == 1:
-            # The integrator's hot path calls the math binding itself, as
-            # run would: run's generic flattening costs 2-3 us a call.
             x = s.q.tolist() + s.v.tolist()
             if x[n + m:] != on_C:  # a nonzero v^a: the full test
                 s.require_on_C(split)
-            try:
-                return kernel(x, scalar)
-            except _DOMAIN_FAULTS as exc:
-                raise EvalDomainError(str(exc)) from exc
+            return floats(x)
         s.require_on_C(split)
         shape = s.q.shape[:-1]
         M, *parts, _ = run(kernel, (s.q, s.v), consts(shape, np.geterr()))
         return [M] + [_gathered(part, shape) for part in parts] + [None]
 
+    function.floats = floats
     return function
 
 
@@ -252,10 +265,10 @@ class StateContext:
     at a scalar state also solves the system.  gamma is set once the system
     is solved.  The constraint side (the trailing rows D_a, every clift,
     vlift and correction, the Hessian entries outside g_D) comes from one
-    call of the lift function on the first read of any of it, R and R
-    contracted with v (Rv) on first use.  A context lives as long as its
-    state (NonholonomicField._context), so what it makes (memo) serves
-    every later call there.
+    call of the lift function on the first read of any of it; the brackets
+    of the frame's fields, R and R contracted with v (Rv) on first use.  A
+    context lives as long as its state (NonholonomicField._context), so
+    what it makes (memo) serves every later call there.
     """
 
     def __init__(self, field, s):
@@ -297,8 +310,7 @@ class StateContext:
         every call with |det g_D| <= det_tol."""
         gamma, det = self.memo("gamma", lambda: solve_and_det(self.g,
                                                               self.rhs))
-        if gamma is None or not min_abs(det) > det_tol:
-            raise RegularityError("regular_D", det)
+        _require_regular_D(gamma, det, det_tol)
         self.gamma = gamma
         return self
 
@@ -319,9 +331,19 @@ class StateContext:
         return self.D[..., a, :] if a < m else self._lifts.D[..., a - m, :]
 
     @cached_property
+    def brackets(self):
+        """The brackets [X_i, X_j], i < j, at q (frames._brackets), from M
+        on first use.  R read after them is solved from this array."""
+        return _brackets(self.frame, self.q, self.M)
+
+    @cached_property
     def R(self):
-        """The structure functions at q, from M on first use."""
-        return structure_from_matrix(self.frame, self.q, self.M)
+        """The structure functions at q, from M on first use: solved from
+        the kept brackets if they were read before, else from brackets
+        made and freed in the call, so that a batch's brackets stay in
+        memory only for a caller that reads them."""
+        return structure_from_matrix(self.frame, self.q, self.M,
+                                     self.__dict__.get("brackets"))
 
     # R^k_ij v^j at [..., k, i], for every reader of R contracted with v
     Rv = cached_property(lambda self: contract_structure(self.R, self.v))
@@ -422,6 +444,22 @@ class NonholonomicField:
         """ODE right side in the C chart: (qdot, vdot) = (u, Gamma)."""
         ctx = self._solve(s)
         return ctx.u.copy(), ctx.gamma.copy()
+
+    def _float_rate(self):
+        """y -> u + Gamma at y = q + (v^alpha), on lists of Python floats:
+        rate without a state or a context, for the integrator's stages.
+        One run of the field function's scalar entry and the det_tol test
+        of StateContext.solve, so the values and the errors are rate's."""
+        field, det_tol = self._function.floats, self.det_tol
+        tail = [0.0] * (self.split.n - self.split.m)
+
+        def rate(y):
+            parts = field(y + tail)
+            gamma, det = parts[6]
+            _require_regular_D(gamma, det, det_tol)
+            return parts[1] + gamma
+
+        return rate
 
     def multipliers(self, s):
         """lambda_a = Gamma(vlift X_a(L)) - clift X_a(L)."""

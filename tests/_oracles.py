@@ -356,22 +356,24 @@ def solve_scalar_reference(a, x):
 # sources must give the same floats.
 
 
-def structure_from_matrix_reference(frame, q, M):
+def structure_from_matrix_reference(frame, q, M, B=None):
     """R^k_ij from the brackets (D X_j) X_i - (D X_i) X_j, one
-    Frame.dfields call per X_i, assembled and reflected by Python loops."""
+    Frame.dfields call per X_i, assembled and reflected by Python loops;
+    from B instead where the caller passes its brackets."""
     n = frame.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     R = np.zeros(q.shape[:-1] + (n, n, n))
     if not pairs:
         return R
-    B = np.empty(q.shape[:-1] + (n, len(pairs)))
-    for i in range(n):
-        D = frame.dfields(q, M[..., i, :], n)
-        for idx, (a, b) in enumerate(pairs):
-            if a == i:
-                B[..., :, idx] = D[..., b, :]
-            elif b == i:
-                B[..., :, idx] -= D[..., a, :]
+    if B is None:
+        B = np.empty(q.shape[:-1] + (n, len(pairs)))
+        for i in range(n):
+            D = frame.dfields(q, M[..., i, :], n)
+            for idx, (a, b) in enumerate(pairs):
+                if a == i:
+                    B[..., :, idx] = D[..., b, :]
+                elif b == i:
+                    B[..., :, idx] -= D[..., a, :]
     coeff = np.linalg.solve(np.swapaxes(M, -1, -2), B)
     for idx, (i, j) in enumerate(pairs):
         R[..., :, i, j] = coeff[..., :, idx]
@@ -426,3 +428,141 @@ def fibre_partial_reference(pt, L, i):
     probe[2 * n + i] = 1.0
     slots = pt._run(L, pt.dir_cols + [probe])
     return TaylorValue(pt.ndirs, slots[1 << pt.ndirs:])
+
+
+# -- the stepping loop on numpy arrays ----------------------------------------
+#
+# framedyn.integrator.integrate steps on lists of Python floats and calls
+# the field's generated source directly; this is the loop it replaced, on
+# arrays, with every stage rate from the provider's public `rate` on a new
+# QuasiState.  Both must give the same floats, step sequence and errors.
+
+
+def _reference_rate(provider, frame, split):
+    from framedyn.frames import QuasiState, base_velocity
+
+    if hasattr(provider, "rate"):
+        tail = np.zeros(split.n - split.m)
+
+        def rate(q, v):
+            return provider.rate(QuasiState(q, np.concatenate((v, tail))))
+        return rate
+
+    def rate(q, v):
+        u = base_velocity(frame.matrix(q), v)
+        return u, np.asarray(provider(q, v), dtype=float)
+
+    return rate
+
+
+def integrate_reference(provider, frame, split, initial, cfg):
+    """framedyn.integrator.integrate with RK4 and DOPRI5 as numpy array
+    arithmetic."""
+    from framedyn.integrator import (_DP_A, _DP_B4, _DP_B5, _DP_C,
+                                     IntegrationError, Trajectory,
+                                     _non_finite, attach_observables)
+
+    def non_finite(q, v, pattern="{}"):
+        return _non_finite(q.tolist() + v.tolist(), q.size, pattern)
+
+    initial.require_on_C(split)
+    rate = _reference_rate(provider, frame, split)
+    m = split.m
+    q = np.array(initial.q, dtype=float)
+    v = np.array(initial.v[:m], dtype=float)
+    t0, t1 = cfg.t_span
+    times, qs, vs = [t0], [q], [v]
+
+    def f(t, q, v):
+        try:
+            dq, dv = rate(q, v)
+        except Exception as exc:
+            raise IntegrationError(f"field evaluation failed: {exc}", t)
+        bad = non_finite(dq, dv, "d{}/dt")
+        if bad:
+            raise IntegrationError(f"non-finite {bad} from the field at "
+                                   f"q = {q.tolist()}, v = {v.tolist()}", t)
+        return dq, dv
+
+    def require_finite_step(q, v, t, h):
+        bad = non_finite(q, v)
+        if bad:
+            raise IntegrationError(
+                f"non-finite {bad} after the step of size {h}", t)
+
+    if cfg.method == "rk4":
+        nsteps = max(1, int(round((t1 - t0) / cfg.step)))
+        h_nominal = cfg.step
+        t = t0
+        i = 0
+        while t < t1 - 1e-15 * max(1.0, abs(t1)):
+            h = min(h_nominal, t1 - t)
+            k1q, k1v = f(t, q, v)
+            k2q, k2v = f(t + h / 2, q + h / 2 * k1q, v + h / 2 * k1v)
+            k3q, k3v = f(t + h / 2, q + h / 2 * k2q, v + h / 2 * k2v)
+            k4q, k4v = f(t + h, q + h * k3q, v + h * k3v)
+            q = q + (h / 6) * (k1q + 2 * k2q + 2 * k3q + k4q)
+            v = v + (h / 6) * (k1v + 2 * k2v + 2 * k3v + k4v)
+            require_finite_step(q, v, t, h)
+            i += 1
+            t = t0 + i * h_nominal if i <= nsteps else t1
+            if t > t1:
+                t = t1
+            times.append(t)
+            qs.append(q)
+            vs.append(v)
+            if i > cfg.max_steps:
+                raise IntegrationError("step budget exhausted", t)
+    else:
+        t = t0
+        h = min(cfg.step if cfg.step > 0 else (t1 - t0) / 100, t1 - t0)
+        kq1, kv1 = f(t, q, v)
+        nacc = 0
+        while t < t1 - 1e-15 * max(1.0, abs(t1)):
+            h = min(h, t1 - t)
+            kqs, kvs = [kq1], [kv1]
+            for stage in range(1, 7):
+                aq, av = q, v
+                for j, aij in enumerate(_DP_A[stage]):
+                    if aij:
+                        aq = aq + h * aij * kqs[j]
+                        av = av + h * aij * kvs[j]
+                kq, kv = f(t + h * _DP_C[stage], aq, av)
+                kqs.append(kq)
+                kvs.append(kv)
+            q5 = q + h * sum(b * k for b, k in zip(_DP_B5, kqs) if b)
+            v5 = v + h * sum(b * k for b, k in zip(_DP_B5, kvs) if b)
+            q4 = q + h * sum(b * k for b, k in zip(_DP_B4, kqs) if b)
+            v4 = v + h * sum(b * k for b, k in zip(_DP_B4, kvs) if b)
+            require_finite_step(q5, v5, t, h)
+            err_q = q5 - q4
+            err_v = v5 - v4
+            scale_q = cfg.atol + cfg.rtol * np.maximum(np.abs(q), np.abs(q5))
+            scale_v = cfg.atol + cfg.rtol * np.maximum(np.abs(v), np.abs(v5))
+            err = np.sqrt(
+                (np.sum((err_q / scale_q) ** 2) + np.sum((err_v / scale_v) ** 2))
+                / (q.size + v.size))
+            if err <= 1.0:
+                t = t + h
+                q, v = q5, v5
+                kq1, kv1 = kqs[6], kvs[6]  # FSAL
+                times.append(t)
+                qs.append(q)
+                vs.append(v)
+                nacc += 1
+                if nacc > cfg.max_steps:
+                    raise IntegrationError("step budget exhausted", t)
+            factor = 0.9 * (err + 1e-16) ** -0.2
+            h = h * min(5.0, max(0.2, factor))
+            if h < 1e-13 * (t1 - t0):
+                raise IntegrationError("adaptive step underflow", t)
+    traj = Trajectory(
+        times=np.array(times), q=np.array(qs), v=np.array(vs),
+        observables={},
+        meta={"method": cfg.method,
+              "step": cfg.step if cfg.method == "rk4" else None,
+              "rtol": cfg.rtol if cfg.method == "rk45" else None,
+              "atol": cfg.atol if cfg.method == "rk45" else None,
+              "t_span": list(cfg.t_span)})
+    attach_observables(traj, provider, frame, split, cfg)
+    return traj

@@ -10,6 +10,8 @@ from framedyn.integrator import (IntegrationError, IntegratorConfig,
 from framedyn.lagrangian import Lagrangian
 from framedyn.nonholonomic import NonholonomicField
 
+from test_nonholonomic import GATE_SYSTEMS, _shifted
+
 
 @pytest.fixture(scope="module")
 def free3():
@@ -164,8 +166,27 @@ def test_observables_and_drift_report_read_the_state_context(carriage,
         drift_report(traj, carriage.L, carriage.frame, carriage.split)
         assert sorted(traj.observables) == [
             "energy", "lambda3", "lambda4", "lambda5", "p3", "p4", "p5"]
-        assert batched.count(True) == 1, method
+        assert batched == [True], method
         batched.clear()
+
+
+def test_stepping_runs_without_states(carriage, monkeypatch):
+    # The stages call the field source on lists of floats: rate is never
+    # called and no StateContext is made while stepping.
+    import framedyn.nonholonomic as nonholonomic
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a state evaluated on the stepping path")
+
+    monkeypatch.setattr(NonholonomicField, "rate", refused)
+    monkeypatch.setattr(nonholonomic, "StateContext", refused)
+    s0 = QuasiState.on_C(np.zeros(5), [0.9, -0.3], carriage.split)
+    for method in ("rk4", "rk45"):
+        cfg = IntegratorConfig(method=method, step=1e-2, t_span=(0.0, 0.2),
+                               observables=())
+        traj = integrate(carriage.field, carriage.frame, carriage.split, s0,
+                         cfg)
+        assert len(traj.times) > 2
 
 
 @pytest.mark.parametrize("edit", ["q_in_place", "v_in_place",
@@ -357,3 +378,158 @@ def test_huge_finite_state_is_not_flagged(free3):
     traj = integrate(field, F, split, s0,
                      IntegratorConfig(step=0.1, t_span=(0.0, 0.5)))
     assert np.all(np.isfinite(traj.q)) and traj.q[-1, 2] == pytest.approx(0.5)
+
+
+# -- the float stepper against the array loop it replaced -------------------
+
+
+def _same_trajectory(got, want):
+    assert np.array_equal(got.times, want.times)
+    for name in ("q", "v"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == np.float64 and a.flags.c_contiguous, name
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    assert got.observables.keys() == want.observables.keys()
+    for name, col in want.observables.items():
+        assert np.array_equal(got.observables[name], col), name
+    assert got.meta == want.meta
+
+
+# RK4 at two steps, DOPRI5 from a small first step and from a large one,
+# which the delta class and the rotated carriage reject
+GATE_CONFIGS = (
+    {"method": "rk4", "step": 1e-2, "t_span": (0.0, 1.0)},
+    {"method": "rk4", "step": 1e-3, "t_span": (0.0, 0.1)},
+    {"method": "rk45", "rtol": 1e-10, "atol": 1e-12, "t_span": (0.0, 0.5)},
+    {"method": "rk45", "step": 0.5, "rtol": 1e-6, "atol": 1e-8,
+     "t_span": (0.0, 2.0)},
+)
+
+
+@pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
+                         ids=[g[0] for g in GATE_SYSTEMS])
+def test_stepper_equals_array_oracle(name, sysd, L, frame, split):
+    # Times (so DOPRI5's accepted step sequence), states and every
+    # observable, defects included, are == to the numpy loop whose stages
+    # call the public rate.
+    from framedyn import sample_states
+
+    from _oracles import integrate_reference
+
+    field = NonholonomicField(L, frame, split)
+    section = _shifted(sysd, L, frame, split)
+    S = sample_states(sysd, 2, seed=3)
+    for i in range(2):
+        s0 = QuasiState(S.q[i].copy(), S.v[i].copy())
+        for kwargs in GATE_CONFIGS:
+            cfg = IntegratorConfig(
+                observables=("energy", "momenta", "multipliers", "defects"),
+                custom_observables={"spin": "v1 - v2"}, section=section,
+                **kwargs)
+            _same_trajectory(integrate(field, frame, split, s0, cfg),
+                             integrate_reference(field, frame, split, s0, cfg))
+
+
+class _RateOnly:
+    """A provider with a rate method only."""
+
+    def __init__(self, field):
+        self.rate = field.rate
+
+
+@pytest.mark.parametrize("kind", ["callable", "rate_only"])
+def test_other_providers_step_as_the_array_oracle(carriage, particle, kind):
+    from _oracles import integrate_reference
+
+    for b in (particle, carriage):
+        if kind == "callable":
+            def provider(q, v, b=b):
+                return b.field.gamma(QuasiState.on_C(q, v, b.split))
+        else:
+            provider = _RateOnly(b.field)
+        s0 = b.states(1, seed=5)
+        s0 = QuasiState(s0.q[0], s0.v[0])
+        for kwargs in GATE_CONFIGS:
+            cfg = IntegratorConfig(observables=(), **kwargs)
+            got = integrate(provider, b.frame, b.split, s0, cfg)
+            _same_trajectory(got, integrate_reference(provider, b.frame,
+                                                      b.split, s0, cfg))
+            assert np.array_equal(got.q, integrate(b.field, b.frame, b.split,
+                                                   s0, cfg).q)
+
+
+def _failing_runs():
+    """(label, field, state, config kwargs, message start) of runs that
+    must stop: at t = 0 or part way, on RK4 and DOPRI5 alike."""
+    from framedyn import builtin
+    from framedyn.frames import ConstraintSplit
+
+    coords, vels = ["q1", "q2"], ["u1", "u2"]
+    identity = Frame([["1", "0"], ["0", "1"]], coords)
+    kinetic = Lagrangian("(u1*u1 + u2*u2)/2", coords, vels)
+    particle = builtin("nonholonomic_particle")
+    cases = [
+        ("non_finite_rate", particle.lagrangian(), particle.frame(),
+         particle.split(), [0.1, 0.2, 0.3], [1e160, 1e160], {},
+         "non-finite dv1/dt = nan from the field"),
+        # |det g_D| = q2^8 falls below det_tol near q2 = 0
+        ("singular_g_D", Lagrangian("(pow(q2, 8)*u1*u1 + u2*u2)/2", coords,
+                                    vels),
+         identity, ConstraintSplit(2, 2), [0.0, 0.2], [0.0, -1.0], {},
+         "field evaluation failed: regularity condition 'regular_D'"),
+        ("singular_frame", kinetic,
+         Frame([["1", "0"], ["0", "pow(q1, 6)"]], coords),
+         ConstraintSplit(2, 1), [0.04, 0.0], [-1.0], {},
+         "field evaluation failed: frame matrix is singular"),
+        ("domain_fault", Lagrangian("(u1*u1 + u2*u2)/2 - sqrt(q1)", coords,
+                                    vels),
+         identity, ConstraintSplit(2, 1), [0.04, 0.0], [-1.0], {},
+         "field evaluation failed: math domain error"),
+        ("non_finite_step", kinetic, identity, ConstraintSplit(2, 2),
+         [1.5e308, 0.0], [1.5e308, 0.0], {"step": 0.5},
+         "non-finite q1 = inf after the step of size 0.5"),
+    ]
+    return [(label, NonholonomicField(L, F, split), F, split,
+             QuasiState.on_C(np.array(q), np.array(v), split), kwargs, start)
+            for label, L, F, split, q, v, kwargs, start in cases]
+
+
+FAILING_RUNS = _failing_runs()
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("label,field,frame,split,s0,kwargs,start",
+                         FAILING_RUNS, ids=[c[0] for c in FAILING_RUNS])
+def test_stepper_errors_equal_array_oracle(label, field, frame, split, s0,
+                                           kwargs, start, method):
+    from _oracles import integrate_reference
+
+    cfg = IntegratorConfig(method=method, t_span=(0.0, 1.0), observables=(),
+                           **kwargs)
+    errors = []
+    for run in (integrate, integrate_reference):
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationError) as ei:
+                run(field, frame, split, s0, cfg)
+        errors.append((str(ei.value), ei.value.t))
+    assert errors[0] == errors[1]
+    assert errors[0][0].startswith(start), errors[0]
+
+
+def test_error_norm_part_sums_as_numpy(rng):
+    # One part of the DOPRI5 error norm equals the array formula under ==,
+    # over 1 to 7 entries of mixed scale, and a square that overflows gives
+    # inf as numpy does (Python's ** would raise OverflowError).
+    from framedyn.integrator import _error_part
+
+    atol, rtol = 1e-10, 1e-8
+    for size in [1, 2, 3, 4, 5, 6, 7] * 200:
+        y, y5, y4 = (rng.standard_normal(size) * 10.0 ** rng.integers(
+            -6, 6, size) for _ in range(3))
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+        want = np.sum(((y5 - y4) / scale) ** 2)
+        assert _error_part(y.tolist(), y5.tolist(), y4.tolist(), atol,
+                           rtol) == want
+    with np.errstate(over="ignore"):
+        want = np.sum(((np.array([0.0]) - 1e200) / 1.0) ** 2)
+    assert _error_part([0.0], [0.0], [1e200], 1.0, 0.0) == want == np.inf

@@ -13,9 +13,14 @@ and writes one array per output to OUT.npz:
   `gamma_bar_tangency` for the zero, momentum and shifted momentum
   sections; `el_field` of L and of the variational Lagrangian of both
   momentum sections;
+* on the same systems, `verify_chaplygin` at the 40 states, batched and
+  one state at a time;
 * on the same systems, an RK4 and a DOPRI5 trajectory with every
   observable, the defects of the shifted section included, and its
   `drift_report`;
+* the `IntegrationError` message and time of five runs that must stop, on
+  RK4 and DOPRI5: a non-finite rate, a singular g_D, a singular frame, a
+  math domain fault and a non-finite step;
 * the result of every op of the `trajectory`, `sweep` and `cli` benchmark
   workloads (bench/workloads.py) at seeds 1 and 5;
 * the exit code, stdout, stderr and output file of a set of `framedyn`
@@ -145,6 +150,12 @@ def _dump_states(fd, out, work):
             out[f"states/{name}/batched/{key}"] = np.asarray(value)
             out[f"states/{name}/single/{key}"] = np.stack(
                 [np.asarray(x[key]) for x in single])
+        for route, states in (("batched", [S]), ("single", [
+                fd.QuasiState(S.q[i].copy(), S.v[i].copy())
+                for i in range(STATES)])):
+            _flatten(f"states/{name}/{route}/verify_chaplygin",
+                     fd.verify_chaplygin(L, F, split, sysd.chaplygin,
+                                         states), out, work)
 
 
 def _dump_trajectories(fd, out, work):
@@ -165,6 +176,49 @@ def _dump_trajectories(fd, out, work):
             _flatten(prefix, traj, out, work)
             _flatten(f"{prefix}/drift", fd.drift_report(traj, L, F, split),
                      out, work)
+
+
+def _failing_runs(fd):
+    """(label, field, frame, split, initial state, config kwargs) of runs
+    that stop with IntegrationError, at t = 0 or part way."""
+    coords, vels = ["q1", "q2"], ["u1", "u2"]
+    identity = fd.Frame([["1", "0"], ["0", "1"]], coords)
+    kinetic = fd.Lagrangian("(u1*u1 + u2*u2)/2", coords, vels)
+    particle = fd.builtin("nonholonomic_particle")
+    cases = [
+        ("non_finite_rate", particle.lagrangian(), particle.frame(),
+         particle.split(), [0.1, 0.2, 0.3], [1e160, 1e160], {}),
+        ("singular_g_D", fd.Lagrangian("(pow(q2, 8)*u1*u1 + u2*u2)/2",
+                                       coords, vels),
+         identity, fd.ConstraintSplit(2, 2), [0.0, 0.2], [0.0, -1.0], {}),
+        ("singular_frame", kinetic,
+         fd.Frame([["1", "0"], ["0", "pow(q1, 6)"]], coords),
+         fd.ConstraintSplit(2, 1), [0.04, 0.0], [-1.0], {}),
+        ("domain_fault", fd.Lagrangian("(u1*u1 + u2*u2)/2 - sqrt(q1)",
+                                       coords, vels),
+         identity, fd.ConstraintSplit(2, 1), [0.04, 0.0], [-1.0], {}),
+        ("non_finite_step", kinetic, identity, fd.ConstraintSplit(2, 2),
+         [1.5e308, 0.0], [1.5e308, 0.0], {"step": 0.5}),
+    ]
+    return [(label, fd.NonholonomicField(L, F, split), F, split,
+             fd.QuasiState.on_C(np.array(q), np.array(v), split), kwargs)
+            for label, L, F, split, q, v, kwargs in cases]
+
+
+def _dump_failures(fd, out, work):
+    for label, field, F, split, s0, kwargs in _failing_runs(fd):
+        for method in ("rk4", "rk45"):
+            cfg = fd.IntegratorConfig(method=method, t_span=(0.0, 1.0),
+                                      observables=(), **kwargs)
+            try:
+                with np.errstate(all="ignore"):
+                    fd.integrate(field, F, split, s0, cfg)
+            except fd.IntegrationError as exc:
+                result = {"error": type(exc).__name__, "message": str(exc),
+                          "t": exc.t}
+            else:
+                result = {"error": "None"}
+            _flatten(f"failure/{label}/{method}", result, out, work)
 
 
 def _dump_workloads(fd, out, work):
@@ -225,8 +279,8 @@ def dump(path):
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in (_dump_states, _dump_trajectories, _dump_workloads,
-                     _dump_cli):
+        for part in (_dump_states, _dump_trajectories, _dump_failures,
+                     _dump_workloads, _dump_cli):
             part(fd, out, work)
     np.savez(path, **out)
     print(f"{len(out)} outputs written to {path}")
