@@ -5,14 +5,18 @@ tangent to C whose coefficients solve
 
     g_ab Gamma^b = clift X_a(L) - v^b clift X_b(vlift X_a(L)),   a,b <= m,
 
-with g the Hessian block of L over the constraint distribution.  Multipliers
-are the values of the same one-form on the complementary frame fields.  The
+with g the Hessian block of L over the constraint distribution; the
+multipliers are the same one-form on the complementary frame fields.  The
 frame and its derivatives along u are evaluated once per state
-(StateContext) and shared by Gamma, the multipliers and the residuals.  Three
-independently-assembled residual oracles are provided: the fundamental
-equations evaluated on (q, u) along the solved tangent; the Hamel form evaluated
-through the composite function L(q, X(q)v); and the constrained-Lagrangian
-form, whose right-hand side couples the momenta to the structure functions.
+(StateContext) and shared by Gamma, the multipliers and the residuals.
+Three independently-assembled residual oracles are provided: the
+fundamental equations on (q, u) along the solved tangent, the Hamel form
+through the composite L(q, X(q)v), and the constrained-Lagrangian form,
+whose right side couples the momenta to the structure functions.  Their
+jets come from generated functions that only evaluate jets (one call per
+state for the rates of the one-form, one for the chart jets); each form
+combines them in its own order, at its own chart point and with its own
+correction, so the three stay independent.
 """
 
 from __future__ import annotations
@@ -23,13 +27,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _gathered,
-                       _stacked, bind_source, cached_kernel, run)
+from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
+                       _gathered, _guarded, _stacked, bind_source,
+                       cached_kernel, run)
 from .frames import (FRAME_DET_TOL, TangentPoint, _brackets, base_velocity,
                      contract_structure, structure_from_matrix)
-from .lagrangian import hessian_regularity, vlift_rate_at
+from .lagrangian import hessian_regularity
 from .linsolve import cond_estimate, min_abs, solve_and_det, unrolled
-from .quasichart import QvChartPoint
+from .quasichart import _composite
 
 __all__ = ["RegularityError", "NonholonomicField"]
 
@@ -231,6 +236,65 @@ def _generate_lifts(fk, lk, n, m):
     return bind_source(source, "_lifts", f"<lifts n={n} m={m}>")
 
 
+def _epsilon_source(L, indices):
+    """The one generated function of the rates in the one-form epsilon
+    (StateContext.epsilon): f(q + u + M + w, lp) -> for each a in indices,
+    slot 3 of L's jet at (q, u) along (0, X_a) and (u, w), X_a the row a of
+    M, as lagrangian.vlift_rate_at makes it.  Shared by structure."""
+    lk = L.fn.kernel
+    key = ("epsilon", lk.structure[:2], lk.var_names, lk.param_names, indices)
+    return cached_kernel(key, lambda: _generate_epsilon(lk, L.n, indices))
+
+
+def _generate_epsilon(lk, n, indices):
+    tape = Tape()
+    q, u, w = ([f"{x}{i}" for i in range(n)] for x in "quw")
+    X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    rates = [tape.kernel(lk, 2, q + u, [["0.0"] * n + X[a], u + w],
+                         _params(lk, "lp"))[3] for a in indices]
+    inputs = q + u + sum(X, []) + w
+    source = "\n".join(
+        ["def _epsilon(x, lp):", f"    {', '.join(inputs)}, = x"]
+        + tape.released(rates)
+        + [f"    return ({''.join(f'{x}, ' for x in rates)})"])
+    return bind_source(source, "_epsilon", f"<epsilon n={n} a={indices}>")
+
+
+def _chart_source(fn, m):
+    """The one generated function of the chart jets of the chart-form
+    residuals (NonholonomicField._chart_jets) from the kernel of a composite
+    fn (quasichart._composite): f(q + v + u + Gamma + the X_alpha + the
+    c_alpha, p) -> the three jets of each alpha.  Shared by structure."""
+    k = fn.kernel
+    key = ("chart", k.structure[:2], k.var_names, k.param_names, m)
+    return cached_kernel(key, lambda: _generate_chart(k, m))
+
+
+def _generate_chart(kernels, m):
+    n = len(kernels.var_names) // 3
+    tape = Tape()
+    q, v, u, g = ([f"{x}{i}" for i in range(n)] for x in "qvug")
+    X, c = ([[f"{x}{a}_{j}" for j in range(n)] for a in range(m)]
+            for x in "Xc")
+    zero = ["0.0"] * n
+
+    def jet(k, *dirs):
+        return tape.kernel(kernels, k, q + v + zero,
+                           [dq + dv + zero for dq, dv in dirs],
+                           _params(kernels, "p"))[(1 << k) - 1]
+
+    slots = []
+    for a in range(m):
+        e = zero[:a] + ["1.0"] + zero[a + 1:]
+        slots += [jet(2, (zero, e), (u, g[:m] + zero[m:])),
+                  jet(1, (X[a], zero)), jet(1, (zero, c[a]))]
+    inputs = q + v + u + g[:m] + sum(X, []) + sum(c, [])
+    source = "\n".join(["def _chart(x, p):", f"    {', '.join(inputs)}, = x"]
+                       + tape.released(slots)
+                       + [f"    return ({''.join(f'{x}, ' for x in slots)})"])
+    return bind_source(source, "_chart", f"<chart n={n} m={m}>")
+
+
 Lifts = namedtuple("Lifts", "D H clift vlift corr")
 
 
@@ -356,11 +420,6 @@ class StateContext:
         """clift X_a(L): the derivative along (X_a, D_a)."""
         return self._lifts.clift[a]
 
-    def dvlift(self, a, w):
-        """(u, w)(vlift X_a(L)), corrected along D_a (see dvlift_at)."""
-        return vlift_rate_at(self.L, self.q, self.u, self.M[..., a, :],
-                             self.u, w) + self._lifts.corr[a]
-
     def regularity_report(self, threshold):
         """The regularity tests on the full frame Hessian: g_D copied in,
         the other entries from the lift source."""
@@ -383,10 +442,13 @@ class StateContext:
 
     def epsilon(self, indices, gamma):
         """(u, w)(vlift X_a(L)) - clift X_a(L) for each a in indices, with w
-        the fibre part for the coefficients gamma."""
-        w = self.fibre(gamma)
-        return _gathered([self.dvlift(a, w) - self.clift(a) for a in indices],
-                         self.q.shape[:-1])
+        the fibre part for gamma; the rates from one epsilon source run."""
+        indices, shape = tuple(indices), self.q.shape[:-1]
+        rates = run(_epsilon_source(self.L, indices), (
+            self.q, self.u, self.M.reshape(shape + (-1,)), self.fibre(gamma)),
+            self.L._pvals)
+        return _gathered([r + self._lifts.corr[a] - self.clift(a)
+                          for r, a in zip(rates, indices)], shape)
 
     def multipliers(self):
         return self.memo("lambda", lambda: self.epsilon(
@@ -493,31 +555,25 @@ class NonholonomicField:
         ctx, gamma = self._residual_context(s, gamma)
         return ctx.epsilon(range(self.split.m), gamma)
 
-    def _chart_jets(self, ctx, v, gamma, corr_dir):
+    def _chart_jets(self, ctx, v, gamma, C):
         """For each alpha, three jets of the composite L(q, X(q) v) at the
-        chart point (q, v): the mixed slot along (0, e_alpha) and
-        (u, Gamma), the first slot along (X_alpha, 0), and the first slot
-        along (0, corr_dir(alpha))."""
-        m = self.split.m
-        q = ctx.q
-        zq = np.zeros(q.shape)
-        gpad = np.zeros(q.shape)
-        gpad[..., :m] = gamma
-
-        def jet(*dirs):
-            return QvChartPoint(self.frame, q, v, dirs).eval(self.L).c
-
-        for a in range(m):
-            e_va = np.zeros(q.shape)
-            e_va[..., a] = 1.0
-            yield (jet((zq, e_va), (ctx.u, gpad))[3],
-                   jet((ctx.M[..., a, :], zq))[1],
-                   jet((zq, corr_dir(a)))[1])
+        chart point (q, v), from one run of the chart source: the mixed
+        slot along (0, e_alpha) and (u, Gamma), the first slot along
+        (X_alpha, 0), and the first slot along (0, C[..., :, alpha])."""
+        n, m = self.split.n, self.split.m
+        fn, params = _composite(self.L, self.frame)
+        shape = ctx.q.shape[:-1]
+        # the numpy binding on 0-d columns at a single state, as QvChartPoint
+        cols = (_columns((ctx.q, v, ctx.u, gamma), shape)
+                + [ctx.M[..., a, j] for a in range(m) for j in range(n)]
+                + [C[..., j, a] for a in range(m) for j in range(n)])
+        slots = _guarded(_chart_source(fn, m).batched, cols, params)
+        return [slots[i:i + 3] for i in range(0, 3 * m, 3)]
 
     def residual_hamel(self, s, gamma=None):
         """Hamel-form residual through the composite L(q, X(q) v)."""
         ctx, gamma = self._residual_context(s, gamma)
-        jets = self._chart_jets(ctx, s.v, gamma, lambda a: ctx.Rv[..., :, a])
+        jets = self._chart_jets(ctx, s.v, gamma, ctx.Rv)
         return np.stack([t - base + corr for t, base, corr in jets], axis=-1)
 
     def constrained_form_residual(self, s, gamma=None):
@@ -529,11 +585,8 @@ class NonholonomicField:
         p_mom = [ctx.vlift(a) for a in range(m, n)]
         v_c = np.zeros(s.q.shape)
         v_c[..., :m] = s.v_alpha(self.split)
-
-        def zbeta(a):
-            z = np.zeros(s.q.shape)
-            z[..., :m] = Rv[..., :m, a]
-            return z
+        zbeta = np.zeros(s.q.shape + (m,))  # column alpha: R^beta_alpha v
+        zbeta[..., :m, :] = Rv[..., :m, :m]
 
         out = []
         for a, (t, base, corr) in enumerate(

@@ -246,7 +246,7 @@ def _solve_C(ctx, section, s, det_tol):
 
     def build():
         split, m = ctx.split, ctx.split.m
-        phi_vals = section.values(s.q, s.v_alpha(split))
+        phi_vals = _phi_memo(ctx, section, s, rate=False)
         reg = ctx.regularity_report(det_tol)
         if not reg.regular_D:
             raise RegularityError("regular_D", reg.det_D)
@@ -267,6 +267,13 @@ def _phi_rate(section, s, u, gamma, split):
     return _slot(section.taylor(s.q, s.v_alpha(split), [(u, gamma)]), 1, s.q)
 
 
+def _phi_memo(ctx, section, s, rate):
+    """The section's values, or its rates along (u, Gamma), once per state."""
+    return ctx.memo(("phi", section, rate), lambda: (
+        _phi_rate(section, s, ctx.u, ctx.gamma, ctx.split) if rate
+        else section.values(s.q, s.v_alpha(ctx.split))))
+
+
 def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     """Weak, strong and tangency defects of a section at a state.
 
@@ -275,7 +282,7 @@ def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
     sol, weak, phi_shift = _solve_C(ctx, section, s, det_tol)
-    strong = _phi_rate(section, s, ctx.u, ctx.gamma, split) + phi_shift - lam
+    strong = _phi_memo(ctx, section, s, rate=True) + phi_shift - lam
     tangency = (_phi_rate(section, s, ctx.u, sol.gamma_C, split) + phi_shift
                 - sol.Lambda)
     return ConsistencyReport(weak.copy(), strong, tangency, s)
@@ -287,8 +294,8 @@ def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     the problems are strongly consistent at the state."""
     ctx = NonholonomicField(L, frame, split, det_tol=det_tol)._solve(s)
     lam = ctx.multipliers()
-    phi_vals = section.values(s.q, s.v_alpha(split))
-    rate = _phi_rate(section, s, ctx.u, ctx.gamma, split)
+    phi_vals = _phi_memo(ctx, section, s, rate=False)
+    rate = _phi_memo(ctx, section, s, rate=True)
     return lam - _phi_Rv(phi_vals, ctx.Rv[..., split.m:, split.m:]) - rate
 
 

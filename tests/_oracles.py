@@ -350,9 +350,10 @@ def solve_scalar_reference(a, x):
     return x, det
 
 
-# The constraint side as it was assembled before its generated sources
-# (framedyn.frames._bracket_source, framedyn.nonholonomic._lift_source and
-# framedyn.quasichart._fibre_source): one kernel call per piece.  Those
+# The constraint and residual sides as they were assembled before their
+# generated sources (framedyn.frames._bracket_source,
+# framedyn.nonholonomic._lift_source, _epsilon_source and _chart_source,
+# and framedyn.quasichart._fibre_source): one kernel call per piece.  Those
 # sources must give the same floats.
 
 
@@ -386,7 +387,7 @@ class StateContextLiftsReference:
     lift formulas of framedyn.lagrangian, one kernel call each: the rows
     D_a for a >= m by Frame.dfields on first use (the leading rows stay the
     field's), clift_at, vlift_at, dvlift_at and hessian_rows over the rows
-    of M with g_D copied in."""
+    of M with g_D copied in, and epsilon by one dvlift_at per index."""
 
     def dfield(self, a):
         if a >= self.D.shape[-2]:
@@ -416,6 +417,37 @@ class StateContextLiftsReference:
         return self.memo(("regularity", threshold), lambda: hessian_regularity(
             hessian_rows(self.L.taylor, self.q, self.u, self.M, known=self.g),
             self.split, self.p, threshold))
+
+    def epsilon(self, indices, gamma):
+        """One dvlift - clift per index, each rate a kernel call."""
+        from framedyn.exprlang import _gathered
+
+        w = self.fibre(gamma)
+        return _gathered([StateContextLiftsReference.dvlift(self, a, w)
+                          - self.clift(a) for a in indices],
+                         self.q.shape[:-1])
+
+
+def chart_jets_reference(field, ctx, v, gamma, C):
+    """NonholonomicField._chart_jets by one QvChartPoint.eval per jet, with
+    the zero halves, e_alpha and the padded Gamma as arrays."""
+    from framedyn.quasichart import QvChartPoint
+
+    m = field.split.m
+    q = ctx.q
+    zq = np.zeros(q.shape)
+    gpad = np.zeros(q.shape)
+    gpad[..., :m] = gamma
+
+    def jet(*dirs):
+        return QvChartPoint(field.frame, q, v, dirs).eval(field.L).c
+
+    for a in range(m):
+        e_va = np.zeros(q.shape)
+        e_va[..., a] = 1.0
+        yield (jet((zq, e_va), (ctx.u, gpad))[3],
+               jet((ctx.M[..., a, :], zq))[1],
+               jet((zq, C[..., :, a]))[1])
 
 
 def fibre_partial_reference(pt, L, i):

@@ -671,10 +671,13 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     # corrections, the phi R v products of the solve, the defects and
     # prop6_scalar) is a slice of that one contraction.  They reach
     # no frame derivative kernel (R and the trailing lifts come from
-    # generated sources) and 2(n - m) + m jets of L: the mixed jets along
-    # (0, X_a) and (u, w) of lambda, Lambda and the fundamental residual.
-    # The momentum partials run one generated function per chart point:
-    # for the section's values and its two rates in the report.
+    # generated sources) and no jet of L on its own: the mixed jets along
+    # (0, X_a) and (u, w) of lambda, Lambda and the fundamental residual
+    # come from one run of the epsilon source each, over the whole index
+    # range, and the chart jets of each chart-form residual from one run
+    # of the chart source.  The momentum partials run one generated
+    # function per chart point: for the section's values and its two
+    # rates in the report.
     import framedyn.frames as frames
     import framedyn.nonholonomic as nonholonomic
     import framedyn.quasichart as quasichart
@@ -684,12 +687,34 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
 
     counts = dict.fromkeys(("field", "R", "Rv", "einsum", "vakonomic",
                             "derivative", "taylor", "fibre"), 0)
+    runs = {"chart": [], "epsilon": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             counts[key] += 1
             return fn(*args, **kwargs)
         return wrapper
+
+    def counted_source(key):
+        # the generated source _{key}_source, each run on either binding
+        # recorded in runs[key] with the arguments it was made for
+        source = getattr(nonholonomic, f"_{key}_source")
+
+        def make(*args):
+            fn = source(*args)
+
+            def scalar(*a):
+                runs[key].append(args)
+                return fn(*a)
+
+            def batched(*a):
+                runs[key].append(args)
+                return fn.batched(*a)
+
+            scalar.batched = batched
+            return scalar
+
+        monkeypatch.setattr(nonholonomic, f"_{key}_source", make)
 
     field_function = nonholonomic._field_function
     monkeypatch.setattr(nonholonomic, "_field_function",
@@ -708,6 +733,8 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
                         counted("taylor", Lagrangian.taylor))
     monkeypatch.setattr(quasichart, "_fibre_source",
                         counted("fibre", quasichart._fibre_source))
+    counted_source("chart")
+    counted_source("epsilon")
     L, F, split = carriage.L, carriage.frame, carriage.split
     section = _shifted(carriage.sysd, L, F, split)
     field = NonholonomicField(L, F, split)  # its field function is counted
@@ -719,16 +746,24 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     assert counts["vakonomic"] == 1
     prop6_scalar(L, F, split, s)
     gamma_k_residual(L, F, split, section, [s])
-    for oracle in ("residual_fundamental", "residual_hamel",
-                   "constrained_form_residual"):
-        getattr(field, oracle)(s, gamma=gamma)
     n, m = split.n, split.m
+    # one epsilon run over the constraint indices for lambda, one for Lambda
+    assert [a for _, a in runs["epsilon"]] == [tuple(range(m, n))] * 2
+    for oracle, chart, epsilon in (("residual_fundamental", 0, 1),
+                                   ("residual_hamel", 1, 0),
+                                   ("constrained_form_residual", 1, 0)):
+        before = len(runs["chart"]), len(runs["epsilon"])
+        getattr(field, oracle)(s, gamma=gamma)
+        assert (len(runs["chart"]) - before[0],
+                len(runs["epsilon"]) - before[1]) == (chart, epsilon), oracle
+    assert runs["epsilon"][2][1] == tuple(range(m))
+    assert [args[1] for args in runs["chart"]] == [m, m]
     # einsum: the contraction, the solve's two phi R v products, the one of
     # prop6_scalar, and u = w^alpha X_alpha in the fibre of lambda, Lambda
     # and the fundamental residual
     assert counts == {"field": 1, "R": 1, "Rv": 1, "einsum": 7,
-                      "vakonomic": 1, "derivative": 0,
-                      "taylor": 2 * (n - m) + m, "fibre": 3}
+                      "vakonomic": 1, "derivative": 0, "taylor": 0,
+                      "fibre": 3}
 
 
 @pytest.mark.filterwarnings(

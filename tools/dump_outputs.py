@@ -8,7 +8,8 @@ and writes one array per output to OUT.npz:
 
 * on the four built-ins, the carriage with D rotated by theta and the
   carriage at the special length l*, at 40 seeded states, batched and one
-  state at a time: Gamma, lambda, R, the three residuals, `prop6_scalar`,
+  state at a time: Gamma, lambda, R, the three residuals at the solved
+  Gamma and at a seeded trial Gamma (the `gamma=` override), `prop6_scalar`,
   `gamma_k_residual`; `consistency_report`, `solve_gamma_C` and
   `gamma_bar_tangency` for the zero, momentum and shifted momentum
   sections; `el_field` of L and of the variational Lagrangian of both
@@ -109,19 +110,26 @@ def _sections(fd, sysd, L, F, split):
             "shifted": fd.ShiftedMomentumSection(L, F, split, k)}
 
 
-def _state_outputs(fd, sysd, L, F, split, s):
-    """Every state output of the gate list at s, in a fixed call order."""
+RESIDUALS = ("residual_fundamental", "residual_hamel",
+             "constrained_form_residual")
+
+
+def _state_outputs(fd, sysd, L, F, split, s, delta):
+    """Every state output of the gate list at s, in a fixed call order;
+    the residuals also at the trial coefficients Gamma + delta."""
     args = (L, F, split)
     field = fd.NonholonomicField(*args)
     sections = _sections(fd, sysd, *args)
     out = {"gamma": field.gamma(s), "lambda": field.multipliers(s),
-           "R": field._context(s).R.copy(),
-           "residual_fundamental": field.residual_fundamental(s),
-           "residual_hamel": field.residual_hamel(s),
-           "constrained_form_residual": field.constrained_form_residual(s),
-           "prop6_scalar": fd.prop6_scalar(*args, s),
-           "gamma_k_residual": fd.chaplygin.gamma_k_residual(
-               *args, sections["shifted"], [s])["max_gamma_k"]}
+           "R": field._context(s).R.copy()}
+    for name in RESIDUALS:
+        out[name] = getattr(field, name)(s)
+    trial = out["gamma"] + delta
+    for name in RESIDUALS:
+        out[f"{name}.trial"] = getattr(field, name)(s, gamma=trial)
+    out["prop6_scalar"] = fd.prop6_scalar(*args, s)
+    out["gamma_k_residual"] = fd.chaplygin.gamma_k_residual(
+        *args, sections["shifted"], [s])["max_gamma_k"]
     for name, sec in sections.items():
         rep = fd.consistency_report(*args, sec, s)
         sol = fd.solve_gamma_C(*args, sec, s)
@@ -143,9 +151,10 @@ def _state_outputs(fd, sysd, L, F, split, s):
 def _dump_states(fd, out, work):
     for name, sysd, L, F, split in _gate_systems(fd):
         S = fd.sample_states(sysd, STATES, seed=17)
-        batched = _state_outputs(fd, sysd, L, F, split, S)
+        delta = np.random.default_rng(23).normal(0.0, 0.1, (STATES, split.m))
+        batched = _state_outputs(fd, sysd, L, F, split, S, delta)
         single = [_state_outputs(fd, sysd, L, F, split, fd.QuasiState(
-            S.q[i].copy(), S.v[i].copy())) for i in range(STATES)]
+            S.q[i].copy(), S.v[i].copy()), delta[i]) for i in range(STATES)]
         for key, value in batched.items():
             out[f"states/{name}/batched/{key}"] = np.asarray(value)
             out[f"states/{name}/single/{key}"] = np.stack(
