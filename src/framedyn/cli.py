@@ -23,7 +23,6 @@ from . import __version__
 from .frames import QuasiState
 from .integrator import (IntegratorConfig, drift_report, export_csv,
                          export_json, integrate)
-from .lagrangian import energy
 from .linsolve import max_abs
 from .nonholonomic import NonholonomicField
 from .systems import BUILTIN_NAMES, SystemDef, builtin, sample_states
@@ -329,7 +328,7 @@ def cmd_derive(args):
         gam = field.gamma(states)
         lam = field.multipliers(states)
         ctx = field._context(states)
-        E = energy(L, F, ctx.p)
+        E = ctx.energy()
         moms = [ctx.vlift(a) for a in range(split.m, split.n)]
         for i in range(len(pts)):
             row = (list(pts[i]) + list(gam[i]) + list(lam[i]) + [E[i]]

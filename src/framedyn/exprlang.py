@@ -847,13 +847,15 @@ class Kernels:
 def bind_source(source, name, filename, scalar=None, batched=None):
     """Compile source once and bind its function `name` twice: to the math
     module (the returned function) and, as its `batched` attribute, to
-    numpy (see _either).  scalar and batched add globals to each binding."""
+    numpy (see _either), with the same default arguments.  scalar and
+    batched add globals to each binding."""
     namespace = {**_MATH_GLOBALS, **(scalar or {})}
     exec(compile(source, filename, "exec"), namespace)
     fn = namespace[name]
     fn.__source__ = source
     fn.batched = types.FunctionType(fn.__code__,
-                                    {**_NUMPY_GLOBALS, **(batched or {})})
+                                    {**_NUMPY_GLOBALS, **(batched or {})},
+                                    name, fn.__defaults__)
     return fn
 
 

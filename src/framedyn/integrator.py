@@ -18,7 +18,6 @@ import numpy as np
 
 from .exprlang import EvalDomainError, ExprFunction, run_kernel
 from .frames import QuasiState, base_velocity
-from .lagrangian import energy
 from .nonholonomic import NonholonomicField
 
 __all__ = [
@@ -95,22 +94,29 @@ class Trajectory:
         return cols
 
 
+def _stage_point(y, k, a):
+    """The stage point y + a*k, entry by entry (y itself without k)."""
+    return y if k is None else [x + a * z for x, z in zip(y, k)]
+
+
 def _rate_fn(provider, frame, split):
-    """y -> qdot + vdot at the chart state y = q + (v^alpha), both lists of
-    Python floats."""
+    """(y, k=None, a=0.0) -> qdot + vdot at the chart state y + a*k, with
+    y = q + (v^alpha) and k lists of Python floats."""
     n = split.n
     if isinstance(provider, NonholonomicField):
         return provider._float_rate()
     if hasattr(provider, "rate"):
         tail = [0.0] * (n - split.m)
 
-        def rate(y):
+        def rate(y, k=None, a=0.0):
+            y = _stage_point(y, k, a)
             dq, dv = provider.rate(QuasiState(np.array(y[:n]),
                                               np.array(y[n:] + tail)))
             return dq.tolist() + dv.tolist()
         return rate
 
-    def rate(y):
+    def rate(y, k=None, a=0.0):
+        y = _stage_point(y, k, a)
         q, v = np.array(y[:n]), np.array(y[n:])
         u = base_velocity(frame.matrix(q), v)
         return u.tolist() + np.asarray(provider(q, v), dtype=float).reshape(
@@ -186,22 +192,27 @@ def integrate(provider, frame, split, initial, cfg):
     t0, t1 = cfg.t_span
     times, ys = [t0], [y]  # no list here is edited in place
 
-    def f(t, y):
+    def f(t, y, k=None, a=0.0):
+        """The rate at the stage point y + a*k, which only a failure
+        builds here."""
         try:
-            k = rate(y)
+            out = rate(y, k, a)
         except Exception as exc:
             raise IntegrationError(f"field evaluation failed: {exc}", t)
-        bad = _non_finite(k, n, "d{}/dt")
-        if bad:
-            raise IntegrationError(f"non-finite {bad} from the field at "
-                                   f"q = {y[:n]}, v = {y[n:]}", t)
-        return k
+        if not math.isfinite(sum(out)):  # else every entry is finite
+            bad = _non_finite(out, n, "d{}/dt")
+            if bad:
+                y = _stage_point(y, k, a)
+                raise IntegrationError(f"non-finite {bad} from the field at "
+                                       f"q = {y[:n]}, v = {y[n:]}", t)
+        return out
 
     def require_finite_step(y, t, h):
-        bad = _non_finite(y, n)
-        if bad:
-            raise IntegrationError(
-                f"non-finite {bad} after the step of size {h}", t)
+        if not math.isfinite(sum(y)):  # else every entry is finite
+            bad = _non_finite(y, n)
+            if bad:
+                raise IntegrationError(
+                    f"non-finite {bad} after the step of size {h}", t)
 
     if cfg.method == "rk4":
         nsteps = max(1, int(round((t1 - t0) / cfg.step)))
@@ -212,9 +223,9 @@ def integrate(provider, frame, split, initial, cfg):
             h = min(h_nominal, t1 - t)
             h2, h6 = h / 2, h / 6
             k1 = f(t, y)
-            k2 = f(t + h2, [x + h2 * k for x, k in zip(y, k1)])
-            k3 = f(t + h2, [x + h2 * k for x, k in zip(y, k2)])
-            k4 = f(t + h, [x + h * k for x, k in zip(y, k3)])
+            k2 = f(t + h2, y, k1, h2)
+            k3 = f(t + h2, y, k2, h2)
+            k4 = f(t + h, y, k3, h)
             y = [x + h6 * (a + 2 * b + 2 * c + d)
                  for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
             require_finite_step(y, t, h)
@@ -291,7 +302,7 @@ def attach_observables(traj, provider, frame, split, cfg):
     if "energy" in names or "momenta" in names:
         ctx = NonholonomicField(L, frame, split)._context(states)
     if "energy" in names:
-        obs["energy"] = energy(L, frame, ctx.p)
+        obs["energy"] = ctx.energy()
     if "momenta" in names:
         for a in range(split.m, split.n):
             obs[f"p{a + 1}"] = ctx.vlift(a)
@@ -331,7 +342,7 @@ def drift_report(traj, L, frame, split):
     nh = NonholonomicField(L, frame, split)
     rf = nh.residual_fundamental(states)
     rh = nh.residual_hamel(states)
-    E = energy(L, frame, nh._context(states).p)
+    E = nh._context(states).energy()
     return {
         "max_residual_fundamental": float(np.max(np.abs(rf))),
         "max_residual_hamel": float(np.max(np.abs(rh))),

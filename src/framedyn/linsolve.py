@@ -12,8 +12,8 @@ from functools import cache
 
 import numpy as np
 
-__all__ = ["det_pp", "min_abs", "max_abs", "solve_and_det",
-           "cond_estimate", "unrolled"]
+__all__ = ["det_pp", "min_abs", "max_abs", "solve", "solve_and_det",
+           "cond_estimate", "unrolled", "frame_gate"]
 
 
 @cache
@@ -92,13 +92,66 @@ def unrolled(n, solve=True):
     return namespace["_f"]
 
 
+@cache
+def frame_gate(n, zeros=frozenset()):
+    """f(a) -> det of the n x n matrix A with row-major entries a whose
+    entries at the flat indices in zeros (r * n + c) are structural zeros,
+    0.0 at every point.  A row or column with a single structural nonzero
+    is peeled off as a factor, and again in what is left, until none is;
+    unrolled(k, solve=False) eliminates the k x k core that remains (none
+    for a permuted triangular A), and det is the signed product of the
+    factors and the core's det.  A structurally zero row or column makes
+    det 0.0.  f reads NaN if any entry of A is not finite, a peeled or
+    dropped one included, through 0.0 * (the sum of the structural
+    nonzeros) added to det; a sum of finite entries that overflows reads
+    NaN too."""
+    rows, cols = list(range(n)), list(range(n))
+    negative, factors, line = False, [], [None]
+    while rows:
+        # the first remaining row, else column, with fewest nonzeros
+        line = min([[(i, j) for j, c in enumerate(cols) if r * n + c
+                     not in zeros] for i, r in enumerate(rows)]
+                   + [[(i, j) for i, r in enumerate(rows) if r * n + c
+                       not in zeros] for j, c in enumerate(cols)], key=len)
+        if len(line) != 1:
+            break
+        (i, j), = line
+        negative ^= (i + j) % 2 == 1
+        factors.append(f"a{rows.pop(i)}_{cols.pop(j)}")
+    core = [f"a{r}_{c}" for r in rows for c in cols]
+    if core:
+        factors.append(f"_core(({''.join(f'{x}, ' for x in core)}))")
+    det = (f"{'-' if negative else ''}({' * '.join(factors) or '1.0'})"
+           if line else "0.0")  # a structurally zero row or column
+    entries = [f"a{r}_{c}" for r in range(n) for c in range(n)]
+    check = " + ".join(x for i, x in enumerate(entries) if i not in zeros)
+    lines = ["def _f(a):"]
+    if n:
+        lines.append(f"    {', '.join(entries)}, = a")
+    lines.append(f"    return {det} + 0.0 * ({check or '0.0'})")
+    namespace = {"_core": unrolled(len(rows), solve=False)}
+    exec(compile("\n".join(lines), f"<frame gate n={n}>", "exec"), namespace)
+    return namespace["_f"]
+
+
+def solve(A, b):
+    """Solve A x = b, scalar or batched: x of solve_and_det, without det(A)
+    (None at a zero pivot of a single state)."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim > 2:
+        if A.shape[-1] == 0:
+            return np.zeros(b.shape)
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    x, _ = unrolled(len(b))(A.ravel().tolist(), b.tolist())
+    return None if x is None else np.array(x)
+
+
 def solve_and_det(A, b):
     """Solve A x = b, also returning det(A), scalar or batched."""
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     if A.ndim > 2:
-        if A.shape[-1] == 0:
-            return np.zeros(b.shape), np.ones(A.shape[:-2])
-        return np.linalg.solve(A, b[..., None])[..., 0], np.linalg.det(A)
+        return solve(A, b), (np.linalg.det(A) if A.shape[-1]
+                             else np.ones(A.shape[:-2]))
     x, det = unrolled(len(b))(A.ravel().tolist(), b.tolist())
     return None if x is None else np.array(x), det
 

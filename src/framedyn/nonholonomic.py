@@ -29,11 +29,12 @@ import numpy as np
 
 from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
                        _gathered, _guarded, _stacked, bind_source,
-                       cached_kernel, run)
+                       cached_kernel, eval_value, free_names, run)
 from .frames import (FRAME_DET_TOL, TangentPoint, _brackets, base_velocity,
                      contract_structure, structure_from_matrix)
-from .lagrangian import hessian_regularity
-from .linsolve import cond_estimate, min_abs, solve_and_det, unrolled
+from .lagrangian import energy, hessian_regularity
+from .linsolve import (cond_estimate, frame_gate, min_abs, solve_and_det,
+                       unrolled)
 from .quasichart import _composite
 
 __all__ = ["RegularityError", "NonholonomicField"]
@@ -57,20 +58,28 @@ def _require_regular_D(gamma, det, det_tol):
         raise RegularityError("regular_D", det)
 
 
-# A scalar frame check passes on the unrolled det (linsolve.unrolled) when
-# it is finite and above this bound; otherwise Frame.check_matrix decides,
-# on LAPACK's det, as everywhere else.  The margin over FRAME_DET_TOL covers
-# any rounding difference between the two eliminations.
+# A scalar frame check passes on the structural gate of the frame matrix
+# (linsolve.frame_gate) when it is finite and above this bound; otherwise
+# Frame.check_matrix decides, on LAPACK's det, as everywhere else.  The gate
+# peels the rows and columns with one structural nonzero off as factors and
+# eliminates the dense core that is left (unrolled); the margin over
+# FRAME_DET_TOL covers any rounding difference between that and LAPACK.
 FAST_FRAME_DET = FRAME_DET_TOL * 2.0 ** 20
 
 
 def _field_source(L, frame, split):
     """The one generated function of the field of (L, frame, split)
-    (docs/state_context.md): f(q + v, (fp, lp, check)) -> (M, u, D, h,
-    g_D, rhs, solution), each piece a flat row-major sequence.  Every kernel
-    is inlined on one Tape, so a line that several of them need is emitted
-    once; the sums are the piecewise assembly's, in its order.  Shared by
-    every (L, frame, split) of the same structure."""
+    (docs/state_context.md): f(x, (fp, lp, check), k=None, a=0.0) -> (M, u,
+    D, h, g_D, rhs, clift, corr, solution) at the point x + a*k, that is
+    x_i + a*k_i for each entry (x alone without k), of q + v, each piece a
+    flat row-major sequence; clift and corr are clift X_a(L) and the
+    correction (0, D_a)(L) of rhs_a, a < m.  Every kernel is inlined on one
+    Tape, so a line that several of them need is emitted once; the sums
+    are the piecewise assembly's, in its order.  At a single state the
+    frame check is the structural gate of the frame kernel (FAST_FRAME_DET),
+    with Frame.check_matrix as its fallback.  Shared by every (L, frame,
+    split) of the same structure, which fixes the gate's structural
+    zeros."""
     n, m = split.n, split.m
     fk, lk = frame._kernels, L.fn.kernel
     key = ("field", lk.structure[:2], lk.var_names, lk.param_names,
@@ -83,10 +92,20 @@ def _params(kernels, name):
     return [f"{name}[{j}]" for j in range(len(kernels.param_names))]
 
 
+def _structural_zero(expr):
+    """Whether expr has no free names and the value 0.0."""
+    if free_names(expr):
+        return False
+    try:
+        return eval_value(expr, {}) == 0.0
+    except EvalDomainError:
+        return False
+
+
 def _generate_field(fk, lk, n, m):
     tape = Tape()
     temp = tape.temp
-    q = [f"q{i}" for i in range(n)]
+    q, v = [f"q{i}" for i in range(n)], [f"v{a}" for a in range(m)]
     fp, lp = _params(fk, "fp"), _params(lk, "lp")
 
     def lagrangian(k, *dirs):
@@ -111,43 +130,58 @@ def _generate_field(fk, lk, n, m):
         for b in range(a, m):
             g[a * m + b] = g[b * m + a] = lagrangian(2, (zq, rows[a]),
                                                      (zq, rows[b]))
-    rhs = [temp(f"{lagrangian(1, (rows[a], D[a]))} - "
-                f"({lagrangian(2, (zq, rows[a]), (u, h))} + "
-                f"{lagrangian(1, (zq, D[a]))})") for a in range(m)]
-    pieces = ", ".join(f"({', '.join(p)},)" for p in (u, sum(D, []), h))
+    clift = [lagrangian(1, (rows[a], D[a])) for a in range(m)]
+    corr = [lagrangian(1, (zq, D[a])) for a in range(m)]
+    rhs = [temp(f"{clift[a]} - ({lagrangian(2, (zq, rows[a]), (u, h))} + "
+                f"{corr[a]})") for a in range(m)]
+    def seq(p):
+        return f"({''.join(f'{x}, ' for x in p)})"
+
+    pieces = ", ".join(["M"] + [seq(p) for p in (u, sum(D, []), h)]
+                       + ["g", "rhs"] + [seq(p) for p in (clift, corr)])
+    point = ", ".join(q + v)
+    xs, ks = ([f"{x}{i}" for i in range(n + m)] for x in "xk")
+    stage = ", ".join(f"{x} + a*{k}" for x, k in zip(xs, ks))
     source = "\n".join(
-        ["def _field(x, c):",
-         f"    {', '.join(q)}, = x[:{n}]",
-         f"    {', '.join(f'v{a}' for a in range(m))}, = x[{n}:{n + m}]",
+        ["def _field(x, c, k=None, a=0.0):",
+         "    if k is None:",
+         f"        {point}, = x[:{n + m}]",
+         "    else:",
+         f"        {', '.join(xs)}, = x",
+         f"        {', '.join(ks)}, = k",
+         f"        {point}, = {stage}",
          "    fp, lp, check = c"]
         + tape.lines[:frame_lines]
         + [f"    M = ({', '.join(X)},)",
            "    if _scalar:",
-           "        if not _fast_det < abs(_det(M)) < _inf:",
+           "        if not _fast_det < abs(_gate(M)) < _inf:",
            "            check(M)",
            "    else:",
            "        M = check(M)"]
         + tape.lines[frame_lines:]
-        + [f"    g, rhs = ({', '.join(g)},), ({', '.join(rhs)},)",
+        + [f"    g, rhs = {seq(g)}, {seq(rhs)}",
            "    if _scalar:",
-           f"        return M, {pieces}, g, rhs, _solve(g, rhs)",
-           f"    return M, {pieces}, g, rhs, None"])
+           f"        return {pieces}, _solve(g, rhs)",
+           f"    return {pieces}, None"])
+    zeros = frozenset(i for i, e in enumerate(fk.exprs[:n * n])
+                      if _structural_zero(e))
     return bind_source(
         source, "_field", f"<field n={n} m={m}>",
-        scalar={"_scalar": True, "_det": unrolled(n, solve=False),
+        scalar={"_scalar": True, "_gate": frame_gate(n, zeros),
                 "_solve": unrolled(m), "_fast_det": FAST_FRAME_DET,
                 "_inf": math.inf},
         batched={"_scalar": False})
 
 
 def _field_function(L, frame, split):
-    """s -> (M, u, D, h, g_D, rhs, solution) at a state on C, from one run
-    of the generated field function (_field_source).  At a scalar state the
-    pieces are tuples and solution is (Gamma, det) of g_D Gamma = rhs or
-    (None, 0.0); at a batched one M is the checked array, the rest arrays
-    of the batch shape on a trailing axis, and solution None.  Its
-    attribute `floats` is the scalar entry on x = q + v, a list of Python
-    floats, which the integrator's stages call without a state."""
+    """s -> (M, u, D, h, g_D, rhs, clift, corr, solution) at a state on C,
+    from one run of the generated field function (_field_source).  At a
+    scalar state the pieces are tuples and solution is (Gamma, det) of
+    g_D Gamma = rhs or (None, 0.0); at a batched one M is the checked array,
+    the rest arrays of the batch shape on a trailing axis, and solution
+    None.  Its attributes `source` and `scalar` are the generated function
+    and the constants of its math binding, which the integrator's stages
+    call on lists of Python floats without a state (_float_rate)."""
     n, m = split.n, split.m
     kernel = _field_source(L, frame, split)
     on_C = [0.0] * (n - m)
@@ -163,26 +197,23 @@ def _field_function(L, frame, split):
 
     scalar = consts((), {})  # the math binding runs outside any errstate
 
-    def floats(x):
-        # the math binding called as run would call it: run's generic
-        # flattening costs 2-3 us a call
-        try:
-            return kernel(x, scalar)
-        except _DOMAIN_FAULTS as exc:
-            raise EvalDomainError(str(exc)) from exc
-
     def function(s):
         if s.q.ndim == 1:
             x = s.q.tolist() + s.v.tolist()
             if x[n + m:] != on_C:  # a nonzero v^a: the full test
                 s.require_on_C(split)
-            return floats(x)
+            # the math binding called as run would call it: run's generic
+            # flattening costs 2-3 us a call
+            try:
+                return kernel(x, scalar)
+            except _DOMAIN_FAULTS as exc:
+                raise EvalDomainError(str(exc)) from exc
         s.require_on_C(split)
         shape = s.q.shape[:-1]
         M, *parts, _ = run(kernel, (s.q, s.v), consts(shape, np.geterr()))
         return [M] + [_gathered(part, shape) for part in parts] + [None]
 
-    function.floats = floats
+    function.source, function.scalar = kernel, scalar
     return function
 
 
@@ -193,8 +224,9 @@ def _lift_source(L, frame, split):
     sequence: the rows D_a = (DX_a)u of the trailing fields a >= m (the
     source makes all n; the field function holds the leading ones), the
     entries g_ij = vlift X_i(vlift X_j(L)) of the frame Hessian outside g_D
-    (i <= j, j >= m, row by row), and for every i clift X_i(L),
-    vlift X_i(L) and the correction (0, D_i)(L) of dvlift_at.  Every jet is
+    (i <= j, j >= m, row by row), vlift X_i(L) for every i, and for
+    a >= m clift X_a(L) and the correction (0, D_a)(L) of dvlift_at (the
+    field function makes the leading ones).  Every jet is
     the kernel that the lift formulas of lagrangian.py call, inlined on one
     Tape; each temporary is deleted after its last read.  Shared by every
     (L, frame, split) of the same structure."""
@@ -220,9 +252,9 @@ def _generate_lifts(fk, lk, n, m):
     rows = [D[i * n:(i + 1) * n] for i in range(n)]
     H = [lagrangian(2, (zq, X[a]), (zq, X[b]))
          for a in range(n) for b in range(max(a, m), n)]
-    clift = [lagrangian(1, (X[i], rows[i])) for i in range(n)]
+    clift = [lagrangian(1, (X[a], rows[a])) for a in range(m, n)]
     vlift = [lagrangian(1, (zq, X[i])) for i in range(n)]
-    corr = [lagrangian(1, (zq, rows[i])) for i in range(n)]
+    corr = [lagrangian(1, (zq, rows[a])) for a in range(m, n)]
     pieces = [D[m * n:], H, clift, vlift, corr]
     returned = ", ".join(f"({''.join(f'{x}, ' for x in p)})" for p in pieces)
     source = "\n".join(
@@ -301,7 +333,7 @@ Lifts = namedtuple("Lifts", "D H clift vlift corr")
 def _lift_function(L, frame, split):
     """(q, u, M) -> Lifts(D, H, clift, vlift, corr) of the lift source at a
     state on C: D of shape (..., n - m, n) and the others arrays with their
-    entries on the first axis."""
+    entries on the first axis, those of clift and corr for a >= m."""
     n, m = split.n, split.m
     kernel = _lift_source(L, frame, split)
     consts = frame._pvals, L._pvals
@@ -324,12 +356,13 @@ class StateContext:
     D_a = (DX_a)u for a < m, which serve the drift term h = v^b D_b, the
     complete lifts and the moving-direction correction of the vertical
     lifts; and the system g_D Gamma = rhs with
-    rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)), all from one call of the
-    field function (M, D, h, g and rhs become arrays on first use), which
-    at a scalar state also solves the system.  gamma is set once the system
-    is solved.  The constraint side (the trailing rows D_a, every clift,
-    vlift and correction, the Hessian entries outside g_D) comes from one
-    call of the lift function on the first read of any of it; the brackets
+    rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)), with its clift X_a(L) and
+    correction (0, D_a)(L), all from one call of the field function (M, D,
+    h, g and rhs become arrays on first use), which at a scalar state also
+    solves the system.  gamma is set once the system is solved.  The
+    constraint side (the trailing rows D_a with their clift and correction,
+    every vlift, the Hessian entries outside g_D) comes from one call of
+    the lift function on the first read of any of it; the brackets
     of the frame's fields, R and R contracted with v (Rv) on first use.  A
     context lives as long as its state (NonholonomicField._context), so
     what it makes (memo) serves every later call there.
@@ -382,6 +415,12 @@ class StateContext:
     def p(self):
         return TangentPoint(self.q, self.u)
 
+    def energy(self):
+        """E = (0, u)(L) - L at this state (lagrangian.energy), evaluated
+        on the first call; an array is handed out as a copy."""
+        E = self.memo("energy", lambda: energy(self.L, self.frame, self.p))
+        return E.copy() if isinstance(E, np.ndarray) else E
+
     @cached_property
     def _lifts(self):
         """The Lifts at this state (_lift_function), from one call made on
@@ -417,8 +456,18 @@ class StateContext:
         return self._lifts.vlift[a].copy()
 
     def clift(self, a):
-        """clift X_a(L): the derivative along (X_a, D_a)."""
-        return self._lifts.clift[a]
+        """clift X_a(L): the derivative along (X_a, D_a); the field
+        function's for a < m, the lift source's for a >= m."""
+        m = self.split.m
+        return (self._array(6, m)[..., a] if a < m
+                else self._lifts.clift[a - m])
+
+    def _correction(self, a):
+        """(0, D_a)(L), the correction of dvlift_at, from the same source as
+        clift(a)."""
+        m = self.split.m
+        return (self._array(7, m)[..., a] if a < m
+                else self._lifts.corr[a - m])
 
     def regularity_report(self, threshold):
         """The regularity tests on the full frame Hessian: g_D copied in,
@@ -447,7 +496,7 @@ class StateContext:
         rates = run(_epsilon_source(self.L, indices), (
             self.q, self.u, self.M.reshape(shape + (-1,)), self.fibre(gamma)),
             self.L._pvals)
-        return _gathered([r + self._lifts.corr[a] - self.clift(a)
+        return _gathered([r + self._correction(a) - self.clift(a)
                           for r, a in zip(rates, indices)], shape)
 
     def multipliers(self):
@@ -508,17 +557,23 @@ class NonholonomicField:
         return ctx.u.copy(), ctx.gamma.copy()
 
     def _float_rate(self):
-        """y -> u + Gamma at y = q + (v^alpha), on lists of Python floats:
-        rate without a state or a context, for the integrator's stages.
-        One run of the field function's scalar entry and the det_tol test
-        of StateContext.solve, so the values and the errors are rate's."""
-        field, det_tol = self._function.floats, self.det_tol
-        tail = [0.0] * (self.split.n - self.split.m)
+        """(y, k=None, a=0.0) -> u + Gamma at the chart state y + a*k, with
+        y = q + (v^alpha) and k lists of Python floats: rate without a
+        state or a context, for the integrator's stages.  One run of the
+        field function's scalar entry, which forms the stage point, and the
+        det_tol test of StateContext.solve, so the values and the errors
+        are rate's."""
+        source, consts = self._function.source, self._function.scalar
+        det_tol = self.det_tol
 
-        def rate(y):
-            parts = field(y + tail)
-            gamma, det = parts[6]
-            _require_regular_D(gamma, det, det_tol)
+        def rate(y, k=None, a=0.0):
+            try:
+                parts = source(y, consts, k, a)
+            except _DOMAIN_FAULTS as exc:
+                raise EvalDomainError(str(exc)) from exc
+            gamma, det = parts[-1]
+            if gamma is None or not abs(det) > det_tol:
+                raise RegularityError("regular_D", det)
             return parts[1] + gamma
 
         return rate

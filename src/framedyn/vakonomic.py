@@ -32,7 +32,7 @@ from .frames import (QuasiState, TangentPoint, base_velocity,
                      structure_from_matrix)
 from .jets import TaylorValue
 from .lagrangian import hessian_rows
-from .linsolve import max_abs, solve_and_det
+from .linsolve import max_abs, solve, solve_and_det
 from .nonholonomic import GAMMA_DET_TOL, NonholonomicField, RegularityError
 from .quasichart import QvChartPoint
 
@@ -253,7 +253,7 @@ def _solve_C(ctx, section, s, det_tol):
         if not reg.regular_Dperp:
             raise RegularityError("regular_Dperp", reg.det_Dperp)
         weak = _phi_Rv(phi_vals, ctx.Rv[..., m:, :m])
-        gamma_C, _ = solve_and_det(ctx.g, ctx.rhs + weak)
+        gamma_C = solve(ctx.g, ctx.rhs + weak)
         Lam = ctx.epsilon(range(m, split.n), gamma_C)
         shift = _phi_Rv(phi_vals, ctx.Rv[..., m:, m:])
         sol = VakonomicSolution(gamma_C, Lam - shift, Lam, section)

@@ -156,6 +156,14 @@ def test_observables_and_drift_report_read_the_state_context(carriage,
         init(self, field, s)
 
     monkeypatch.setattr(nonholonomic.StateContext, "__init__", counted)
+    energies = []
+    energy = nonholonomic.energy
+
+    def counted_energy(*args):
+        energies.append(args)
+        return energy(*args)
+
+    monkeypatch.setattr(nonholonomic, "energy", counted_energy)
     s0 = QuasiState.on_C(np.zeros(5), [0.9, -0.3], carriage.split)
     for method in ("rk4", "rk45"):
         cfg = IntegratorConfig(method=method, step=1e-2, t_span=(0.0, 0.2),
@@ -167,7 +175,14 @@ def test_observables_and_drift_report_read_the_state_context(carriage,
         assert sorted(traj.observables) == [
             "energy", "lambda3", "lambda4", "lambda5", "p3", "p4", "p5"]
         assert batched == [True], method
+        # the energy is evaluated once, and each reader gets its own copy
+        assert len(energies) == 1, method
+        E = traj.observables["energy"]
+        assert E is not nonholonomic.NonholonomicField(
+            carriage.L, carriage.frame, carriage.split)._context(
+                traj.states(carriage.split))._memo["energy"]
         batched.clear()
+        energies.clear()
 
 
 def test_stepping_runs_without_states(carriage, monkeypatch):
@@ -187,6 +202,48 @@ def test_stepping_runs_without_states(carriage, monkeypatch):
         traj = integrate(carriage.field, carriage.frame, carriage.split, s0,
                          cfg)
         assert len(traj.times) > 2
+
+
+def test_rk4_runs_the_field_source_once_a_stage(carriage, monkeypatch):
+    # N RK4 steps of the carriage run the generated field source 4N times,
+    # each stage at its own point (the source forms y + a*k), and reach
+    # neither rate nor the non-finite scan, which only a failure needs.
+    import framedyn.integrator as integrator
+    import framedyn.nonholonomic as nonholonomic
+
+    def refused(*args, **kwargs):
+        raise AssertionError("called on a stage that did not fail")
+
+    runs = []
+    make = nonholonomic._field_source
+
+    def counted(*args):
+        fn = make(*args)
+
+        def source(*a):
+            runs.append(a)
+            return fn(*a)
+
+        source.batched = fn.batched
+        return source
+
+    monkeypatch.setattr(nonholonomic, "_field_source", counted)
+    monkeypatch.setattr(NonholonomicField, "rate", refused)
+    monkeypatch.setattr(integrator, "_non_finite", refused)
+    field = NonholonomicField(carriage.L, carriage.frame, carriage.split)
+    S = carriage.states(1, seed=7)
+    steps = 40
+    cfg = IntegratorConfig(method="rk4", step=1e-2, t_span=(0.0, 0.4),
+                           observables=())
+    traj = integrate(field, carriage.frame, carriage.split,
+                     QuasiState(S.q[0], S.v[0]), cfg)
+    assert len(traj.times) == steps + 1
+    assert len(runs) == 4 * steps
+    # a step's four runs share its state y; k1..k3 give the stage points
+    h = cfg.step
+    x, _, k, a = zip(*runs[:4])
+    assert all(y is x[0] for y in x) and k[0] is None and None not in k[1:]
+    assert a == (0.0, h / 2, h / 2, h)
 
 
 @pytest.mark.parametrize("edit", ["q_in_place", "v_in_place",
@@ -406,28 +463,103 @@ GATE_CONFIGS = (
 )
 
 
-@pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
-                         ids=[g[0] for g in GATE_SYSTEMS])
-def test_stepper_equals_array_oracle(name, sysd, L, frame, split):
-    # Times (so DOPRI5's accepted step sequence), states and every
-    # observable, defects included, are == to the numpy loop whose stages
-    # call the public rate.
-    from framedyn import sample_states
+# The knife edge (bench/workloads.py): its unit row is peeled off and a
+# dense 2 x 2 core is left for the frame check's elimination.
+KNIFE_COORDS, KNIFE_VELS = ["x", "y", "th"], ["ux", "uy", "uth"]
+KNIFE_PARAMS = {"mass": 1.5, "inertia": 0.7}
+KNIFE_L = "(mass/2)*(ux*ux + uy*uy) + (inertia/2)*uth*uth"
+KNIFE_ROWS = [["cos(th)", "sin(th)", "0"], ["0", "0", "1"],
+              ["-sin(th)", "cos(th)", "0"]]
+# The knife edge with its constraint row scaled by exp(30 x): |det M| falls
+# below FAST_FRAME_DET at x = -0.459, so that Frame.check_matrix decides,
+# and below FRAME_DET_TOL at x = -0.921.
+THRESHOLD_ROWS = [["cos(th)", "sin(th)", "0"], ["0", "0", "1"],
+                  ["-exp(30*x)*sin(th)", "exp(30*x)*cos(th)", "0"]]
+THRESHOLD_Q, THRESHOLD_V = [-0.44, 0.1, 0.0], [-1.0, 0.2]
 
+
+def _knife_system(rows, lagrangian=KNIFE_L):
+    return (Lagrangian(lagrangian, KNIFE_COORDS, KNIFE_VELS, KNIFE_PARAMS),
+            Frame(rows, KNIFE_COORDS, KNIFE_PARAMS), ConstraintSplit(3, 2))
+
+
+def _stepper_systems():
+    """(name, L, frame, split, section, initial states, configs): the gate
+    systems at two sampled states, the knife edge at two seeded states and
+    the threshold frame, whose frame check passes on the structural gate
+    before |det M| crosses FAST_FRAME_DET part way and on
+    Frame.check_matrix after."""
+    from framedyn import sample_states
+    from framedyn.vakonomic import ShiftedMomentumSection
+
+    out = []
+    for name, sysd, L, frame, split in GATE_SYSTEMS:
+        S = sample_states(sysd, 2, seed=3)
+        out.append((name, L, frame, split, _shifted(sysd, L, frame, split),
+                    [QuasiState(S.q[i].copy(), S.v[i].copy())
+                     for i in range(2)], GATE_CONFIGS))
+    L, frame, split = _knife_system(KNIFE_ROWS)
+    rng = np.random.default_rng(3)
+    out.append(("knife_edge", L, frame, split, ShiftedMomentumSection(
+        L, frame, split, ["v1"]), [QuasiState.on_C(
+            rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 2), split)
+            for _ in range(2)], GATE_CONFIGS))
+    # the frame Hessian on the constraint row vanishes with det M, so the
+    # defects' regularity tests fail on this frame: no section
+    L, frame, split = _knife_system(THRESHOLD_ROWS)
+    out.append(("threshold_frame", L, frame, split, None, [QuasiState.on_C(
+        np.array(THRESHOLD_Q), np.array(THRESHOLD_V), split)], [
+            {"method": "rk4", "step": 1e-2, "t_span": (0.0, 0.3)},
+            {"method": "rk4", "step": 1e-3, "t_span": (0.0, 0.05)},
+            {"method": "rk45", "rtol": 1e-10, "atol": 1e-12,
+             "t_span": (0.0, 0.3)},
+            {"method": "rk45", "step": 0.5, "rtol": 1e-6, "atol": 1e-8,
+             "t_span": (0.0, 0.3)}]))
+    return out
+
+
+STEPPER_SYSTEMS = _stepper_systems()
+
+
+@pytest.mark.parametrize(
+    "name,L,frame,split,section,states,configs", STEPPER_SYSTEMS,
+    ids=[g[0] for g in STEPPER_SYSTEMS])
+def test_stepper_equals_array_oracle(name, L, frame, split, section, states,
+                                     configs):
+    # Times (so DOPRI5's accepted step sequence), states and every
+    # observable, defects included where there is a section, are == to the
+    # numpy loop whose stages call the public rate.
     from _oracles import integrate_reference
 
     field = NonholonomicField(L, frame, split)
-    section = _shifted(sysd, L, frame, split)
-    S = sample_states(sysd, 2, seed=3)
-    for i in range(2):
-        s0 = QuasiState(S.q[i].copy(), S.v[i].copy())
-        for kwargs in GATE_CONFIGS:
+    observables = ("energy", "momenta", "multipliers") + (
+        ("defects",) if section is not None else ())
+    for s0 in states:
+        for kwargs in configs:
             cfg = IntegratorConfig(
-                observables=("energy", "momenta", "multipliers", "defects"),
+                observables=observables,
                 custom_observables={"spin": "v1 - v2"}, section=section,
                 **kwargs)
             _same_trajectory(integrate(field, frame, split, s0, cfg),
                              integrate_reference(field, frame, split, s0, cfg))
+
+
+def test_threshold_frame_crosses_the_fast_frame_bound():
+    # The run of the threshold frame starts above FAST_FRAME_DET and ends
+    # below it, above FRAME_DET_TOL, so both sides of the scalar frame
+    # check are stepped through.
+    from framedyn.frames import FRAME_DET_TOL
+    from framedyn.nonholonomic import FAST_FRAME_DET
+
+    L, frame, split = _knife_system(THRESHOLD_ROWS)
+    s0 = QuasiState.on_C(np.array(THRESHOLD_Q), np.array(THRESHOLD_V), split)
+    for method in ("rk4", "rk45"):
+        cfg = IntegratorConfig(method=method, step=1e-2, t_span=(0.0, 0.3),
+                               observables=())
+        traj = integrate(NonholonomicField(L, frame, split), frame, split,
+                         s0, cfg)
+        det = np.abs(np.linalg.det(frame.matrix(traj.q)))
+        assert det[0] > FAST_FRAME_DET > det[-1] > FRAME_DET_TOL, method
 
 
 class _RateOnly:
@@ -488,6 +620,15 @@ def _failing_runs():
         ("non_finite_step", kinetic, identity, ConstraintSplit(2, 2),
          [1.5e308, 0.0], [1.5e308, 0.0], {"step": 0.5},
          "non-finite q1 = inf after the step of size 0.5"),
+        # the knife edge pulled into x < 0 by the potential sqrt(x)
+        ("knife_edge_domain_fault",
+         *_knife_system(KNIFE_ROWS, KNIFE_L + " - sqrt(x)"),
+         [0.04, 0.0, 0.0], [-1.0, 0.5], {},
+         "field evaluation failed: math domain error"),
+        # |det M| passes FAST_FRAME_DET, then FRAME_DET_TOL
+        ("threshold_frame_singular", *_knife_system(THRESHOLD_ROWS),
+         THRESHOLD_Q, THRESHOLD_V, {},
+         "field evaluation failed: frame matrix is singular"),
     ]
     return [(label, NonholonomicField(L, F, split), F, split,
              QuasiState.on_C(np.array(q), np.array(v), split), kwargs, start)

@@ -725,8 +725,8 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     monkeypatch.setattr(nonholonomic, "contract_structure",
                         counted("Rv", frames.contract_structure))
     monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
-    monkeypatch.setattr(vakonomic, "solve_and_det",
-                        counted("vakonomic", vakonomic.solve_and_det))
+    monkeypatch.setattr(vakonomic, "solve",
+                        counted("vakonomic", vakonomic.solve))
     monkeypatch.setattr(Frame, "derivative",
                         counted("derivative", Frame.derivative))
     monkeypatch.setattr(Lagrangian, "taylor",
@@ -764,6 +764,42 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     assert counts == {"field": 1, "R": 1, "Rv": 1, "einsum": 7,
                       "vakonomic": 1, "derivative": 0, "taylor": 0,
                       "fibre": 3}
+
+
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+def test_residual_fundamental_reads_only_the_leading_fields(route):
+    # At q1 = 0 the derivative of the trailing field (sqrt(q1), 0, 1) is
+    # singular and those of the leading fields are not.  Gamma and the
+    # fundamental residual need only the leading fields: the residual
+    # equals the piecewise route's [0, 0], where it raised when it read
+    # clift and the correction from the lift source, which differentiates
+    # every field.  The multipliers need the trailing field and raise.
+    import framedyn.frames as frames
+    from framedyn.exprlang import EvalDomainError
+
+    from _oracles import StateContextReference
+
+    coords = ["q1", "q2", "q3"]
+    frame = Frame([["1", "0", "0"], ["0", "1", "0"], ["sqrt(q1)", "0", "1"]],
+                  coords)
+    L = Lagrangian("(u1*u1 + u2*u2 + u3*u3)/2 + q2*u1", coords,
+                   ["u1", "u2", "u3"])
+    split = ConstraintSplit(3, 2)
+    q, v = np.array([0.0, 0.3, -0.2]), np.array([0.7, -0.4, 0.0])
+    s = QuasiState(q, v) if route == "scalar" else QuasiState(q[None],
+                                                              v[None])
+    field = NonholonomicField(L, frame, split)
+    assert np.array_equal(field.gamma(s), np.reshape([0.4, 0.7], s.v[
+        ..., :2].shape))
+    ref = StateContextReference(L, frame, split, s)
+    gamma = ref.solve(field.det_tol)
+    w = ref.h + frames.base_velocity(ref.M, gamma)
+    want = np.stack([ref.dvlift(a, w) - ref.clift(a) for a in range(2)],
+                    axis=-1)
+    got = field.residual_fundamental(s)
+    assert _same(got, want) and np.all(want == 0.0)
+    with pytest.raises(EvalDomainError):
+        field.multipliers(s)
 
 
 @pytest.mark.filterwarnings(

@@ -19,9 +19,17 @@ and writes one array per output to OUT.npz:
 * on the same systems, an RK4 and a DOPRI5 trajectory with every
   observable, the defects of the shifted section included, and its
   `drift_report`;
-* the `IntegrationError` message and time of five runs that must stop, on
+* an RK4 and a DOPRI5 trajectory, with its `drift_report`, of the knife
+  edge (`KNIFE_EDGE` in bench/workloads.py, whose scalar frame check
+  eliminates a dense 2 x 2 core) with every observable, and of the
+  threshold frame of tests/test_integrator.py (the knife edge with its
+  constraint row scaled by exp(30 x)), whose |det M| falls below
+  `FAST_FRAME_DET` part way, so that `Frame.check_matrix` decides the
+  frame check, with every observable but the defects;
+* the `IntegrationError` message and time of seven runs that must stop, on
   RK4 and DOPRI5: a non-finite rate, a singular g_D, a singular frame, a
-  math domain fault and a non-finite step;
+  math domain fault, a non-finite step, a math domain fault of the knife
+  edge and the threshold frame turning singular;
 * the result of every op of the `trajectory`, `sweep` and `cli` benchmark
   workloads (bench/workloads.py) at seeds 1 and 5;
 * the exit code, stdout, stderr and output file of a set of `framedyn`
@@ -187,6 +195,46 @@ def _dump_trajectories(fd, out, work):
                      out, work)
 
 
+# The threshold frame: |det M| = exp(30 x) crosses FAST_FRAME_DET at
+# x = -0.459 and FRAME_DET_TOL at x = -0.921.
+THRESHOLD_ROWS = [["cos(th)", "sin(th)", "0"], ["0", "0", "1"],
+                  ["-exp(30*x)*sin(th)", "exp(30*x)*cos(th)", "0"]]
+THRESHOLD_Q, THRESHOLD_V = [-0.44, 0.1, 0.0], [-1.0, 0.2]
+
+
+def _knife_edge(fd, rows=None, potential=""):
+    """(L, frame, split) of the knife edge, with other frame rows or a
+    potential term subtracted from L."""
+    doc = dict(_workloads().KNIFE_EDGE)
+    doc["frame"] = rows or doc["frame"]
+    doc["lagrangian"] += potential
+    sysd = fd.SystemDef.from_json_dict(doc)
+    return sysd.lagrangian(), sysd.frame(), sysd.split()
+
+
+def _dump_knife_edge(fd, out, work):
+    knife = _knife_edge(fd)
+    runs = [("knife_edge", knife, [0.3, -0.7, 0.5], [0.8, -0.6],
+             fd.ShiftedMomentumSection(*knife, ["v1"]), (0.0, 0.5)),
+            ("threshold_frame", _knife_edge(fd, THRESHOLD_ROWS), THRESHOLD_Q,
+             THRESHOLD_V, None, (0.0, 0.3))]
+    for name, (L, F, split), q, v, section, span in runs:
+        field = fd.NonholonomicField(L, F, split)
+        s0 = fd.QuasiState.on_C(np.array(q), np.array(v), split)
+        observables = ("energy", "momenta", "multipliers") + (
+            ("defects",) if section is not None else ())
+        for method, extra in (("rk4", {"step": 1e-3}),
+                              ("rk45", {"rtol": 1e-10, "atol": 1e-12})):
+            cfg = fd.IntegratorConfig(method=method, section=section,
+                                      observables=observables, t_span=span,
+                                      **extra)
+            traj = fd.integrate(field, F, split, s0, cfg)
+            prefix = f"trajectory/{name}/{method}"
+            _flatten(prefix, traj, out, work)
+            _flatten(f"{prefix}/drift", fd.drift_report(traj, L, F, split),
+                     out, work)
+
+
 def _failing_runs(fd):
     """(label, field, frame, split, initial state, config kwargs) of runs
     that stop with IntegrationError, at t = 0 or part way."""
@@ -208,6 +256,10 @@ def _failing_runs(fd):
          identity, fd.ConstraintSplit(2, 1), [0.04, 0.0], [-1.0], {}),
         ("non_finite_step", kinetic, identity, fd.ConstraintSplit(2, 2),
          [1.5e308, 0.0], [1.5e308, 0.0], {"step": 0.5}),
+        ("knife_edge_domain_fault", *_knife_edge(fd, potential=" - sqrt(x)"),
+         [0.04, 0.0, 0.0], [-1.0, 0.5], {}),
+        ("threshold_frame_singular", *_knife_edge(fd, THRESHOLD_ROWS),
+         THRESHOLD_Q, THRESHOLD_V, {}),
     ]
     return [(label, fd.NonholonomicField(L, F, split), F, split,
              fd.QuasiState.on_C(np.array(q), np.array(v), split), kwargs)
@@ -288,8 +340,8 @@ def dump(path):
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in (_dump_states, _dump_trajectories, _dump_failures,
-                     _dump_workloads, _dump_cli):
+        for part in (_dump_states, _dump_trajectories, _dump_knife_edge,
+                     _dump_failures, _dump_workloads, _dump_cli):
             part(fd, out, work)
     np.savez(path, **out)
     print(f"{len(out)} outputs written to {path}")
