@@ -39,8 +39,7 @@ from .chaplygin import (
     carriage_special_length,
 )
 from .systems import (
-    SystemDef, builtin, BUILTIN_NAMES, measure_density, reference_check,
-    sample_states,
+    SystemDef, builtin, BUILTIN_NAMES, measure_density, sample_states,
 )
 from .integrator import (
     IntegratorConfig, Trajectory, IntegrationError, integrate, drift_report,

@@ -44,6 +44,12 @@ def _require(cond, path, message):
         raise ConfigError(path, message)
 
 
+def _of_type(value, typ):
+    """isinstance(value, typ), a JSON true or false counting as no number:
+    bool is a subclass of int."""
+    return isinstance(value, typ) and not isinstance(value, bool)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -87,8 +93,8 @@ def _validate_system_doc(doc):
     for key, typ in (("name", str), ("n", int), ("m", int),
                      ("coords", list), ("frame", list), ("lagrangian", str)):
         _require(key in doc, f"$.{key}", "missing required field")
-        _require(isinstance(doc[key], typ),
-                 f"$.{key}", f"expected {typ.__name__}")
+        _require(_of_type(doc[key], typ), f"$.{key}",
+                 f"expected {typ.__name__}")
     n, m = doc["n"], doc["m"]
     _require(1 <= m <= n, "$.m", f"need 1 <= m <= n, got m={m}, n={n}")
     _require(len(doc["coords"]) == n, "$.coords", f"expected {n} names")
@@ -100,7 +106,7 @@ def _validate_system_doc(doc):
         _require(isinstance(doc["params"], dict), "$.params",
                  "expected an object")
         for k, v in doc["params"].items():
-            _require(isinstance(v, (int, float)), f"$.params.{k}",
+            _require(_of_type(v, (int, float)), f"$.params.{k}",
                      "expected a number")
 
 
@@ -156,11 +162,11 @@ def _load_run_config(path):
     _require(isinstance(doc, dict), "$", "run config must be an object")
     for key, val in doc.items():
         _require(key in _CONFIG_FIELDS, f"$.{key}", "unknown field")
-        _require(isinstance(val, _CONFIG_FIELDS[key]), f"$.{key}",
+        _require(_of_type(val, _CONFIG_FIELDS[key]), f"$.{key}",
                  f"expected {_CONFIG_FIELDS[key]}")
     if "params" in doc:
         for k, v in doc["params"].items():
-            _require(isinstance(v, (int, float)), f"$.params.{k}",
+            _require(_of_type(v, (int, float)), f"$.params.{k}",
                      "expected a number")
     if "method" in doc:
         _require(doc["method"] in ("rk4", "rk45"), "$.method",
@@ -183,9 +189,11 @@ def _resolve(args, cfg, key, default=None):
 def _state_vector(value, want, path):
     if isinstance(value, str):
         return _parse_floats(value, want, path)
-    vals = [float(x) for x in value]
-    _require(len(vals) == want, path, f"expected {want} values")
-    return np.array(vals)
+    for i, x in enumerate(value):
+        _require(_of_type(x, (int, float)), f"{path}[{i}]",
+                 "expected a number")
+    _require(len(value) == want, path, f"expected {want} values")
+    return np.array([float(x) for x in value])
 
 
 def _report_header(sysd, args):

@@ -418,16 +418,16 @@ class Tape:
     numbered by source text.  A temporary whose text was emitted before
     reuses the earlier name (every primitive is pure, so equal text over
     names assigned once means an equal float).  Many kernel bodies can be
-    inlined on one tape (kernel), so a line that several of them need is
-    emitted once, and a body's line is renamed once for all inlinings that
-    agree on the leaves it reads.  released() gives the lines with each
-    temporary deleted after its last read."""
+    inlined on one tape (kernel): each inlining renames every line of its
+    body, and a renamed line whose text is already on the tape takes the
+    earlier name, so a line that several of them need is emitted once.
+    released() gives the lines with each temporary deleted after its last
+    read; function() lays a whole generated function out around them."""
 
     def __init__(self):
         self.lines = []
         self.names = {}
         self._templates = {}  # id(body) -> its template (_template)
-        self._renamed = {}  # (body, reach, leaves) -> {line: its name}
 
     def temp(self, src):
         name = self.names.get(src)
@@ -457,40 +457,43 @@ class Tape:
                 out.append(f"    del {', '.join(names)}")
         return out
 
+    def function(self, name, args, inputs, outputs, filename):
+        """The generated function `name`(*args), bound by bind_source: it
+        unpacks each argument named in inputs into the names given there,
+        runs the released lines and returns one tuple per sequence of
+        outputs (their texts), the tuple itself when there is one."""
+        returned = ", ".join(f"({''.join(f'{x}, ' for x in p)})"
+                             for p in outputs)
+        source = "\n".join(
+            [f"def {name}({', '.join(args)}):"]
+            + [f"    {', '.join(names)}, = {arg}"
+               for arg, names in inputs.items()]
+            + self.released(sum(outputs, []))
+            + [f"    return {returned}"])
+        return bind_source(source, name, filename)
+
     def kernel(self, kernels, k, values, dirs, params, count=None):
         """The slot texts of the kernel of the first `count` expressions of
         kernels (a Kernels) along k directions, inlined at the leaf texts
         given: values and each of the k directions follow its variables,
-        params its parameters.  Each line of the kernel's body (kernel_body)
-        is copied with its leaf names (v[i], d{d}[i], p[j]) and temporaries
-        renamed; a line whose text reduces to a name is not emitted, that
-        name stands for it.  A structural zero is "0.0"."""
+        and params names the sequence of its parameters.  Each line of the
+        kernel's body (kernel_body) is copied with its leaf names (v[i],
+        d{d}[i], p[j]) and temporaries renamed and bound by temp; a line
+        whose text reduces to a name is not emitted, that name stands for
+        it.  A structural zero is "0.0"."""
         body = kernel_body(kernels, k, count)
         template = self._templates.get(id(body))
         if template is None:
             template = self._templates[id(body)] = _template(body[0])
-        names = {f"p[{j}]": x for j, x in enumerate(params)}
+        names = {f"p[{j}]": f"{params}[{j}]"
+                 for j in range(len(kernels.param_names))}
         for i, x in enumerate(values):
             names[f"v[{i}]"] = x
             for d, w in enumerate(dirs):
                 names[f"d{d}[{i}]"] = w[i]
-        # a line renames alike at the same values and parameters and the
-        # same directions among those that reach it
-        leaves = (id(body), tuple(values), tuple(params))
-        renamed = {}
-        for name, first, pairs, reach in template:
-            memo = renamed.get(reach)
-            if memo is None:
-                memo = renamed[reach] = self._renamed.setdefault(
-                    leaves + (reach,) + tuple(
-                        tuple(w) for d, w in enumerate(dirs) if reach >> d & 1),
-                    {})
-            out = memo.get(name)
-            if out is None:
-                src = first + "".join([names[x] + text for x, text in pairs])
-                out = memo[name] = (src if src.isidentifier()
-                                    else self.temp(src))
-            names[name] = out
+        for name, first, pairs in template:
+            src = first + "".join([names[x] + text for x, text in pairs])
+            names[name] = src if src.isidentifier() else self.temp(src)
         return ["0.0" if s is None else names[s] for s in body[1]]
 
 
@@ -501,24 +504,14 @@ _TEMP = re.compile(r"\bt\d+\b")
 
 def _template(lines):
     """The lines of a kernel body split at their names, for Tape.kernel:
-    each as (name, first, pairs, reach), its text being first followed by
-    name + text for each pair; bit d of reach is set when direction d
-    reaches the line."""
-    reaches = {}
+    each as (name, first, pairs), its text being first followed by
+    name + text for each pair."""
     template = []
     for line in lines:
         name, src = line[4:].split(" = ", 1)
         parts = _NAME.split(src)
-        refs = parts[1::2]
-        reach = 0
-        for x in refs:
-            if x[0] == "d":
-                reach |= 1 << int(x[1:x.index("[")])
-            else:
-                reach |= reaches.get(x, 0)
-        reaches[name] = reach
-        template.append((name, parts[0], tuple(zip(refs, parts[2::2])),
-                         reach))
+        template.append((name, parts[0], tuple(zip(parts[1::2],
+                                                   parts[2::2]))))
     return template
 
 
@@ -766,20 +759,22 @@ def _emit(gen, root, ids, leaf_slots):
     return vals.pop()
 
 
-# Compiled kernels by structure: (table, roots, var_names, param_names, k)
-# -> function, and the generated functions built from many kernels (such as
-# the nonholonomic field) under keys of their own.  Parameter values are
-# call arguments, so systems that differ only in parameter values share
-# their kernels.
+# The generated functions by tag and arguments (see generated): the compiled
+# kernels, their bodies and the functions built from many kernels (such as
+# the nonholonomic field).  Parameter values are call arguments, so systems
+# that differ only in parameter values share them.
 _KERNELS = {}
 
 
-def cached_kernel(key, build):
-    """The generated function under key in the module cache, made by
-    build() on first use."""
+def generated(tag, build, *args):
+    """build(*args), made on first use and kept in the module cache under
+    tag and args; a Kernels argument is keyed by its key, so it is shared by
+    every Kernels of the same structure and names."""
+    key = (tag,) + tuple(a.key if isinstance(a, Kernels) else a
+                         for a in args)
     fn = _KERNELS.get(key)
     if fn is None:
-        fn = _KERNELS[key] = build()
+        fn = _KERNELS[key] = build(*args)
     return fn
 
 
@@ -801,19 +796,16 @@ def compile_taylor(exprs, var_names, param_names, k, structure=None):
     """
     if isinstance(exprs, Expr):
         exprs = (exprs,)
-    kernels = Kernels(exprs, var_names, param_names, structure)
-    table, roots, _ = kernels.structure
-    return cached_kernel(
-        (table, roots, kernels.var_names, kernels.param_names, k),
-        lambda: _generate(kernels, k))
+    return generated("taylor", _generate,
+                     Kernels(exprs, var_names, param_names, structure), k)
 
 
 class Kernels:
     """The compiled kernels of one sequence of expressions, by k and by the
-    number of leading expressions they cover.  The structure key is
-    computed once, on first use: the table of the leading expressions is a
-    prefix of the full one (each root is entered after its subtree), so
-    every kernel reuses it and keys as compile_taylor would."""
+    number of leading expressions they cover.  The structure is computed
+    once, on first use: the table of the leading expressions is a prefix of
+    the full one (each root is entered after its subtree), so every kernel
+    reuses it and keys as compile_taylor would."""
 
     def __init__(self, exprs, var_names, param_names, structure=None):
         self.exprs = tuple(exprs)
@@ -828,19 +820,31 @@ class Kernels:
             self._structure = _structure(self.exprs)
         return self._structure
 
-    def prefix(self, count):
-        """The structure of the leading `count` expressions."""
+    @property
+    def key(self):
+        """The key of these expressions in the module cache (generated):
+        the subtree table, the roots, the variable and parameter names."""
+        table, roots, _ = self.structure
+        return table, roots, self.var_names, self.param_names
+
+    def head(self, count=None):
+        """The Kernels of the leading `count` expressions (all by
+        default), over the prefix of the structure that they cover."""
+        if count is None or count == len(self.exprs):
+            return self
         table, roots, ids = self.structure
         roots = roots[:count]
-        return table[:max(roots, default=-1) + 1], roots, ids
+        return Kernels(self.exprs[:count], self.var_names, self.param_names,
+                       (table[:max(roots, default=-1) + 1], roots, ids))
 
     def __call__(self, k, count=None):
         count = len(self.exprs) if count is None else count
         fn = self._kernels.get((k, count))
         if fn is None:
+            head = self.head(count)
             fn = self._kernels[k, count] = compile_taylor(
-                self.exprs[:count], self.var_names, self.param_names, k,
-                self.prefix(count))
+                head.exprs, self.var_names, self.param_names, k,
+                head.structure)
         return fn
 
 
@@ -865,14 +869,11 @@ def kernel_body(kernels, k, count=None):
     leaf names v[i], d{d}[i] and p[j], and the bound text of its 2**k slots
     per expression, None marking a structural zero.  Made once per
     structure, names and k, in the module cache."""
-    count = len(kernels.exprs) if count is None else count
-    table, roots, _ = kernels.prefix(count)
-    key = ("body", table, roots, kernels.var_names, kernels.param_names, k)
-    return cached_kernel(key, lambda: _emit_body(kernels, k, count))
+    return generated("body", _emit_body, kernels.head(count), k)
 
 
-def _emit_body(kernels, k, count):
-    table, roots, ids = kernels.prefix(count)
+def _emit_body(kernels, k):
+    table, roots, ids = kernels.structure
     var_index = {name: i for i, name in enumerate(kernels.var_names)}
     param_index = {name: i for i, name in enumerate(kernels.param_names)}
     nslots = 1 << k
@@ -893,7 +894,7 @@ def _emit_body(kernels, k, count):
             return out
         raise UnboundNameError(f"unbound name {name!r}")
 
-    slots = [s for e in kernels.exprs[:count]
+    slots = [s for e in kernels.exprs
              for s in gen.bind(_emit(gen, e, ids, leaf_slots))]
     return tuple(gen.tape.lines), tuple(slots)
 

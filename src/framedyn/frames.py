@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import (Expr, ExprFunction, Kernels, Tape, _gathered,
-                       _guarded, bind_source, cached_kernel, parse, run)
+                       _guarded, generated, parse, run)
 from .linsolve import det_pp, max_abs, min_abs
 
 __all__ = [
@@ -290,26 +290,19 @@ def _bracket_source(frame):
     row-major, with M the flat frame matrix at q.  The frame's k = 1 kernel
     is inlined once along each row X_i of M, on one Tape.  Shared by every
     frame of the same structure."""
-    fk = frame._kernels
-    key = ("brackets", fk.structure[:2], fk.var_names, fk.param_names)
-    return cached_kernel(key, lambda: _generate_brackets(fk, frame.n))
+    return generated("brackets", _generate_brackets, frame._kernels, frame.n)
 
 
 def _generate_brackets(fk, n):
     tape = Tape()
     q = [f"q{i}" for i in range(n)]
     X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
-    fp = [f"fp[{j}]" for j in range(len(fk.param_names))]
     # D[i][j * n + c] = ((DX_j) X_i)^c
-    D = [tape.kernel(fk, 1, q, [X[i]], fp)[1::2] for i in range(n)]
+    D = [tape.kernel(fk, 1, q, [X[i]], "fp")[1::2] for i in range(n)]
     B = [tape.temp(f"{D[i][j * n + c]} - {D[j][i * n + c]}")
          for c in range(n) for i in range(n) for j in range(i + 1, n)]
-    source = "\n".join(
-        ["def _brackets(q, fp, M):",
-         f"    {', '.join(q)}, = q",
-         f"    {', '.join(sum(X, []))}, = M"]
-        + tape.released(B) + [f"    return ({', '.join(B)},)"])
-    return bind_source(source, "_brackets", f"<brackets n={n}>")
+    return tape.function("_brackets", ["q", "fp", "M"],
+                         {"q": q, "M": sum(X, [])}, [B], f"<brackets n={n}>")
 
 
 def quasi_velocities(frame, p):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
                        _gathered, _guarded, _stacked, bind_source,
-                       cached_kernel, eval_value, free_names, run)
+                       eval_value, free_names, generated, run)
 from .frames import (FRAME_DET_TOL, TangentPoint, _brackets, base_velocity,
                      contract_structure, structure_from_matrix)
 from .lagrangian import energy, hessian_regularity
@@ -80,16 +80,8 @@ def _field_source(L, frame, split):
     with Frame.check_matrix as its fallback.  Shared by every (L, frame,
     split) of the same structure, which fixes the gate's structural
     zeros."""
-    n, m = split.n, split.m
-    fk, lk = frame._kernels, L.fn.kernel
-    key = ("field", lk.structure[:2], lk.var_names, lk.param_names,
-           fk.structure[:2], fk.var_names, fk.param_names, m)
-    return cached_kernel(key, lambda: _generate_field(fk, lk, n, m))
-
-
-def _params(kernels, name):
-    """The parameter texts name[0], name[1], ... of a kernel's parameters."""
-    return [f"{name}[{j}]" for j in range(len(kernels.param_names))]
+    return generated("field", _generate_field, frame._kernels, L.fn.kernel,
+                     split.n, split.m)
 
 
 def _structural_zero(expr):
@@ -106,21 +98,20 @@ def _generate_field(fk, lk, n, m):
     tape = Tape()
     temp = tape.temp
     q, v = [f"q{i}" for i in range(n)], [f"v{a}" for a in range(m)]
-    fp, lp = _params(fk, "fp"), _params(lk, "lp")
 
     def lagrangian(k, *dirs):
         """The top slot of L's jet at (q, u) along k directions, each a
         (dq, du) pair."""
         return tape.kernel(lk, k, q + u, [dq + du for dq, du in dirs],
-                           lp)[(1 << k) - 1]
+                           "lp")[(1 << k) - 1]
 
-    X = tape.kernel(fk, 0, q, [], fp)
+    X = tape.kernel(fk, 0, q, [], "fp")
     frame_lines = len(tape.lines)  # the frame check follows them
     rows = [X[a * n:(a + 1) * n] for a in range(m)]
     u = h = ["0.0"] * n
     for a in range(m):
         u = [temp(f"{x} + v{a}*{y}") for x, y in zip(u, rows[a])]
-    D = tape.kernel(fk, 1, q, [u], fp, m * n)[1::2]
+    D = tape.kernel(fk, 1, q, [u], "fp", m * n)[1::2]
     D = [D[a * n:(a + 1) * n] for a in range(m)]
     for a in range(m):
         h = [temp(f"{x} + v{a}*{y}") for x, y in zip(h, D[a])]
@@ -230,11 +221,8 @@ def _lift_source(L, frame, split):
     the kernel that the lift formulas of lagrangian.py call, inlined on one
     Tape; each temporary is deleted after its last read.  Shared by every
     (L, frame, split) of the same structure."""
-    n, m = split.n, split.m
-    fk, lk = frame._kernels, L.fn.kernel
-    key = ("lifts", lk.structure[:2], lk.var_names, lk.param_names,
-           fk.structure[:2], fk.var_names, fk.param_names, m)
-    return cached_kernel(key, lambda: _generate_lifts(fk, lk, n, m))
+    return generated("lifts", _generate_lifts, frame._kernels, L.fn.kernel,
+                     split.n, split.m)
 
 
 def _generate_lifts(fk, lk, n, m):
@@ -242,30 +230,22 @@ def _generate_lifts(fk, lk, n, m):
     q, u = [f"q{i}" for i in range(n)], [f"u{i}" for i in range(n)]
     X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
     zq = ["0.0"] * n
-    fp, lp = _params(fk, "fp"), _params(lk, "lp")
 
     def lagrangian(k, *dirs):
         return tape.kernel(lk, k, q + u, [dq + du for dq, du in dirs],
-                           lp)[(1 << k) - 1]
+                           "lp")[(1 << k) - 1]
 
-    D = tape.kernel(fk, 1, q, [u], fp)[1::2]
+    D = tape.kernel(fk, 1, q, [u], "fp")[1::2]
     rows = [D[i * n:(i + 1) * n] for i in range(n)]
     H = [lagrangian(2, (zq, X[a]), (zq, X[b]))
          for a in range(n) for b in range(max(a, m), n)]
     clift = [lagrangian(1, (X[a], rows[a])) for a in range(m, n)]
     vlift = [lagrangian(1, (zq, X[i])) for i in range(n)]
     corr = [lagrangian(1, (zq, rows[a])) for a in range(m, n)]
-    pieces = [D[m * n:], H, clift, vlift, corr]
-    returned = ", ".join(f"({''.join(f'{x}, ' for x in p)})" for p in pieces)
-    source = "\n".join(
-        ["def _lifts(q, c, u, M):",
-         f"    {', '.join(q)}, = q",
-         "    fp, lp = c",
-         f"    {', '.join(u)}, = u",
-         f"    {', '.join(sum(X, []))}, = M"]
-        + tape.released(sum(pieces, []))
-        + [f"    return {returned}"])
-    return bind_source(source, "_lifts", f"<lifts n={n} m={m}>")
+    return tape.function(
+        "_lifts", ["q", "c", "u", "M"],
+        {"q": q, "c": ["fp", "lp"], "u": u, "M": sum(X, [])},
+        [D[m * n:], H, clift, vlift, corr], f"<lifts n={n} m={m}>")
 
 
 def _epsilon_source(L, indices):
@@ -273,9 +253,7 @@ def _epsilon_source(L, indices):
     (StateContext.epsilon): f(q + u + M + w, lp) -> for each a in indices,
     slot 3 of L's jet at (q, u) along (0, X_a) and (u, w), X_a the row a of
     M, as lagrangian.vlift_rate_at makes it.  Shared by structure."""
-    lk = L.fn.kernel
-    key = ("epsilon", lk.structure[:2], lk.var_names, lk.param_names, indices)
-    return cached_kernel(key, lambda: _generate_epsilon(lk, L.n, indices))
+    return generated("epsilon", _generate_epsilon, L.fn.kernel, L.n, indices)
 
 
 def _generate_epsilon(lk, n, indices):
@@ -283,13 +261,10 @@ def _generate_epsilon(lk, n, indices):
     q, u, w = ([f"{x}{i}" for i in range(n)] for x in "quw")
     X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
     rates = [tape.kernel(lk, 2, q + u, [["0.0"] * n + X[a], u + w],
-                         _params(lk, "lp"))[3] for a in indices]
-    inputs = q + u + sum(X, []) + w
-    source = "\n".join(
-        ["def _epsilon(x, lp):", f"    {', '.join(inputs)}, = x"]
-        + tape.released(rates)
-        + [f"    return ({''.join(f'{x}, ' for x in rates)})"])
-    return bind_source(source, "_epsilon", f"<epsilon n={n} a={indices}>")
+                         "lp")[3] for a in indices]
+    return tape.function("_epsilon", ["x", "lp"],
+                         {"x": q + u + sum(X, []) + w}, [rates],
+                         f"<epsilon n={n} a={indices}>")
 
 
 def _chart_source(fn, m):
@@ -297,9 +272,7 @@ def _chart_source(fn, m):
     residuals (NonholonomicField._chart_jets) from the kernel of a composite
     fn (quasichart._composite): f(q + v + u + Gamma + the X_alpha + the
     c_alpha, p) -> the three jets of each alpha.  Shared by structure."""
-    k = fn.kernel
-    key = ("chart", k.structure[:2], k.var_names, k.param_names, m)
-    return cached_kernel(key, lambda: _generate_chart(k, m))
+    return generated("chart", _generate_chart, fn.kernel, m)
 
 
 def _generate_chart(kernels, m):
@@ -313,7 +286,7 @@ def _generate_chart(kernels, m):
     def jet(k, *dirs):
         return tape.kernel(kernels, k, q + v + zero,
                            [dq + dv + zero for dq, dv in dirs],
-                           _params(kernels, "p"))[(1 << k) - 1]
+                           "p")[(1 << k) - 1]
 
     slots = []
     for a in range(m):
@@ -321,10 +294,8 @@ def _generate_chart(kernels, m):
         slots += [jet(2, (zero, e), (u, g[:m] + zero[m:])),
                   jet(1, (X[a], zero)), jet(1, (zero, c[a]))]
     inputs = q + v + u + g[:m] + sum(X, []) + sum(c, [])
-    source = "\n".join(["def _chart(x, p):", f"    {', '.join(inputs)}, = x"]
-                       + tape.released(slots)
-                       + [f"    return ({''.join(f'{x}, ' for x in slots)})"])
-    return bind_source(source, "_chart", f"<chart n={n} m={m}>")
+    return tape.function("_chart", ["x", "p"], {"x": inputs}, [slots],
+                         f"<chart n={n} m={m}>")
 
 
 Lifts = namedtuple("Lifts", "D H clift vlift corr")

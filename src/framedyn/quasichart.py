@@ -22,7 +22,7 @@ from functools import reduce
 import numpy as np
 
 from .exprlang import (Add, ExprFunction, Mul, Ref, Tape, _columns,
-                       _guarded, bind_source, cached_kernel, substitute)
+                       _guarded, generated, substitute)
 from .jets import TaylorValue
 
 __all__ = ["QvChartPoint"]
@@ -61,29 +61,23 @@ def _fibre_source(fn, n, ndirs):
     probe direction w^i = 1 that carry the probe.  The kernel is inlined
     once per probe on one Tape, so its lines that no probe reaches are
     emitted once.  Shared by every composite of the same structure."""
-    kernels = fn.kernel
-    key = ("fibre", kernels.structure[:2], kernels.var_names,
-           kernels.param_names, ndirs)
-    return cached_kernel(key, lambda: _generate_fibre(kernels, n, ndirs))
+    return generated("fibre", _generate_fibre, fn.kernel, n, ndirs)
 
 
 def _generate_fibre(kernels, n, ndirs):
     tape = Tape()
     x = [f"x{j}" for j in range(3 * n)]
     dirs = [[f"d{d}_{j}" for j in range(3 * n)] for d in range(ndirs)]
-    params = [f"p[{j}]" for j in range(len(kernels.param_names))]
     slots = []
     for i in range(n):
         probe = ["0.0"] * (3 * n)
         probe[2 * n + i] = "1.0"
         slots += tape.kernel(kernels, ndirs + 1, x, dirs + [probe],
-                             params)[1 << ndirs:]
-    source = "\n".join(
-        [f"def _fibre(v, p{''.join(f', d{d}' for d in range(ndirs))}):",
-         f"    {', '.join(x)}, = v"]
-        + [f"    {', '.join(dirs[d])}, = d{d}" for d in range(ndirs)]
-        + tape.released(slots) + [f"    return ({', '.join(slots)},)"])
-    return bind_source(source, "_fibre", f"<fibre n={n} k={ndirs}>")
+                             "p")[1 << ndirs:]
+    names = [f"d{d}" for d in range(ndirs)]
+    return tape.function("_fibre", ["v", "p"] + names,
+                         {"v": x, **dict(zip(names, dirs))}, [slots],
+                         f"<fibre n={n} k={ndirs}>")
 
 
 class QvChartPoint:

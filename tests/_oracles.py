@@ -598,3 +598,64 @@ def integrate_reference(provider, frame, split, initial, cfg):
               "t_span": list(cfg.t_span)})
     attach_observables(traj, provider, frame, split, cfg)
     return traj
+
+
+# -- closed-form references of the built-in systems ---------------------------
+
+
+def _ref_env(system, s):
+    env = {}
+    for i, name in enumerate(system.coords):
+        env[name] = s.q[..., i]
+    for a in range(system.m):
+        env[f"v{a + 1}"] = s.v[..., a]
+    env.update(system.params)
+    return env
+
+
+def reference_check(system, op, states=None, count=200, seed=0):
+    """Compare the numeric pipeline against the closed-form references.
+
+    op is one of the keys of system.references ("gamma", "multipliers",
+    "momentum_pairing", "constrained_lagrangian").  Returns the max absolute
+    difference over the samples.
+    """
+    from framedyn.exprlang import parse, tree_eval
+    from framedyn.frames import velocities_from_quasi
+    from framedyn.lagrangian import vlift_deriv
+    from framedyn.nonholonomic import NonholonomicField
+    from framedyn.systems import sample_states
+
+    if op not in system.references:
+        raise ValueError(f"{system.name} has no reference for {op!r}")
+    if states is None:
+        states = sample_states(system, count, seed)
+    L = system.lagrangian()
+    F = system.frame()
+    split = system.split()
+    field_ = NonholonomicField(L, F, split)
+    env = _ref_env(system, states)
+    ref_exprs = system.references[op]
+    ones = np.ones(states.q.shape[:-1])
+    if op in ("gamma", "multipliers"):
+        got = getattr(field_, op)(states)
+        ref = np.stack([tree_eval(parse(e), env) * ones for e in ref_exprs],
+                       axis=-1)
+    elif op == "momentum_pairing":
+        p = velocities_from_quasi(F, states)
+        p3 = vlift_deriv(L, F, 2, p)
+        p4 = vlift_deriv(L, F, 3, p)
+        th = states.q[..., 4]
+        R, c = system.params["R"], system.params["c"]
+        got = (R * R / (2 * c)) * (np.sin(th) * p3 - np.cos(th) * p4)
+        ref = tree_eval(parse(ref_exprs), env) * ones
+    elif op == "constrained_lagrangian":
+        p = velocities_from_quasi(F, states)
+        got = L.value(p.q, p.u)
+        ref = tree_eval(parse(ref_exprs), env) * ones
+    else:
+        raise ValueError(f"unsupported reference op {op!r}")
+    diff = float(np.max(np.abs(got - ref)))
+    return {"system": system.name, "op": op,
+            "count": int(np.prod(states.q.shape[:-1])),
+            "max_abs_diff": diff}

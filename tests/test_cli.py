@@ -318,6 +318,19 @@ class TestCustomSystems:
         assert code == 2
         assert "$.params.g" in err
 
+    @pytest.mark.parametrize("overrides,where", [
+        ({"n": True, "m": 1, "coords": ["x"], "frame": [["1"]],
+          "lagrangian": "u1*u1/2"}, "$.n"),
+        ({"params": {"g": True}}, "$.params.g"),
+    ])
+    def test_json_booleans_are_not_numbers(self, capsys, tmp_path, overrides,
+                                           where):
+        path = self._write_def(tmp_path, **overrides)
+        code, _, err = run(capsys, "derive", "--system", str(path),
+                           "--samples", "2", "--out", str(tmp_path / "d.csv"))
+        assert code == 2
+        assert f"config error at {where}:" in err
+
     def test_only_declared_params_may_be_set(self, capsys, tmp_path):
         path = self._write_def(tmp_path, params={"g": 9.81})
         out = tmp_path / "t.csv"
@@ -396,6 +409,30 @@ class TestRunConfig:
         code, _, err = run(capsys, "derive")
         assert code == 2
         assert "$.system" in err
+
+    @pytest.mark.parametrize("command,field,value,path", [
+        ("simulate", "q0", ["a", 0, 0, 0, 0], "$.q0[0]"),
+        ("simulate", "q0", [0, None, 0, 0, 0], "$.q0[1]"),
+        ("simulate", "q0", [True, 0, 0, 0, 0], "$.q0[0]"),
+        ("simulate", "v0", [1.0, False], "$.v0[1]"),
+        ("consistency", "samples", True, "$.samples"),
+        ("simulate", "seed", True, "$.seed"),
+        ("consistency", "seed", True, "$.seed"),
+        ("simulate", "params", {"l": True}, "$.params.l"),
+        ("consistency", "params", {"l": True}, "$.params.l"),
+    ])
+    def test_config_entries_must_be_numbers(self, capsys, tmp_path, command,
+                                            field, value, path):
+        # a JSON true or false is no number, and each state entry is checked
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps({"system": "carriage", "t_end": 0.01,
+                                    "samples": 2, field: value}))
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, command, "--config", str(cfgp), "--out",
+                           str(out))
+        assert code == 2
+        assert f"config error at {path}:" in err
+        assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -460,13 +460,28 @@ def test_generated_field_function_is_shared_by_structure():
                          ids=[g[0] for g in GATE_SYSTEMS])
 def test_generated_field_source_emits_each_line_once(name, sysd, L, frame,
                                                      split):
-    # The kernels are inlined with value numbering: a line that several
-    # jets need (the values of L's subtrees at (q, u), say) is emitted once.
-    source = _field_source(L, frame, split).__source__
-    right = [line.split(" = ", 1)[1] for line in source.splitlines()
-             if " = " in line]
-    assert len(right) > 20
-    assert len(right) == len(set(right)), name
+    # The kernels are inlined with text numbering alone: a line that
+    # several jets need (the values of L's subtrees at (q, u), the frame
+    # values, the slots no probe reaches) is emitted once in each generated
+    # source, the field's and those of the constraint side.  A del line
+    # assigns nothing.
+    from framedyn.frames import _bracket_source
+    from framedyn.nonholonomic import (_chart_source, _epsilon_source,
+                                       _lift_source)
+    from framedyn.quasichart import _composite, _fibre_source
+
+    field = _field_source(L, frame, split)
+    fn = _composite(L, frame)[0]
+    sources = ([field, _lift_source(L, frame, split), _bracket_source(frame),
+                _chart_source(fn, split.m)]
+               + [_fibre_source(fn, frame.n, k) for k in range(3)]
+               + [_epsilon_source(L, tuple(indices)) for indices in (
+                   range(split.m), range(split.m, split.n))])
+    for source in sources:
+        right = [line.split(" = ", 1)[1]
+                 for line in source.__source__.splitlines() if " = " in line]
+        assert len(right) > (20 if source is field else 10), name
+        assert len(right) == len(set(right)), (name, source.__name__)
 
 
 @pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,

@@ -1,7 +1,9 @@
 """Dump the outputs that a change must keep ==, or compare two dumps.
 
     python tools/dump_outputs.py dump OUT.npz
+    python tools/dump_outputs.py codes OUT.json
     python tools/dump_outputs.py compare PARENT.npz CHANGE.npz
+    python tools/dump_outputs.py compare PARENT.json CHANGE.json
 
 `dump` imports framedyn from the checkout this file lives in (its `src/`)
 and writes one array per output to OUT.npz:
@@ -35,17 +37,29 @@ and writes one array per output to OUT.npz:
 * the exit code, stdout, stderr and output file of a set of `framedyn`
   commands.
 
-`compare` checks the two dumps key by key: the same keys, and for each the
+`codes` makes the same calls as `dump`, then writes to OUT.json, for every
+function that framedyn generated (the functions in `exprlang._KERNELS`),
+its `co_filename` and a digest of its bytecode, grouped by filename.  The
+digest covers `co_code`, `co_consts` (a nested code object digested the
+same way), `co_names`, `co_varnames`, the argument counts and
+`__defaults__`, and leaves out line numbers: a change that only moves the
+text of a generated source keeps every digest.
+
+`compare` checks two `.npz` dumps key by key: the same keys, and for each the
 same dtype, the same shape and values equal under `np.array_equal` (NaN
-equal to NaN).  It prints every difference and exits 1 if there is one.
+equal to NaN); two `.json` code dumps it checks filename by filename, the
+multiset of digests of each.  It prints every difference and exits 1 if
+there is one.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -335,19 +349,65 @@ def _dump_cli(fd, out, work):
             "files": [f.read_text() for f in files]}, out, work)
 
 
-def dump(path):
-    fd = _framedyn()
+def _outputs(fd):
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in (_dump_states, _dump_trajectories, _dump_knife_edge,
                      _dump_failures, _dump_workloads, _dump_cli):
             part(fd, out, work)
+    return out
+
+
+def dump(path):
+    out = _outputs(_framedyn())
     np.savez(path, **out)
     print(f"{len(out)} outputs written to {path}")
 
 
+def _code_digest(code):
+    """A digest of a code object's bytecode, constants (nested code by its
+    digest), names and argument counts, without its line numbers."""
+    consts = [_code_digest(c) if hasattr(c, "co_code") else repr(c)
+              for c in code.co_consts]
+    parts = (code.co_code.hex(), consts, code.co_names, code.co_varnames,
+             code.co_argcount, code.co_posonlyargcount,
+             code.co_kwonlyargcount)
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def codes(path):
+    fd = _framedyn()
+    _outputs(fd)
+    out = {}
+    for fn in fd.exprlang._KERNELS.values():
+        if callable(fn):
+            code = fn.__code__
+            digest = hashlib.sha256(repr(
+                (_code_digest(code), fn.__defaults__)).encode()).hexdigest()
+            out.setdefault(code.co_filename, []).append(digest)
+    out = {name: sorted(digests) for name, digests in sorted(out.items())}
+    Path(path).write_text(json.dumps(out, indent=1) + "\n")
+    print(f"{sum(map(len, out.values()))} generated functions in "
+          f"{len(out)} files written to {path}")
+
+
+def _compare_codes(a_path, b_path):
+    a, b = (json.loads(Path(p).read_text()) for p in (a_path, b_path))
+    problems = [f"{name}: {len(a.get(name, []))} functions in {a_path}, "
+                f"{len(b.get(name, []))} in {b_path}, digests differ"
+                for name in sorted(set(a) | set(b))
+                if sorted(a.get(name, [])) != sorted(b.get(name, []))]
+    for p in problems:
+        print(p)
+    print(f"{len(set(a) | set(b))} files compared, {len(problems)} "
+          "differences")
+    return 1 if problems else 0
+
+
 def compare(a_path, b_path):
+    if a_path.endswith(".json"):
+        return _compare_codes(a_path, b_path)
     a, b = np.load(a_path), np.load(b_path)
     problems = [f"only in {a_path}: {k}" for k in sorted(set(a) - set(b))]
     problems += [f"only in {b_path}: {k}" for k in sorted(set(b) - set(a))]
@@ -368,6 +428,9 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["dump"] and len(argv) == 2:
         dump(argv[1])
+        return 0
+    if argv[:1] == ["codes"] and len(argv) == 2:
+        codes(argv[1])
         return 0
     if argv[:1] == ["compare"] and len(argv) == 3:
         return compare(argv[1], argv[2])
