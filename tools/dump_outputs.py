@@ -10,14 +10,19 @@ and writes one array per output to OUT.npz:
 
 * on the four built-ins, the carriage with D rotated by theta and the
   carriage at the special length l*, at 40 seeded states, batched and one
-  state at a time: Gamma, lambda, R, the three residuals at the solved
-  Gamma and at a seeded trial Gamma (the `gamma=` override), `prop6_scalar`,
+  state at a time: Gamma, lambda, R, `det_D`, `det_Dperp` and `det_g` of
+  the state context's regularity report, `quasi_velocities` of the state's
+  base velocity, the three residuals at the solved Gamma and at a seeded
+  trial Gamma (the `gamma=` override), `prop6_scalar`,
   `gamma_k_residual`; `consistency_report`, `solve_gamma_C` and
   `gamma_bar_tangency` for the zero, momentum and shifted momentum
   sections; `el_field` of L and of the variational Lagrangian of both
   momentum sections;
 * on the same systems, `verify_chaplygin` at the 40 states, batched and
   one state at a time;
+* Gamma, lambda and R of the knife edge (`KNIFE_EDGE` in
+  bench/workloads.py, whose frame matrix has a dense 2 x 2 core) at 40
+  seeded states, batched and one state at a time;
 * on the same systems, an RK4 and a DOPRI5 trajectory with every
   observable, the defects of the shifted section included, and its
   `drift_report`;
@@ -142,8 +147,14 @@ def _state_outputs(fd, sysd, L, F, split, s, delta):
     args = (L, F, split)
     field = fd.NonholonomicField(*args)
     sections = _sections(fd, sysd, *args)
+    ctx = field._context(s)
     out = {"gamma": field.gamma(s), "lambda": field.multipliers(s),
-           "R": field._context(s).R.copy()}
+           "R": ctx.R.copy()}
+    report = ctx.regularity_report(fd.nonholonomic.GAMMA_DET_TOL)
+    for name in ("det_D", "det_Dperp", "det_g"):
+        out[f"regularity.{name}"] = getattr(report, name)
+    out["quasi_velocities"] = fd.quasi_velocities(
+        F, fd.velocities_from_quasi(F, s)).v
     for name in RESIDUALS:
         out[name] = getattr(field, name)(s)
     trial = out["gamma"] + delta
@@ -187,6 +198,27 @@ def _dump_states(fd, out, work):
             _flatten(f"states/{name}/{route}/verify_chaplygin",
                      fd.verify_chaplygin(L, F, split, sysd.chaplygin,
                                          states), out, work)
+
+
+def _dump_knife_edge_states(fd, out, work):
+    L, F, split = _knife_edge(fd)
+    rng = np.random.default_rng(29)
+    q = rng.uniform(-2.0, 2.0, (STATES, split.n))
+    S = fd.QuasiState.on_C(q, rng.uniform(-2.0, 2.0, (STATES, split.m)),
+                           split)
+    field = fd.NonholonomicField(L, F, split)
+
+    def outputs(s):
+        return {"gamma": field.gamma(s), "lambda": field.multipliers(s),
+                "R": field._context(s).R.copy()}
+
+    batched = outputs(S)
+    single = [outputs(fd.QuasiState(S.q[i].copy(), S.v[i].copy()))
+              for i in range(STATES)]
+    for key, value in batched.items():
+        out[f"states/knife_edge/batched/{key}"] = value
+        out[f"states/knife_edge/single/{key}"] = np.stack(
+            [x[key] for x in single])
 
 
 def _dump_trajectories(fd, out, work):
@@ -353,7 +385,8 @@ def _outputs(fd):
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for part in (_dump_states, _dump_trajectories, _dump_knife_edge,
+        for part in (_dump_states, _dump_knife_edge_states,
+                     _dump_trajectories, _dump_knife_edge,
                      _dump_failures, _dump_workloads, _dump_cli):
             part(fd, out, work)
     return out
