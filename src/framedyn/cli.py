@@ -313,13 +313,17 @@ def cmd_derive(args):
     field = NonholonomicField(L, F, split)
     if args.grid is not None:
         doc = _load_json(args.grid)
-        _require(isinstance(doc, dict) and "points" in doc, "$.points",
+        _require(isinstance(doc, dict)
+                 and isinstance(doc.get("points"), list), "$.points",
                  "grid file must be an object with a 'points' array")
         pts = doc["points"]
         for i, row in enumerate(pts):
             _require(isinstance(row, list) and len(row) == sysd.n + sysd.m,
                      f"$.points[{i}]",
                      f"expected {sysd.n + sysd.m} numbers (q then v_alpha)")
+            for j, x in enumerate(row):
+                _require(_of_type(x, (int, float)), f"$.points[{i}][{j}]",
+                         f"expected a number, got {json.dumps(x)}")
         pts = np.array(pts, dtype=float).reshape(-1, sysd.n + sysd.m)
     else:
         st = sample_states(sysd, args.samples, seed=args.seed)

@@ -12,13 +12,16 @@ operation broadcasts over the leading axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exprlang import (Expr, ExprFunction, Kernels, Tape, _gathered,
-                       _guarded, generated, parse, run)
-from .linsolve import det_pp, max_abs, min_abs
+from .exprlang import (EvalDomainError, Expr, ExprFunction, Kernels, Tape,
+                       _gathered, _guarded, eval_value, free_names,
+                       generated, parse, run)
+from .linsolve import frame_gate, max_abs, min_abs, solve_peeled
 
 __all__ = [
     "SingularFrameError", "ConstraintViolationError",
@@ -29,6 +32,14 @@ __all__ = [
 
 FRAME_DET_TOL = 1e-12
 ON_C_TOL = 1e-12
+
+# The frame check passes on the structural gate of the frame matrix
+# (linsolve.frame_gate) where it is finite and above this bound; otherwise
+# Frame.check_matrix decides, on LAPACK's det.  The gate peels the rows and
+# columns with one structural nonzero off as factors and eliminates the
+# dense core that is left (unrolled); the margin over FRAME_DET_TOL covers
+# any rounding difference between that and LAPACK.
+FAST_FRAME_DET = FRAME_DET_TOL * 2.0 ** 20
 
 
 class SingularFrameError(Exception):
@@ -153,6 +164,16 @@ def _derivative(fn, q, params, dirs):
     return _gathered(top, q.shape[:-1]) if q.ndim > 1 else np.array(top)
 
 
+def _structural_zero(expr):
+    """Whether expr has no free names and the value 0.0."""
+    if free_names(expr):
+        return False
+    try:
+        return eval_value(expr, {}) == 0.0
+    except EvalDomainError:
+        return False
+
+
 class Frame:
     """n vector fields with an invertible coefficient matrix.
 
@@ -195,8 +216,36 @@ class Frame:
         """Coefficient matrix, rows indexed by frame field: M[i, j] = X_i^j."""
         return self.derivative(q, ())
 
+    @cached_property
+    def zeros(self):
+        """The flat indices (i * n + j) of the coefficients X_i^j that are
+        structural zeros, constant 0.0 at every point: the pattern that the
+        frame gate and the solves against M^T are generated for."""
+        return frozenset(i for i, e in enumerate(self._kernels.exprs[
+            :self.n * self.n]) if _structural_zero(e))
+
+    def check(self, M):
+        """Reject a singular frame matrix M, scalar or batched: the
+        structural gate passes every state where FAST_FRAME_DET < |det| <
+        inf, and check_matrix decides the others (the whole of a single
+        state's M, the states of a batch below the margin)."""
+        n = self.n
+        gate = frame_gate(n, self.zeros)
+        if M.ndim == 2:
+            if not FAST_FRAME_DET < abs(gate(M.ravel().tolist())) < math.inf:
+                self.check_matrix(M)
+            return
+        with np.errstate(all="ignore"):
+            det = np.abs(gate.batched([M[..., r, c] for r in range(n)
+                                       for c in range(n)]))
+        low = ~((FAST_FRAME_DET < det) & (det < math.inf))
+        if low.any():
+            self.check_matrix(M[np.broadcast_to(low, M.shape[:-2])])
+
     def check_matrix(self, M):
-        det = det_pp(M)
+        """Reject a singular frame matrix M by LAPACK's det (|det| <=
+        FRAME_DET_TOL at any state); returns det."""
+        det = np.linalg.det(M)
         if not min_abs(det) > FRAME_DET_TOL:
             raise SingularFrameError(
                 f"frame matrix is singular: min |det| = {min_abs(det):.3e}")
@@ -245,14 +294,15 @@ def structure_functions(frame, q):
     """
     q = np.asarray(q, dtype=float)
     M = frame.matrix(q)
-    frame.check_matrix(M)
+    frame.check(M)
     return structure_from_matrix(frame, q, M)
 
 
 def structure_from_matrix(frame, q, M, B=None):
     """structure_functions at q from the frame matrix M = X(q), already
     evaluated and checked: the brackets [X_i, X_j], i < j, solved against
-    M^T.  B is the bracket array _brackets(frame, q, M) where the caller
+    M^T by the frame's peeled solve (solve_transposed).  B is the bracket
+    array _brackets(frame, q, M) where the caller
     keeps it; otherwise it is made in the call to the solve, so that it is
     freed before R is filled."""
     n = frame.n
@@ -260,8 +310,8 @@ def structure_from_matrix(frame, q, M, B=None):
     if n < 2:
         return R
     i, j = np.triu_indices(n, 1)
-    coeff = np.linalg.solve(np.swapaxes(M, -1, -2),
-                            _brackets(frame, q, M) if B is None else B)
+    coeff = solve_transposed(frame, M, _brackets(frame, q, M) if B is None
+                             else B)
     R[..., :, i, j] = coeff
     R[..., :, j, i] = -coeff
     return R
@@ -308,14 +358,20 @@ def _generate_brackets(fk, n):
 def quasi_velocities(frame, p):
     """Quasi-velocities of a tangent point: solve X(q)^T v = u."""
     M = frame.matrix(p.q)
-    frame.check_matrix(M)
-    return QuasiState(p.q, quasi_from_matrix(M, p.u))
+    frame.check(M)
+    return QuasiState(p.q, solve_transposed(frame, M, p.u))
 
 
-def quasi_from_matrix(M, u):
-    """v with X(q)^T v = u, from the frame matrix M = X(q), already
-    evaluated and checked."""
-    return np.linalg.solve(np.swapaxes(M, -1, -2), u[..., None])[..., 0]
+def solve_transposed(frame, M, B):
+    """X with M^T X = B for the frame matrix M = X(q), already evaluated
+    and checked, and B of shape (..., n) or (..., n, k): the peeled solve of
+    the frame's structural zeros (linsolve.peeled), at a single state or a
+    batch."""
+    X = solve_peeled(M, B, frame.zeros)
+    if X is None:
+        raise SingularFrameError("frame matrix is singular: a zero pivot "
+                                 "in the solve against its transpose")
+    return X
 
 
 def velocities_from_quasi(frame, s):

@@ -10,13 +10,14 @@ coefficients, which :func:`dvlift_at` accounts for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exprlang import ExprFunction, parse, run_kernel
-from .frames import TangentPoint, quasi_velocities
-from .linsolve import det_pp
+from .frames import TangentPoint, quasi_velocities, solve_transposed
+from .linsolve import LU, det_pp
 
 __all__ = [
     "Lagrangian", "QuasiVelocityFunction", "RegularityReport",
@@ -85,8 +86,7 @@ class QuasiVelocityFunction:
         u = np.asarray(u, dtype=float)
         F = self.frame
         M = F.matrix(q)
-        MT = np.swapaxes(M, -1, -2)
-        v = np.linalg.solve(MT, u[..., None])[..., 0]
+        v = solve_transposed(F, M, u)
         out = [v[..., self.j]]
         if not dirs:
             return tuple(out)
@@ -101,7 +101,7 @@ class QuasiVelocityFunction:
         for dq, du in dirs:
             a = dmt(np.asarray(dq, dtype=float))
             rhs = np.asarray(du, dtype=float) - (a @ v[..., None])[..., 0]
-            vs = np.linalg.solve(MT, rhs[..., None])[..., 0]
+            vs = solve_transposed(F, M, rhs)
             firsts.append(vs)
             out.append(vs[..., self.j])
         if len(dirs) == 1:
@@ -118,7 +118,7 @@ class QuasiVelocityFunction:
         a2 = dmt(dq2)
         rhs = -(m12 @ v[..., None] + a1 @ firsts[1][..., None]
                 + a2 @ firsts[0][..., None])[..., 0]
-        v12 = np.linalg.solve(MT, rhs[..., None])[..., 0]
+        v12 = solve_transposed(F, M, rhs)
         out.append(v12[..., self.j])
         return (out[0], out[1], out[2], out[3])
 
@@ -240,29 +240,28 @@ def regularity(L, frame, split, p, threshold=REGULARITY_DET_TOL):
     return hessian_regularity(hessian(L, frame, p), split, p, threshold)
 
 
-def hessian_regularity(g, split, p, threshold=REGULARITY_DET_TOL):
+def hessian_regularity(g, split, p, threshold=REGULARITY_DET_TOL,
+                       factors=None):
     """The regularity tests on a full frame Hessian g evaluated at p.
 
     regular_D tests the D-block (g_alpha_beta); regular_Dperp the Schur
     complement g_ab - g_a_alpha g^alpha_beta g_beta_b; regular_g the plain
-    (g_ab) block.
+    (g_ab) block.  det_D and the Schur complement's solve read factors, the
+    linsolve.LU of the D-block where the caller holds it.
     """
     m = split.m
-    gD = g[..., :m, :m]
-    det_D = det_pp(gD)
+    lu = LU.of(g[..., :m, :m]) if factors is None else factors
+    det_D = lu.det
     gab = g[..., m:, m:]
     det_g = det_pp(gab)
     if split.n_constraints == 0:
         det_perp = det_g
     else:
-        # the Schur complement where g_D is invertible, NaN where it is not;
-        # an identity block stands in for a singular one in the batched solve
-        inv = np.abs(det_D) > 0
-        W = np.linalg.solve(np.where(inv[..., None, None], gD, np.eye(m)),
-                            g[..., :m, m:])
-        det_perp = det_pp(gab - g[..., m:, :m] @ W)
-        if not np.all(inv):  # [()]: a float at a single state
-            det_perp = np.where(inv, det_perp, np.nan)[()]
+        # the Schur complement where g_D is invertible, NaN where it is not
+        # (lu.solve gives None at a single state, NaN at a batch's states)
+        W = lu.solve(g[..., :m, m:])
+        det_perp = (math.nan if W is None
+                    else det_pp(gab - g[..., m:, :m] @ W))
     ok = lambda d: bool(np.min(np.abs(d)) > threshold)
     return RegularityReport(
         regular_D=ok(det_D), det_D=det_D,

@@ -28,13 +28,12 @@ from functools import cached_property
 import numpy as np
 
 from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
-                       _gathered, _guarded, _stacked, bind_source,
-                       eval_value, free_names, generated, run)
-from .frames import (FRAME_DET_TOL, TangentPoint, _brackets, base_velocity,
+                       _gathered, _guarded, _stacked, bind_source, generated,
+                       run)
+from .frames import (FAST_FRAME_DET, TangentPoint, _brackets, base_velocity,
                      contract_structure, structure_from_matrix)
 from .lagrangian import energy, hessian_regularity
-from .linsolve import (cond_estimate, frame_gate, min_abs, solve_and_det,
-                       unrolled)
+from .linsolve import LU, cond_estimate, frame_gate, min_abs, unrolled
 from .quasichart import _composite
 
 __all__ = ["RegularityError", "NonholonomicField"]
@@ -58,15 +57,6 @@ def _require_regular_D(gamma, det, det_tol):
         raise RegularityError("regular_D", det)
 
 
-# A scalar frame check passes on the structural gate of the frame matrix
-# (linsolve.frame_gate) when it is finite and above this bound; otherwise
-# Frame.check_matrix decides, on LAPACK's det, as everywhere else.  The gate
-# peels the rows and columns with one structural nonzero off as factors and
-# eliminates the dense core that is left (unrolled); the margin over
-# FRAME_DET_TOL covers any rounding difference between that and LAPACK.
-FAST_FRAME_DET = FRAME_DET_TOL * 2.0 ** 20
-
-
 def _field_source(L, frame, split):
     """The one generated function of the field of (L, frame, split)
     (docs/state_context.md): f(x, (fp, lp, check), k=None, a=0.0) -> (M, u,
@@ -77,24 +67,14 @@ def _field_source(L, frame, split):
     Tape, so a line that several of them need is emitted once; the sums
     are the piecewise assembly's, in its order.  At a single state the
     frame check is the structural gate of the frame kernel (FAST_FRAME_DET),
-    with Frame.check_matrix as its fallback.  Shared by every (L, frame,
-    split) of the same structure, which fixes the gate's structural
-    zeros."""
+    with Frame.check_matrix as its fallback, and solution is (Gamma, det,
+    lu) of g_D Gamma = rhs with the factors of g_D (linsolve.unrolled).  Shared by every (L, frame, split) of the same structure
+    and structural zeros (Frame.zeros)."""
     return generated("field", _generate_field, frame._kernels, L.fn.kernel,
-                     split.n, split.m)
+                     split.n, split.m, frame.zeros)
 
 
-def _structural_zero(expr):
-    """Whether expr has no free names and the value 0.0."""
-    if free_names(expr):
-        return False
-    try:
-        return eval_value(expr, {}) == 0.0
-    except EvalDomainError:
-        return False
-
-
-def _generate_field(fk, lk, n, m):
+def _generate_field(fk, lk, n, m, zeros):
     tape = Tape()
     temp = tape.temp
     q, v = [f"q{i}" for i in range(n)], [f"v{a}" for a in range(m)]
@@ -154,8 +134,6 @@ def _generate_field(fk, lk, n, m):
            "    if _scalar:",
            f"        return {pieces}, _solve(g, rhs)",
            f"    return {pieces}, None"])
-    zeros = frozenset(i for i, e in enumerate(fk.exprs[:n * n])
-                      if _structural_zero(e))
     return bind_source(
         source, "_field", f"<field n={n} m={m}>",
         scalar={"_scalar": True, "_gate": frame_gate(n, zeros),
@@ -167,10 +145,11 @@ def _generate_field(fk, lk, n, m):
 def _field_function(L, frame, split):
     """s -> (M, u, D, h, g_D, rhs, clift, corr, solution) at a state on C,
     from one run of the generated field function (_field_source).  At a
-    scalar state the pieces are tuples and solution is (Gamma, det) of
-    g_D Gamma = rhs or (None, 0.0); at a batched one M is the checked array,
-    the rest arrays of the batch shape on a trailing axis, and solution
-    None.  Its attributes `source` and `scalar` are the generated function
+    scalar state the pieces are tuples and solution is (Gamma, det, lu) of
+    g_D Gamma = rhs, or (None, 0.0, None); at a batched one M is the array
+    that Frame.check passed, the rest arrays of the batch shape on a
+    trailing axis, and solution None.  Its attributes `source` and
+    `scalar` are the generated function
     and the constants of its math binding, which the integrator's stages
     call on lists of Python floats without a state (_float_rate)."""
     n, m = split.n, split.m
@@ -181,7 +160,7 @@ def _field_function(L, frame, split):
         def check(X):
             with np.errstate(**errors):
                 M = _gathered(X, shape).reshape(shape + (n, n))
-                frame.check_matrix(M)
+                frame.check(M)
                 return M
 
         return frame._pvals, L._pvals, check
@@ -330,7 +309,9 @@ class StateContext:
     rhs_a = clift X_a(L) - (u, h)(vlift X_a(L)), with its clift X_a(L) and
     correction (0, D_a)(L), all from one call of the field function (M, D,
     h, g and rhs become arrays on first use), which at a scalar state also
-    solves the system.  gamma is set once the system is solved.  The
+    factorises g_D and solves the system.  g_D has one factorisation per
+    state (factors), which the field solve, the vakonomic solve and the
+    regularity tests read.  gamma is set once the system is solved.  The
     constraint side (the trailing rows D_a with their clift and correction,
     every vlift, the Hessian entries outside g_D) comes from one call of
     the lift function on the first read of any of it; the brackets
@@ -349,9 +330,10 @@ class StateContext:
         self.u = np.asarray(self._parts[1])
         self._memo = {}
         if solution is not None:  # solved on the scalar route
-            gamma, det = solution
+            gamma, det, lu = solution
             self._memo["gamma"] = (None if gamma is None else np.array(gamma),
                                    det)
+            self._memo["factors"] = LU(field.split.m, det, lu)
         self.gamma = None
 
     def _array(self, i, *dims):
@@ -372,12 +354,18 @@ class StateContext:
             self._memo[key] = build()
         return self._memo[key]
 
+    @property
+    def factors(self):
+        """The linsolve.LU of g_D: the field function's at a scalar state,
+        made from g on first use at a batched one."""
+        return self.memo("factors", lambda: LU.of(self.g))
+
     def solve(self, det_tol):
         """Set gamma from g_D Gamma = rhs, solved once (by the field
-        function at a scalar state, by LAPACK at a batched one); raises at
-        every call with |det g_D| <= det_tol."""
-        gamma, det = self.memo("gamma", lambda: solve_and_det(self.g,
-                                                              self.rhs))
+        function at a scalar state, from the factors at a batched one);
+        raises at every call with |det g_D| <= det_tol."""
+        gamma, det = self.memo("gamma", lambda: (self.factors.solve(
+            self.rhs), self.factors.det))
         _require_regular_D(gamma, det, det_tol)
         self.gamma = gamma
         return self
@@ -452,7 +440,8 @@ class StateContext:
             for a in range(n):
                 for b in range(max(a, m), n):
                     g[..., a, b] = g[..., b, a] = next(entries)
-            return hessian_regularity(g, self.split, self.p, threshold)
+            return hessian_regularity(g, self.split, self.p, threshold,
+                                      self.factors)
 
         return self.memo(("regularity", threshold), build)
 
@@ -542,7 +531,7 @@ class NonholonomicField:
                 parts = source(y, consts, k, a)
             except _DOMAIN_FAULTS as exc:
                 raise EvalDomainError(str(exc)) from exc
-            gamma, det = parts[-1]
+            gamma, det, _ = parts[-1]
             if gamma is None or not abs(det) > det_tol:
                 raise RegularityError("regular_D", det)
             return parts[1] + gamma

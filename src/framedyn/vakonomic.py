@@ -28,11 +28,11 @@ import numpy as np
 
 from .exprlang import ExprFunction, Kernels, _columns, _gathered, _guarded
 from .frames import (QuasiState, TangentPoint, base_velocity,
-                     contract_structure, quasi_from_matrix,
+                     contract_structure, solve_transposed,
                      structure_from_matrix)
 from .jets import TaylorValue
 from .lagrangian import hessian_rows
-from .linsolve import max_abs, solve, solve_and_det
+from .linsolve import max_abs, solve_and_det
 from .nonholonomic import GAMMA_DET_TOL, NonholonomicField, RegularityError
 from .quasichart import QvChartPoint
 
@@ -253,7 +253,7 @@ def _solve_C(ctx, section, s, det_tol):
         if not reg.regular_Dperp:
             raise RegularityError("regular_Dperp", reg.det_Dperp)
         weak = _phi_Rv(phi_vals, ctx.Rv[..., m:, :m])
-        gamma_C = solve(ctx.g, ctx.rhs + weak)
+        gamma_C = ctx.factors.solve(ctx.rhs + weak)
         Lam = ctx.epsilon(range(m, split.n), gamma_C)
         shift = _phi_Rv(phi_vals, ctx.Rv[..., m:, m:])
         sol = VakonomicSolution(gamma_C, Lam - shift, Lam, section)
@@ -354,8 +354,8 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
     q = np.asarray(p.q, dtype=float)
     n = frame.n
     M = frame.matrix(q)
-    frame.check_matrix(M)
-    v = quasi_from_matrix(M, p.u)
+    frame.check(M)
+    v = solve_transposed(frame, M, p.u)
     Rv = contract_structure(structure_from_matrix(frame, q, M), v)
     if isinstance(Lt, VariationalLagrangian):
         jet = lambda q, v, dirs: Lt.qv_taylor(q, v, dirs).c

@@ -360,7 +360,11 @@ def solve_scalar_reference(a, x):
 def structure_from_matrix_reference(frame, q, M, B=None):
     """R^k_ij from the brackets (D X_j) X_i - (D X_i) X_j, one
     Frame.dfields call per X_i, assembled and reflected by Python loops;
-    from B instead where the caller passes its brackets."""
+    from B instead where the caller passes its brackets.  The brackets are
+    solved against M^T by the frame's peeled solve, which
+    tests/test_linsolve.py checks against LAPACK."""
+    from framedyn.frames import solve_transposed
+
     n = frame.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     R = np.zeros(q.shape[:-1] + (n, n, n))
@@ -375,7 +379,7 @@ def structure_from_matrix_reference(frame, q, M, B=None):
                     B[..., :, idx] = D[..., b, :]
                 elif b == i:
                     B[..., :, idx] -= D[..., a, :]
-    coeff = np.linalg.solve(np.swapaxes(M, -1, -2), B)
+    coeff = solve_transposed(frame, M, B)
     for idx, (i, j) in enumerate(pairs):
         R[..., :, i, j] = coeff[..., :, idx]
         R[..., :, j, i] = -coeff[..., :, idx]

@@ -95,6 +95,29 @@ def test_derive_bad_grid_row(capsys, tmp_path):
     assert "$.points[0]" in err
 
 
+@pytest.mark.parametrize("entry", [True, None, "a"])
+def test_derive_grid_entries_must_be_numbers(capsys, tmp_path, entry):
+    # A JSON true, null or string in a grid row is a config error at its
+    # path, not a q1 of 1, a row of NaN or a conversion error.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"points": [[0.0, 0.1, 0.2, 0.3, 0.4, 1.0,
+                                            0.0], [0.0, entry, 0.0, 0.0,
+                                                   0.0, 1.0, 0.0]]}))
+    code, _, err = run(capsys, "derive", "--system", "carriage",
+                       "--grid", str(grid))
+    assert code == 2
+    assert "config error at $.points[1][1]" in err
+
+
+@pytest.mark.parametrize("points", [5, {"0": [0.0] * 7}])
+def test_derive_grid_points_must_be_a_list(capsys, tmp_path, points):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"points": points}))
+    code, _, err = run(capsys, "derive", "--system", "carriage",
+                       "--grid", str(grid))
+    assert code == 2 and "config error at $.points:" in err
+
+
 @pytest.mark.parametrize("command,samples", [
     ("consistency", "0"), ("consistency", "-3"), ("derive", "-3")])
 def test_too_few_samples_is_config_error(capsys, tmp_path, command,

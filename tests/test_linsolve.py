@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from framedyn.frames import FRAME_DET_TOL
-from framedyn.linsolve import frame_gate, solve, solve_and_det, unrolled
+from framedyn.linsolve import (LU, _peel, factor, frame_gate, peeled, solve,
+                               solve_and_det, solve_peeled, substitute,
+                               unrolled)
 from framedyn.nonholonomic import FAST_FRAME_DET
 
 from _oracles import solve_scalar_reference
@@ -40,7 +42,7 @@ def _matrices(rng, n):
 def test_unrolled_solve_equals_the_loop(rng, n):
     for A, b in _matrices(rng, n):
         want_x, want_det = solve_scalar_reference(A.tolist(), b.tolist())
-        x, det = unrolled(n)(A.ravel().tolist(), b.tolist())
+        x, det, lu = unrolled(n)(A.ravel().tolist(), b.tolist())
         assert _bits(det) == _bits(want_det)
         if want_x is None:
             assert x is None and det == 0.0
@@ -144,16 +146,143 @@ def test_frame_gate_peels_the_built_in_frames():
     # The four built-ins are permuted triangular: no core is eliminated.
     # The knife edge (its unit row peeled) leaves a dense 2 x 2 core.
     from framedyn import BUILTIN_NAMES, builtin
-    from framedyn.nonholonomic import _structural_zero
 
     for name in BUILTIN_NAMES:
         frame = builtin(name).frame()
-        n = frame.n
-        zeros = frozenset(i for i, e in enumerate(frame._kernels.exprs)
-                          if _structural_zero(e))
-        assert "_core" not in frame_gate(n, zeros).__code__.co_names, name
+        assert "_core" not in frame_gate(frame.n,
+                                         frame.zeros).__code__.co_names, name
     knife = frame_gate(3, frozenset({2, 3, 4, 8}))
     assert "_core" in knife.__code__.co_names
     A = np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0], [-0.8, 0.6, 0.0]])
     assert knife(A.ravel().tolist()) == pytest.approx(np.linalg.det(A),
                                                       rel=1e-15)
+
+
+def _same_floats(got, want):
+    """Equal floats with equal signs, NaN where the other is NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan], want[~nan])
+            and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factors_and_numpy_binding_equal_the_float_elimination(rng, n):
+    # factor and substitute give unrolled's det and x float for float; the
+    # numpy binding of each, and LU on a batch, give at every state what
+    # the float binding gives there, with det 0.0 and x NaN at a zero pivot.
+    pairs = list(_matrices(rng, n))
+    A = np.stack([a for a, _ in pairs])
+    b = np.stack([x for _, x in pairs])
+    cols = [A[:, r, c] for r in range(n) for c in range(n)]
+    with np.errstate(all="ignore"):
+        det_cols = unrolled(n, solve=False).batched(cols)
+        x_cols, solve_det, _ = unrolled(n).batched(cols, list(b.T))
+    lu = LU.of(A)
+    lu_x = lu.solve(b)
+    lu_wide = lu.solve(np.stack([b, -2.0 * b], axis=-1))
+    for i, (a, x) in enumerate(pairs):
+        want_x, want_det, want_lu = unrolled(n)(a.ravel().tolist(),
+                                                x.tolist())
+        det, factors = factor(n)(a.ravel().tolist())
+        assert _bits(det) == _bits(want_det)
+        assert (factors is None) == (want_lu is None)
+        if factors is not None:
+            assert _same_floats(factors, want_lu)
+            assert _same_floats(substitute(n)(factors, x.tolist()), want_x)
+        assert _bits(float(det_cols[i])) == _bits(
+            unrolled(n, solve=False)(a.ravel().tolist()))
+        assert _bits(float(solve_det[i])) == _bits(want_det)
+        assert _bits(float(lu.det[i])) == _bits(want_det)
+        if want_x is None:
+            assert np.isnan(lu_x[i]).all() and np.isnan(lu_wide[i]).all()
+            continue
+        assert _same_floats([c[i] for c in x_cols], want_x)
+        assert _same_floats(lu_x[i], want_x)
+        assert _same_floats(lu_wide[i, :, 0], want_x)
+        assert _same_floats(lu_wide[i, :, 1], unrolled(n)(
+            a.ravel().tolist(), (-2.0 * x).tolist())[0])
+        assert _same_floats(LU.of(a).solve(x), want_x)
+
+
+def _planted(rng, n, zeros, count):
+    """count random matrices with the structural zeros of zeros."""
+    A = rng.normal(size=(count, n, n)) * 10.0 ** rng.integers(-2, 2)
+    A.reshape(count, -1)[:, list(zeros)] = 0.0
+    return A
+
+
+@pytest.mark.parametrize("n,kind", [
+    (n, kind) for kind in ("triangular", "block", "dense")
+    for n in range(2 if kind == "block" else 1, 7)])
+def test_peeled_solve_agrees_with_lapack(rng, n, kind):
+    # M^T X = B by the gate's peel, for 1 to 10 right sides, within
+    # 8 n eps cond(M) of LAPACK's solve; the numpy binding on a batch is
+    # == to the float binding at every state, also where a NaN or an
+    # infinity is planted at any structural nonzero (a NaN reaches x).
+    eps = np.finfo(float).eps
+    for trial in range(12):
+        zeros = _structure(rng, n, kind)
+        k = int(rng.integers(1, 11))
+        A = _planted(rng, n, zeros, 6)
+        B = rng.normal(size=(6, n, k))
+        X = solve_peeled(A, B, zeros)
+        for i in range(6):
+            x = solve_peeled(A[i], B[i], zeros)
+            assert _same_floats(X[i], x)
+            want = np.linalg.solve(A[i].T, B[i])
+            bound = 8 * n * eps * np.linalg.cond(A[i]) * np.max(np.abs(want))
+            assert np.max(np.abs(x - want)) <= bound, (zeros, A[i])
+        one = solve_peeled(A, B[..., 0], zeros)
+        assert _same_floats(one, X[..., 0])
+        assert _same_floats(solve_peeled(A[0], B[0, :, 0], zeros), X[0, :, 0])
+        for i in set(range(n * n)) - zeros:
+            for bad in (math.nan, math.inf, -math.inf):
+                P = A.copy()
+                P[:, i // n, i % n] = bad
+                X = solve_peeled(P, B, zeros)
+                for j in range(6):
+                    x = solve_peeled(P[j], B[j], zeros)
+                    if x is None:  # a pivot became 0.0 on the way
+                        assert not np.isfinite(X[j]).all()
+                        continue
+                    assert _same_floats(X[j], x), (zeros, i, bad)
+                    if math.isnan(bad):
+                        assert np.isnan(x).any(), (zeros, i)
+
+
+@pytest.mark.parametrize("n,kind", [
+    (n, kind) for kind in ("triangular", "block", "dense")
+    for n in range(2 if kind == "block" else 1, 7)])
+def test_peeled_solve_at_a_zero_pivot(rng, n, kind):
+    # A peeled pivot of 0.0, or an exactly singular core (integer rows, one
+    # twice another), stops the float binding with None; the numpy binding
+    # leaves x not finite at that state and solves the others as alone.
+    for trial in range(6):
+        zeros = _structure(rng, n, kind)
+        steps, rows, cols, _ = _peel(n, zeros)
+        A = _planted(rng, n, zeros, 3)
+        B = rng.normal(size=(3, n, 2))
+        singular = []
+        for r, c, _, _ in steps:
+            P = A.copy()
+            P[1, r, c] = 0.0
+            singular.append(P)
+        if len(rows) > 1:
+            P = A.copy()
+            core = rng.integers(-3, 4, size=(len(rows), len(cols)))
+            core[-1] = 2 * core[0]
+            P[1][np.ix_(rows, cols)] = core
+            singular.append(P)
+        for P in singular:
+            assert solve_peeled(P[1], B[1], zeros) is None
+            X = solve_peeled(P, B, zeros)
+            assert not np.isfinite(X[1]).all()
+            for j in (0, 2):
+                assert _same_floats(X[j], solve_peeled(P[j], B[j], zeros))
+
+
+def test_peeled_solve_rejects_a_structurally_singular_pattern():
+    with pytest.raises(ValueError):
+        peeled(3, frozenset({3, 4, 5}))

@@ -184,6 +184,31 @@ def test_regularity_error_names_condition(rng):
     assert ei.value.condition == "regular_D"
 
 
+@pytest.mark.parametrize("route", ["scalar", "batched"])
+def test_exactly_singular_g_D_is_a_regularity_error(route):
+    # g_D = q1^2 vanishes at q1 = 0.  That state, alone or in a batch,
+    # raises RegularityError on regular_D with det 0.0 there from every
+    # call that solves the system, where a batch raised numpy's LinAlgError.
+    from framedyn.vakonomic import ZeroSection, consistency_report
+
+    coords, vels = ["q1", "q2"], ["u1", "u2"]
+    L = Lagrangian("q1*q1*u1*u1/2 + u2*u2/2", coords, vels)
+    F = Frame([["1", "0"], ["0", "1"]], coords)
+    split = ConstraintSplit(2, 1)
+    field = NonholonomicField(L, F, split)
+    q = np.array([[0.0, 0.5], [1.0, 0.5]])
+    v = np.array([[1.0, 0.0], [0.5, 0.0]])
+    s = QuasiState(q, v) if route == "batched" else QuasiState(q[0], v[0])
+    for call in (field.gamma, field.rate, field.multipliers,
+                 lambda s: consistency_report(L, F, split,
+                                              ZeroSection(F, split), s)):
+        with pytest.raises(RegularityError) as ei:
+            call(QuasiState(s.q.copy(), s.v.copy()))
+        assert ei.value.condition == "regular_D"
+        assert np.array_equal(ei.value.det,
+                              [0.0, 1.0] if route == "batched" else 0.0)
+
+
 def test_context_regularity_equals_lagrangian_regularity(all_builtins):
     # The vakonomic solve tests regularity from the state context, which
     # reuses its rows of M and its g_D block; the report must be the one
@@ -508,7 +533,6 @@ def test_scalar_rate_runs_no_lapack_and_no_frame_check(all_builtins,
     # compiled for a system whose field function is built.
     import framedyn.exprlang as exprlang
     import framedyn.linsolve as linsolve
-    import framedyn.nonholonomic as nonholonomic
     from framedyn.frames import Frame as FrameClass
 
     cases = []
@@ -528,8 +552,8 @@ def test_scalar_rate_runs_no_lapack_and_no_frame_check(all_builtins,
 
     monkeypatch.setattr(FrameClass, "check_matrix", forbidden)
     monkeypatch.setattr(np.linalg, "det", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
     monkeypatch.setattr(linsolve, "solve_and_det", forbidden)
-    monkeypatch.setattr(nonholonomic, "solve_and_det", forbidden)
     monkeypatch.setattr(exprlang, "compile_taylor", forbidden)
     for field, states, want in cases:
         for s, (u, gamma) in zip(states, want):
@@ -539,6 +563,81 @@ def test_scalar_rate_runs_no_lapack_and_no_frame_check(all_builtins,
     u, gamma = fresh_system.rate(QuasiState(np.array([0.3, -0.7]),
                                             np.array([1.2, 0.0])))
     assert np.all(np.isfinite(gamma)) and gamma.shape == (1,)
+
+
+def _knife_edge():
+    """The knife edge, whose frame matrix has a dense 2 x 2 core, with
+    states drawn from its box."""
+    coords = ["x", "y", "th"]
+    params = {"mass": 1.5, "inertia": 0.7}
+    L = Lagrangian("(mass/2)*(ux*ux + uy*uy) + (inertia/2)*uth*uth",
+                   coords, ["ux", "uy", "uth"], params)
+    frame = Frame([["cos(th)", "sin(th)", "0"], ["0", "0", "1"],
+                   ["-sin(th)", "cos(th)", "0"]], coords, params)
+    split = ConstraintSplit(3, 2)
+    rng = np.random.default_rng(29)
+    S = QuasiState.on_C(rng.uniform(-2.0, 2.0, (20, 3)),
+                        rng.uniform(-2.0, 2.0, (20, 2)), split)
+    return "knife_edge", None, L, frame, split, S
+
+
+def _route_systems():
+    from framedyn import sample_states
+
+    return ([(name, sysd, L, frame, split, sample_states(sysd, 20, seed=5))
+             for name, sysd, L, frame, split in GATE_SYSTEMS]
+            + [_knife_edge()])
+
+
+@pytest.mark.parametrize("name,sysd,L,frame,split,S", _route_systems(),
+                         ids=[g[0] for g in GATE_SYSTEMS] + ["knife_edge"])
+def test_batched_solves_equal_single_states(name, sysd, L, frame, split, S):
+    # The eliminations run on columns at a batch and on floats at a single
+    # state with the same operations: Gamma, lambda, Gamma_C, det g_D and R
+    # of the batch are == to those of each state alone.
+    from framedyn.vakonomic import ShiftedMomentumSection, solve_gamma_C
+
+    section = (_shifted(sysd, L, frame, split) if sysd
+               else ShiftedMomentumSection(L, frame, split, ["v1"]))
+
+    def outputs(s):
+        field = NonholonomicField(L, frame, split)
+        ctx = field._solve(s)
+        return {"gamma": field.gamma(s), "lambda": field.multipliers(s),
+                "gamma_C": solve_gamma_C(L, frame, split, section,
+                                         s).gamma_C,
+                "det_D": ctx.regularity_report(1e-10).det_D, "R": ctx.R}
+
+    batched = outputs(S)
+    for i in range(S.q.shape[0]):
+        single = outputs(QuasiState(S.q[i].copy(), S.v[i].copy()))
+        for key, value in single.items():
+            assert np.array_equal(batched[key][i], value), (name, key, i)
+
+
+def test_batched_state_context_runs_no_lapack(all_builtins, monkeypatch):
+    # A batched state of each built-in is checked, solved, tested for
+    # regularity and given R without LAPACK's solve or det: the frame gate,
+    # the peeled solve and one factorisation of g_D run instead.
+    from framedyn.chaplygin import prop6_scalar
+    from framedyn.vakonomic import (MomentumSection, ZeroSection,
+                                    consistency_report, solve_gamma_C)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    for b in all_builtins.values():
+        L, F, split = b.L, b.frame, b.split
+        s = b.states(30, seed=43)
+        b.field.gamma(s)
+        b.field.multipliers(s)
+        for section in (ZeroSection(F, split), MomentumSection(L, F, split),
+                        _shifted(b.sysd, L, F, split)):
+            consistency_report(L, F, split, section, s)
+            solve_gamma_C(L, F, split, section, s)
+        prop6_scalar(L, F, split, s)
 
 
 # -- one context per state ---------------------------------------------------
@@ -696,12 +795,12 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     import framedyn.frames as frames
     import framedyn.nonholonomic as nonholonomic
     import framedyn.quasichart as quasichart
-    import framedyn.vakonomic as vakonomic
     from framedyn.chaplygin import gamma_k_residual, prop6_scalar
+    from framedyn.linsolve import LU
     from framedyn.vakonomic import consistency_report, solve_gamma_C
 
-    counts = dict.fromkeys(("field", "R", "Rv", "einsum", "vakonomic",
-                            "derivative", "taylor", "fibre"), 0)
+    counts = dict.fromkeys(("field", "R", "Rv", "einsum", "factorise",
+                            "lu_solve", "derivative", "taylor", "fibre"), 0)
     runs = {"chart": [], "epsilon": []}
 
     def counted(key, fn):
@@ -740,8 +839,9 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     monkeypatch.setattr(nonholonomic, "contract_structure",
                         counted("Rv", frames.contract_structure))
     monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
-    monkeypatch.setattr(vakonomic, "solve",
-                        counted("vakonomic", vakonomic.solve))
+    monkeypatch.setattr(LU, "of", classmethod(counted("factorise",
+                                                      LU.of.__func__)))
+    monkeypatch.setattr(LU, "solve", counted("lu_solve", LU.solve))
     monkeypatch.setattr(Frame, "derivative",
                         counted("derivative", Frame.derivative))
     monkeypatch.setattr(Lagrangian, "taylor",
@@ -758,7 +858,9 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     field.multipliers(s)
     consistency_report(L, F, split, section, s)
     solve_gamma_C(L, F, split, section, s)
-    assert counts["vakonomic"] == 1
+    # g_D is factorised once; its factors solve for Gamma, the Schur
+    # complement of the regularity tests and Gamma_C
+    assert (counts["factorise"], counts["lu_solve"]) == (1, 3)
     prop6_scalar(L, F, split, s)
     gamma_k_residual(L, F, split, section, [s])
     n, m = split.n, split.m
@@ -777,8 +879,8 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     # prop6_scalar, and u = w^alpha X_alpha in the fibre of lambda, Lambda
     # and the fundamental residual
     assert counts == {"field": 1, "R": 1, "Rv": 1, "einsum": 7,
-                      "vakonomic": 1, "derivative": 0, "taylor": 0,
-                      "fibre": 3}
+                      "factorise": 1, "lu_solve": 3, "derivative": 0,
+                      "taylor": 0, "fibre": 3}
 
 
 @pytest.mark.parametrize("route", ["scalar", "batched"])
