@@ -301,10 +301,9 @@ def structure_functions(frame, q):
 def structure_from_matrix(frame, q, M, B=None):
     """structure_functions at q from the frame matrix M = X(q), already
     evaluated and checked: the brackets [X_i, X_j], i < j, solved against
-    M^T by the frame's peeled solve (solve_transposed).  B is the bracket
-    array _brackets(frame, q, M) where the caller
-    keeps it; otherwise it is made in the call to the solve, so that it is
-    freed before R is filled."""
+    M^T (solve_transposed).  B is the bracket array _brackets(frame, q, M)
+    where the caller keeps it; otherwise it is made in the call to the
+    solve, so that it is freed before R is filled."""
     n = frame.n
     R = np.zeros(q.shape[:-1] + (n, n, n))
     if n < 2:

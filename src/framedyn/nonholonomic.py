@@ -68,8 +68,9 @@ def _field_source(L, frame, split):
     are the piecewise assembly's, in its order.  At a single state the
     frame check is the structural gate of the frame kernel (FAST_FRAME_DET),
     with Frame.check_matrix as its fallback, and solution is (Gamma, det,
-    lu) of g_D Gamma = rhs with the factors of g_D (linsolve.unrolled).  Shared by every (L, frame, split) of the same structure
-    and structural zeros (Frame.zeros)."""
+    lu) of g_D Gamma = rhs with the factors of g_D (linsolve.unrolled).
+    Shared by every (L, frame, split) of the same structure and structural
+    zeros (Frame.zeros)."""
     return generated("field", _generate_field, frame._kernels, L.fn.kernel,
                      split.n, split.m, frame.zeros)
 
@@ -149,9 +150,9 @@ def _field_function(L, frame, split):
     g_D Gamma = rhs, or (None, 0.0, None); at a batched one M is the array
     that Frame.check passed, the rest arrays of the batch shape on a
     trailing axis, and solution None.  Its attributes `source` and
-    `scalar` are the generated function
-    and the constants of its math binding, which the integrator's stages
-    call on lists of Python floats without a state (_float_rate)."""
+    `scalar` are the generated function and the constants of its math
+    binding, which the integrator's stages call on lists of Python floats
+    without a state (_float_rate)."""
     n, m = split.n, split.m
     kernel = _field_source(L, frame, split)
     on_C = [0.0] * (n - m)
