@@ -350,6 +350,40 @@ def solve_scalar_reference(a, x):
     return x, det
 
 
+def peeled_solve_reference(M, b, zeros):
+    """x with M^T x = b as a loop over the peel of framedyn.linsolve._peel
+    on nested lists: equation c, sum_r M[r][c] x_r = b_c, gives x_r for a
+    peeled column c before the core and for a peeled row after it, less its
+    known terms in increasing r; the core by solve_scalar_reference.  The
+    peeled solve of framedyn.linsolve must give the same floats."""
+    from framedyn.linsolve import _peel
+
+    n = len(b)
+    steps, rows, cols, _ = _peel(n, zeros)
+    x = [None] * n
+
+    def rest(r, c):
+        s = b[c]
+        for r2 in range(n):
+            if r2 != r and r2 * n + c not in zeros and x[r2] is not None:
+                s -= M[r2][c] * x[r2]
+        return s
+
+    for r, c, _, kind in steps:
+        if kind == "col":
+            x[r] = rest(r, c) / M[r][c]
+    if rows:
+        core, _ = solve_scalar_reference([[M[r][c] for r in rows]
+                                          for c in cols],
+                                         [rest(None, c) for c in cols])
+        for r, value in zip(rows, core):
+            x[r] = value
+    for r, c, _, kind in reversed(steps):
+        if kind == "row":
+            x[r] = rest(r, c) / M[r][c]
+    return x
+
+
 # The constraint and residual sides as they were assembled before their
 # generated sources (framedyn.frames._bracket_source,
 # framedyn.nonholonomic._lift_source, _epsilon_source and _chart_source,

@@ -9,7 +9,7 @@ from framedyn.linsolve import (LU, _peel, factor, frame_gate, peeled, solve,
                                unrolled)
 from framedyn.nonholonomic import FAST_FRAME_DET
 
-from _oracles import solve_scalar_reference
+from _oracles import peeled_solve_reference, solve_scalar_reference
 
 
 def _bits(x):
@@ -171,8 +171,14 @@ def _same_floats(got, want):
 def test_factors_and_numpy_binding_equal_the_float_elimination(rng, n):
     # factor and substitute give unrolled's det and x float for float; the
     # numpy binding of each, and LU on a batch, give at every state what
-    # the float binding gives there, with det 0.0 and x NaN at a zero pivot.
+    # the float binding gives there, with det 0.0 and x NaN at a zero pivot,
+    # and with the update of a zero multiplier skipped under a non-finite
+    # pivot row.
     pairs = list(_matrices(rng, n))
+    for bad in (math.inf, math.nan):
+        A = np.eye(n)
+        A[0, 1:] = bad
+        pairs.append((A, rng.normal(size=n)))
     A = np.stack([a for a, _ in pairs])
     b = np.stack([x for _, x in pairs])
     cols = [A[:, r, c] for r in range(n) for c in range(n)]
@@ -217,10 +223,11 @@ def _planted(rng, n, zeros, count):
     (n, kind) for kind in ("triangular", "block", "dense")
     for n in range(2 if kind == "block" else 1, 7)])
 def test_peeled_solve_agrees_with_lapack(rng, n, kind):
-    # M^T X = B by the gate's peel, for 1 to 10 right sides, within
-    # 8 n eps cond(M) of LAPACK's solve; the numpy binding on a batch is
-    # == to the float binding at every state, also where a NaN or an
-    # infinity is planted at any structural nonzero (a NaN reaches x).
+    # M^T X = B by the gate's peel, for 1 to 10 right sides: the loop of
+    # the reference float for float, and within 8 n eps cond(M) of
+    # LAPACK's solve; the numpy binding on a batch is == to the float
+    # binding at every state, also where a NaN or an infinity is planted at
+    # any structural nonzero (a NaN reaches x).
     eps = np.finfo(float).eps
     for trial in range(12):
         zeros = _structure(rng, n, kind)
@@ -231,6 +238,8 @@ def test_peeled_solve_agrees_with_lapack(rng, n, kind):
         for i in range(6):
             x = solve_peeled(A[i], B[i], zeros)
             assert _same_floats(X[i], x)
+            assert _same_floats(x, np.transpose([peeled_solve_reference(
+                A[i].tolist(), col, zeros) for col in B[i].T.tolist()]))
             want = np.linalg.solve(A[i].T, B[i])
             bound = 8 * n * eps * np.linalg.cond(A[i]) * np.max(np.abs(want))
             assert np.max(np.abs(x - want)) <= bound, (zeros, A[i])
