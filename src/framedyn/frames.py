@@ -174,6 +174,11 @@ def _structural_zero(expr):
         return False
 
 
+def _structural_zeros(kernels, n):
+    return frozenset(i for i, e in enumerate(kernels.exprs[:n * n])
+                     if _structural_zero(e))
+
+
 class Frame:
     """n vector fields with an invertible coefficient matrix.
 
@@ -220,9 +225,9 @@ class Frame:
     def zeros(self):
         """The flat indices (i * n + j) of the coefficients X_i^j that are
         structural zeros, constant 0.0 at every point: the pattern that the
-        frame gate and the solves against M^T are generated for."""
-        return frozenset(i for i, e in enumerate(self._kernels.exprs[
-            :self.n * self.n]) if _structural_zero(e))
+        frame gate and the solves against M^T are generated for.  Found
+        once per structure, in exprlang's module cache."""
+        return generated("zeros", _structural_zeros, self._kernels, self.n)
 
     def check(self, M):
         """Reject a singular frame matrix M, scalar or batched: the
