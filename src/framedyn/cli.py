@@ -321,9 +321,11 @@ def cmd_derive(args):
             _require(isinstance(row, list) and len(row) == sysd.n + sysd.m,
                      f"$.points[{i}]",
                      f"expected {sysd.n + sysd.m} numbers (q then v_alpha)")
-            for j, x in enumerate(row):
-                _require(_of_type(x, (int, float)), f"$.points[{i}][{j}]",
-                         f"expected a number, got {json.dumps(x)}")
+            if not set(map(type, row)) <= {int, float}:  # JSON numbers
+                j = next(j for j, x in enumerate(row)
+                         if not _of_type(x, (int, float)))
+                raise ConfigError(f"$.points[{i}][{j}]", "expected a number, "
+                                  f"got {json.dumps(row[j])}")
         pts = np.array(pts, dtype=float).reshape(-1, sysd.n + sysd.m)
     else:
         st = sample_states(sysd, args.samples, seed=args.seed)
