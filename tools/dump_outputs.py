@@ -40,7 +40,16 @@ and writes one array per output to OUT.npz:
 * the result of every op of the `trajectory`, `sweep` and `cli` benchmark
   workloads (bench/workloads.py) at seeds 1 and 5;
 * the exit code, stdout, stderr and output file of a set of `framedyn`
-  commands.
+  commands;
+* `linsolve` called directly on seeded adversarial matrices of size 0 to
+  6 (random, integer with ties and exact zeros, rank-deficient, holding a
+  NaN, with a zero column), batched and one state at a time: `LU.of`'s
+  det and its solve for one and for three right sides, `solve_and_det`
+  with one right side and `det_pp`; and `solve_peeled` on matrices with
+  seeded patterns of structural zeros (permuted triangular, block
+  triangular with a dense core, dense), some with a zero pivot or a NaN
+  planted, for one and for three right sides.  A single state's None is
+  stored as NaN beside a `none` mask.
 
 `codes` makes the same calls as `dump`, then writes to OUT.json, for every
 function that framedyn generated (the functions in `exprlang._KERNELS`),
@@ -381,13 +390,110 @@ def _dump_cli(fd, out, work):
             "files": [f.read_text() for f in files]}, out, work)
 
 
+def _adversarial(rng, n, count):
+    """count matrices of size n, cycling through the families random,
+    integer (ties and exact zeros), rank-deficient (a row twice another),
+    one NaN entry and a zero column."""
+    out = []
+    for trial in range(count):
+        A = rng.normal(size=(n, n))
+        kind = trial % 5
+        if n and kind == 1:
+            A = rng.integers(-2, 3, size=(n, n)).astype(float)
+        elif n and kind == 2:
+            A[rng.integers(n)] = 2.0 * A[rng.integers(n)]
+        elif n and kind == 3:
+            A[rng.integers(n), rng.integers(n)] = np.nan
+        elif n and kind == 4:
+            A = np.round(A)
+            A[:, rng.integers(n)] = 0.0
+        out.append(A)
+    return np.array(out).reshape(count, n, n)
+
+
+def _pattern(rng, n, kind):
+    """Flat indices of seeded structural zeros of size n: permuted
+    triangular, block triangular with a dense 2 x 2 or 3 x 3 core, or
+    none (dense)."""
+    nonzero = np.ones((n, n), dtype=bool)
+    if kind != "dense":
+        nonzero = np.tril((rng.random((n, n)) < 0.7) | np.eye(n, dtype=bool))
+    if kind == "block":
+        size = int(rng.integers(2, min(3, n) + 1))
+        start = int(rng.integers(0, n - size + 1))
+        nonzero[start:start + size, start:start + size] = True
+    nonzero = nonzero[rng.permutation(n)][:, rng.permutation(n)]
+    return frozenset(np.flatnonzero(~nonzero).tolist())
+
+
+def _singles(results):
+    """One output per state stacked, a None stored as NaN of the others'
+    shape, with the mask of the Nones."""
+    none = np.array([x is None for x in results])
+    shape = next((np.shape(x) for x in results if x is not None), ())
+    return (np.stack([np.full(shape, np.nan) if x is None else np.asarray(x)
+                      for x in results]), none)
+
+
+def _dump_linsolve(fd, out, work):
+    ls = fd.linsolve
+    rng = np.random.default_rng(37)
+    count = 100
+    for n in range(7):
+        A = _adversarial(rng, n, count)
+        b, B = rng.normal(size=(count, n)), rng.normal(size=(count, n, 3))
+        lu = ls.LU.of(A)
+        x, det = ls.solve_and_det(A, b)
+        batched = {"LU.det": lu.det, "LU.solve": lu.solve(b),
+                   "LU.solve3": lu.solve(B), "solve_and_det/0": x,
+                   "solve_and_det/1": det, "det_pp": ls.det_pp(A)}
+        single = {key: [] for key in batched}
+        for i in range(count):
+            lu = ls.LU.of(A[i])
+            x, det = ls.solve_and_det(A[i], b[i])
+            for key, value in zip(single, (lu.det, lu.solve(b[i]),
+                                           lu.solve(B[i]), x, det,
+                                           ls.det_pp(A[i]))):
+                single[key].append(value)
+        for key, value in batched.items():
+            out[f"linsolve/dense/{n}/batched/{key}"] = np.asarray(value)
+        for key, results in single.items():
+            x, none = _singles(results)
+            out[f"linsolve/dense/{n}/single/{key}"] = x
+            out[f"linsolve/dense/{n}/single/{key}/none"] = none
+    for n, kind in [(n, kind) for kind in ("triangular", "block", "dense")
+                    for n in range(2 if kind == "block" else 1, 7)]:
+        for trial in range(4):
+            zeros = _pattern(rng, n, kind)
+            M = rng.normal(size=(count, n, n)) * 10.0 ** rng.integers(-2, 2)
+            # every fourth matrix of entries -1, 0 and 1: ties, zero pivots
+            M[2::4] = rng.integers(-1, 2, size=M[2::4].shape)
+            M.reshape(count, -1)[:, list(zeros)] = 0.0
+            nonzero = sorted(set(range(n * n)) - zeros)
+            for i in range(0, count, 4):  # a zero or a NaN entry planted
+                j = nonzero[int(rng.integers(len(nonzero)))]
+                M[i, j // n, j % n] = 0.0 if i % 8 else np.nan
+            B = rng.normal(size=(count, n, 3))
+            prefix = f"linsolve/peeled/{kind}/{n}/{trial}"
+            out[f"{prefix}/zeros"] = np.array(sorted(zeros), dtype=int)
+            for name, rhs in (("1", B[..., 0]), ("3", B)):
+                with np.errstate(all="ignore"):
+                    out[f"{prefix}/batched/{name}"] = ls.solve_peeled(
+                        M, rhs, zeros)
+                x, none = _singles([ls.solve_peeled(M[i], rhs[i], zeros)
+                                    for i in range(count)])
+                out[f"{prefix}/single/{name}"] = x
+                out[f"{prefix}/single/{name}/none"] = none
+
+
 def _outputs(fd):
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for part in (_dump_states, _dump_knife_edge_states,
                      _dump_trajectories, _dump_knife_edge,
-                     _dump_failures, _dump_workloads, _dump_cli):
+                     _dump_failures, _dump_workloads, _dump_cli,
+                     _dump_linsolve):
             part(fd, out, work)
     return out
 
