@@ -88,6 +88,17 @@ def _load_system(name_or_path, params, sets):
     return sysd
 
 
+def _entries(value, count, path, typ, what):
+    """value, which must be a list of count entries of type typ (what),
+    or None, which passes as it is."""
+    if value is not None:
+        _require(isinstance(value, list) and len(value) == count, path,
+                 f"expected a list of {count} entries")
+        for i, x in enumerate(value):
+            _require(_of_type(x, typ), f"{path}[{i}]", f"expected {what}")
+    return value
+
+
 def _validate_system_doc(doc):
     _require(isinstance(doc, dict), "$", "system definition must be an object")
     for key, typ in (("name", str), ("n", int), ("m", int),
@@ -97,17 +108,36 @@ def _validate_system_doc(doc):
                  f"expected {typ.__name__}")
     n, m = doc["n"], doc["m"]
     _require(1 <= m <= n, "$.m", f"need 1 <= m <= n, got m={m}, n={n}")
-    _require(len(doc["coords"]) == n, "$.coords", f"expected {n} names")
-    _require(len(doc["frame"]) == n, "$.frame", f"expected {n} rows")
-    for i, row in enumerate(doc["frame"]):
-        _require(isinstance(row, list) and len(row) == n,
-                 f"$.frame[{i}]", f"expected {n} expressions")
-    if "params" in doc:
-        _require(isinstance(doc["params"], dict), "$.params",
-                 "expected an object")
-        for k, v in doc["params"].items():
-            _require(_of_type(v, (int, float)), f"$.params.{k}",
-                     "expected a number")
+    for key in ("coords", "velocities"):
+        names = _entries(doc.get(key), n, f"$.{key}", str, "a name")
+        for i, name in enumerate(names or ()):
+            _require(name not in names[:i], f"$.{key}[{i}]",
+                     f"duplicate name {name!r}")
+    for i, row in enumerate(_entries(doc["frame"], n, "$.frame", list,
+                                     "a row")):
+        _entries(row, n, f"$.frame[{i}]", (str, int, float),
+                 "an expression or a number")
+    _entries(doc.get("builtin_k"), n - m, "$.builtin_k", str,
+             "an expression")
+    box = doc.get("sample_box")
+    if box is not None:
+        _require(isinstance(box, dict), "$.sample_box", "expected an object")
+        for key, count in (("q", n), ("v", m)):
+            path = f"$.sample_box.{key}"
+            _require(box.get(key) is not None, path, "missing required field")
+            for i, pair in enumerate(_entries(box[key], count, path, list,
+                                              "a [low, high] pair")):
+                _entries(pair, 2, f"{path}[{i}]", (int, float), "a number")
+    _require_params(doc)
+
+
+def _require_params(doc):
+    """doc's optional params: an object of numbers."""
+    params = doc.get("params", {})
+    _require(isinstance(params, dict), "$.params", "expected an object")
+    for k, v in params.items():
+        _require(_of_type(v, (int, float)), f"$.params.{k}",
+                 "expected a number")
 
 
 def _parse_set(items):
@@ -164,10 +194,7 @@ def _load_run_config(path):
         _require(key in _CONFIG_FIELDS, f"$.{key}", "unknown field")
         _require(_of_type(val, _CONFIG_FIELDS[key]), f"$.{key}",
                  f"expected {_CONFIG_FIELDS[key]}")
-    if "params" in doc:
-        for k, v in doc["params"].items():
-            _require(_of_type(v, (int, float)), f"$.params.{k}",
-                     "expected a number")
+    _require_params(doc)
     if "method" in doc:
         _require(doc["method"] in ("rk4", "rk45"), "$.method",
                  "expected rk4 or rk45")
@@ -189,11 +216,8 @@ def _resolve(args, cfg, key, default=None):
 def _state_vector(value, want, path):
     if isinstance(value, str):
         return _parse_floats(value, want, path)
-    for i, x in enumerate(value):
-        _require(_of_type(x, (int, float)), f"{path}[{i}]",
-                 "expected a number")
-    _require(len(value) == want, path, f"expected {want} values")
-    return np.array([float(x) for x in value])
+    return np.array([float(x) for x in _entries(value, want, path,
+                                                (int, float), "a number")])
 
 
 def _report_header(sysd, args):
@@ -219,8 +243,12 @@ def _write_report(doc, out):
 
 def _load_run(args):
     """The run configuration, the system with the config's params and the
-    --set overrides applied, and the system's Lagrangian, frame and split."""
+    --set overrides applied, and the system's Lagrangian, frame and split;
+    sets args.seed, from the flag or the config, 0 by default."""
     run = _load_run_config(args.config)
+    args.seed = _resolve(args, run, "seed", 0)
+    _require(args.seed >= 0, "$.seed",
+             f"need a non-negative seed, got {args.seed}")
     system = _resolve(args, run, "system")
     _require(system is not None, "$.system", "no system given")
     sysd = _load_system(system, run.get("params", {}), _parse_set(args.set))
@@ -246,7 +274,6 @@ def cmd_simulate(args):
     field = NonholonomicField(L, F, split)
     state = QuasiState.on_C(q0, v0, split)
     traj = integrate(field, F, split, state, cfg)
-    args.seed = _resolve(args, run, "seed", 0)
     out = _resolve(args, run, "out") or f"{sysd.name}_trajectory.{fmt}"
     if fmt == "csv":
         export_csv(traj, out)
@@ -264,7 +291,6 @@ def cmd_consistency(args):
     args.samples = _resolve(args, run, "samples", 200)
     _require(args.samples >= 1, "$.samples",
              f"need at least 1 sample, got {args.samples}")
-    args.seed = _resolve(args, run, "seed", 0)
     args.out = _resolve(args, run, "out")
     spec = _parse_section(_resolve(args, run, "section"))
     section = make_section(spec, L, F, split, builtin_k=sysd.builtin_k)
@@ -308,7 +334,6 @@ def cmd_derive(args):
     args.samples = _resolve(args, run, "samples", 100)
     _require(args.samples >= 0, "$.samples",
              f"need a non-negative sample count, got {args.samples}")
-    args.seed = _resolve(args, run, "seed", 0)
     args.out = _resolve(args, run, "out")
     field = NonholonomicField(L, F, split)
     if args.grid is not None:

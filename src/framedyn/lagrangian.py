@@ -160,18 +160,14 @@ def dvlift_at(L, q, u, X, wq, wu, DXw):
     return vlift_rate_at(L, q, u, X, wq, wu) + vlift_at(L, q, u, DXw)
 
 
-def hessian_rows(taylor, q, u, rows, known=None):
+def hessian_rows(taylor, q, u, rows):
     """g_ij = vlift X_i(vlift X_j(L)) for evaluated rows X_i, shape
-    (..., k, n), from the jets taylor(q, u, dirs) of L; symmetric.  A known
-    leading block g[:j, :j] is copied in rather than recomputed."""
+    (..., k, n), from the jets taylor(q, u, dirs) of L; symmetric."""
     zq = _zeros_like(q)
     k = rows.shape[-2]
-    j = 0 if known is None else known.shape[-1]
     g = np.empty(np.shape(q)[:-1] + (k, k))
-    if j:
-        g[..., :j, :j] = known
     for a in range(k):
-        for b in range(max(a, j), k):
+        for b in range(a, k):
             g[..., a, b] = g[..., b, a] = taylor(
                 q, u, [(zq, rows[..., a, :]), (zq, rows[..., b, :])])[3]
     return g

@@ -2,7 +2,10 @@
 
 Every one is Gaussian elimination with partial pivoting, unrolled for one
 size (the matrices here are at most a handful of rows) and, for a solve
-against a frame matrix, for one pattern of structural zeros (peeled).  Each
+against a frame matrix, for one pattern of structural zeros (peeled).  Every
+solve is one factorisation (factor) and one substitution per right side
+(substitute): LU, solve_and_det, the generated field source and peeled's
+dense core all make it; unrolled is the elimination for det alone.  Each
 generated function is compiled once and bound twice (exprlang.bind_source):
 to Python floats at a single state, and to numpy at a batch, where every
 entry is a column of per-state values, a pivot swap is an np.where and a
@@ -21,29 +24,33 @@ import numpy as np
 
 from .exprlang import bind_source
 
-__all__ = ["det_pp", "min_abs", "max_abs", "solve", "solve_and_det",
-           "cond_estimate", "unrolled", "factor", "substitute", "LU",
-           "frame_gate", "peeled", "solve_peeled"]
+__all__ = ["det_pp", "min_abs", "max_abs", "solve_and_det", "cond_estimate",
+           "unrolled", "factor", "substitute", "LU", "frame_gate", "peeled",
+           "solve_peeled"]
 
 
-def _bind(lines, filename, core=None):
+def _bind(lines, filename, **helpers):
     """Bind the generated function _f twice; its text reads _scalar to tell
-    the float binding from the numpy one, and _core, the binding of the
-    same kind of core, where it eliminates a dense core."""
-    return bind_source("\n".join(lines), "_f", filename,
-                       scalar={"_scalar": True, "_core": core},
-                       batched={"_scalar": False, "_where": np.where,
-                                "_core": core and core.batched})
+    the float binding from the numpy one, and each named helper, itself a
+    generated function, in the binding of the same kind."""
+    return bind_source(
+        "\n".join(lines), "_f", filename,
+        scalar={"_scalar": True, **helpers},
+        batched={"_scalar": False, "_where": np.where,
+                 **{name: fn.batched for name, fn in helpers.items()}})
 
 
 def _elimination(n, solve):
     """The lines that reduce the row-major entries a{r}_{c} of an n x n
     matrix to its upper factor, with det, the pivot rows p{k} and the
-    multipliers f{r}_{k} (see unrolled); a zero pivot returns `stop` from
-    the float binding and is recorded in `zero` by the numpy one."""
+    multipliers f{r}_{k}.  Column by column, the pivot is the first row of
+    largest |a[r][k]|; each lower row r gets the multiplier f = a[r][k] *
+    (1.0 / a[k][k]) and the update a[r][c] -= f * a[k][c], c > k, which a
+    solve (factor) skips where f is 0.0; det is the signed product of the
+    pivots.  A zero pivot returns 0.0, or (0.0, None) for a solve, from the
+    float binding and is recorded in `zero` by the numpy one."""
     a = [[f"a{r}_{c}" for c in range(n)] for r in range(n)]
-    stop = ("None, 0.0, None" if solve == "x" else "0.0, None" if solve
-            else "0.0")
+    stop = "0.0, None" if solve else "0.0"
     lines = ["    det = 1.0"]
 
     def swap(k, r, indent, mask=None):
@@ -127,13 +134,13 @@ def _factors(n):
 
 
 def _substitution(n):
-    """The lines that solve for x{r} from the right side b, given the
-    factor entries: the pivot swaps and the multipliers in the order of the
-    elimination (an update skipped for a zero multiplier), then back
-    substitution, subtracting a[k][c] * x[c] in increasing c and dividing
-    by a[k][k]."""
+    """The lines that solve for x{r}, which hold the right side b, given
+    the factor entries: the pivot swaps and the multipliers in the order
+    of the elimination (an update skipped for a zero multiplier), then
+    back substitution, subtracting a[k][c] * x[c] in increasing c and
+    dividing by a[k][k]."""
     x = [f"x{r}" for r in range(n)]
-    lines = [f"    {''.join(f'{e}, ' for e in x)}= b"] if n else []
+    lines = []
     for k in range(n - 1):
         lines.append("    if _scalar:")
         for r in range(k + 1, n):
@@ -157,82 +164,74 @@ def _substitution(n):
     return lines
 
 
-def _unpack(n):
-    return ([f"    {''.join(f'a{r}_{c}, ' for r in range(n) for c in range(n))}"
-             "= a"] if n else [])
+def _seq(names):
+    """The text of the tuple of names, or the target that unpacks it."""
+    return f"({''.join(f'{e}, ' for e in names)})"
+
+
+def _names(n):
+    """The local names of an n x n matrix's entries, row by row."""
+    return [f"a{r}_{c}" for r in range(n) for c in range(n)]
 
 
 @cache
-def unrolled(n, solve=True):
-    """Partial-pivot elimination of an n x n system, unrolled on local
-    names.  Column by column, the pivot is the first row of largest
-    |a[r][k]|; a zero pivot stops it.  Each lower row r gets the multiplier
-    f = a[r][k] * (1.0 / a[k][k]) and, unless f is 0.0, the update
-    a[r][c] -= f * a[k][c], c > k, and x[r] -= f * x[k].  Back substitution
-    subtracts a[k][c] * x[c] in increasing c, then divides by a[k][k];
-    det is the signed product of the pivots.
-
-    With solve, f(a, b) -> (x, det, lu) for the row-major entries a of A
-    and the right side b; x is a tuple, lu the factors of factor(n), and
-    both are None with det 0.0 at a zero pivot.  Without, f(a) -> det alone,
-    0.0 at a zero pivot, and the updates are made for a zero multiplier
-    too, so a NaN entry anywhere in A makes the det NaN (or a pivot zero).
-    f.batched takes columns (see the module docstring): x is then made at
-    every state, and det is 0.0 where a pivot is zero."""
-    head = [f"def _f(a{', b' if solve else ''}):"] + _unpack(n)
-    if not solve:
-        lines = head + _elimination(n, False) + ["    return det"]
-    else:
-        lines = (head + _elimination(n, "x") + _substitution(n)
-                 + [f"    return ({''.join(f'x{r}, ' for r in range(n))}), "
-                    f"det, ({''.join(f'{e}, ' for e in _factors(n))})"])
-    return _bind(lines, f"<unrolled n={n}{'' if solve else ' det'}>")
+def unrolled(n):
+    """f(a) -> det of the n x n matrix with row-major entries a by
+    _elimination, 0.0 at a zero pivot.  The updates are made for a zero
+    multiplier too, so a NaN entry anywhere makes det NaN (or a pivot
+    zero).  f.batched takes columns (see the module docstring)."""
+    lines = (["def _f(a):", f"    {_seq(_names(n))} = a"]
+             + _elimination(n, False) + ["    return det"])
+    return _bind(lines, f"<unrolled n={n} det>")
 
 
 @cache
 def factor(n):
-    """f(a) -> (det, lu): unrolled's elimination of the row-major entries a
-    of an n x n matrix, with lu the factor entries that substitute(n) reads,
-    or (0.0, None) at a zero pivot of a single state: those of
-    unrolled(n)(a, b), whose x is substitute(n)(lu, b), float for float."""
-    lines = (["def _f(a):"] + _unpack(n) + _elimination(n, "lu")
-             + [f"    return det, ({''.join(f'{e}, ' for e in _factors(n))})"])
+    """f(a) -> (det, lu) by _elimination of the row-major entries a of an
+    n x n matrix, the update of a zero multiplier skipped: lu the factor
+    entries that substitute(n) reads, or (0.0, None) at a zero pivot of a
+    single state.  f.batched takes columns and makes lu at every state."""
+    lines = (["def _f(a):", f"    {_seq(_names(n))} = a"]
+             + _elimination(n, True)
+             + [f"    return det, {_seq(_factors(n))}"])
     return _bind(lines, f"<factor n={n}>")
 
 
 @cache
 def substitute(n):
-    """f(lu, b) -> x with A x = b, from the factors (det, lu) = factor(n)(a)
-    of A."""
-    lines = (["def _f(lu, b):"]
-             + ([f"    {''.join(f'{e}, ' for e in _factors(n))}= lu"]
-                if n else [])
-             + _substitution(n)
-             + [f"    return ({''.join(f'x{r}, ' for r in range(n))})"])
+    """f(lu, b) -> x, a tuple, with A x = b, from the factors (det, lu) =
+    factor(n)(a) of A (_substitution)."""
+    x = [f"x{r}" for r in range(n)]
+    lines = (["def _f(lu, b):", f"    {_seq(_factors(n))} = lu",
+              f"    {_seq(x)} = b"] + _substitution(n)
+             + [f"    return {_seq(x)}"])
     return _bind(lines, f"<substitute n={n}>")
 
 
-def _rows(b, wide):
-    """The rows of a batched right side b for the numpy bindings: b[..., r,
-    None] of one right side, b[..., r, :] of several (wide)."""
-    return [b[..., r, :] if wide else b[..., r, None]
-            for r in range(b.shape[-2 if wide else -1])]
+def _entries(A):
+    """The row-major entries of the n x n matrices A for a generated
+    function: Python floats at a single state, columns of shape (..., 1)
+    at a batch."""
+    n = A.shape[-1]
+    return (A.ravel().tolist() if A.ndim == 2
+            else [A[..., r, c, None] for r in range(n) for c in range(n)])
 
 
-def _by_columns(fn, head, b):
-    """fn(head, column) over the columns of a single state's right side b,
-    shape (n,) or (n, k): x of b's shape, or None if fn gives None."""
-    xs = [fn(head, col) for col in ([b.tolist()] if b.ndim == 1
-                                    else b.T.tolist())]
-    if None in xs:
-        return None
-    return np.array(xs[0]) if b.ndim == 1 else np.array(xs).T.copy()
-
-
-def _by_rows(fn, head, b, wide):
-    """fn.batched(head, rows of b) at a batch, stacked back to b's shape."""
+def _apply(fn, head, b, shape):
+    """x = fn(head, b) for a right side b of shape shape + (n,), or shape +
+    (n, k) for k right sides, stacked to b's shape.  At a single state
+    (shape ()) fn runs on each column of b, and x is None if fn gives
+    None; at a batch fn.batched runs once on the rows of b."""
+    if not shape:
+        xs = [fn(head, col) for col in ([b.tolist()] if b.ndim == 1
+                                        else b.T.tolist())]
+        if None in xs:
+            return None
+        return np.array(xs[0]) if b.ndim == 1 else np.array(xs).T.copy()
+    wide = b.ndim == len(shape) + 2
     with np.errstate(all="ignore"):
-        x = fn.batched(head, _rows(b, wide))
+        x = fn.batched(head, [b[..., r, :] if wide else b[..., r, None]
+                              for r in range(b.shape[len(shape)])])
     return np.stack(x, axis=-2) if wide else np.concatenate(x, axis=-1)
 
 
@@ -252,10 +251,9 @@ class LU:
         if not n:
             return cls(0, np.ones(shape) if shape else 1.0, ())
         if not shape:
-            return cls(n, *factor(n)(A.ravel().tolist()))
+            return cls(n, *factor(n)(_entries(A)))
         with np.errstate(all="ignore"):
-            det, lu = factor(n).batched([A[..., r, c, None] for r in range(n)
-                                         for c in range(n)])
+            det, lu = factor(n).batched(_entries(A))
         return cls(n, det[..., 0], lu)
 
     def solve(self, b):
@@ -267,31 +265,18 @@ class LU:
             return None
         if not self.n:
             return np.zeros(b.shape)
-        if np.ndim(self.det) == 0:
-            return _by_columns(substitute(self.n), self.lu, b)
-        x = _by_rows(substitute(self.n), self.lu, b,
-                     b.ndim == np.ndim(self.det) + 2)
-        singular = self.det == 0.0
-        if singular.any():
-            x[singular] = np.nan
+        x = _apply(substitute(self.n), self.lu, b, np.shape(self.det))
+        if np.ndim(self.det):  # a single state's det is not 0.0 here
+            x[self.det == 0.0] = np.nan
         return x
 
 
 def solve_and_det(A, b):
-    """Solve A x = b, also returning det(A), scalar or batched: x is None
-    at a singular single state and NaN at the singular states of a batch."""
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    if A.ndim > 2:
-        lu = LU.of(A)
-        return lu.solve(b), lu.det
-    x, det, _ = unrolled(len(b))(A.ravel().tolist(), b.tolist())
-    return None if x is None else np.array(x), det
-
-
-def solve(A, b):
-    """Solve A x = b, scalar or batched: x of solve_and_det, without
-    det(A)."""
-    return solve_and_det(A, b)[0]
+    """Solve A x = b by LU, also returning det(A), scalar or batched, for
+    one right side or several (LU.solve): x is None at a singular single
+    state and NaN at the singular states of a batch."""
+    lu = LU.of(A)
+    return lu.solve(b), lu.det
 
 
 def min_abs(x):
@@ -306,16 +291,15 @@ def max_abs(x, start=0.0):
 
 
 def det_pp(A):
-    """det(A), scalar or batched, by unrolled(n, solve=False)."""
+    """det(A), scalar or batched, by unrolled(n)."""
     A = np.asarray(A, dtype=float)
     n, shape = A.shape[-1], A.shape[:-2]
     if not n:
         return np.ones(shape) if shape else 1.0
     if not shape:
-        return unrolled(n, solve=False)(A.ravel().tolist())
+        return unrolled(n)(_entries(A))
     with np.errstate(all="ignore"):
-        return unrolled(n, solve=False).batched(
-            [A[..., r, c] for r in range(n) for c in range(n)])
+        return unrolled(n).batched(_entries(A))[..., 0]
 
 
 def cond_estimate(A):
@@ -356,9 +340,9 @@ def frame_gate(n, zeros=frozenset()):
     """f(a) -> det of the n x n matrix A with row-major entries a whose
     entries at the flat indices in zeros (r * n + c) are structural zeros,
     0.0 at every point.  Each peeled singleton (_peel) is a factor;
-    unrolled(k, solve=False) eliminates the k x k core that remains (none
-    for a permuted triangular A), and det is the signed product of the
-    factors and the core's det.  A structurally zero row or column makes
+    unrolled(k) eliminates the k x k core that remains (none for a
+    permuted triangular A), and det is the signed product of the factors
+    and the core's det.  A structurally zero row or column makes
     det 0.0.  f reads NaN if any entry of A is not finite, a peeled or
     dropped one included, through 0.0 * (the sum of the structural
     nonzeros) added to det; a sum of finite entries that overflows reads
@@ -368,17 +352,13 @@ def frame_gate(n, zeros=frozenset()):
     factors = [f"a{r}_{c}" for r, c, _, _ in steps]
     core = [f"a{r}_{c}" for r in rows for c in cols]
     if core:
-        factors.append(f"_core(({''.join(f'{x}, ' for x in core)}))")
+        factors.append(f"_core({_seq(core)})")
     det = (f"{'-' if negative else ''}({' * '.join(factors) or '1.0'})"
            if line else "0.0")  # a structurally zero row or column
-    entries = [f"a{r}_{c}" for r in range(n) for c in range(n)]
-    check = " + ".join(x for i, x in enumerate(entries) if i not in zeros)
-    lines = ["def _f(a):"]
-    if n:
-        lines.append(f"    {', '.join(entries)}, = a")
-    lines.append(f"    return {det} + 0.0 * ({check or '0.0'})")
-    return _bind(lines, f"<frame gate n={n}>",
-                 unrolled(len(rows), solve=False))
+    check = " + ".join(x for i, x in enumerate(_names(n)) if i not in zeros)
+    lines = ["def _f(a):", f"    {_seq(_names(n))} = a",
+             f"    return {det} + 0.0 * ({check or '0.0'})"]
+    return _bind(lines, f"<frame gate n={n}>", _core=unrolled(len(rows)))
 
 
 @cache
@@ -388,19 +368,18 @@ def peeled(n, zeros=frozenset()):
     the gate's order.  Equation c of the system is sum_r M[r][c] x_r = b_c.
     A peeled column c of M, singleton at row r, gives x_r from equation c
     before the core, in the order of the peel; the core's equations, with
-    the known x moved to their right sides, are solved by unrolled(k); a
-    peeled row r, singleton at column c, gives x_r from equation c after
-    the core, in the reverse order of the peel.  Each equation subtracts
-    its known M[r'][c] x_r' from b_c in increasing r', then divides by
-    M[r][c].  x is None at a zero pivot of a single state (and not finite
-    at one of a batch).  f.batched runs on columns; b's entries may hold
-    several right sides on a trailing axis."""
+    the known x moved to their right sides, are solved by factor(k) and
+    substitute(k); a peeled row r, singleton at column c, gives x_r from
+    equation c after the core, in the reverse order of the peel.  Each
+    equation subtracts its known M[r'][c] x_r' from b_c in increasing r',
+    then divides by M[r][c].  x is None at a zero pivot of a single state
+    (and not finite at one of a batch).  f.batched runs on columns; b's
+    entries may hold several right sides on a trailing axis."""
     steps, rows, cols, line = _peel(n, zeros)
     if not line:
         raise ValueError("structurally singular matrix")
-    lines = ["def _f(a, b):"] + _unpack(n)
-    if n:
-        lines.append(f"    {''.join(f'b{c}, ' for c in range(n))}= b")
+    lines = ["def _f(a, b):", f"    {_seq(_names(n))} = a",
+             f"    {_seq(f'b{c}' for c in range(n))} = b"]
 
     def equation(r, c, known, core=()):
         s = f"b{c}"
@@ -426,16 +405,18 @@ def peeled(n, zeros=frozenset()):
         # the core's equations c (rows of its matrix), unknowns r
         A = [f"a{r}_{c}" for c in cols for r in rows]
         b = [equation(None, c, known, rows) for c in cols]
-        lines += [f"    x, _, _ = _core(({''.join(f'{e}, ' for e in A)}), "
-                  f"({''.join(f'{e}, ' for e in b)}))",
-                  "    if x is None:", "        return None",
-                  f"    {''.join(f'x{r}, ' for r in rows)}= x"]
+        lines += [f"    _, lu = _factor({_seq(A)})",
+                  "    if lu is None:", "        return None",
+                  f"    {_seq(f'x{r}' for r in rows)} = _substitute(lu, "
+                  f"{_seq(b)})"]
         known.update(rows)
     for r, c, _, kind in reversed(steps):
         if kind == "row":
             singleton(r, c)
-    lines.append(f"    return ({''.join(f'x{r}, ' for r in range(n))})")
-    return _bind(lines, f"<peeled n={n}>", unrolled(len(rows)))
+    lines.append(f"    return {_seq(f'x{r}' for r in range(n))}")
+    k = len(rows)
+    return _bind(lines, f"<peeled n={n}>", _factor=factor(k),
+                 _substitute=substitute(k))
 
 
 def solve_peeled(M, B, zeros=frozenset()):
@@ -443,9 +424,4 @@ def solve_peeled(M, B, zeros=frozenset()):
     (..., n, k) for k right sides, at a single state or a batch; None at a
     zero pivot of a single state."""
     M, B = np.asarray(M, dtype=float), np.asarray(B, dtype=float)
-    n = M.shape[-1]
-    fn = peeled(n, zeros)
-    if M.ndim == 2:
-        return _by_columns(fn, M.ravel().tolist(), B)
-    return _by_rows(fn, [M[..., r, c, None] for r in range(n)
-                         for c in range(n)], B, B.ndim == M.ndim)
+    return _apply(peeled(M.shape[-1], zeros), _entries(M), B, M.shape[:-2])

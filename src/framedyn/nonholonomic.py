@@ -33,7 +33,8 @@ from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
 from .frames import (FAST_FRAME_DET, TangentPoint, _brackets, base_velocity,
                      contract_structure, structure_from_matrix)
 from .lagrangian import energy, hessian_regularity
-from .linsolve import LU, cond_estimate, frame_gate, min_abs, unrolled
+from .linsolve import (LU, cond_estimate, factor, frame_gate, min_abs,
+                       substitute)
 from .quasichart import _composite
 
 __all__ = ["RegularityError", "NonholonomicField"]
@@ -50,13 +51,6 @@ class RegularityError(Exception):
         self.det = det
 
 
-def _require_regular_D(gamma, det, det_tol):
-    """Raise RegularityError("regular_D", det) unless g_D Gamma = rhs was
-    solved (gamma is not None) with |det g_D| > det_tol at every state."""
-    if gamma is None or not min_abs(det) > det_tol:
-        raise RegularityError("regular_D", det)
-
-
 def _field_source(L, frame, split):
     """The one generated function of the field of (L, frame, split)
     (docs/state_context.md): f(x, (fp, lp, check), k=None, a=0.0) -> (M, u,
@@ -68,7 +62,8 @@ def _field_source(L, frame, split):
     are the piecewise assembly's, in its order.  At a single state the
     frame check is the structural gate of the frame kernel (FAST_FRAME_DET),
     with Frame.check_matrix as its fallback, and solution is (Gamma, det,
-    lu) of g_D Gamma = rhs with the factors of g_D (linsolve.unrolled).
+    lu) of g_D Gamma = rhs: det and the factors lu of g_D by
+    linsolve.factor, Gamma from them by linsolve.substitute.
     Shared by every (L, frame, split) of the same structure and structural
     zeros (Frame.zeros)."""
     return generated("field", _generate_field, frame._kernels, L.fn.kernel,
@@ -133,13 +128,15 @@ def _generate_field(fk, lk, n, m, zeros):
         + tape.lines[frame_lines:]
         + [f"    g, rhs = {seq(g)}, {seq(rhs)}",
            "    if _scalar:",
-           f"        return {pieces}, _solve(g, rhs)",
+           "        det, lu = _factor(g)",
+           "        gamma = None if lu is None else _substitute(lu, rhs)",
+           f"        return {pieces}, (gamma, det, lu)",
            f"    return {pieces}, None"])
     return bind_source(
         source, "_field", f"<field n={n} m={m}>",
         scalar={"_scalar": True, "_gate": frame_gate(n, zeros),
-                "_solve": unrolled(m), "_fast_det": FAST_FRAME_DET,
-                "_inf": math.inf},
+                "_factor": factor(m), "_substitute": substitute(m),
+                "_fast_det": FAST_FRAME_DET, "_inf": math.inf},
         batched={"_scalar": False})
 
 
@@ -147,7 +144,8 @@ def _field_function(L, frame, split):
     """s -> (M, u, D, h, g_D, rhs, clift, corr, solution) at a state on C,
     from one run of the generated field function (_field_source).  At a
     scalar state the pieces are tuples and solution is (Gamma, det, lu) of
-    g_D Gamma = rhs, or (None, 0.0, None); at a batched one M is the array
+    g_D Gamma = rhs, one linsolve.factor of g_D and one substitute, or
+    (None, 0.0, None) at a zero pivot; at a batched one M is the array
     that Frame.check passed, the rest arrays of the batch shape on a
     trailing axis, and solution None.  Its attributes `source` and
     `scalar` are the generated function and the constants of its math
@@ -364,10 +362,12 @@ class StateContext:
     def solve(self, det_tol):
         """Set gamma from g_D Gamma = rhs, solved once (by the field
         function at a scalar state, from the factors at a batched one);
-        raises at every call with |det g_D| <= det_tol."""
+        raises RegularityError at every call unless it was solved (gamma is
+        not None) with |det g_D| > det_tol at every state."""
         gamma, det = self.memo("gamma", lambda: (self.factors.solve(
             self.rhs), self.factors.det))
-        _require_regular_D(gamma, det, det_tol)
+        if gamma is None or not min_abs(det) > det_tol:
+            raise RegularityError("regular_D", det)
         self.gamma = gamma
         return self
 

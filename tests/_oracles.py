@@ -319,8 +319,9 @@ class StateContextReference:
 
 def solve_scalar_reference(a, x):
     """Partial-pivot elimination as a loop on nested lists of floats, which
-    it overwrites; returns (x, det), or (None, 0.0) at a zero pivot.  The
-    unrolled solver of framedyn.linsolve must give the same floats."""
+    it overwrites; returns (x, det), or (None, 0.0) at a zero pivot.
+    framedyn.linsolve's factor and substitute, and LU and solve_and_det,
+    which solve by them, must give the same floats."""
     n = len(x)
     det = 1.0
     for k in range(n):
@@ -424,8 +425,9 @@ class StateContextLiftsReference:
     """Methods of framedyn.nonholonomic.StateContext, each piece from the
     lift formulas of framedyn.lagrangian, one kernel call each: the rows
     D_a for a >= m by Frame.dfields on first use (the leading rows stay the
-    field's), clift_at, vlift_at, dvlift_at and hessian_rows over the rows
-    of M with g_D copied in, and epsilon by one dvlift_at per index."""
+    field's), clift_at, vlift_at, dvlift_at, hessian_rows over all the
+    rows of M (the g_D block made again from the same jets), and epsilon
+    by one dvlift_at per index."""
 
     def dfield(self, a):
         if a >= self.D.shape[-2]:
@@ -453,7 +455,7 @@ class StateContextLiftsReference:
         from framedyn.lagrangian import hessian_regularity, hessian_rows
 
         return self.memo(("regularity", threshold), lambda: hessian_regularity(
-            hessian_rows(self.L.taylor, self.q, self.u, self.M, known=self.g),
+            hessian_rows(self.L.taylor, self.q, self.u, self.M),
             self.split, self.p, threshold))
 
     def epsilon(self, indices, gamma):

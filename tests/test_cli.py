@@ -354,6 +354,29 @@ class TestCustomSystems:
         assert code == 2
         assert f"config error at {where}:" in err
 
+    @pytest.mark.parametrize("overrides,argv,where", [
+        ({"coords": ["x", 3, "s"]}, (), "$.coords[1]"),
+        ({"coords": ["x", "x", "s"]}, (), "$.coords[1]"),
+        ({"frame": [[True, "0", "0"], ["0", "1", "-sin(x)"],
+                    ["0", "0", "1"]]}, (), "$.frame[0][0]"),
+        ({"frame": [["1", "0", "0"], ["0", "1", None], ["0", "0", "1"]]},
+         (), "$.frame[1][2]"),
+        ({"velocities": ["u1", "u2"]}, (), "$.velocities"),
+        ({"sample_box": {"q": [[-1, 1]] * 3}}, (), "$.sample_box.v"),
+        ({"builtin_k": [True]}, (), "$.builtin_k[0]"),
+        ({}, ("--seed", "-3"), "$.seed"),
+    ], ids=["coord_number", "coord_duplicate", "frame_true", "frame_null",
+            "velocities_length", "sample_box_without_v", "builtin_k_true",
+            "negative_seed"])
+    def test_bad_entries_are_config_errors(self, capsys, tmp_path, overrides,
+                                           argv, where):
+        path = self._write_def(tmp_path, **overrides)
+        code, _, err = run(capsys, "derive", "--system", str(path),
+                           "--samples", "2", "--out", str(tmp_path / "d.csv"),
+                           *argv)
+        assert code == 2
+        assert f"config error at {where}:" in err
+
     def test_only_declared_params_may_be_set(self, capsys, tmp_path):
         path = self._write_def(tmp_path, params={"g": 9.81})
         out = tmp_path / "t.csv"

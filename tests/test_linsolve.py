@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framedyn.frames import FRAME_DET_TOL
-from framedyn.linsolve import (LU, _peel, factor, frame_gate, peeled, solve,
+from framedyn.linsolve import (LU, _peel, factor, frame_gate, peeled,
                                solve_and_det, solve_peeled, substitute,
                                unrolled)
 from framedyn.nonholonomic import FAST_FRAME_DET
@@ -15,6 +15,15 @@ from _oracles import peeled_solve_reference, solve_scalar_reference
 def _bits(x):
     """A float's value with its sign and NaN-ness, for exact comparison."""
     return ("nan",) if math.isnan(x) else (x, math.copysign(1.0, x))
+
+
+def _same_floats(got, want):
+    """Equal floats with equal signs, NaN where the other is NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan], want[~nan])
+            and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
 
 
 def _matrices(rng, n):
@@ -40,23 +49,27 @@ def _matrices(rng, n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_unrolled_solve_equals_the_loop(rng, n):
+    # factor and substitute, LU and solve_and_det give the loop's det and x
+    # bit for bit at a single state, and x None at a zero pivot.
     for A, b in _matrices(rng, n):
         want_x, want_det = solve_scalar_reference(A.tolist(), b.tolist())
-        x, det, lu = unrolled(n)(A.ravel().tolist(), b.tolist())
-        assert _bits(det) == _bits(want_det)
-        if want_x is None:
-            assert x is None and det == 0.0
-        else:
-            assert [_bits(v) for v in x] == [_bits(v) for v in want_x]
-        got = solve_and_det(A, b)
-        assert _bits(got[1]) == _bits(want_det)
+        det, lu = factor(n)(A.ravel().tolist())
+        x = None if lu is None else substitute(n)(lu, b.tolist())
+        factors = LU.of(A)
+        for got_x, got_det in ((x, det), (factors.solve(b), factors.det),
+                               solve_and_det(A, b)):
+            assert _bits(got_det) == _bits(want_det)
+            if want_x is None:
+                assert got_x is None and got_det == 0.0
+            else:
+                assert _same_floats(got_x, want_x)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_unrolled_det_propagates_nan(rng, n):
     # The scalar frame check passes on this det only when it is finite, so
     # a NaN entry anywhere must not be lost to a skipped update.
-    det = unrolled(n, solve=False)
+    det = unrolled(n)
     for A, _ in _matrices(rng, n):
         got = det(A.ravel().tolist())
         if np.isnan(A).any():
@@ -72,22 +85,25 @@ def test_unrolled_det_propagates_nan(rng, n):
 
 @pytest.mark.parametrize("n", range(7))
 def test_solve_equals_solve_and_det(rng, n):
-    # x of solve_and_det bit for bit, at a single state and at a batch
-    # (NaN at the singular states of a batch).
+    # solve_and_det is LU's solve and det, for one right side and for
+    # three (b of shape (n, 3)), at a batch and at a single state alike; a
+    # single state's x and det are the batch's at that state, bit for bit
+    # (x None there, NaN in the batch, at a zero pivot).
     pairs = list(_matrices(rng, n))
-    for A, b in pairs:
-        want = solve_and_det(A, b)[0]
-        got = solve(A, b)
-        if want is None:
-            assert got is None
-        else:
-            assert got.tobytes() == want.tobytes()
-    for i in range(0, len(pairs), 10):
-        A = np.stack([a for a, _ in pairs[i:i + 10]])
-        b = np.stack([x for _, x in pairs[i:i + 10]])
-        want = solve_and_det(A, b)[0]
-        got = solve(A, b)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    A = np.stack([a for a, _ in pairs])
+    one = np.stack([x for _, x in pairs])
+    for b in (one, rng.normal(size=one.shape + (3,))):
+        X, det = solve_and_det(A, b)
+        lu = LU.of(A)
+        assert _same_floats(X, lu.solve(b)) and _same_floats(det, lu.det)
+        for i, a in enumerate(A):
+            x, d = solve_and_det(a, b[i])
+            assert _bits(d) == _bits(float(det[i]))
+            if x is None:
+                assert LU.of(a).solve(b[i]) is None and np.isnan(X[i]).all()
+                continue
+            assert _same_floats(x, LU.of(a).solve(b[i]))
+            assert _same_floats(x, X[i])
 
 
 def _structure(rng, n, kind):
@@ -153,22 +169,12 @@ def test_frame_gate_peels_the_built_in_frames():
                                                       rel=1e-15)
 
 
-def _same_floats(got, want):
-    """Equal floats with equal signs, NaN where the other is NaN."""
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    nan = np.isnan(want)
-    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
-            and np.array_equal(got[~nan], want[~nan])
-            and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_factors_and_numpy_binding_equal_the_float_elimination(rng, n):
-    # factor and substitute give unrolled's det and x float for float; the
-    # numpy binding of each, and LU on a batch, give at every state what
-    # the float binding gives there, with det 0.0 and x NaN at a zero pivot,
-    # and with the update of a zero multiplier skipped under a non-finite
-    # pivot row.
+    # The numpy bindings of unrolled, factor and substitute, and LU on a
+    # batch, give at every state what the float bindings give there, with
+    # det 0.0 and x NaN at a zero pivot, and with the update of a zero
+    # multiplier skipped under a non-finite pivot row.
     pairs = list(_matrices(rng, n))
     for bad in (math.inf, math.nan):
         A = np.eye(n)
@@ -178,32 +184,28 @@ def test_factors_and_numpy_binding_equal_the_float_elimination(rng, n):
     b = np.stack([x for _, x in pairs])
     cols = [A[:, r, c] for r in range(n) for c in range(n)]
     with np.errstate(all="ignore"):
-        det_cols = unrolled(n, solve=False).batched(cols)
-        x_cols, solve_det, _ = unrolled(n).batched(cols, list(b.T))
+        det_cols = unrolled(n).batched(cols)
+        factor_det, factor_cols = factor(n).batched(cols)
+        x_cols = substitute(n).batched(factor_cols, list(b.T))
     lu = LU.of(A)
     lu_x = lu.solve(b)
     lu_wide = lu.solve(np.stack([b, -2.0 * b], axis=-1))
     for i, (a, x) in enumerate(pairs):
-        want_x, want_det, want_lu = unrolled(n)(a.ravel().tolist(),
-                                                x.tolist())
         det, factors = factor(n)(a.ravel().tolist())
-        assert _bits(det) == _bits(want_det)
-        assert (factors is None) == (want_lu is None)
-        if factors is not None:
-            assert _same_floats(factors, want_lu)
-            assert _same_floats(substitute(n)(factors, x.tolist()), want_x)
         assert _bits(float(det_cols[i])) == _bits(
-            unrolled(n, solve=False)(a.ravel().tolist()))
-        assert _bits(float(solve_det[i])) == _bits(want_det)
-        assert _bits(float(lu.det[i])) == _bits(want_det)
-        if want_x is None:
+            unrolled(n)(a.ravel().tolist()))
+        assert _bits(float(factor_det[i])) == _bits(det)
+        assert _bits(float(lu.det[i])) == _bits(det)
+        if factors is None:
             assert np.isnan(lu_x[i]).all() and np.isnan(lu_wide[i]).all()
             continue
+        assert _same_floats([f[i] for f in factor_cols], factors)
+        want_x = substitute(n)(factors, x.tolist())
         assert _same_floats([c[i] for c in x_cols], want_x)
         assert _same_floats(lu_x[i], want_x)
         assert _same_floats(lu_wide[i, :, 0], want_x)
-        assert _same_floats(lu_wide[i, :, 1], unrolled(n)(
-            a.ravel().tolist(), (-2.0 * x).tolist())[0])
+        assert _same_floats(lu_wide[i, :, 1],
+                            substitute(n)(factors, (-2.0 * x).tolist()))
         assert _same_floats(LU.of(a).solve(x), want_x)
 
 
