@@ -760,9 +760,10 @@ def _emit(gen, root, ids, leaf_slots):
 
 
 # The generated functions by tag and arguments (see generated): the compiled
-# kernels, their bodies and the functions built from many kernels (such as
-# the nonholonomic field).  Parameter values are call arguments, so systems
-# that differ only in parameter values share them.
+# kernels, their bodies, the functions built from many kernels (such as the
+# nonholonomic field) and linsolve's eliminations.  Parameter values are
+# call arguments, so systems that differ only in parameter values share
+# them.
 _KERNELS = {}
 
 

@@ -6,7 +6,8 @@ against a frame matrix, for one pattern of structural zeros (peeled).  Every
 solve is one factorisation (factor) and one substitution per right side
 (substitute): LU, solve_and_det, the generated field source and peeled's
 dense core all make it; unrolled is the elimination for det alone.  Each
-generated function is compiled once and bound twice (exprlang.bind_source):
+generated function is made once per size and pattern, kept in exprlang's
+module cache (exprlang.generated), and bound twice (exprlang.bind_source):
 to Python floats at a single state, and to numpy at a batch, where every
 entry is a column of per-state values, a pivot swap is an np.where and a
 zero pivot sets det to 0.0 at its state where the float binding returns
@@ -18,15 +19,26 @@ threshold, and to the condition estimate of the reports.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import wraps
 
 import numpy as np
 
-from .exprlang import bind_source
+from .exprlang import bind_source, generated
 
 __all__ = ["det_pp", "min_abs", "max_abs", "solve_and_det", "cond_estimate",
            "unrolled", "factor", "substitute", "LU", "frame_gate", "peeled",
            "solve_peeled"]
+
+
+def _generated(build):
+    """build as a generated function of exprlang's module cache
+    (exprlang.generated): made on first use under build's name and its
+    arguments."""
+    @wraps(build)
+    def fn(*args):
+        return generated(build.__name__, build, *args)
+
+    return fn
 
 
 def _bind(lines, filename, **helpers):
@@ -174,7 +186,7 @@ def _names(n):
     return [f"a{r}_{c}" for r in range(n) for c in range(n)]
 
 
-@cache
+@_generated
 def unrolled(n):
     """f(a) -> det of the n x n matrix with row-major entries a by
     _elimination, 0.0 at a zero pivot.  The updates are made for a zero
@@ -185,7 +197,7 @@ def unrolled(n):
     return _bind(lines, f"<unrolled n={n} det>")
 
 
-@cache
+@_generated
 def factor(n):
     """f(a) -> (det, lu) by _elimination of the row-major entries a of an
     n x n matrix, the update of a zero multiplier skipped: lu the factor
@@ -197,7 +209,7 @@ def factor(n):
     return _bind(lines, f"<factor n={n}>")
 
 
-@cache
+@_generated
 def substitute(n):
     """f(lu, b) -> x, a tuple, with A x = b, from the factors (det, lu) =
     factor(n)(a) of A (_substitution)."""
@@ -335,7 +347,7 @@ def _peel(n, zeros):
     return steps, rows, cols, line
 
 
-@cache
+@_generated
 def frame_gate(n, zeros=frozenset()):
     """f(a) -> det of the n x n matrix A with row-major entries a whose
     entries at the flat indices in zeros (r * n + c) are structural zeros,
@@ -361,7 +373,7 @@ def frame_gate(n, zeros=frozenset()):
     return _bind(lines, f"<frame gate n={n}>", _core=unrolled(len(rows)))
 
 
-@cache
+@_generated
 def peeled(n, zeros=frozenset()):
     """f(a, b) -> x with M^T x = b, for the row-major entries a of an n x n
     matrix M with the structural zeros of frame_gate(n, zeros), peeled in

@@ -52,8 +52,8 @@ and writes one array per output to OUT.npz:
   stored as NaN beside a `none` mask.
 
 `codes` makes the same calls as `dump`, then writes to OUT.json, for every
-function that framedyn generated (the functions in `exprlang._KERNELS`),
-its `co_filename` and a digest of its bytecode, grouped by filename.  The
+function that framedyn generated (the functions in `exprlang._KERNELS`,
+`linsolve`'s eliminations among them), its `co_filename` and a digest of its bytecode, grouped by filename.  The
 digest covers `co_code`, `co_consts` (a nested code object digested the
 same way), `co_names`, `co_varnames`, the argument counts and
 `__defaults__`, and leaves out line numbers: a change that only moves the
