@@ -25,7 +25,8 @@ from .integrator import (IntegratorConfig, drift_report, export_csv,
                          export_json, integrate)
 from .linsolve import max_abs
 from .nonholonomic import NonholonomicField
-from .systems import BUILTIN_NAMES, SystemDef, builtin, sample_states
+from .systems import (BUILTIN_NAMES, SystemDef, builtin, sample_states,
+                      velocity_names)
 from .vakonomic import (ShiftedMomentumSection, consistency_report,
                         make_section)
 from .chaplygin import prop6_scalar
@@ -113,6 +114,10 @@ def _validate_system_doc(doc):
         for i, name in enumerate(names or ()):
             _require(name not in names[:i], f"$.{key}[{i}]",
                      f"duplicate name {name!r}")
+    velocities = velocity_names(doc)
+    for i, name in enumerate(doc["coords"]):
+        _require(name not in velocities, f"$.coords[{i}]",
+                 f"coordinate name {name!r} is also a velocity name")
     for i, row in enumerate(_entries(doc["frame"], n, "$.frame", list,
                                      "a row")):
         _entries(row, n, f"$.frame[{i}]", (str, int, float),

@@ -81,19 +81,23 @@ class SystemDef:
 
     @classmethod
     def from_json_dict(cls, doc):
-        n = int(doc["n"])
-        coords = tuple(doc["coords"])
-        vel = tuple(doc.get("velocities") or
-                    [f"u{i + 1}" for i in range(n)])
         return cls(
-            name=doc["name"], n=n, m=int(doc["m"]), coords=coords,
-            vel_names=vel, frame_exprs=[list(r) for r in doc["frame"]],
+            name=doc["name"], n=int(doc["n"]), m=int(doc["m"]),
+            coords=tuple(doc["coords"]), vel_names=velocity_names(doc),
+            frame_exprs=[list(r) for r in doc["frame"]],
             lagrangian_expr=doc["lagrangian"],
             params={k: float(v) for k, v in doc.get("params", {}).items()},
             references=doc.get("references", {}),
             builtin_k=doc.get("builtin_k"),
             sample_box=doc.get("sample_box"),
             domain_note=doc.get("domain_note", ""))
+
+
+def velocity_names(doc):
+    """The velocity names of a JSON system document: its `velocities`, or
+    u1, ..., un if it gives none."""
+    return tuple(doc.get("velocities") or
+                 [f"u{i + 1}" for i in range(int(doc["n"]))])
 
 
 def _require_positive(params, names):

@@ -357,6 +357,8 @@ class TestCustomSystems:
     @pytest.mark.parametrize("overrides,argv,where", [
         ({"coords": ["x", 3, "s"]}, (), "$.coords[1]"),
         ({"coords": ["x", "x", "s"]}, (), "$.coords[1]"),
+        ({"coords": ["u1", "y", "s"]}, (), "$.coords[0]"),
+        ({"velocities": ["ux", "s", "us"]}, (), "$.coords[2]"),
         ({"frame": [[True, "0", "0"], ["0", "1", "-sin(x)"],
                     ["0", "0", "1"]]}, (), "$.frame[0][0]"),
         ({"frame": [["1", "0", "0"], ["0", "1", None], ["0", "0", "1"]]},
@@ -365,7 +367,8 @@ class TestCustomSystems:
         ({"sample_box": {"q": [[-1, 1]] * 3}}, (), "$.sample_box.v"),
         ({"builtin_k": [True]}, (), "$.builtin_k[0]"),
         ({}, ("--seed", "-3"), "$.seed"),
-    ], ids=["coord_number", "coord_duplicate", "frame_true", "frame_null",
+    ], ids=["coord_number", "coord_duplicate", "coord_is_default_velocity",
+            "coord_is_velocity", "frame_true", "frame_null",
             "velocities_length", "sample_box_without_v", "builtin_k_true",
             "negative_seed"])
     def test_bad_entries_are_config_errors(self, capsys, tmp_path, overrides,
