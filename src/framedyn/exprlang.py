@@ -22,6 +22,7 @@ import operator
 import re
 import types
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -421,8 +422,10 @@ class Tape:
     inlined on one tape (kernel): each inlining renames every line of its
     body, and a renamed line whose text is already on the tape takes the
     earlier name, so a line that several of them need is emitted once.
-    released() gives the lines with each temporary deleted after its last
-    read; function() lays a whole generated function out around them."""
+    live() tells the lines that a function's outputs read from the dead
+    ones; released() gives the live lines with each temporary deleted after
+    its last read; function() lays a whole generated function out around
+    them."""
 
     def __init__(self):
         self.lines = []
@@ -436,22 +439,37 @@ class Tape:
             self.lines.append(f"    {name} = {src}")
         return name
 
+    def live(self, outputs):
+        """For each line, whether the output texts read it: a line is live
+        if its temporary is an output or a live line reads it.  The other
+        lines are dead, and a generated function leaves them out."""
+        need = set(_TEMP.findall(" ".join(outputs)))
+        flags = []
+        for line in reversed(self.lines):
+            name, src = line[4:].split(" = ", 1)
+            flags.append(name in need)
+            if name in need:
+                need.update(_TEMP.findall(src))
+        return flags[::-1]
+
     def released(self, keep):
-        """The lines, each temporary deleted (del) after the line that
-        reads it last, unless its name is in keep: so the numpy binding
-        frees each array of the batch as soon as no later line needs it."""
+        """The live lines of the outputs in keep (live), each temporary
+        deleted (del) after the line that reads it last, unless its name is
+        in keep: so the numpy binding frees each array of the batch as soon
+        as no later line needs it."""
+        lines = list(compress(self.lines, self.live(keep)))
         last = {}
-        for i, line in enumerate(self.lines):
+        for i, line in enumerate(lines):
             for x in _TEMP.findall(line.split(" = ", 1)[1]):
                 last[x] = i
         keep = set(keep)
-        dead = [[] for _ in self.lines]
-        for i, line in enumerate(self.lines):
+        dead = [[] for _ in lines]
+        for i, line in enumerate(lines):
             name = line[4:].split(" = ", 1)[0]
             if name not in keep:
                 dead[last.get(name, i)].append(name)
         out = []
-        for line, names in zip(self.lines, dead):
+        for line, names in zip(lines, dead):
             out.append(line)
             if names:
                 out.append(f"    del {', '.join(names)}")
@@ -460,8 +478,9 @@ class Tape:
     def function(self, name, args, inputs, outputs, filename):
         """The generated function `name`(*args), bound by bind_source: it
         unpacks each argument named in inputs into the names given there,
-        runs the released lines and returns one tuple per sequence of
-        outputs (their texts), the tuple itself when there is one."""
+        runs the released lines, those that the outputs read, and returns
+        one tuple per sequence of outputs (their texts), the tuple itself
+        when there is one."""
         returned = ", ".join(f"({''.join(f'{x}, ' for x in p)})"
                              for p in outputs)
         source = "\n".join(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -58,8 +59,9 @@ def _field_source(L, frame, split):
     x_i + a*k_i for each entry (x alone without k), of q + v, each piece a
     flat row-major sequence; clift and corr are clift X_a(L) and the
     correction (0, D_a)(L) of rhs_a, a < m.  Every kernel is inlined on one
-    Tape, so a line that several of them need is emitted once; the sums
-    are the piecewise assembly's, in its order.  At a single state the
+    Tape, so a line that several of them need is emitted once, and a line
+    that no piece reads is not emitted (Tape.live); the sums are the
+    piecewise assembly's, in its order.  At a single state the
     frame check is the structural gate of the frame kernel (FAST_FRAME_DET),
     with Frame.check_matrix as its fallback, and solution is (Gamma, det,
     lu) of g_D Gamma = rhs: det and the factors lu of g_D by
@@ -101,6 +103,8 @@ def _generate_field(fk, lk, n, m, zeros):
     corr = [lagrangian(1, (zq, D[a])) for a in range(m)]
     rhs = [temp(f"{clift[a]} - ({lagrangian(2, (zq, rows[a]), (u, h))} + "
                 f"{corr[a]})") for a in range(m)]
+    live = tape.live(X + u + sum(D, []) + h + g + rhs + clift + corr)
+
     def seq(p):
         return f"({''.join(f'{x}, ' for x in p)})"
 
@@ -118,14 +122,14 @@ def _generate_field(fk, lk, n, m, zeros):
          f"        {', '.join(ks)}, = k",
          f"        {point}, = {stage}",
          "    fp, lp, check = c"]
-        + tape.lines[:frame_lines]
+        + list(compress(tape.lines[:frame_lines], live))
         + [f"    M = ({', '.join(X)},)",
            "    if _scalar:",
            "        if not _fast_det < abs(_gate(M)) < _inf:",
            "            check(M)",
            "    else:",
            "        M = check(M)"]
-        + tape.lines[frame_lines:]
+        + list(compress(tape.lines[frame_lines:], live[frame_lines:]))
         + [f"    g, rhs = {seq(g)}, {seq(rhs)}",
            "    if _scalar:",
            "        det, lu = _factor(g)",

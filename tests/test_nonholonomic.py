@@ -1,3 +1,6 @@
+import ast
+import re
+
 import numpy as np
 import pytest
 
@@ -481,6 +484,24 @@ def test_generated_field_function_is_shared_by_structure():
     assert _field_source(*rotated[2:]) is not first
 
 
+def _generated_sources(L, frame, split):
+    """The generated functions of a system, the field's first: the field,
+    the lifts, the brackets, the chart jets, the momentum partials along
+    0, 1 and 2 directions and epsilon for the indices of the fundamental
+    residual and for those of the multipliers."""
+    from framedyn.frames import _bracket_source
+    from framedyn.nonholonomic import (_chart_source, _epsilon_source,
+                                       _lift_source)
+    from framedyn.quasichart import _composite, _fibre_source
+
+    fn = _composite(L, frame)[0]
+    return ([_field_source(L, frame, split), _lift_source(L, frame, split),
+             _bracket_source(frame), _chart_source(fn, split.m)]
+            + [_fibre_source(fn, frame.n, k) for k in range(3)]
+            + [_epsilon_source(L, tuple(indices)) for indices in (
+                range(split.m), range(split.m, split.n))])
+
+
 @pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
                          ids=[g[0] for g in GATE_SYSTEMS])
 def test_generated_field_source_emits_each_line_once(name, sysd, L, frame,
@@ -489,24 +510,46 @@ def test_generated_field_source_emits_each_line_once(name, sysd, L, frame,
     # several jets need (the values of L's subtrees at (q, u), the frame
     # values, the slots no probe reaches) is emitted once in each generated
     # source, the field's and those of the constraint side.  A del line
-    # assigns nothing.
-    from framedyn.frames import _bracket_source
-    from framedyn.nonholonomic import (_chart_source, _epsilon_source,
-                                       _lift_source)
-    from framedyn.quasichart import _composite, _fibre_source
-
-    field = _field_source(L, frame, split)
-    fn = _composite(L, frame)[0]
-    sources = ([field, _lift_source(L, frame, split), _bracket_source(frame),
-                _chart_source(fn, split.m)]
-               + [_fibre_source(fn, frame.n, k) for k in range(3)]
-               + [_epsilon_source(L, tuple(indices)) for indices in (
-                   range(split.m), range(split.m, split.n))])
+    # assigns nothing.  Dead lines are left out (Tape.live), so a small
+    # source such as the particle's brackets has few lines: the floor that
+    # keeps the test from passing on empty sources is on the field and on
+    # the system's total.
+    sources = _generated_sources(L, frame, split)
+    total = 0
     for source in sources:
         right = [line.split(" = ", 1)[1]
                  for line in source.__source__.splitlines() if " = " in line]
-        assert len(right) > (20 if source is field else 10), name
+        assert right, (name, source.__name__)
         assert len(right) == len(set(right)), (name, source.__name__)
+        total += len(right)
+        if source is sources[0]:
+            assert len(right) > 20, name
+    assert total > 10 * len(sources), name
+
+
+def _unread_temporaries(source):
+    """The temporaries (t<i>) that a generated source assigns and that no
+    later line reads, the return included."""
+    assigned, read = {}, {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            if isinstance(node.ctx, ast.Store):
+                if re.fullmatch(r"t\d+", node.id):
+                    assigned[node.id] = node.lineno
+            elif isinstance(node.ctx, ast.Load):
+                read[node.id] = max(read.get(node.id, 0), node.lineno)
+    return sorted(x for x, line in assigned.items()
+                  if read.get(x, 0) <= line)
+
+
+@pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
+                         ids=[g[0] for g in GATE_SYSTEMS])
+def test_generated_sources_have_no_dead_line(name, sysd, L, frame, split):
+    # A source emits only the lines its outputs read: every temporary it
+    # assigns is read by a later line or returned.
+    for source in _generated_sources(L, frame, split):
+        assert _unread_temporaries(source.__source__) == [], (
+            name, source.__code__.co_filename)
 
 
 @pytest.mark.parametrize("name,sysd,L,frame,split", GATE_SYSTEMS,
