@@ -422,10 +422,9 @@ class Tape:
     inlined on one tape (kernel): each inlining renames every line of its
     body, and a renamed line whose text is already on the tape takes the
     earlier name, so a line that several of them need is emitted once.
-    live() tells the lines that a function's outputs read from the dead
-    ones; released() gives the live lines with each temporary deleted after
-    its last read; function() lays a whole generated function out around
-    them."""
+    live() marks the lines that a function's outputs read; released()
+    gives those lines with each temporary deleted after its last read;
+    function() lays a whole generated function out around them."""
 
     def __init__(self):
         self.lines = []
