@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -137,12 +138,13 @@ def _validate_system_doc(doc):
 
 
 def _require_params(doc):
-    """doc's optional params: an object of numbers."""
+    """doc's optional params: an object of finite numbers (Python's json
+    reads NaN and Infinity)."""
     params = doc.get("params", {})
     _require(isinstance(params, dict), "$.params", "expected an object")
     for k, v in params.items():
-        _require(_of_type(v, (int, float)), f"$.params.{k}",
-                 "expected a number")
+        _require(_of_type(v, (int, float)) and math.isfinite(v),
+                 f"$.params.{k}", "expected a finite number")
 
 
 def _parse_set(items):
@@ -152,9 +154,12 @@ def _parse_set(items):
             raise ConfigError("$.set", f"expected k=v, got {item!r}")
         k, v = item.split("=", 1)
         try:
-            out[k.strip()] = float(v)
+            value = float(v)
         except ValueError:
             raise ConfigError("$.set", f"value for {k!r} is not a number")
+        _require(math.isfinite(value), "$.set",
+                 f"value for {k!r} is not finite")
+        out[k.strip()] = value
     return out
 
 
@@ -167,18 +172,39 @@ def _parse_floats(text, want, path):
     return np.array(vals)
 
 
-def _parse_section(text):
+SECTION_KINDS = ("zero", "momentum", "momentum_shifted", "custom")
+
+
+def _parse_section(text, count):
+    """The section document of --section or the config's section, checked:
+    an object of a known kind whose phi (custom) or k (momentum_shifted,
+    else "builtin") lists count expressions, one per constraint index."""
     if text is None:
         return {"kind": "momentum"}
-    if isinstance(text, dict):
-        return text
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("$.section", f"invalid JSON: {exc}")
-    return {"kind": text}
+    spec = text
+    if isinstance(text, str):
+        text = text.strip()
+        spec = {"kind": text}
+        if text.startswith("{"):
+            try:
+                spec = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ConfigError("$.section", f"invalid JSON: {exc}")
+    _require(isinstance(spec, dict), "$.section", "expected an object")
+    kind = spec.get("kind")
+    _require(kind in SECTION_KINDS, "$.section.kind",
+             f"expected one of {', '.join(SECTION_KINDS)}, got "
+             f"{json.dumps(kind)}")
+    if kind == "custom":
+        path, exprs = "$.section.phi", spec.get("phi")
+    elif kind == "momentum_shifted" and spec.get("k", "builtin") != "builtin":
+        path, exprs = "$.section.k", spec["k"]
+    else:
+        return spec
+    _require(isinstance(exprs, list), path,
+             f"expected a list of {count} expressions")
+    _entries(exprs, count, path, str, "an expression")
+    return spec
 
 
 _CONFIG_FIELDS = {
@@ -297,7 +323,8 @@ def cmd_consistency(args):
     _require(args.samples >= 1, "$.samples",
              f"need at least 1 sample, got {args.samples}")
     args.out = _resolve(args, run, "out")
-    spec = _parse_section(_resolve(args, run, "section"))
+    spec = _parse_section(_resolve(args, run, "section"),
+                          split.n_constraints)
     section = make_section(spec, L, F, split, builtin_k=sysd.builtin_k)
     states = sample_states(sysd, args.samples, seed=args.seed)
     rep = consistency_report(L, F, split, section, states)

@@ -185,7 +185,8 @@ class Frame:
     Points are evaluated by fused kernels: all components of the fields
     involved are compiled into one function (see compile_taylor), built on
     first use and cached, and run at scalar and batched points alike (see
-    exprlang.run).
+    exprlang.run).  A frame is immutable after construction: one object
+    serves every user of an identical definition (SystemDef.frame).
     """
 
     def __init__(self, rows, coords, params=None):

@@ -31,7 +31,9 @@ REGULARITY_DET_TOL = 1e-10
 
 
 class Lagrangian:
-    """A function on TQ given by an expression in coordinates and velocities."""
+    """A function on TQ given by an expression in coordinates and velocities.
+    Immutable after construction: one object serves every user of an
+    identical definition (SystemDef.lagrangian)."""
 
     def __init__(self, expr, coords, vel_names, params=None):
         self.coords = tuple(coords)

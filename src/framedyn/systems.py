@@ -5,6 +5,12 @@ to be evaluated through the same parser as everything else, so that a
 reference check runs one code path over two independent data paths.  Derived
 parameters (the carriage P, Q, K and friends) are computed here once and
 injected alongside the base parameters.
+
+A definition's frame and Lagrangian are built once per process:
+SystemDef.frame and SystemDef.lagrangian return the object already built for
+an identical definition (_reused), so its parsed trees, kernel structures and
+composites are made once, not once per command.  The shared objects are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +37,33 @@ __all__ = [
 
 BUILTIN_NAMES = ("nonholonomic_particle", "vertical_disk", "delta_class",
                  "carriage")
+
+# The frames and Lagrangians built in this process by definition, least
+# recently used first, at most BUILT_LIMIT of them.
+BUILT_LIMIT = 64
+_BUILT = OrderedDict()
+
+
+def _exact(x):
+    """x as a key part: its type and, for a float, its exact bits (-0.0 and
+    0.0 are == but may build frames whose outputs differ in sign); any other
+    value by its repr."""
+    if isinstance(x, float):
+        return type(x).__name__, struct.pack("<d", x)
+    return type(x).__name__, repr(x)
+
+
+def _reused(key, build):
+    """The object built for key in this process, else build(), kept under
+    key; the least recently used one goes once BUILT_LIMIT are kept."""
+    obj = _BUILT.get(key)
+    if obj is None:
+        obj = _BUILT[key] = build()
+        if len(_BUILT) > BUILT_LIMIT:
+            _BUILT.popitem(last=False)
+    else:
+        _BUILT.move_to_end(key)
+    return obj
 
 
 @dataclass
@@ -52,12 +87,25 @@ class SystemDef:
     def split(self):
         return ConstraintSplit(self.n, self.m)
 
+    def _params_key(self):
+        return tuple((k, _exact(v)) for k, v in self.params.items())
+
     def frame(self):
-        return Frame(self.frame_exprs, self.coords, self.params)
+        """The frame of the rows, coords and params, shared with every
+        definition that has the same ones (_reused): do not mutate it."""
+        key = ("frame", tuple(tuple(map(_exact, row))
+                              for row in self.frame_exprs),
+               tuple(self.coords), self._params_key())
+        return _reused(key, lambda: Frame(self.frame_exprs, self.coords,
+                                          self.params))
 
     def lagrangian(self):
-        return Lagrangian(self.lagrangian_expr, self.coords, self.vel_names,
-                          self.params)
+        """The Lagrangian of the text, coords, velocity names and params,
+        shared like the frame."""
+        key = ("lagrangian", _exact(self.lagrangian_expr),
+               tuple(self.coords), tuple(self.vel_names), self._params_key())
+        return _reused(key, lambda: Lagrangian(
+            self.lagrangian_expr, self.coords, self.vel_names, self.params))
 
     def to_json_dict(self):
         return {

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -44,6 +45,52 @@ def test_set_accepts_only_base_params(capsys, tmp_path, name):
     assert code == 2 and "$.set" in err
     code, shown, _ = run(capsys, "systems", "show", "carriage", "--set", "l=2")
     assert code == 0 and json.loads(shown)["params"]["l"] == 2.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_set_rejects_non_finite_values(capsys, tmp_path, value):
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "derive", "--system", "carriage", "--set",
+                       f"l={value}", "--samples", "2", "--out", str(out))
+    assert code == 2
+    assert "config error at $.set:" in err and "'l'" in err
+    assert not out.exists()
+
+
+def test_repeated_command_builds_nothing(capsys, tmp_path, monkeypatch):
+    # A second identical command reuses the frame and Lagrangian that the
+    # first one built (SystemDef.frame, SystemDef.lagrangian): it parses
+    # no text, walks no tree for a structure key and writes the same bytes.
+    import sys
+    from collections import OrderedDict
+
+    import framedyn.exprlang as exprlang
+    import framedyn.systems as systems
+
+    monkeypatch.setattr(systems, "_BUILT", OrderedDict())
+    counts = {"parse": 0, "_structure": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        real = getattr(exprlang, name)
+        for module in [m for k, m in sys.modules.items()
+                       if k.startswith("framedyn")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    argv = ["derive", "--system", "nonholonomic_particle", "--set",
+            "I3=1.375", "--samples", "6", "--seed", "2"]
+    assert run(capsys, *argv, "--out", str(a))[0] == 0
+    assert counts["parse"] > 0 and counts["_structure"] > 0
+    counts.update(parse=0, _structure=0)
+    assert run(capsys, *argv, "--out", str(b))[0] == 0
+    assert counts == {"parse": 0, "_structure": 0}
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_systems_show_requires_name(capsys):
@@ -302,6 +349,26 @@ class TestConsistencyCommand:
         assert len(built) == 1
         assert real() is not real()
 
+    @pytest.mark.parametrize("section,path", [
+        ('{"kind": "custom"}', "$.section.phi"),
+        ('{"kind": "custom", "phi": "x"}', "$.section.phi"),
+        ('{"kind": "custom", "phi": ["x", 2, "y"]}', "$.section.phi[1]"),
+        ('{"kind": "momentum_shifted", "k": [1, 2, 3]}', "$.section.k[0]"),
+        ('{"kind": "momentum_shifted", "k": null}', "$.section.k"),
+        ('{"kind": "bogus"}', "$.section.kind"),
+        ("[1]", "$.section.kind"),
+    ], ids=["custom_without_phi", "phi_string", "phi_number",
+            "k_numbers", "k_null", "unknown_kind", "list"])
+    def test_bad_section_is_config_error(self, capsys, tmp_path, section,
+                                         path):
+        out = tmp_path / "r.json"
+        code, _, err = run(capsys, "consistency", "--system", "carriage",
+                           "--section", section, "--samples", "2",
+                           "--out", str(out))
+        assert code == 2
+        assert f"config error at {path}:" in err
+        assert not out.exists()
+
 
 class TestCustomSystems:
     def _write_def(self, tmp_path, **overrides):
@@ -367,10 +434,13 @@ class TestCustomSystems:
         ({"sample_box": {"q": [[-1, 1]] * 3}}, (), "$.sample_box.v"),
         ({"builtin_k": [True]}, (), "$.builtin_k[0]"),
         ({}, ("--seed", "-3"), "$.seed"),
+        # json writes and reads NaN and Infinity
+        ({"params": {"g": math.nan}}, (), "$.params.g"),
+        ({"params": {"g": math.inf}}, (), "$.params.g"),
     ], ids=["coord_number", "coord_duplicate", "coord_is_default_velocity",
             "coord_is_velocity", "frame_true", "frame_null",
             "velocities_length", "sample_box_without_v", "builtin_k_true",
-            "negative_seed"])
+            "negative_seed", "param_nan", "param_inf"])
     def test_bad_entries_are_config_errors(self, capsys, tmp_path, overrides,
                                            argv, where):
         path = self._write_def(tmp_path, **overrides)
@@ -469,6 +539,8 @@ class TestRunConfig:
         ("consistency", "seed", True, "$.seed"),
         ("simulate", "params", {"l": True}, "$.params.l"),
         ("consistency", "params", {"l": True}, "$.params.l"),
+        ("derive", "params", {"l": math.nan}, "$.params.l"),
+        ("derive", "params", {"l": -math.inf}, "$.params.l"),
     ])
     def test_config_entries_must_be_numbers(self, capsys, tmp_path, command,
                                             field, value, path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -136,3 +137,72 @@ def test_every_builtin_verifies_its_chaplygin_structure(all_builtins):
                                bundle.sysd.chaplygin,
                                [bundle.states(20, seed=9)])
         assert rep["passed"]
+
+
+class TestBuiltOncePerProcess:
+    """SystemDef.frame and SystemDef.lagrangian return the object this
+    process already built for an identical definition."""
+
+    @staticmethod
+    def _sled(**changes):
+        base = SystemDef(
+            name="sled", n=3, m=2, coords=("x", "y", "s"),
+            vel_names=("u1", "u2", "u3"),
+            frame_exprs=[["1", "0", "0"], ["0", "1", "-sin(g*x)"],
+                         ["0", "0", "1"]],
+            lagrangian_expr="(u1*u1 + u2*u2)/2 + h*x",
+            params={"g": 1.25, "h": 0.5})
+        return dataclasses.replace(base, **changes)
+
+    def test_equal_definitions_share_frame_and_lagrangian(self):
+        a, b = builtin("carriage"), builtin("carriage")
+        assert a is not b and a.params is not b.params
+        assert a.frame() is b.frame()
+        assert a.lagrangian() is b.lagrangian()
+        assert self._sled().frame() is self._sled().frame()
+
+    @pytest.mark.parametrize("changes,new_frame,new_L", [
+        ({"frame_exprs": [["1", "0", "0"], ["0", "1", "-sin(g*x)"],
+                          ["0", "0", "2"]]}, True, False),
+        ({"params": {"h": 0.5, "g": 1.25}}, True, True),
+        ({"vel_names": ("u1", "u2", "w3")}, False, True),
+        ({"frame_exprs": [[1.0, "0", "0"], ["0", "1", "-sin(g*x)"],
+                          ["0", "0", "1"]]}, True, False),
+    ], ids=["frame_entry", "reordered_params", "renamed_velocity",
+            "number_for_text"])
+    def test_changed_definition_builds_anew(self, changes, new_frame, new_L):
+        base, other = self._sled(), self._sled(**changes)
+        assert (other.frame() is not base.frame()) == new_frame
+        assert (other.lagrangian() is not base.lagrangian()) == new_L
+
+    def test_signed_zero_parameter_builds_anew(self):
+        # 0.0 == -0.0, but the two frames' outputs can differ in sign
+        plus, minus = (builtin("carriage", {"l": x}) for x in (0.0, -0.0))
+        assert plus.frame() is not minus.frame()
+        assert plus.lagrangian() is not minus.lagrangian()
+        assert builtin("carriage", {"l": 0.0}).frame() is plus.frame()
+
+    def test_rebuilt_after_eviction_gives_equal_outputs(self):
+        from framedyn import (MomentumSection, NonholonomicField,
+                              consistency_report, systems)
+
+        sysd = builtin("carriage", {"l": 0.8125})
+
+        def outputs():
+            L, F, split = sysd.lagrangian(), sysd.frame(), sysd.split()
+            field = NonholonomicField(L, F, split)
+            s = sample_states(sysd, 12, seed=4)
+            rep = consistency_report(L, F, split,
+                                     MomentumSection(L, F, split), s)
+            return F, [field.gamma(s), field.multipliers(s),
+                       rep.weak_defect, rep.strong_defect,
+                       rep.tangency_defect]
+
+        first_frame, first = outputs()
+        for i in range(systems.BUILT_LIMIT + 1):
+            builtin("nonholonomic_particle", {"I3": 2.0 + i}).frame()
+        assert len(systems._BUILT) <= systems.BUILT_LIMIT
+        frame, again = outputs()
+        assert frame is not first_frame
+        for a, b in zip(first, again):
+            assert np.array_equal(a, b)

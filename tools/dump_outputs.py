@@ -40,7 +40,10 @@ and writes one array per output to OUT.npz:
 * the result of every op of the `trajectory`, `sweep` and `cli` benchmark
   workloads (bench/workloads.py) at seeds 1 and 5;
 * the exit code, stdout, stderr and output file of a set of `framedyn`
-  commands;
+  commands, run twice in one process: between the two passes, a command
+  on the knife edge and one with a `--set` override, so that the second
+  pass reuses the frames and Lagrangians built in the first (keys
+  `cli/again/...`);
 * `linsolve` called directly on seeded adversarial matrices of size 0 to
   6 (random, integer with ties and exact zeros, rank-deficient, holding a
   NaN, with a zero column), batched and one state at a time: `LU.of`'s
@@ -374,20 +377,35 @@ CLI_COMMANDS = (
 )
 
 
+# Run between the two passes over CLI_COMMANDS: a system that the set does
+# not use, and a --set value that it does not use.
+CLI_BETWEEN = (
+    ["derive", "--system", "<work>/knife_edge.json", "--samples", "20"],
+    ["consistency", "--system", "carriage", "--set", "l=0.75",
+     "--samples", "30"],
+)
+
+
 def _dump_cli(fd, out, work):
-    for i, argv in enumerate(CLI_COMMANDS):
-        target = work / f"cli{i}.out"
-        if argv[0] in ("consistency", "derive", "simulate"):
-            argv = argv + ["--out", str(target)]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), \
-                contextlib.redirect_stderr(stderr):
-            code = fd.cli.main(argv)
-        files = sorted(work.glob(f"cli{i}.out*"))
-        _flatten(f"cli/{i}:{' '.join(argv[:3])}", {
-            "code": code, "stdout": stdout.getvalue(),
-            "stderr": stderr.getvalue(),
-            "files": [f.read_text() for f in files]}, out, work)
+    (work / "knife_edge.json").write_text(json.dumps(
+        _workloads().KNIFE_EDGE))
+    for name, commands in (("cli", CLI_COMMANDS),
+                           ("cli/between", CLI_BETWEEN),
+                           ("cli/again", CLI_COMMANDS)):
+        stem = name.replace("/", "_")
+        for i, command in enumerate(commands):
+            argv = [a.replace("<work>", str(work)) for a in command]
+            if argv[0] in ("consistency", "derive", "simulate"):
+                argv += ["--out", str(work / f"{stem}{i}.out")]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                code = fd.cli.main(argv)
+            files = sorted(work.glob(f"{stem}{i}.out*"))
+            _flatten(f"{name}/{i}:{' '.join(command[:3])}", {
+                "code": code, "stdout": stdout.getvalue(),
+                "stderr": stderr.getvalue(),
+                "files": [f.read_text() for f in files]}, out, work)
 
 
 def _adversarial(rng, n, count):
