@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .exprlang import ExprError, ExprFunction
 from .frames import QuasiState
 from .integrator import (IntegratorConfig, drift_report, export_csv,
                          export_json, integrate)
@@ -29,7 +30,7 @@ from .nonholonomic import NonholonomicField
 from .systems import (BUILTIN_NAMES, SystemDef, builtin, sample_states,
                       velocity_names)
 from .vakonomic import (ShiftedMomentumSection, consistency_report,
-                        make_section)
+                        make_section, section_names)
 from .chaplygin import prop6_scalar
 
 DEFECT_TOL = 1e-9
@@ -175,12 +176,16 @@ def _parse_floats(text, want, path):
 SECTION_KINDS = ("zero", "momentum", "momentum_shifted", "custom")
 
 
-def _parse_section(text, count):
-    """The section document of --section or the config's section, checked:
-    an object of a known kind whose phi (custom) or k (momentum_shifted,
-    else "builtin") lists count expressions, one per constraint index."""
+def _parse_section(text, frame, split, builtin_k):
+    """The section document of --section or the config's section, checked,
+    and the trees of its expressions (None where it has none), for
+    make_section: an object of a known kind whose phi (custom) or k
+    (momentum_shifted, else "builtin", which the system must have) lists
+    one expression per constraint index, each parsed and resolved against
+    the section's names (vakonomic.section_names) and the frame's
+    parameters."""
     if text is None:
-        return {"kind": "momentum"}
+        return {"kind": "momentum"}, None
     spec = text
     if isinstance(text, str):
         text = text.strip()
@@ -200,11 +205,22 @@ def _parse_section(text, count):
     elif kind == "momentum_shifted" and spec.get("k", "builtin") != "builtin":
         path, exprs = "$.section.k", spec["k"]
     else:
-        return spec
+        _require(kind != "momentum_shifted" or builtin_k is not None,
+                 "$.section.kind", "this system has no built-in shift "
+                 "expressions; give k")
+        return spec, None
+    count = split.n_constraints
     _require(isinstance(exprs, list), path,
              f"expected a list of {count} expressions")
     _entries(exprs, count, path, str, "an expression")
-    return spec
+    names, params = section_names(frame, split), tuple(frame.params)
+    parsed = []
+    for i, expr in enumerate(exprs):
+        try:
+            parsed.append(ExprFunction(expr, names, params).expr)
+        except ExprError as exc:
+            raise ConfigError(f"{path}[{i}]", str(exc))
+    return spec, parsed
 
 
 _CONFIG_FIELDS = {
@@ -323,9 +339,10 @@ def cmd_consistency(args):
     _require(args.samples >= 1, "$.samples",
              f"need at least 1 sample, got {args.samples}")
     args.out = _resolve(args, run, "out")
-    spec = _parse_section(_resolve(args, run, "section"),
-                          split.n_constraints)
-    section = make_section(spec, L, F, split, builtin_k=sysd.builtin_k)
+    spec, parsed = _parse_section(_resolve(args, run, "section"), F, split,
+                                  sysd.builtin_k)
+    section = make_section(spec, L, F, split, builtin_k=sysd.builtin_k,
+                           parsed=parsed)
     states = sample_states(sysd, args.samples, seed=args.seed)
     rep = consistency_report(L, F, split, section, states)
     # max_abs propagates a NaN, which then fails its test

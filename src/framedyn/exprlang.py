@@ -26,6 +26,7 @@ from itertools import compress
 
 import numpy as np
 
+from .folding import fold, postfix_form, texts
 from .jets import FUNCTION_NAMES, TaylorValue, _is_scalar, taylor_fun
 
 __all__ = [
@@ -422,14 +423,18 @@ class Tape:
     inlined on one tape (kernel): each inlining renames every line of its
     body, and a renamed line whose text is already on the tape takes the
     earlier name, so a line that several of them need is emitted once.
-    live() marks the lines that a function's outputs read; released()
-    gives those lines with each temporary deleted after its last read;
-    function() lays a whole generated function out around them."""
+    A value on the tape is the text of a name, None for a structural zero
+    or a float for a generator constant (see kernel), and arithmetic on
+    them is folded where it is emitted (fold).  live() marks the lines
+    that a function's outputs read; released() gives those lines with each
+    temporary deleted after its last read; function() lays a whole
+    generated function out around them."""
 
     def __init__(self):
         self.lines = []
         self.names = {}
         self._templates = {}  # id(body) -> its template (_template)
+        self._postfix = {}  # line text -> its postfix form (folding)
 
     def temp(self, src):
         name = self.names.get(src)
@@ -438,11 +443,26 @@ class Tape:
             self.lines.append(f"    {name} = {src}")
         return name
 
+    def fold(self, src, names):
+        """The value of the expression src, each name in names standing for
+        its value on the tape (other names for themselves), folded
+        (folding.fold) and bound: None, a float, or a name, a temporary
+        where the folded text is not a name."""
+        postfix = self._postfix.get(src)
+        if postfix is None:
+            postfix = self._postfix[src] = postfix_form(src)
+        x = fold(postfix, names)
+        if x is None or type(x) is float:
+            return x
+        if type(x) is str:
+            return x if x.isidentifier() else self.temp(x)
+        return self.temp(x[0])
+
     def live(self, outputs):
-        """For each line, whether the output texts read it: a line is live
-        if its temporary is an output or a live line reads it.  The other
-        lines are dead, and a generated function leaves them out."""
-        need = set(_TEMP.findall(" ".join(outputs)))
+        """For each line, whether the output values read it: a line is
+        live if its temporary is an output or a live line reads it.  The
+        other lines are dead, and a generated function leaves them out."""
+        need = set(_TEMP.findall(" ".join(texts(outputs))))
         flags = []
         for line in reversed(self.lines):
             name, src = line[4:].split(" = ", 1)
@@ -461,7 +481,7 @@ class Tape:
         for i, line in enumerate(lines):
             for x in _TEMP.findall(line.split(" = ", 1)[1]):
                 last[x] = i
-        keep = set(keep)
+        keep = set(texts(keep))
         dead = [[] for _ in lines]
         for i, line in enumerate(lines):
             name = line[4:].split(" = ", 1)[0]
@@ -478,9 +498,9 @@ class Tape:
         """The generated function `name`(*args), bound by bind_source: it
         unpacks each argument named in inputs into the names given there,
         runs the released lines, those that the outputs read, and returns
-        one tuple per sequence of outputs (their texts), the tuple itself
-        when there is one."""
-        returned = ", ".join(f"({''.join(f'{x}, ' for x in p)})"
+        one tuple per sequence of outputs (their values as text, see
+        folding.texts), the tuple itself when there is one."""
+        returned = ", ".join(f"({''.join(f'{x}, ' for x in texts(p))})"
                              for p in outputs)
         source = "\n".join(
             [f"def {name}({', '.join(args)}):"]
@@ -491,14 +511,20 @@ class Tape:
         return bind_source(source, name, filename)
 
     def kernel(self, kernels, k, values, dirs, params, count=None):
-        """The slot texts of the kernel of the first `count` expressions of
-        kernels (a Kernels) along k directions, inlined at the leaf texts
-        given: values and each of the k directions follow its variables,
-        and params names the sequence of its parameters.  Each line of the
-        kernel's body (kernel_body) is copied with its leaf names (v[i],
-        d{d}[i], p[j]) and temporaries renamed and bound by temp; a line
-        whose text reduces to a name is not emitted, that name stands for
-        it.  A structural zero is "0.0"."""
+        """The slot values of the kernel of the first `count` expressions
+        of kernels (a Kernels) along k directions, inlined at the leaf
+        values given: values and each of the k directions follow its
+        variables, and params names the sequence of its parameters.  A
+        leaf value is the text of a name, None for a structural zero (the
+        zero base part of a vertical lift, the entries of a probe other
+        than its 1.0) or a float for a generator constant (a probe's 1.0).
+        Each line of the kernel's body (kernel_body) is copied with its
+        leaf names (v[i], d{d}[i], p[j]) and temporaries renamed and bound
+        by temp; a line whose text reduces to a name is not emitted, that
+        name stands for it.  A line that reads a structural zero or a
+        generator constant is folded instead (fold): it is not emitted
+        where it folds to one, so a slot that comes out all zero is None,
+        as is a slot that the body marks as structurally zero."""
         body = kernel_body(kernels, k, count)
         template = self._templates.get(id(body))
         if template is None:
@@ -509,10 +535,15 @@ class Tape:
             names[f"v[{i}]"] = x
             for d, w in enumerate(dirs):
                 names[f"d{d}[{i}]"] = w[i]
-        for name, first, pairs in template:
-            src = first + "".join([names[x] + text for x, text in pairs])
-            names[name] = src if src.isidentifier() else self.temp(src)
-        return ["0.0" if s is None else names[s] for s in body[1]]
+        for name, first, pairs, src in template:
+            try:
+                text = first + "".join([names[x] + t for x, t in pairs])
+            except TypeError:  # a name stands for None or a float
+                names[name] = (names[src] if src in names  # a lone name
+                               else self.fold(src, names))
+                continue
+            names[name] = text if text.isidentifier() else self.temp(text)
+        return [None if s is None else names[s] for s in body[1]]
 
 
 # The names in a kernel body: its temporaries and its leaves.
@@ -522,14 +553,14 @@ _TEMP = re.compile(r"\bt\d+\b")
 
 def _template(lines):
     """The lines of a kernel body split at their names, for Tape.kernel:
-    each as (name, first, pairs), its text being first followed by
-    name + text for each pair."""
+    each as (name, first, pairs, src), its text src being first followed
+    by name + text for each pair."""
     template = []
     for line in lines:
         name, src = line[4:].split(" = ", 1)
         parts = _NAME.split(src)
         template.append((name, parts[0], tuple(zip(parts[1::2],
-                                                   parts[2::2]))))
+                                                   parts[2::2])), src))
     return template
 
 

@@ -354,7 +354,7 @@ def _generate_brackets(fk, n):
     X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
     # D[i][j * n + c] = ((DX_j) X_i)^c
     D = [tape.kernel(fk, 1, q, [X[i]], "fp")[1::2] for i in range(n)]
-    B = [tape.temp(f"{D[i][j * n + c]} - {D[j][i * n + c]}")
+    B = [tape.fold("a - b", {"a": D[i][j * n + c], "b": D[j][i * n + c]})
          for c in range(n) for i in range(n) for j in range(i + 1, n)]
     return tape.function("_brackets", ["q", "fp", "M"],
                          {"q": q, "M": sum(X, [])}, [B], f"<brackets n={n}>")

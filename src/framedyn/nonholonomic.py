@@ -31,6 +31,7 @@ import numpy as np
 from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
                        _gathered, _guarded, _stacked, bind_source, generated,
                        run)
+from .folding import texts
 from .frames import (FAST_FRAME_DET, TangentPoint, _brackets, base_velocity,
                      contract_structure, structure_from_matrix)
 from .lagrangian import energy, hessian_regularity
@@ -91,9 +92,10 @@ def _generate_field(fk, lk, n, m, zeros):
         u = [temp(f"{x} + v{a}*{y}") for x, y in zip(u, rows[a])]
     D = tape.kernel(fk, 1, q, [u], "fp", m * n)[1::2]
     D = [D[a * n:(a + 1) * n] for a in range(m)]
-    for a in range(m):
-        h = [temp(f"{x} + v{a}*{y}") for x, y in zip(h, D[a])]
-    zq = ["0.0"] * n
+    for a in range(m):  # a structurally zero entry of D_a adds no term
+        h = [x if y is None else temp(f"{x} + v{a}*{y}")
+             for x, y in zip(h, D[a])]
+    zq = [None] * n  # the base part of a vertical lift: a structural zero
     g = [None] * (m * m)
     for a in range(m):
         for b in range(a, m):
@@ -101,12 +103,13 @@ def _generate_field(fk, lk, n, m, zeros):
                                                      (zq, rows[b]))
     clift = [lagrangian(1, (rows[a], D[a])) for a in range(m)]
     corr = [lagrangian(1, (zq, D[a])) for a in range(m)]
-    rhs = [temp(f"{clift[a]} - ({lagrangian(2, (zq, rows[a]), (u, h))} + "
-                f"{corr[a]})") for a in range(m)]
+    rhs = [tape.fold("c - (d + e)", {
+        "c": clift[a], "d": lagrangian(2, (zq, rows[a]), (u, h)),
+        "e": corr[a]}) for a in range(m)]
     live = tape.live(X + u + sum(D, []) + h + g + rhs + clift + corr)
 
     def seq(p):
-        return f"({''.join(f'{x}, ' for x in p)})"
+        return f"({''.join(f'{x}, ' for x in texts(p))})"
 
     pieces = ", ".join(["M"] + [seq(p) for p in (u, sum(D, []), h)]
                        + ["g", "rhs"] + [seq(p) for p in (clift, corr)])
@@ -211,7 +214,7 @@ def _generate_lifts(fk, lk, n, m):
     tape = Tape()
     q, u = [f"q{i}" for i in range(n)], [f"u{i}" for i in range(n)]
     X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
-    zq = ["0.0"] * n
+    zq = [None] * n  # the base part of a vertical lift: a structural zero
 
     def lagrangian(k, *dirs):
         return tape.kernel(lk, k, q + u, [dq + du for dq, du in dirs],
@@ -242,7 +245,7 @@ def _generate_epsilon(lk, n, indices):
     tape = Tape()
     q, u, w = ([f"{x}{i}" for i in range(n)] for x in "quw")
     X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
-    rates = [tape.kernel(lk, 2, q + u, [["0.0"] * n + X[a], u + w],
+    rates = [tape.kernel(lk, 2, q + u, [[None] * n + X[a], u + w],
                          "lp")[3] for a in indices]
     return tape.function("_epsilon", ["x", "lp"],
                          {"x": q + u + sum(X, []) + w}, [rates],
@@ -263,7 +266,7 @@ def _generate_chart(kernels, m):
     q, v, u, g = ([f"{x}{i}" for i in range(n)] for x in "qvug")
     X, c = ([[f"{x}{a}_{j}" for j in range(n)] for a in range(m)]
             for x in "Xc")
-    zero = ["0.0"] * n
+    zero = [None] * n  # the fibre probe w and the zero halves
 
     def jet(k, *dirs):
         return tape.kernel(kernels, k, q + v + zero,
@@ -272,7 +275,7 @@ def _generate_chart(kernels, m):
 
     slots = []
     for a in range(m):
-        e = zero[:a] + ["1.0"] + zero[a + 1:]
+        e = zero[:a] + [1.0] + zero[a + 1:]
         slots += [jet(2, (zero, e), (u, g[:m] + zero[m:])),
                   jet(1, (X[a], zero)), jet(1, (zero, c[a]))]
     inputs = q + v + u + g[:m] + sum(X, []) + sum(c, [])

@@ -4,14 +4,17 @@ In the chart (q, v) of a frame, L(q, u) becomes the composite
 L(q, X(q)^T v).  It is built once per (Lagrangian, frame) pair as one
 expression, each velocity u^j of L replaced by v^1 X_1^j(q) + ... +
 v^n X_n^j(q) + w^j (summed left to right, v first in each product; w is a
-fibre probe held at zero), and compiled into one kernel.  A unit direction
-in w^i gives the jets of the velocity partial dL/du^i.
+fibre probe held at zero).  A unit direction in w^i gives the jets of the
+velocity partial dL/du^i.
 
-The kernel runs through the numpy binding on per-coordinate columns (0-d
-arrays at a single point).  It repeats the Taylor arithmetic that forms u
-from the frame's coefficient jets and walks L over it, without the
-structurally zero terms, so its slots equal that reference (kept in the
-tests) under ==; only the sign of an exact zero can differ.
+The jets and the partials come from generated functions that inline the
+composite's kernel body with w a structural zero (docs/exprlang.md,
+"Structural zeros"), so they take q and v only.  They run through the
+numpy binding on per-coordinate columns (0-d arrays at a single point).
+They repeat the Taylor arithmetic that forms u from the frame's
+coefficient jets and walks L over it, without the structurally zero
+terms, so their slots equal that reference (kept in the tests) under ==;
+only the sign of an exact zero can differ.
 """
 
 from __future__ import annotations
@@ -58,26 +61,46 @@ def _fibre_source(fn, n, ndirs):
     """The one generated function of the n velocity partials of a
     composite fn along ndirs directions: f(vals, params, *dirs) -> for each
     i in turn, the slots of fn's kernel along the directions and a last,
-    probe direction w^i = 1 that carry the probe.  The kernel is inlined
-    once per probe on one Tape, so its lines that no probe reaches are
-    emitted once.  Shared by every composite of the same structure."""
-    return generated("fibre", _generate_fibre, fn.kernel, n, ndirs)
+    probe direction w^i = 1 that carry the probe.  vals and each direction
+    follow q and v; w and its directions are structural zeros, the probe's
+    entries too, but for its 1.0.  The kernel is inlined once per probe on
+    one Tape, so its lines that no probe reaches are emitted once.  Shared
+    by every composite of the same structure."""
+    return generated("fibre", _generate_chart_point, fn.kernel, n, ndirs,
+                     True)
 
 
-def _generate_fibre(kernels, n, ndirs):
+def _composite_source(fn, n, ndirs):
+    """The one generated function of the jets of a composite fn along
+    ndirs directions: f(vals, params, *dirs) -> the slots of fn's kernel,
+    vals and each direction following q and v, with w and its directions
+    structural zeros.  Shared by every composite of the same structure."""
+    return generated("composite", _generate_chart_point, fn.kernel, n,
+                     ndirs, False)
+
+
+def _generate_chart_point(kernels, n, ndirs, probes):
+    """The function of _fibre_source (probes) or of _composite_source."""
     tape = Tape()
-    x = [f"x{j}" for j in range(3 * n)]
-    dirs = [[f"d{d}_{j}" for j in range(3 * n)] for d in range(ndirs)]
-    slots = []
-    for i in range(n):
-        probe = ["0.0"] * (3 * n)
-        probe[2 * n + i] = "1.0"
-        slots += tape.kernel(kernels, ndirs + 1, x, dirs + [probe],
-                             "p")[1 << ndirs:]
+    zero = [None] * n  # w and its directions
+    x = [f"x{j}" for j in range(2 * n)]
+    dirs = [[f"d{d}_{j}" for j in range(2 * n)] for d in range(ndirs)]
+    if probes:
+        slots = []
+        for i in range(n):
+            probe = [None] * (3 * n)
+            probe[2 * n + i] = 1.0
+            slots += tape.kernel(kernels, ndirs + 1, x + zero,
+                                 [d + zero for d in dirs] + [probe],
+                                 "p")[1 << ndirs:]
+    else:
+        slots = tape.kernel(kernels, ndirs, x + zero,
+                            [d + zero for d in dirs], "p")
     names = [f"d{d}" for d in range(ndirs)]
-    return tape.function("_fibre", ["v", "p"] + names,
-                         {"v": x, **dict(zip(names, dirs))}, [slots],
-                         f"<fibre n={n} k={ndirs}>")
+    return tape.function(
+        "_fibre" if probes else "_composite", ["v", "p"] + names,
+        {"v": x, **dict(zip(names, dirs))}, [slots],
+        f"<{'fibre' if probes else 'composite'} n={n} k={ndirs}>")
 
 
 class QvChartPoint:
@@ -95,21 +118,21 @@ class QvChartPoint:
         self.dirs = list(dirs)
         self.ndirs = len(self.dirs)
         shape = q.shape[:-1]
-        w = [0.0] * frame.n
-        self.cols = _columns((q, v), shape) + w
-        self.dir_cols = [_columns(d, shape) + w for d in self.dirs]
+        self.cols = _columns((q, v), shape)
+        self.dir_cols = [_columns(d, shape) for d in self.dirs]
         self._partials = {}  # L -> the n velocity partials
 
-    def _run(self, L, dirs):
+    def _run(self, L, source):
         # the numpy binding also at a single point, on 0-d columns, so that
         # functions of the coordinates round there as they do in a batch
         fn, params = _composite(L, self.frame)
-        return _guarded(fn.kernel(len(dirs)).batched, self.cols, params,
-                        *dirs)
+        return _guarded(source(fn, self.frame.n, self.ndirs).batched,
+                        self.cols, params, *self.dir_cols)
 
     def eval(self, L):
-        """TaylorValue of the composite along the directions."""
-        return TaylorValue(self.ndirs, self._run(L, self.dir_cols))
+        """TaylorValue of the composite along the directions, from one call
+        of the composite function (_composite_source)."""
+        return TaylorValue(self.ndirs, self._run(L, _composite_source))
 
     def eval_fibre_partial(self, L, i):
         """TaylorValue of dL/du^i (as a chart function) along the directions:
@@ -118,9 +141,7 @@ class QvChartPoint:
         function (_fibre_source)."""
         partials = self._partials.get(L)
         if partials is None:
-            fn, params = _composite(L, self.frame)
-            fibre = _fibre_source(fn, self.frame.n, self.ndirs).batched
-            slots = _guarded(fibre, self.cols, params, *self.dir_cols)
+            slots = self._run(L, _fibre_source)
             size = 1 << self.ndirs
             partials = self._partials[L] = [
                 TaylorValue(self.ndirs, slots[j:j + size])

@@ -87,20 +87,30 @@ class ZeroSection(Section):
         return None
 
 
+def section_names(frame, split):
+    """The variables of a section expression: the coordinates and
+    v1..vm."""
+    return frame.coords + tuple(f"v{i + 1}" for i in range(split.m))
+
+
 class CustomSection(Section):
-    """phi_a given as expressions in the coordinates and v1..vm."""
+    """phi_a given as expressions in the coordinates and v1..vm.  parsed,
+    when given, holds the trees of exprs, already resolved against
+    section_names and the parameters (the CLI parses them to report a bad
+    one by its path), so that nothing is parsed twice."""
 
     kind = "custom"
 
-    def __init__(self, frame, split, exprs, params=None):
+    def __init__(self, frame, split, exprs, params=None, parsed=None):
         super().__init__(frame, split)
         if len(exprs) != split.n_constraints:
             raise ValueError("need one expression per constraint index")
-        self.names = frame.coords + tuple(f"v{i + 1}" for i in range(split.m))
+        self.names = section_names(frame, split)
         self.phi = list(exprs)  # as given, for describe
         self.params = dict(frame.params if params is None else params)
-        self.exprs = [ExprFunction(e, self.names, tuple(self.params)).expr
-                      for e in exprs]
+        self.exprs = (list(parsed) if parsed is not None else
+                      [ExprFunction(e, self.names, tuple(self.params)).expr
+                       for e in exprs])
         self._pvals = tuple(float(x) for x in self.params.values())
         self._kernels = Kernels(self.exprs, self.names, tuple(self.params))
 
@@ -162,9 +172,9 @@ class ShiftedMomentumSection(MomentumSection):
 
     kind = "momentum_shifted"
 
-    def __init__(self, L, frame, split, k_exprs, params=None):
+    def __init__(self, L, frame, split, k_exprs, params=None, parsed=None):
         super().__init__(L, frame, split)
-        self.shift = CustomSection(frame, split, k_exprs, params)
+        self.shift = CustomSection(frame, split, k_exprs, params, parsed)
 
     def taylor(self, q, v_alpha, dirs):
         base = MomentumSection.taylor(self, q, v_alpha, dirs)
@@ -179,8 +189,9 @@ class ShiftedMomentumSection(MomentumSection):
         return {"kind": self.kind, "k": [str(e) for e in self.shift.phi]}
 
 
-def make_section(spec, L, frame, split, builtin_k=None):
-    """Build a section from a config mapping {'kind': ..., ...}."""
+def make_section(spec, L, frame, split, builtin_k=None, parsed=None):
+    """Build a section from a config mapping {'kind': ..., ...}; parsed,
+    when given, holds the trees of its phi or k (CustomSection)."""
     if isinstance(spec, str):
         spec = {"kind": spec}
     kind = spec.get("kind")
@@ -195,9 +206,9 @@ def make_section(spec, L, frame, split, builtin_k=None):
                 raise ValueError(
                     "this system has no built-in shift expressions")
             k = builtin_k
-        return ShiftedMomentumSection(L, frame, split, k)
+        return ShiftedMomentumSection(L, frame, split, k, parsed=parsed)
     if kind == "custom":
-        return CustomSection(frame, split, spec["phi"])
+        return CustomSection(frame, split, spec["phi"], parsed=parsed)
     raise ValueError(f"unknown section kind {kind!r}")
 
 

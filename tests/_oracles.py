@@ -491,14 +491,20 @@ def chart_jets_reference(field, ctx, v, gamma, C):
 
 
 def fibre_partial_reference(pt, L, i):
-    """QvChartPoint.eval_fibre_partial by one run of the composite's kernel
-    per partial, with the probe direction w^i = 1 appended."""
+    """QvChartPoint.eval_fibre_partial by one run of the composite's
+    compiled kernel per partial, w and its directions 0.0, with the probe
+    direction w^i = 1 appended."""
+    from framedyn.exprlang import _guarded
     from framedyn.jets import TaylorValue
+    from framedyn.quasichart import _composite
 
     n = pt.frame.n
+    fn, params = _composite(L, pt.frame)
+    w = [0.0] * n
     probe = [0.0] * (3 * n)
     probe[2 * n + i] = 1.0
-    slots = pt._run(L, pt.dir_cols + [probe])
+    slots = _guarded(fn.kernel(pt.ndirs + 1).batched, pt.cols + w, params,
+                     *[d + w for d in pt.dir_cols], probe)
     return TaylorValue(pt.ndirs, slots[1 << pt.ndirs:])
 
 

@@ -349,20 +349,31 @@ class TestConsistencyCommand:
         assert len(built) == 1
         assert real() is not real()
 
-    @pytest.mark.parametrize("section,path", [
-        ('{"kind": "custom"}', "$.section.phi"),
-        ('{"kind": "custom", "phi": "x"}', "$.section.phi"),
-        ('{"kind": "custom", "phi": ["x", 2, "y"]}', "$.section.phi[1]"),
-        ('{"kind": "momentum_shifted", "k": [1, 2, 3]}', "$.section.k[0]"),
-        ('{"kind": "momentum_shifted", "k": null}', "$.section.k"),
-        ('{"kind": "bogus"}', "$.section.kind"),
-        ("[1]", "$.section.kind"),
+    @pytest.mark.parametrize("system,section,path", [
+        ("carriage", '{"kind": "custom"}', "$.section.phi"),
+        ("carriage", '{"kind": "custom", "phi": "x"}', "$.section.phi"),
+        ("carriage", '{"kind": "custom", "phi": ["x", 2, "y"]}',
+         "$.section.phi[1]"),
+        ("carriage", '{"kind": "momentum_shifted", "k": [1, 2, 3]}',
+         "$.section.k[0]"),
+        ("carriage", '{"kind": "momentum_shifted", "k": null}',
+         "$.section.k"),
+        ("carriage", '{"kind": "bogus"}', "$.section.kind"),
+        ("carriage", "[1]", "$.section.kind"),
+        ("carriage", '{"kind": "custom", "phi": ["x+", "0", "0"]}',
+         "$.section.phi[0]"),
+        ("carriage", '{"kind": "custom", "phi": ["zz", "0", "0"]}',
+         "$.section.phi[0]"),
+        ("carriage", '{"kind": "momentum_shifted", "k": ["0", "v1", "q"]}',
+         "$.section.k[2]"),
+        ("vertical_disk", "momentum_shifted", "$.section.kind"),
     ], ids=["custom_without_phi", "phi_string", "phi_number",
-            "k_numbers", "k_null", "unknown_kind", "list"])
-    def test_bad_section_is_config_error(self, capsys, tmp_path, section,
-                                         path):
+            "k_numbers", "k_null", "unknown_kind", "list", "phi_syntax",
+            "phi_unbound", "k_unbound", "no_builtin_k"])
+    def test_bad_section_is_config_error(self, capsys, tmp_path, system,
+                                         section, path):
         out = tmp_path / "r.json"
-        code, _, err = run(capsys, "consistency", "--system", "carriage",
+        code, _, err = run(capsys, "consistency", "--system", system,
                            "--section", section, "--samples", "2",
                            "--out", str(out))
         assert code == 2

@@ -319,3 +319,133 @@ def test_domain_faults_in_lift_and_bracket_sources(route, monkeypatch):
         want = _raised(call)
         assert type(got[name]) is type(want) is EvalDomainError, name
         assert str(got[name]) == str(want), name
+
+
+# A system whose L and frame hold no literal 0 or 1: every zero and every
+# 1.0 in its generated sources would be one that a generator put there.
+DENSE_SYSTEM = {
+    "name": "dense", "n": 3, "m": 2, "coords": ["x", "y", "z"],
+    "frame": [["2 + cos(z)", "sin(z)", "x*y"],
+              ["sin(x)", "3 + cos(x)", "y*z"],
+              ["x*z", "y*x", "2 + sin(y)"]],
+    "lagrangian": "(2 + sin(y))*u1*u1/2 + (3 + cos(z))*u2*u2/2 + x*u3*u3/2"
+                  " + x*y*u1*u2 + z*u2*u3 + cos(x)*u1*u3 - y*z",
+}
+
+
+def test_no_structural_zero_is_emitted():
+    # Structural zeros (the base part of a vertical lift, the probe w and
+    # the probe's entries but its 1.0) are folded where a line is emitted:
+    # no product with a generator's zero or 1.0 is formed, no zero term is
+    # added, and no all-zero slot is returned as 0.0.
+    import re
+
+    from framedyn.quasichart import _composite_source
+    from framedyn.systems import SystemDef
+
+    sysd = SystemDef.from_json_dict(DENSE_SYSTEM)
+    L, frame, split = sysd.lagrangian(), sysd.frame(), sysd.split()
+    fn = _composite(L, frame)[0]
+    sources = (_sources(L, frame, split) + _epsilon_sources(L, split)
+               + [_composite_source(fn, frame.n, k) for k in range(3)])
+    for source in sources:
+        text = source.__source__
+        numbers = re.findall(r"(?<![\w.])\d+\.\d*(?:e[-+]?\d+)?", text)
+        assert all(float(x) != 0.0 for x in numbers), text
+        assert not re.search(r"\*\s*1\.0(?![\d])|(?<![\w.])1\.0\s*\*", text), (
+            text)
+
+
+def test_user_literals_keep_their_semantics_on_generated_routes():
+    # The literals 0 and -0.0 of a frame entry and of L are never folded:
+    # 0*x is NaN at x = NaN, and a literal zero keeps its sign, on the
+    # scalar and the batched field, lift and fibre routes as on the
+    # piecewise oracles.  Two differences from the oracles are by design
+    # (docs/exprlang.md, "Structural zeros"): an exact zero that a dropped
+    # structural term would have summed may change sign, so signs are
+    # compared on the frame's literal entries and their derivatives (M and
+    # the rows D), where no structural zero enters; and a structural zero
+    # times NaN, which the oracles form with a zero array, stays zero, so
+    # at x = NaN every NaN of a generated route is NaN on the oracle, and
+    # the outputs the oracle leaves finite are ==.
+    from framedyn import ConstraintSplit, Frame, Lagrangian
+    from framedyn.frames import SingularFrameError
+    from framedyn.lagrangian import clift_at, hessian_rows, vlift_at
+    from framedyn.nonholonomic import _field_function, _lift_function
+
+    from _oracles import StateContextReference, fibre_partial_reference
+    from test_nonholonomic import _raised
+
+    coords = ("x", "y", "z")
+    frame = Frame([["1", "0*x", "y"], ["-0.0", "1", "z"], ["0", "0", "1"]],
+                  coords)
+    L = Lagrangian("(u1*u1 + u2*u2 + u3*u3)/2 + 0*x*u1*u2 + -0.0*u3",
+                   coords, ("u1", "u2", "u3"))
+    split = ConstraintSplit(3, 2)
+    q = np.array([[-0.5, 0.3, -0.2], [0.7, -0.4, 0.9], [np.nan, 0.1, 0.2]])
+    v = np.array([[0.4, -0.6, 0.0], [-0.8, -0.1, 0.0], [0.3, 0.2, 0.0]])
+
+    def same(got, want, signs=False):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, float)
+        nan = np.isnan(got)
+        assert got.shape == want.shape
+        assert not finite or not np.any(np.isnan(want))
+        assert np.all(np.isnan(want) | ~nan)  # a NaN here is one there
+        kept = ~np.isnan(want)
+        assert np.array_equal(got[kept], want[kept])
+        if signs:
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        return nan
+
+    rows = [(q[:2], v[:2]), (q, v)] + [(q[i], v[i]) for i in range(3)]
+    for qs, vs in rows:
+        finite = bool(np.all(np.isfinite(qs)))
+        # field route, against the piecewise assembly; at x = NaN both
+        # raise, since the literal 0*x makes M NaN
+        s = QuasiState(qs, vs)
+        field = _field_function(L, frame, split)
+        if not finite:
+            with np.errstate(invalid="ignore"):  # LAPACK's det of NaN
+                got = _raised(lambda: field(QuasiState(qs, vs)))
+                want = _raised(
+                    lambda: StateContextReference(L, frame, split, s))
+            assert type(got) is type(want) is SingularFrameError
+            M = frame.matrix(qs)
+            u = np.einsum("...a,...aj->...j", vs[..., :2], M[..., :2, :])
+        else:
+            M, u, D, h, g, rhs, clift, *_ = field(s)
+            ref = StateContextReference(L, frame, split, s)
+            same(np.reshape(M, ref.M.shape), ref.M, signs=True)
+            same(u, ref.u)
+            D = np.asarray(D, dtype=float).reshape(ref.D.shape)
+            same(D, ref.D, signs=True)
+            for got, want in ((h, ref.h), (rhs, ref.rhs)):
+                same(np.asarray(got, dtype=float).reshape(want.shape), want)
+            same(np.asarray(g, dtype=float).reshape(ref.g.shape), ref.g)
+            same(np.asarray(clift, dtype=float).reshape(
+                ref.rhs.shape), np.stack([ref.clift(a) for a in range(2)],
+                                         axis=-1))
+            M, u = ref.M, ref.u
+        # lift route, against the lift formulas one kernel call each
+        lifts = _lift_function(L, frame, split)(qs, u, M)
+        Dn = frame.dfields(qs, u, 3)
+        H = hessian_rows(L.taylor, qs, u, M)
+        nans = [same(lifts.D, Dn[..., 2:, :], signs=finite),
+                same(lifts.H, np.stack([H[..., a, b] for a in range(3)
+                                        for b in range(max(a, 2), 3)])),
+                same(lifts.vlift, np.stack([vlift_at(L, qs, u, M[..., a, :])
+                                            for a in range(3)])),
+                same(lifts.clift, np.stack([clift_at(
+                    L, qs, u, M[..., 2, :], Dn[..., 2, :])])),
+                same(lifts.corr, np.stack([vlift_at(L, qs, u,
+                                                    Dn[..., 2, :])]))]
+        # fibre route, against one run of the composite's kernel a partial
+        for k in range(3):
+            dirs = [(np.full(qs.shape, 0.3 * (d + 1)),
+                     np.full(qs.shape, -0.2 * (d + 1))) for d in range(k)]
+            pt = QvChartPoint(frame, qs, vs, dirs)
+            nans += [same(pt.eval_fibre_partial(L, i).c,
+                          fibre_partial_reference(pt, L, i).c)
+                     for i in range(3)]
+        # the literal 0*x is not folded: NaN at x = NaN, finite elsewhere
+        assert any(np.any(n) for n in nans) == (not finite)

@@ -66,7 +66,10 @@ text of a generated source keeps every digest.
 same dtype, the same shape and values equal under `np.array_equal` (NaN
 equal to NaN); two `.json` code dumps it checks filename by filename, the
 multiset of digests of each.  It prints every difference and exits 1 if
-there is one.
+there is one.  For a text output that differs it also prints the first
+differing line and says whether every differing cell (lines split at
+commas) parses to an equal float, as where only the sign of a zero moved;
+such an output still counts as a difference.
 """
 
 from __future__ import annotations
@@ -562,6 +565,43 @@ def _compare_codes(a_path, b_path):
     return 1 if problems else 0
 
 
+def _text_difference(a, b):
+    """Where two texts differ: their first differing line, and whether every
+    differing cell (lines split at commas) parses to an equal float, that
+    is, the texts differ only in the sign of zeros."""
+    a, b = a.splitlines(), b.splitlines()
+    first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                 min(len(a), len(b)))
+    x, y = (lines[first] if first < len(lines) else "<end of text>"
+            for lines in (a, b))
+    cells = _equal_float_cells(a, b)
+    verdict = (f"every differing cell ({cells}) parses to an equal float: "
+               "a sign-of-zero move" if cells is not None
+               else "some differing cell is not an equal float")
+    return f"first differing line {first + 1}: {x!r} != {y!r}; {verdict}"
+
+
+def _equal_float_cells(a, b):
+    """The number of cells (lines split at commas) in which the lines a and
+    b differ, if each such cell parses to an equal float; else None."""
+    if len(a) != len(b):
+        return None
+    count = 0
+    for x, y in zip(a, b):
+        xs, ys = x.split(","), y.split(",")
+        if len(xs) != len(ys):
+            return None
+        for u, v in zip(xs, ys):
+            if u != v:
+                try:
+                    if float(u) != float(v):
+                        return None
+                except ValueError:
+                    return None
+                count += 1
+    return count
+
+
 def compare(a_path, b_path):
     if a_path.endswith(".json"):
         return _compare_codes(a_path, b_path)
@@ -570,7 +610,11 @@ def compare(a_path, b_path):
     problems += [f"only in {b_path}: {k}" for k in sorted(set(b) - set(a))]
     for key in sorted(set(a) & set(b)):
         x, y = a[key], b[key]
-        if x.dtype != y.dtype or x.shape != y.shape:
+        if x.dtype.kind == y.dtype.kind == "U" and x.shape == y.shape == ():
+            if x != y:
+                problems.append(f"{key}: text differs; "
+                                f"{_text_difference(str(x), str(y))}")
+        elif x.dtype != y.dtype or x.shape != y.shape:
             problems.append(f"{key}: {x.dtype}{x.shape} != {y.dtype}{y.shape}")
         elif not np.array_equal(x, y, equal_nan=x.dtype.kind in "fc"):
             problems.append(f"{key}: values differ")
