@@ -23,7 +23,7 @@ from .frames import (
     change_of_D_basis, jacobi_residual,
 )
 from .lagrangian import (
-    Lagrangian, QuasiVelocityFunction, RegularityReport,
+    Lagrangian, RegularityReport,
     vlift_deriv, clift_deriv, hessian, energy, regularity,
 )
 from .nonholonomic import NonholonomicField, RegularityError

@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .exprlang import ExprError, ExprFunction
 from .frames import QuasiState
-from .integrator import (IntegratorConfig, drift_report, export_csv,
-                         export_json, integrate)
+from .integrator import (IntegratorConfig, csv_text, drift_report,
+                         export_csv, export_json, integrate, json_text)
 from .linsolve import max_abs
 from .nonholonomic import NonholonomicField
 from .systems import (BUILTIN_NAMES, SystemDef, builtin, sample_states,
@@ -280,7 +280,11 @@ def _report_header(sysd, args):
 
 
 def _write_report(doc, out):
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    _write(json_text(doc, sort_keys=True) + "\n", out)
+
+
+def _write(text, out):
+    """text to the file out, else to stdout."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -363,12 +367,12 @@ def cmd_consistency(args):
         "max_weak_defect": weak,
         "max_strong_defect": strong,
         "max_tangency_defect": tang,
-        "weak_defect": rep.weak_defect.tolist(),
-        "strong_defect": rep.strong_defect.tolist(),
-        "tangency_defect": rep.tangency_defect.tolist(),
+        "weak_defect": rep.weak_defect,
+        "strong_defect": rep.strong_defect,
+        "tangency_defect": rep.tangency_defect,
     })
     if sysd.chaplygin is not None:
-        doc["prop6_scalar"] = prop6_scalar(L, F, split, states).tolist()
+        doc["prop6_scalar"] = prop6_scalar(L, F, split, states)
     if isinstance(section, ShiftedMomentumSection):
         from .chaplygin import gamma_k_residual
         check = gamma_k_residual(L, F, split, section, [states])
@@ -410,24 +414,14 @@ def cmd_derive(args):
              + [f"lambda{a+1}" for a in range(split.m, split.n)]
              + ["energy"]
              + [f"p{a+1}" for a in range(split.m, split.n)])
-    lines = [",".join(names)]
+    table = np.empty((0, len(names)))
     if len(pts):
         states = QuasiState.on_C(pts[:, :sysd.n], pts[:, sysd.n:], split)
-        gam = field.gamma(states)
-        lam = field.multipliers(states)
         ctx = field._context(states)
-        E = ctx.energy()
-        moms = [ctx.vlift(a) for a in range(split.m, split.n)]
-        for i in range(len(pts)):
-            row = (list(pts[i]) + list(gam[i]) + list(lam[i]) + [E[i]]
-                   + [mm[i] for mm in moms])
-            lines.append(",".join(f"{x:.17g}" for x in row))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        table = np.column_stack(
+            [pts, field.gamma(states), field.multipliers(states), ctx.energy()]
+            + [ctx.vlift(a) for a in range(split.m, split.n)])
+    _write(csv_text(names, table), args.out)
     return 0
 
 
@@ -437,7 +431,7 @@ def cmd_systems(args):
             print(name)
         return 0
     sysd = _load_system(args.name, {}, _parse_set(args.set))
-    print(json.dumps(sysd.to_json_dict(), indent=1, sort_keys=True))
+    _write_report(sysd.to_json_dict(), None)
     return 0
 
 

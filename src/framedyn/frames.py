@@ -141,10 +141,6 @@ class VectorField:
         self._kernel = Kernels([c.expr for c in comps], self.coords,
                                self._pnames)
 
-    @property
-    def n(self):
-        return len(self.components)
-
     def values(self, q):
         return _derivative(self._kernel(0), q, self._pvals, ())
 

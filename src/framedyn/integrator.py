@@ -352,22 +352,60 @@ def drift_report(traj, L, frame, split):
     }
 
 
+_ENCODE = json.JSONEncoder().encode  # without indent: the C encoder
+
+
+def json_text(doc, sort_keys=False):
+    """json.dumps(doc, indent=1, sort_keys=sort_keys), byte for byte, for a
+    doc with str keys in which a numpy array stands for its tolist()."""
+    return _json(doc, sort_keys, "\n")
+
+
+def _json(x, sort_keys, nl):
+    """The text of x at the indent nl (a newline, one space a level).  A
+    numeric array is one call of the C encoder, whose text ("[[1.0, 2.0],
+    [3.0, 4.0]]") is indented by replacing ", " and "], [": no number's
+    text holds either."""
+    inner = nl + " "
+    if isinstance(x, np.ndarray) and x.dtype.kind in "biuf" and x.size and (
+            x.ndim in (1, 2)):
+        leaf = inner + " " * (x.ndim - 1)
+        body = _ENCODE(x.tolist())[1:-1].replace(", ", "," + leaf)
+        if x.ndim == 2:  # the rows' "], [" now reads "]," + leaf + "["
+            body = f"[{leaf}" + body[1:-1].replace(
+                f"],{leaf}[", f"{inner}],{inner}[{leaf}") + f"{inner}]"
+        return f"[{inner}{body}{nl}]"
+    if isinstance(x, np.ndarray):  # empty, 0-d, 3-d or more, non-numeric
+        return _json(x.tolist(), sort_keys, nl)
+    if isinstance(x, dict) and x:
+        items = sorted(x.items()) if sort_keys else x.items()
+        return "{" + ",".join(
+            f"{inner}{_ENCODE(k)}: {_json(v, sort_keys, inner)}"
+            for k, v in items) + nl + "}"
+    if isinstance(x, (list, tuple)) and x:
+        return "[" + ",".join(inner + _json(v, sort_keys, inner)
+                              for v in x) + nl + "]"
+    return _ENCODE(x)
+
+
+def csv_text(names, table):
+    """A header of names, then each row of the 2-D table as "%.17g" cells
+    (f"{x:.17g}": enough digits to round-trip a double), a row at a time."""
+    row = ",".join(["%.17g"] * len(names))
+    return "\n".join([",".join(names)]
+                     + [row % tuple(r) for r in table.tolist()]) + "\n"
+
+
 def export_csv(traj, path):
     """CSV export: header t,q1..qn,v1..vm,<observables...>, 17-significant-
     digit decimal floats."""
-    cols = traj.columns()
+    names, cols = zip(*traj.columns())
     with open(path, "w") as fh:
-        fh.write(",".join(name for name, _ in cols) + "\n")
-        rows = len(traj.times)
-        for i in range(rows):
-            fh.write(",".join(f"{float(c[i]):.17g}" for _, c in cols) + "\n")
+        fh.write(csv_text(names, np.column_stack(cols)))
 
 
 def export_json(traj, path):
     """JSON export mirroring the CSV columns."""
-    cols = traj.columns()
-    doc = {name: [float(x) for x in col] for name, col in cols}
-    doc["_meta"] = traj.meta
+    doc = {name: np.asarray(col, dtype=float) for name, col in traj.columns()}
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json_text({**doc, "_meta": traj.meta}) + "\n")

@@ -176,10 +176,6 @@ class TaylorValue:
             c[1 << i] = g
         return cls(k, c)
 
-    @property
-    def value(self):
-        return self.c[0]
-
     def jet2(self):
         if self.k != 2:
             raise ValueError("jet2 requires a 2-direction TaylorValue")

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import ExprFunction, parse, run_kernel
-from .frames import TangentPoint, quasi_velocities, solve_transposed
+from .frames import TangentPoint
 from .linsolve import LU, det_pp
 
 __all__ = [
-    "Lagrangian", "QuasiVelocityFunction", "RegularityReport",
+    "Lagrangian", "RegularityReport",
     "vlift_at", "clift_at", "vlift_rate_at", "dvlift_at", "hessian_rows",
     "hessian_regularity",
     "vlift_deriv", "clift_deriv", "dvlift", "dvlift_field", "clift_field",
@@ -67,62 +67,6 @@ class Lagrangian:
         """The tree walk of L over leaf values; parameters not in env take
         L's values."""
         return self.fn.taylor_env({**self.params, **env})
-
-
-class QuasiVelocityFunction:
-    """The quasi-velocity v^j of a frame as a function on TQ.
-
-    Jets (up to two directions) come from implicit differentiation of
-    X(q)^T v = u.
-    """
-
-    def __init__(self, frame, j):
-        self.frame = frame
-        self.j = j
-
-    def value(self, q, u):
-        return quasi_velocities(self.frame, TangentPoint(q, u)).v[..., self.j]
-
-    def taylor(self, q, u, dirs):
-        q = np.asarray(q, dtype=float)
-        u = np.asarray(u, dtype=float)
-        F = self.frame
-        M = F.matrix(q)
-        v = solve_transposed(F, M, u)
-        out = [v[..., self.j]]
-        if not dirs:
-            return tuple(out)
-        n = F.n
-
-        def dmt(w):
-            # directional derivative of M^T along base direction w
-            return np.ascontiguousarray(
-                np.swapaxes(F.dfields(q, w, n), -1, -2))
-
-        firsts = []
-        for dq, du in dirs:
-            a = dmt(np.asarray(dq, dtype=float))
-            rhs = np.asarray(du, dtype=float) - (a @ v[..., None])[..., 0]
-            vs = solve_transposed(F, M, rhs)
-            firsts.append(vs)
-            out.append(vs[..., self.j])
-        if len(dirs) == 1:
-            return tuple(out)
-        if len(dirs) != 2:
-            raise ValueError("QuasiVelocityFunction supports at most 2 dirs")
-        (dq1, _), (dq2, _) = dirs
-        dq1 = np.asarray(dq1, dtype=float)
-        dq2 = np.asarray(dq2, dtype=float)
-        # mixed second derivative of M^T along (dq1, dq2)
-        m12 = np.ascontiguousarray(
-            np.swapaxes(F.derivative(q, [dq1, dq2]), -1, -2))
-        a1 = dmt(dq1)
-        a2 = dmt(dq2)
-        rhs = -(m12 @ v[..., None] + a1 @ firsts[1][..., None]
-                + a2 @ firsts[0][..., None])[..., 0]
-        v12 = solve_transposed(F, M, rhs)
-        out.append(v12[..., self.j])
-        return (out[0], out[1], out[2], out[3])
 
 
 def _zeros_like(q):

@@ -7,6 +7,8 @@ differentiation code with the package (only plain value evaluation), so it
 cross-checks both the jet engine and the frame calculus.
 """
 
+import json
+
 import numpy as np
 
 FD_H = 1e-6
@@ -385,6 +387,62 @@ def peeled_solve_reference(M, b, zeros):
     return x
 
 
+class QuasiVelocityFunction:
+    """The quasi-velocity v^j of a frame as a function on TQ, for the lift
+    derivatives (lagrangian.vlift_deriv, clift_deriv) to act on.
+
+    Jets (up to two directions) come from implicit differentiation of
+    X(q)^T v = u.
+    """
+
+    def __init__(self, frame, j):
+        self.frame = frame
+        self.j = j
+
+    def taylor(self, q, u, dirs):
+        from framedyn.frames import solve_transposed
+
+        q = np.asarray(q, dtype=float)
+        u = np.asarray(u, dtype=float)
+        F = self.frame
+        M = F.matrix(q)
+        v = solve_transposed(F, M, u)
+        out = [v[..., self.j]]
+        if not dirs:
+            return tuple(out)
+        n = F.n
+
+        def dmt(w):
+            # directional derivative of M^T along base direction w
+            return np.ascontiguousarray(
+                np.swapaxes(F.dfields(q, w, n), -1, -2))
+
+        firsts = []
+        for dq, du in dirs:
+            a = dmt(np.asarray(dq, dtype=float))
+            rhs = np.asarray(du, dtype=float) - (a @ v[..., None])[..., 0]
+            vs = solve_transposed(F, M, rhs)
+            firsts.append(vs)
+            out.append(vs[..., self.j])
+        if len(dirs) == 1:
+            return tuple(out)
+        if len(dirs) != 2:
+            raise ValueError("QuasiVelocityFunction supports at most 2 dirs")
+        (dq1, _), (dq2, _) = dirs
+        dq1 = np.asarray(dq1, dtype=float)
+        dq2 = np.asarray(dq2, dtype=float)
+        # mixed second derivative of M^T along (dq1, dq2)
+        m12 = np.ascontiguousarray(
+            np.swapaxes(F.derivative(q, [dq1, dq2]), -1, -2))
+        a1 = dmt(dq1)
+        a2 = dmt(dq2)
+        rhs = -(m12 @ v[..., None] + a1 @ firsts[1][..., None]
+                + a2 @ firsts[0][..., None])[..., 0]
+        v12 = solve_transposed(F, M, rhs)
+        out.append(v12[..., self.j])
+        return (out[0], out[1], out[2], out[3])
+
+
 # The constraint and residual sides as they were assembled before their
 # generated sources (framedyn.frames._bracket_source,
 # framedyn.nonholonomic._lift_source, _epsilon_source and _chart_source,
@@ -705,3 +763,28 @@ def reference_check(system, op, states=None, count=200, seed=0):
     return {"system": system.name, "op": op,
             "count": int(np.prod(states.q.shape[:-1])),
             "max_abs_diff": diff}
+
+
+def _plain(doc):
+    """doc with every numpy array replaced by its tolist()."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {k: _plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(v) for v in doc]
+    return doc
+
+
+def json_text_reference(doc, sort_keys=False):
+    """The JSON writer as it was: json.dumps with indent=1, which runs the
+    pure-Python encoder, one call per value."""
+    return json.dumps(_plain(doc), indent=1, sort_keys=sort_keys)
+
+
+def csv_text_reference(names, table):
+    """The CSV writer as it was: one f"{x:.17g}" per cell."""
+    lines = [",".join(names)]
+    for row in table:
+        lines.append(",".join(f"{float(x):.17g}" for x in row))
+    return "\n".join(lines) + "\n"

@@ -214,6 +214,58 @@ def test_simulate_json_format(capsys, tmp_path):
     assert "energy" in doc and len(doc["t"]) == 51
 
 
+def _is_json_dumps(text, sort_keys):
+    """text is json.dumps(indent=1) of what it parses to, plus a newline."""
+    return text == json.dumps(json.loads(text), indent=1,
+                              sort_keys=sort_keys) + "\n"
+
+
+@pytest.mark.parametrize("argv,non_finite", [
+    (["consistency", "--system", "carriage", "--samples", "20"], False),
+    (["consistency", "--system", "carriage", "--section", "momentum_shifted",
+      "--samples", "5"], False),
+    (["consistency", "--system", "nonholonomic_particle", "--section",
+      '{"kind": "custom", "phi": ["exp(10000*q1)"]}', "--samples", "3"],
+     True),
+    (["systems", "show", "carriage", "--set", "l=0.25"], False),
+], ids=["carriage", "shifted", "non_finite", "systems_show"])
+def test_reports_are_json_dumps_indent_1(capsys, argv, non_finite):
+    # pins the format itself, where test_reports_byte_identical pins only
+    # that two runs agree
+    with np.errstate(over="ignore"):
+        code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert _is_json_dumps(out, sort_keys=True)
+    assert non_finite == ("NaN" in out and "Infinity" in out)
+
+
+def test_simulate_json_outputs_are_json_dumps_indent_1(capsys, tmp_path):
+    out = tmp_path / "t.json"
+    code, report, _ = run(capsys, "simulate", "--system", "vertical_disk",
+                          "--method", "rk45", "--t-end", "0.1", "--format",
+                          "json", "--out", str(out))
+    assert code == 0
+    assert _is_json_dumps(report, sort_keys=True)
+    assert _is_json_dumps(out.read_text(), sort_keys=False)
+
+
+def test_csv_cells_are_17g(capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    code, _, _ = run(capsys, "simulate", "--system", "carriage", "--t-end",
+                     "0.05", "--out", str(out))
+    assert code == 0
+    code, table, _ = run(capsys, "derive", "--system", "carriage",
+                         "--samples", "10")
+    assert code == 0
+    for text in (out.read_text(), table):
+        header, *rows = text.split("\n")[:-1]
+        assert rows and text.endswith("\n")
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(","))
+            assert cells == [f"{float(c):.17g}" for c in cells]
+
+
 def test_simulate_bad_initial_state(capsys):
     code, _, err = run(capsys, "simulate", "--system",
                        "nonholonomic_particle", "--q0", "1,2")

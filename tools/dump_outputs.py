@@ -40,10 +40,10 @@ and writes one array per output to OUT.npz:
 * the result of every op of the `trajectory`, `sweep` and `cli` benchmark
   workloads (bench/workloads.py) at seeds 1 and 5;
 * the exit code, stdout, stderr and output file of a set of `framedyn`
-  commands, run twice in one process: between the two passes, a command
-  on the knife edge and one with a `--set` override, so that the second
-  pass reuses the frames and Lagrangians built in the first (keys
-  `cli/again/...`);
+  commands, one of them a report that holds NaN and Infinity, run twice
+  in one process: between the two passes, a command on the knife edge and
+  one with a `--set` override, so that the second pass reuses the frames
+  and Lagrangians built in the first (keys `cli/again/...`);
 * `linsolve` called directly on seeded adversarial matrices of size 0 to
   6 (random, integer with ties and exact zeros, rank-deficient, holding a
   NaN, with a zero column), batched and one state at a time: `LU.of`'s
@@ -111,7 +111,8 @@ def _workloads():
 
 def _flatten(prefix, obj, out, work):
     """Store obj under prefix as arrays: containers and dataclasses key by
-    key, text with the work directory replaced, other objects by type."""
+    key, text with the work directory and the checkout replaced, other
+    objects by type."""
     if isinstance(obj, dict):
         for k, x in obj.items():
             _flatten(f"{prefix}/{k}", x, out, work)
@@ -123,8 +124,9 @@ def _flatten(prefix, obj, out, work):
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
             _flatten(f"{prefix}/{f.name}", getattr(obj, f.name), out, work)
-    elif isinstance(obj, str):
-        out[prefix] = np.array(obj.replace(str(work), "<work>"))
+    elif isinstance(obj, str):  # a warning on stderr names the checkout
+        out[prefix] = np.array(obj.replace(str(work), "<work>").replace(
+            str(ROOT), "<root>"))
     elif obj is None or isinstance(obj, (bool, int, float, np.ndarray,
                                          np.generic, list, tuple)):
         out[prefix] = np.asarray(obj if obj is not None else "None")
@@ -377,6 +379,9 @@ CLI_COMMANDS = (
      "--t-end", "0.1", "--format", "json"],
     ["systems", "show", "carriage", "--set", "l=0.25"],
     ["systems", "list"],
+    # a report that holds NaN and Infinity (exp overflows at the samples)
+    ["consistency", "--system", "nonholonomic_particle", "--section",
+     '{"kind": "custom", "phi": ["exp(10000*q1)"]}', "--samples", "3"],
 )
 
 
