@@ -2,11 +2,13 @@
 
 Subcommands: simulate | consistency | derive | systems.  Exit codes: 0 ok,
 1 runtime failure, 2 configuration error.  Custom systems are plain JSON
-documents ({name, n, m, coords, frame, lagrangian, params}); no code is ever
-loaded from a definition file.  All sampling uses a seedable generator
-(default seed 0) and every report embeds the tool version, the system content
-hash, the parameter values, the tolerances, and the seed, so identical
-configurations produce byte-identical outputs.
+documents; no code is ever loaded from a definition file.  Each document
+read (a JSON system, a run configuration, a --grid file, a section's
+expressions) has one shape table, checked by _walk, which names the first
+bad entry by its $. path.  Sampling uses a seedable generator (default seed
+0) and every report embeds the tool version, the system content hash, the
+parameter values, the tolerances, and the seed, so identical configurations
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .systems import (BUILTIN_NAMES, SystemDef, builtin, sample_states,
                       velocity_names)
 from .vakonomic import (ShiftedMomentumSection, consistency_report,
                         make_section, section_names)
-from .chaplygin import prop6_scalar
+from .chaplygin import gamma_k_residual, prop6_scalar
 
 DEFECT_TOL = 1e-9
 
@@ -39,7 +43,6 @@ DEFECT_TOL = 1e-9
 class ConfigError(Exception):
     def __init__(self, path, message):
         super().__init__(f"config error at {path}: {message}")
-        self.path = path
 
 
 def _require(cond, path, message):
@@ -47,10 +50,76 @@ def _require(cond, path, message):
         raise ConfigError(path, message)
 
 
-def _of_type(value, typ):
-    """isinstance(value, typ), a JSON true or false counting as no number:
-    bool is a subclass of int."""
-    return isinstance(value, typ) and not isinstance(value, bool)
+# The shape of a JSON value, checked by _walk: a frozenset of types, matched
+# exactly (so a true or false is no int); a tuple of the values allowed;
+# FINITE, a finite number; Items, a list of count entries (any number if
+# None) of the shape item; or Fields, an object with every required key and
+# any optional one, each of its shape (a nullable key may hold null, as if
+# absent), any other key being of the shape other or, if None, an error.
+NUM, INT, STR, OBJ = map(frozenset, ({int, float}, {int}, {str}, {dict}))
+EXPR = frozenset({str, int, float})
+JSON = frozenset({dict, list, str, int, float, bool, type(None)})
+FINITE = "a finite number"
+Items = namedtuple("Items", "item count", defaults=(None,))
+Fields = namedtuple("Fields", "required optional other nullable",
+                    defaults=({}, None, ()))
+PARAMS = Fields({}, other=FINITE)
+RUN_CONFIG = Fields({}, {
+    "system": STR, "params": PARAMS, "q0": frozenset({list, str}),
+    "v0": frozenset({list, str}), "t_end": NUM, "dt": NUM, "rtol": NUM,
+    "atol": NUM, "method": ("rk4", "rk45"), "format": ("csv", "json"),
+    "section": frozenset({str, dict}), "samples": INT, "seed": INT,
+    "out": STR})
+
+
+def _walk(doc, shape, path):
+    """A ConfigError at the first entry of doc (at path) not of its shape."""
+    bad = _mismatch(doc, shape)
+    if bad:
+        raise ConfigError(path + bad[1], bad[0])
+
+
+def _mismatch(value, shape):
+    """None if value has shape, else the message for its first entry that
+    has not and that entry's path below value, both made only then."""
+    if type(shape) is frozenset:
+        if type(value) not in shape:
+            names = " or ".join(sorted(t.__name__ for t in shape))
+            return f"expected {names}, got {json.dumps(value)}", ""
+    elif type(shape) is tuple:
+        if value not in shape:
+            return f"expected one of {', '.join(shape)}, got {value!r}", ""
+    elif shape is FINITE:
+        if type(value) not in NUM or not abs(value) <= sys.float_info.max:
+            return f"expected {FINITE}, got {json.dumps(value)}", ""
+    elif type(shape) is Items:
+        if type(value) is not list or shape.count not in (None, len(value)):
+            return "expected a list" + ("" if shape.count is None else
+                                        f" of {shape.count} entries"), ""
+        entries, item = value, shape.item  # rows of scalars: one list
+        if (type(item) is Items and set(map(type, value)) <= {list}
+                and set(map(len, value)) <= {item.count}):
+            entries, item = list(chain.from_iterable(value)), item.item
+        if type(item) is not frozenset or not set(map(type, entries)) <= item:
+            for i, x in enumerate(value):
+                bad = _mismatch(x, shape.item)
+                if bad:
+                    return bad[0], f"[{i}]{bad[1]}"
+    elif type(value) is not dict:
+        return "expected an object", ""
+    else:
+        required, optional, other, nullable = shape
+        for key in required:
+            if key not in value:
+                return "missing required field", f".{key}"
+        for key, x in value.items():
+            sub = required.get(key) or optional.get(key, other)
+            if sub is None:
+                return "unknown field", f".{key}"
+            bad = (x is not None or key not in nullable) and _mismatch(x, sub)
+            if bad:
+                return bad[0], f".{key}{bad[1]}"
+    return None
 
 
 def _load_json(path):
@@ -61,6 +130,27 @@ def _load_json(path):
         raise ConfigError("$", f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError("$", f"invalid JSON in {path}: {exc}")
+
+
+def _from_text(value, parse, path):
+    """value, or, where it is text (a flag's, or the run config's), what
+    parse reads from it; parse's ValueError is a config error at path."""
+    try:
+        return parse(value.strip()) if isinstance(value, str) else value
+    except ValueError as exc:
+        raise ConfigError(path, f"cannot read {value!r}: {exc}")
+
+
+def _parsed(exprs, names, params, path):
+    """The trees of exprs resolved against names and params; one that does
+    not parse or names an unbound variable is a config error at path[i]."""
+    trees = []
+    for i, expr in enumerate(exprs):
+        try:
+            trees.append(ExprFunction(expr, names, params).expr)
+        except ExprError as exc:
+            raise ConfigError(f"{path}[{i}]", str(exc))
+    return trees
 
 
 def _load_system(name_or_path, params, sets):
@@ -91,180 +181,75 @@ def _load_system(name_or_path, params, sets):
     return sysd
 
 
-def _entries(value, count, path, typ, what):
-    """value, which must be a list of count entries of type typ (what),
-    or None, which passes as it is."""
-    if value is not None:
-        _require(isinstance(value, list) and len(value) == count, path,
-                 f"expected a list of {count} entries")
-        for i, x in enumerate(value):
-            _require(_of_type(x, typ), f"{path}[{i}]", f"expected {what}")
-    return value
-
-
 def _validate_system_doc(doc):
-    _require(isinstance(doc, dict), "$", "system definition must be an object")
-    for key, typ in (("name", str), ("n", int), ("m", int),
-                     ("coords", list), ("frame", list), ("lagrangian", str)):
-        _require(key in doc, f"$.{key}", "missing required field")
-        _require(_of_type(doc[key], typ), f"$.{key}",
-                 f"expected {typ.__name__}")
+    """doc as a JSON system: the keys SystemDef.from_json_dict reads, then
+    the rules between them; other keys are not read."""
+    _walk(doc, Fields({"n": INT, "m": INT}, other=JSON), "$")
     n, m = doc["n"], doc["m"]
     _require(1 <= m <= n, "$.m", f"need 1 <= m <= n, got m={m}, n={n}")
-    for key in ("coords", "velocities"):
-        names = _entries(doc.get(key), n, f"$.{key}", str, "a name")
-        for i, name in enumerate(names or ()):
-            _require(name not in names[:i], f"$.{key}[{i}]",
-                     f"duplicate name {name!r}")
+    bounds = [Items(Items(FINITE, 2), count) for count in (n, m)]
+    _walk(doc, Fields(
+        {"name": STR, "n": INT, "m": INT, "coords": Items(STR, n),
+         "frame": Items(Items(EXPR, n), n), "lagrangian": STR},
+        {"velocities": Items(STR, n), "params": PARAMS,
+         "builtin_k": Items(STR, n - m), "references": OBJ,
+         "sample_box": Fields(dict(zip("qv", bounds)), other=JSON),
+         "domain_note": STR},
+        other=JSON, nullable=("velocities", "builtin_k", "sample_box")), "$")
     velocities = velocity_names(doc)
-    for i, name in enumerate(doc["coords"]):
-        _require(name not in velocities, f"$.coords[{i}]",
-                 f"coordinate name {name!r} is also a velocity name")
-    for i, row in enumerate(_entries(doc["frame"], n, "$.frame", list,
-                                     "a row")):
-        _entries(row, n, f"$.frame[{i}]", (str, int, float),
-                 "an expression or a number")
-    _entries(doc.get("builtin_k"), n - m, "$.builtin_k", str,
-             "an expression")
+    for key, names, others in (("coords", doc["coords"], velocities),
+                               ("velocities", velocities, ())):
+        for i, name in enumerate(names):
+            _require(name not in names[:i] and name not in others,
+                     f"$.{key}[{i}]", f"name {name!r} given twice among "
+                     "the coordinates and velocities")
     box = doc.get("sample_box")
-    if box is not None:
-        _require(isinstance(box, dict), "$.sample_box", "expected an object")
-        for key, count in (("q", n), ("v", m)):
-            path = f"$.sample_box.{key}"
-            _require(box.get(key) is not None, path, "missing required field")
-            for i, pair in enumerate(_entries(box[key], count, path, list,
-                                              "a [low, high] pair")):
-                _entries(pair, 2, f"{path}[{i}]", (int, float), "a number")
-    _require_params(doc)
-
-
-def _require_params(doc):
-    """doc's optional params: an object of finite numbers (Python's json
-    reads NaN and Infinity)."""
-    params = doc.get("params", {})
-    _require(isinstance(params, dict), "$.params", "expected an object")
-    for k, v in params.items():
-        _require(_of_type(v, (int, float)) and math.isfinite(v),
-                 f"$.params.{k}", "expected a finite number")
+    for key in ("q", "v") if box else ():
+        for i, (low, high) in enumerate(box[key]):
+            _require(low <= high, f"$.sample_box.{key}[{i}]",
+                     f"need low <= high, got [{low}, {high}]")
 
 
 def _parse_set(items):
     out = {}
     for item in items or ():
-        if "=" not in item:
-            raise ConfigError("$.set", f"expected k=v, got {item!r}")
-        k, v = item.split("=", 1)
-        try:
-            value = float(v)
-        except ValueError:
-            raise ConfigError("$.set", f"value for {k!r} is not a number")
+        k, _, v = item.partition("=")
+        out[k.strip()] = value = _from_text(v or item, float, "$.set")
         _require(math.isfinite(value), "$.set",
                  f"value for {k!r} is not finite")
-        out[k.strip()] = value
     return out
 
 
-def _parse_floats(text, want, path):
-    try:
-        vals = [float(x) for x in text.split(",")]
-    except ValueError:
-        raise ConfigError(path, f"expected comma-separated numbers: {text!r}")
-    _require(len(vals) == want, path, f"expected {want} values")
-    return np.array(vals)
-
-
-SECTION_KINDS = ("zero", "momentum", "momentum_shifted", "custom")
-
-
 def _parse_section(text, frame, split, builtin_k):
-    """The section document of --section or the config's section, checked,
-    and the trees of its expressions (None where it has none), for
-    make_section: an object of a known kind whose phi (custom) or k
-    (momentum_shifted, else "builtin", which the system must have) lists
-    one expression per constraint index, each parsed and resolved against
-    the section's names (vakonomic.section_names) and the frame's
-    parameters."""
-    if text is None:
-        return {"kind": "momentum"}, None
-    spec = text
-    if isinstance(text, str):
-        text = text.strip()
-        spec = {"kind": text}
-        if text.startswith("{"):
-            try:
-                spec = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("$.section", f"invalid JSON: {exc}")
-    _require(isinstance(spec, dict), "$.section", "expected an object")
+    """The section of --section or the config, and, for make_section, the
+    trees of its phi (custom) or k (momentum_shifted; else "builtin", the
+    system's builtin_k), one expression per constraint index over
+    vakonomic.section_names and the frame's parameters; None for others."""
+    spec = _from_text(text, lambda t: json.loads(t) if t.startswith("{")
+                      else {"kind": t}, "$.section")
     kind = spec.get("kind")
-    _require(kind in SECTION_KINDS, "$.section.kind",
-             f"expected one of {', '.join(SECTION_KINDS)}, got "
-             f"{json.dumps(kind)}")
-    if kind == "custom":
-        path, exprs = "$.section.phi", spec.get("phi")
-    elif kind == "momentum_shifted" and spec.get("k", "builtin") != "builtin":
-        path, exprs = "$.section.k", spec["k"]
-    else:
-        _require(kind != "momentum_shifted" or builtin_k is not None,
-                 "$.section.kind", "this system has no built-in shift "
-                 "expressions; give k")
+    _walk(kind, ("zero", "momentum", "momentum_shifted", "custom"),
+          "$.section.kind")
+    if kind in ("zero", "momentum"):
         return spec, None
-    count = split.n_constraints
-    _require(isinstance(exprs, list), path,
-             f"expected a list of {count} expressions")
-    _entries(exprs, count, path, str, "an expression")
-    names, params = section_names(frame, split), tuple(frame.params)
-    parsed = []
-    for i, expr in enumerate(exprs):
-        try:
-            parsed.append(ExprFunction(expr, names, params).expr)
-        except ExprError as exc:
-            raise ConfigError(f"{path}[{i}]", str(exc))
-    return spec, parsed
+    key = "phi" if kind == "custom" else "k"
+    path, exprs = f"$.section.{key}", spec.get(key, "builtin")
+    if kind == "momentum_shifted" and exprs == "builtin":
+        _require(builtin_k is not None, "$.section.kind", "this system has "
+                 "no built-in shift expressions; give k")
+        path, exprs = "$.builtin_k", builtin_k
+    _walk(exprs, Items(STR, split.n_constraints), path)
+    return spec, _parsed(exprs, section_names(frame, split),
+                         tuple(frame.params), path)
 
 
-_CONFIG_FIELDS = {
-    "system": str, "params": dict, "q0": (list, str), "v0": (list, str),
-    "t_end": (int, float), "dt": (int, float), "method": str,
-    "rtol": (int, float), "atol": (int, float), "format": str,
-    "section": (str, dict), "samples": int, "seed": int, "out": str,
-}
-
-
-def _load_run_config(path):
-    """A JSON run configuration; explicit command-line flags override it."""
-    if not path:
-        return {}
-    doc = _load_json(path)
-    _require(isinstance(doc, dict), "$", "run config must be an object")
-    for key, val in doc.items():
-        _require(key in _CONFIG_FIELDS, f"$.{key}", "unknown field")
-        _require(_of_type(val, _CONFIG_FIELDS[key]), f"$.{key}",
-                 f"expected {_CONFIG_FIELDS[key]}")
-    _require_params(doc)
-    if "method" in doc:
-        _require(doc["method"] in ("rk4", "rk45"), "$.method",
-                 "expected rk4 or rk45")
-    if "format" in doc:
-        _require(doc["format"] in ("csv", "json"), "$.format",
-                 "expected csv or json")
-    return doc
-
-
-def _resolve(args, cfg, key, default=None):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _state_vector(value, want, path):
-    if isinstance(value, str):
-        return _parse_floats(value, want, path)
-    return np.array([float(x) for x in _entries(value, want, path,
-                                                (int, float), "a number")])
+def _state_vector(value, want, path, default):
+    """want numbers, from a list or comma-separated text, else default's."""
+    if value is None:
+        return np.full(want, default)
+    value = _from_text(value, lambda t: list(map(float, t.split(","))), path)
+    _walk(value, Items(NUM, want), path)
+    return np.array(value, dtype=float)
 
 
 def _report_header(sysd, args):
@@ -292,41 +277,44 @@ def _write(text, out):
         sys.stdout.write(text)
 
 
-def _load_run(args):
-    """The run configuration, the system with the config's params and the
-    --set overrides applied, and the system's Lagrangian, frame and split;
-    sets args.seed, from the flag or the config, 0 by default."""
-    run = _load_run_config(args.config)
-    args.seed = _resolve(args, run, "seed", 0)
+def _load_run(args, **defaults):
+    """The system, with the config's params and the --set values applied,
+    and its Lagrangian, frame and split; sets seed, system and each default
+    on args from its flag, else from the run config, else the default."""
+    run = _load_json(args.config) if args.config else {}
+    _walk(run, RUN_CONFIG, "$")
+    for key, default in dict(seed=0, system=None, **defaults).items():
+        if getattr(args, key) is None:
+            setattr(args, key, run.get(key, default))
     _require(args.seed >= 0, "$.seed",
              f"need a non-negative seed, got {args.seed}")
-    system = _resolve(args, run, "system")
-    _require(system is not None, "$.system", "no system given")
-    sysd = _load_system(system, run.get("params", {}), _parse_set(args.set))
-    return run, sysd, sysd.lagrangian(), sysd.frame(), sysd.split()
+    _require(args.system is not None, "$.system", "no system given")
+    sysd = _load_system(args.system, run.get("params", {}),
+                        _parse_set(args.set))
+    try:
+        return sysd, sysd.lagrangian(), sysd.frame(), sysd.split()
+    except ExprError as exc:  # a frame entry's, else L's, which is built first
+        for i, row in enumerate(sysd.frame_exprs):
+            _parsed(map(str, row), sysd.coords, tuple(sysd.params),
+                    f"$.frame[{i}]")
+        raise ConfigError("$.lagrangian", str(exc))
 
 
 def cmd_simulate(args):
-    run, sysd, L, F, split = _load_run(args)
-    q0raw = _resolve(args, run, "q0")
-    v0raw = _resolve(args, run, "v0")
-    q0 = (_state_vector(q0raw, sysd.n, "$.q0") if q0raw is not None
-          else np.zeros(sysd.n))
-    v0 = (_state_vector(v0raw, sysd.m, "$.v0") if v0raw is not None
-          else np.ones(sysd.m))
-    fmt = _resolve(args, run, "format", "csv")
+    sysd, L, F, split = _load_run(
+        args, q0=None, v0=None, format="csv", method="rk4", dt=1e-3,
+        rtol=1e-8, atol=1e-10, t_end=10.0, out=None)
+    q0 = _state_vector(args.q0, sysd.n, "$.q0", 0.0)
+    v0 = _state_vector(args.v0, sysd.m, "$.v0", 1.0)
     cfg = IntegratorConfig(
-        method=_resolve(args, run, "method", "rk4"),
-        step=_resolve(args, run, "dt", 1e-3),
-        rtol=_resolve(args, run, "rtol", 1e-8),
-        atol=_resolve(args, run, "atol", 1e-10),
-        t_span=(0.0, _resolve(args, run, "t_end", 10.0)),
+        method=args.method, step=args.dt, rtol=args.rtol, atol=args.atol,
+        t_span=(0.0, args.t_end),
         observables=("energy", "momenta", "multipliers"))
     field = NonholonomicField(L, F, split)
     state = QuasiState.on_C(q0, v0, split)
     traj = integrate(field, F, split, state, cfg)
-    out = _resolve(args, run, "out") or f"{sysd.name}_trajectory.{fmt}"
-    if fmt == "csv":
+    out = args.out or f"{sysd.name}_trajectory.{args.format}"
+    if args.format == "csv":
         export_csv(traj, out)
     else:
         export_json(traj, out)
@@ -338,13 +326,11 @@ def cmd_simulate(args):
 
 
 def cmd_consistency(args):
-    run, sysd, L, F, split = _load_run(args)
-    args.samples = _resolve(args, run, "samples", 200)
+    sysd, L, F, split = _load_run(args, samples=200, section="momentum",
+                                  out=None)
     _require(args.samples >= 1, "$.samples",
              f"need at least 1 sample, got {args.samples}")
-    args.out = _resolve(args, run, "out")
-    spec, parsed = _parse_section(_resolve(args, run, "section"), F, split,
-                                  sysd.builtin_k)
+    spec, parsed = _parse_section(args.section, F, split, sysd.builtin_k)
     section = make_section(spec, L, F, split, builtin_k=sysd.builtin_k,
                            parsed=parsed)
     states = sample_states(sysd, args.samples, seed=args.seed)
@@ -374,7 +360,6 @@ def cmd_consistency(args):
     if sysd.chaplygin is not None:
         doc["prop6_scalar"] = prop6_scalar(L, F, split, states)
     if isinstance(section, ShiftedMomentumSection):
-        from .chaplygin import gamma_k_residual
         check = gamma_k_residual(L, F, split, section, [states])
         doc["gamma_k_residual"] = check["max_gamma_k"]
         doc["k_conserved"] = check["conserved"]
@@ -383,28 +368,16 @@ def cmd_consistency(args):
 
 
 def cmd_derive(args):
-    run, sysd, L, F, split = _load_run(args)
-    args.samples = _resolve(args, run, "samples", 100)
+    sysd, L, F, split = _load_run(args, samples=100, out=None)
     _require(args.samples >= 0, "$.samples",
              f"need a non-negative sample count, got {args.samples}")
-    args.out = _resolve(args, run, "out")
     field = NonholonomicField(L, F, split)
+    width = sysd.n + sysd.m  # q then v_alpha
     if args.grid is not None:
         doc = _load_json(args.grid)
-        _require(isinstance(doc, dict)
-                 and isinstance(doc.get("points"), list), "$.points",
-                 "grid file must be an object with a 'points' array")
-        pts = doc["points"]
-        for i, row in enumerate(pts):
-            _require(isinstance(row, list) and len(row) == sysd.n + sysd.m,
-                     f"$.points[{i}]",
-                     f"expected {sysd.n + sysd.m} numbers (q then v_alpha)")
-            if not set(map(type, row)) <= {int, float}:  # JSON numbers
-                j = next(j for j, x in enumerate(row)
-                         if not _of_type(x, (int, float)))
-                raise ConfigError(f"$.points[{i}][{j}]", "expected a number, "
-                                  f"got {json.dumps(row[j])}")
-        pts = np.array(pts, dtype=float).reshape(-1, sysd.n + sysd.m)
+        _walk(doc, Fields({"points": Items(Items(NUM, width))}, other=JSON),
+              "$")
+        pts = np.array(doc["points"], dtype=float).reshape(-1, width)
     else:
         st = sample_states(sysd, args.samples, seed=args.seed)
         pts = np.concatenate([st.q, st.v[:, :split.m]], axis=1)
@@ -430,14 +403,14 @@ def cmd_systems(args):
         for name in BUILTIN_NAMES:
             print(name)
         return 0
+    _require(args.name, "$.system", "systems show requires a name")
     sysd = _load_system(args.name, {}, _parse_set(args.set))
     _write_report(sysd.to_json_dict(), None)
     return 0
 
 
 def _add_common(sp):
-    # config-resolvable options default to None so an explicit flag is
-    # distinguishable from "take it from --config"
+    # None where not given, so that _load_run takes the run config's value
     sp.add_argument("--system",
                     help="built-in name or path to a JSON definition")
     sp.add_argument("--config", help="JSON run configuration; explicit "
@@ -499,9 +472,6 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.command == "systems" and args.action == "show" and not args.name:
-        print("systems show requires a name", file=sys.stderr)
-        return 2
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -28,6 +28,18 @@ def test_systems_show(capsys):
     assert len(doc["frame"]) == 5
 
 
+@pytest.mark.parametrize("name", ["nonholonomic_particle", "vertical_disk",
+                                  "delta_class", "carriage"])
+def test_shown_system_loads_back(capsys, tmp_path, name):
+    # systems show writes a JSON system (builtin_k null where there is
+    # none), which shows again as the same document
+    code, shown, _ = run(capsys, "systems", "show", name)
+    assert code == 0
+    path = tmp_path / "shown.json"
+    path.write_text(shown)
+    assert run(capsys, "systems", "show", str(path)) == (0, shown, "")
+
+
 @pytest.mark.parametrize("name", ["lx", "P"])
 def test_set_accepts_only_base_params(capsys, tmp_path, name):
     # A misspelt name would be ignored, and a derived one (the carriage's P)
@@ -57,10 +69,30 @@ def test_set_rejects_non_finite_values(capsys, tmp_path, value):
     assert not out.exists()
 
 
-def test_repeated_command_builds_nothing(capsys, tmp_path, monkeypatch):
+# A custom system: a sled on a tilted plane.
+SLED = {
+    "name": "tilted_plane_sled",
+    "n": 3,
+    "m": 2,
+    "coords": ["x", "y", "s"],
+    "frame": [["1", "0", "0"],
+              ["0", "1", "-sin(x)"],
+              ["0", "0", "1"]],
+    "lagrangian": "(u1*u1 + u2*u2 + u3*u3)/2",
+    "params": {},
+}
+
+
+@pytest.mark.parametrize("system,sets", [
+    ("nonholonomic_particle", ["--set", "I3=1.375"]), ("sled", [])],
+    ids=["builtin", "json"])
+def test_repeated_command_builds_nothing(capsys, tmp_path, monkeypatch,
+                                         system, sets):
     # A second identical command reuses the frame and Lagrangian that the
     # first one built (SystemDef.frame, SystemDef.lagrangian): it parses
     # no text, walks no tree for a structure key and writes the same bytes.
+    # A JSON system's expressions are checked by that build, so they too
+    # are parsed once.
     import sys
     from collections import OrderedDict
 
@@ -82,9 +114,12 @@ def test_repeated_command_builds_nothing(capsys, tmp_path, monkeypatch):
                        if k.startswith("framedyn")]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted(name, real))
+    if system == "sled":
+        system = tmp_path / "sled.json"
+        system.write_text(json.dumps(SLED))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["derive", "--system", "nonholonomic_particle", "--set",
-            "I3=1.375", "--samples", "6", "--seed", "2"]
+    argv = ["derive", "--system", str(system), *sets, "--samples", "6",
+            "--seed", "2"]
     assert run(capsys, *argv, "--out", str(a))[0] == 0
     assert counts["parse"] > 0 and counts["_structure"] > 0
     counts.update(parse=0, _structure=0)
@@ -435,20 +470,8 @@ class TestConsistencyCommand:
 
 class TestCustomSystems:
     def _write_def(self, tmp_path, **overrides):
-        doc = {
-            "name": "tilted_plane_sled",
-            "n": 3,
-            "m": 2,
-            "coords": ["x", "y", "s"],
-            "frame": [["1", "0", "0"],
-                      ["0", "1", "-sin(x)"],
-                      ["0", "0", "1"]],
-            "lagrangian": "(u1*u1 + u2*u2 + u3*u3)/2",
-            "params": {},
-        }
-        doc.update(overrides)
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({**SLED, **overrides}))
         return path
 
     def test_custom_system_runs(self, capsys, tmp_path):
@@ -484,34 +507,62 @@ class TestCustomSystems:
         assert code == 2
         assert f"config error at {where}:" in err
 
-    @pytest.mark.parametrize("overrides,argv,where", [
-        ({"coords": ["x", 3, "s"]}, (), "$.coords[1]"),
-        ({"coords": ["x", "x", "s"]}, (), "$.coords[1]"),
-        ({"coords": ["u1", "y", "s"]}, (), "$.coords[0]"),
-        ({"velocities": ["ux", "s", "us"]}, (), "$.coords[2]"),
-        ({"frame": [[True, "0", "0"], ["0", "1", "-sin(x)"],
-                    ["0", "0", "1"]]}, (), "$.frame[0][0]"),
-        ({"frame": [["1", "0", "0"], ["0", "1", None], ["0", "0", "1"]]},
-         (), "$.frame[1][2]"),
-        ({"velocities": ["u1", "u2"]}, (), "$.velocities"),
-        ({"sample_box": {"q": [[-1, 1]] * 3}}, (), "$.sample_box.v"),
-        ({"builtin_k": [True]}, (), "$.builtin_k[0]"),
-        ({}, ("--seed", "-3"), "$.seed"),
+    @pytest.mark.parametrize("command,overrides,argv,where", [
+        ("derive", {"coords": ["x", 3, "s"]}, (), "$.coords[1]"),
+        ("derive", {"coords": ["x", "x", "s"]}, (), "$.coords[1]"),
+        ("derive", {"coords": ["u1", "y", "s"]}, (), "$.coords[0]"),
+        ("derive", {"velocities": ["ux", "s", "us"]}, (), "$.coords[2]"),
+        ("derive", {"frame": [[True, "0", "0"], ["0", "1", "-sin(x)"],
+                              ["0", "0", "1"]]}, (), "$.frame[0][0]"),
+        ("derive", {"frame": [["1", "0", "0"], ["0", "1", None],
+                              ["0", "0", "1"]]}, (), "$.frame[1][2]"),
+        ("derive", {"frame": ["1x0", ["0", "1", "-sin(x)"],
+                              ["0", "0", "1"]]}, (), "$.frame[0]"),
+        ("derive", {"velocities": ["u1", "u2"]}, (), "$.velocities"),
+        ("derive", {"sample_box": {"q": [[-1, 1]] * 3}}, (),
+         "$.sample_box.v"),
+        ("derive", {"builtin_k": [True]}, (), "$.builtin_k[0]"),
+        ("derive", {}, ("--seed", "-3"), "$.seed"),
         # json writes and reads NaN and Infinity
-        ({"params": {"g": math.nan}}, (), "$.params.g"),
-        ({"params": {"g": math.inf}}, (), "$.params.g"),
+        ("derive", {"params": {"g": math.nan}}, (), "$.params.g"),
+        ("derive", {"params": {"g": math.inf}}, (), "$.params.g"),
+        ("derive", {"params": {"g": 10 ** 400}}, (), "$.params.g"),
+        # an expression that does not parse or names an unbound variable
+        ("derive", {"frame": [["1", "0", "x+"], ["0", "1", "-sin(x)"],
+                              ["0", "0", "1"]]}, (), "$.frame[0][2]"),
+        ("derive", {"frame": [["1", "0", "zz"], ["0", "1", "-sin(x)"],
+                              ["0", "0", "1"]]}, (), "$.frame[0][2]"),
+        ("derive", {"lagrangian": "(u1*u1 + u2*u2)/"}, (), "$.lagrangian"),
+        ("derive", {"lagrangian": "zz*u1*u1/2"}, (), "$.lagrangian"),
+        ("consistency", {"builtin_k": ["v1*"]},
+         ("--section", "momentum_shifted"), "$.builtin_k[0]"),
+        ("consistency", {"builtin_k": ["zz*v1"]},
+         ("--section", "momentum_shifted"), "$.builtin_k[0]"),
+        ("derive", {"sample_box": {"q": [[-1, 1], [2, -2], [-1, 1]],
+                                   "v": [[-1, 1]] * 2}}, (),
+         "$.sample_box.q[1]"),
+        ("derive", {"sample_box": {"q": [[-1, 1]] * 3,
+                                   "v": [[-1, 1], [math.nan, 2]]}}, (),
+         "$.sample_box.v[1][0]"),
+        ("derive", {"domain_note": 5}, (), "$.domain_note"),
+        ("derive", {"references": ["gamma"]}, (), "$.references"),
     ], ids=["coord_number", "coord_duplicate", "coord_is_default_velocity",
-            "coord_is_velocity", "frame_true", "frame_null",
+            "coord_is_velocity", "frame_true", "frame_null", "frame_row_text",
             "velocities_length", "sample_box_without_v", "builtin_k_true",
-            "negative_seed", "param_nan", "param_inf"])
-    def test_bad_entries_are_config_errors(self, capsys, tmp_path, overrides,
-                                           argv, where):
+            "negative_seed", "param_nan", "param_inf", "param_huge_int",
+            "frame_syntax", "frame_unbound", "lagrangian_syntax",
+            "lagrangian_unbound", "builtin_k_syntax", "builtin_k_unbound",
+            "sample_box_reversed", "sample_box_nan", "domain_note_number",
+            "references_list"])
+    def test_bad_entries_are_config_errors(self, capsys, tmp_path, command,
+                                           overrides, argv, where):
         path = self._write_def(tmp_path, **overrides)
-        code, _, err = run(capsys, "derive", "--system", str(path),
-                           "--samples", "2", "--out", str(tmp_path / "d.csv"),
-                           *argv)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--system", str(path),
+                           "--samples", "2", "--out", str(out), *argv)
         assert code == 2
         assert f"config error at {where}:" in err
+        assert not out.exists()
 
     def test_only_declared_params_may_be_set(self, capsys, tmp_path):
         path = self._write_def(tmp_path, params={"g": 9.81})
