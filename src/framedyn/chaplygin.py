@@ -61,7 +61,7 @@ def verify_chaplygin(L, frame, split, structure, states, tol=1e-12):
     nh = NonholonomicField(L, frame, split)
     for s in states:
         ctx = nh._context(s)
-        # the brackets are read first, so that R is solved from them
+        # the brackets and R from one run of the structure source
         brackets = ctx.brackets if k else None
         q, u, R = ctx.q, ctx.u, ctx.R
         # R^i_a_alpha = 0 and R^i_ab = -delta^i_c C^c_ab

@@ -244,11 +244,12 @@ def _parse_section(text, frame, split, builtin_k):
 
 
 def _state_vector(value, want, path, default):
-    """want numbers, from a list or comma-separated text, else default's."""
+    """want finite numbers, from a list or comma-separated text, else
+    default's."""
     if value is None:
         return np.full(want, default)
     value = _from_text(value, lambda t: list(map(float, t.split(","))), path)
-    _walk(value, Items(NUM, want), path)
+    _walk(value, Items(FINITE, want), path)
     return np.array(value, dtype=float)
 
 
@@ -375,8 +376,8 @@ def cmd_derive(args):
     width = sysd.n + sysd.m  # q then v_alpha
     if args.grid is not None:
         doc = _load_json(args.grid)
-        _walk(doc, Fields({"points": Items(Items(NUM, width))}, other=JSON),
-              "$")
+        _walk(doc, Fields({"points": Items(Items(FINITE, width))},
+                          other=JSON), "$")
         pts = np.array(doc["points"], dtype=float).reshape(-1, width)
     else:
         st = sample_states(sysd, args.samples, seed=args.seed)

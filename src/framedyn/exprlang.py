@@ -963,10 +963,10 @@ _DOMAIN_FAULTS = (ZeroDivisionError, FloatingPointError, ValueError,
 
 
 def _guarded(fn, *args):
-    """fn(*args) with numpy's division by zero and invalid operations
-    raised; every math domain fault surfaces as EvalDomainError."""
+    """fn(*args), numpy's division by zero and invalid operations raised
+    and overflow ignored; a math domain fault raises EvalDomainError."""
     try:
-        with np.errstate(divide="raise", invalid="raise"):
+        with np.errstate(divide="raise", invalid="raise", over="ignore"):
             return fn(*args)
     except _DOMAIN_FAULTS as exc:
         raise EvalDomainError(str(exc)) from exc

@@ -14,14 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .exprlang import (EvalDomainError, Expr, ExprFunction, Kernels, Tape,
-                       _gathered, _guarded, eval_value, free_names,
-                       generated, parse, run)
-from .linsolve import frame_gate, max_abs, min_abs, solve_peeled
+                       _gathered, _guarded, bind_source, eval_value,
+                       free_names, generated, parse, run)
+from .folding import texts
+from .linsolve import (frame_gate, max_abs, min_abs, peel_core, peel_globals,
+                       peel_solve, solve_peeled)
 
 __all__ = [
     "SingularFrameError", "ConstraintViolationError",
@@ -40,6 +42,8 @@ ON_C_TOL = 1e-12
 # dense core that is left (unrolled); the margin over FRAME_DET_TOL covers
 # any rounding difference between that and LAPACK.
 FAST_FRAME_DET = FRAME_DET_TOL * 2.0 ** 20
+ZERO_PIVOT = ("frame matrix is singular: a zero pivot in the solve against "
+              "its transpose")
 
 
 class SingularFrameError(Exception):
@@ -292,68 +296,175 @@ def structure_functions(frame, q):
     """R[k, i, j] = R^k_ij with [X_i, X_j] = R^k_ij X_k; skew in (i, j).
 
     Brackets are computed for i < j only and reflected, so the skew symmetry
-    is exact.
+    is exact.  R comes from one run of the structure source (Structure), at
+    v = 0.
     """
     q = np.asarray(q, dtype=float)
     M = frame.matrix(q)
     frame.check(M)
-    return structure_from_matrix(frame, q, M)
+    return Structure(frame, q, M, np.zeros(q.shape)).R
 
 
-def structure_from_matrix(frame, q, M, B=None):
-    """structure_functions at q from the frame matrix M = X(q), already
-    evaluated and checked: the brackets [X_i, X_j], i < j, solved against
-    M^T (solve_transposed).  B is the bracket array _brackets(frame, q, M)
-    where the caller keeps it; otherwise it is made in the call to the
-    solve, so that it is freed before R is filled."""
-    n = frame.n
-    R = np.zeros(q.shape[:-1] + (n, n, n))
-    if n < 2:
+class Structure:
+    """One run of the frame's structure source (_structure_source) at q,
+    from the frame matrix M = X(q), already evaluated and checked, and the
+    quasi-velocities v: the brackets, R and Rv, each made an array on its
+    first read from the entries of the run, which it then lets go."""
+
+    def __init__(self, frame, q, M, v):
+        self.n, self.shape = frame.n, q.shape[:-1]
+        fn = _structure_source(frame)
+        self._R_at = fn.entries
+        self._runs = dict(zip(("brackets", "R", "Rv"), run(
+            fn, (q,), frame._pvals, (M.reshape(self.shape + (-1,)),),
+            (v,))))
+
+    @cached_property
+    def brackets(self):
+        """[X_i, X_j]^c at [..., c, p] for the pairs p = (i, j), i < j, in
+        row-major order."""
+        n = self.n
+        return _gathered(self._runs.pop("brackets"), self.shape).reshape(
+            self.shape + (n, n * (n - 1) // 2))
+
+    @cached_property
+    def R(self):
+        """R[..., k, i, j] = R^k_ij, skew in (i, j): zeros, the entries of
+        the run for i < j and their negatives for i > j."""
+        n = self.n
+        R = np.zeros(self.shape + (n, n, n))
+        for (k, i, j), x in zip(self._R_at, self._runs.pop("R")):
+            R[..., k, i, j] = x
+            R[..., k, j, i] = -x
         return R
-    i, j = np.triu_indices(n, 1)
-    coeff = solve_transposed(frame, M, _brackets(frame, q, M) if B is None
-                             else B)
-    R[..., :, i, j] = coeff
-    R[..., :, j, i] = -coeff
-    return R
+
+    @cached_property
+    def Rv(self):
+        """Rv[..., k, i] = R^k_ij v^j, the one contraction of R with v:
+        the residuals, the vakonomic solve and the defects read slices of
+        it."""
+        n = self.n
+        return _gathered(self._runs.pop("Rv"), self.shape).reshape(
+            self.shape + (n, n))
 
 
-def contract_structure(R, v):
-    """Rv[..., k, i] = R^k_ij v^j, the one contraction of R with v: the
-    residuals, the vakonomic solve and the defects read slices of it."""
-    return np.einsum("...ijk,...k->...ij", R, v)
+def _structure_source(frame):
+    """The one generated function of the structure of a frame's fields
+    (docs/state_context.md): f(q, fp, M, v) -> (B, R, Rv) at q, with M the
+    flat frame matrix there and v the quasi-velocities, each a row-major
+    sequence:
+
+    1. B[c, (i, j)] = [X_i, X_j]^c = ((DX_j)X_i - (DX_i)X_j)^c for i < j,
+       the frame's k = 1 kernel inlined once along each row X_i of M;
+    2. R, the R^k_ij with i < j at the indices f.entries, those that are
+       not structural zeros: the peeled solve of M^T C = B, one column of
+       B at a time (linsolve.peel_solve), the core factorised once;
+    3. Rv[k, i] = R^k_ij v^j over the terms that are not structural zeros,
+       summed in np.einsum's order (_einsum_order).
+
+    All of it is on one Tape, folded where it is emitted, so a
+    structurally zero bracket, column or term emits no line.  The solve
+    and Rv run under _solving(): numpy's errors are ignored at a batch, and
+    a zero pivot at a single state raises SingularFrameError.  Shared by
+    every frame of the same structure and structural zeros."""
+    return generated("structure", _generate_structure, frame._kernels,
+                     frame.n, frame.zeros)
 
 
-def _brackets(frame, q, M):
-    """The brackets [X_i, X_j], i < j in row-major order, at q from the
-    frame matrix M there, shape (..., n, n(n-1)/2), from one call of the
-    frame's bracket function (_bracket_source)."""
-    shape = q.shape[:-1]
-    B = run(_bracket_source(frame), (q,), frame._pvals,
-            (M.reshape(shape + (-1,)),))
-    return _gathered(B, shape).reshape(shape + (frame.n, -1))
+def _einsum_order(n):
+    """The order in which np.einsum("...ijk,...k->...ij") sums its n
+    products over k, as a tree of indices: numpy's contiguous reduction
+    keeps two partial sums, over the even and over the odd k, adds each
+    block of 8 products into them from its end (k = 6, 4, 2, 0 of the
+    block), then the products that remain in increasing k, and returns
+    the even sum plus the odd one.  For n < 8 that is (t0 + t2 + ...) +
+    (t1 + t3 + ...).  tests/test_frames.py checks it against np.einsum."""
+    lanes = [None, None]
+
+    def add(lane, k):
+        lanes[lane] = k if lanes[lane] is None else (lanes[lane], k)
+
+    for base in range(0, n - n % 8, 8):
+        for lane in (0, 1):
+            for k in (6, 4, 2, 0):
+                add(lane, base + k + lane)
+    for k in range(n - n % 8, n):
+        add(k % 2, k)
+    return lanes[0] if lanes[1] is None else tuple(lanes)
 
 
-def _bracket_source(frame):
-    """The one generated function of the brackets of a frame's fields
-    (docs/state_context.md): f(q, fp, M) -> the entries of
-    B[c, (i, j)] = [X_i, X_j]^c = ((DX_j)X_i - (DX_i)X_j)^c for i < j,
-    row-major, with M the flat frame matrix at q.  The frame's k = 1 kernel
-    is inlined once along each row X_i of M, on one Tape.  Shared by every
-    frame of the same structure."""
-    return generated("brackets", _generate_brackets, frame._kernels, frame.n)
+def _contracted(tape, R, k, i, n):
+    """Rv[k, i] = R^k_ij v^j on tape, from the values R[(k, i, j)] for
+    i < j (those not in R are structural zeros), in _einsum_order."""
+    names = {}
+
+    def term(tree):
+        if type(tree) is tuple:
+            return f"({term(tree[0])} + {term(tree[1])})"
+        j = tree
+        names[f"r{j}"], names[f"w{j}"] = R.get(
+            (k, min(i, j), max(i, j))), f"v{j}"
+        return f"{'-' if j < i else ''}r{j}*w{j}"
+
+    return tape.fold(term(_einsum_order(n)), names) if n else None
 
 
-def _generate_brackets(fk, n):
+def _generate_structure(fk, n, zeros):
     tape = Tape()
-    q = [f"q{i}" for i in range(n)]
+    q, v = [f"q{i}" for i in range(n)], [f"v{j}" for j in range(n)]
     X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    a = sum(X, [])
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # D[i][j * n + c] = ((DX_j) X_i)^c
     D = [tape.kernel(fk, 1, q, [X[i]], "fp")[1::2] for i in range(n)]
-    B = [tape.fold("a - b", {"a": D[i][j * n + c], "b": D[j][i * n + c]})
-         for c in range(n) for i in range(n) for j in range(i + 1, n)]
-    return tape.function("_brackets", ["q", "fp", "M"],
-                         {"q": q, "M": sum(X, [])}, [B], f"<brackets n={n}>")
+    B = [[tape.fold("a - b", {"a": D[i][j * n + c], "b": D[j][i * n + c]})
+          for i, j in pairs] for c in range(n)]
+    solve = len(tape.lines)  # the lines of the solve and Rv follow
+    R = {}
+    if pairs:
+        lu = peel_core(tape, n, zeros, a)
+        for p, (i, j) in enumerate(pairs):
+            x = peel_solve(tape, n, zeros, a, [col[p] for col in B], lu)
+            R.update(((k, i, j), y) for k, y in enumerate(x)
+                     if y is not None)
+    entries = sorted(R)
+    outputs = [sum(B, []), [R[e] for e in entries],
+               [_contracted(tape, R, k, i, n)
+                for k in range(n) for i in range(n)]]
+    keep = sum(outputs, [])
+    first = next((line for line, live in zip(tape.lines[solve:],
+                                              tape.live(keep)[solve:])
+                  if live), None)
+    body = tape.released(keep)
+    cut = body.index(first) if first else len(body)
+    returned = ", ".join(f"({''.join(f'{x}, ' for x in texts(p))})"
+                         for p in outputs)
+    source = "\n".join(
+        ["def _structure(q, fp, M, v):"]
+        + [f"    {', '.join(names)}, = {arg}"
+           for arg, names in (("q", q), ("M", a), ("v", v))]
+        + body[:cut] + ["    with _solving():"]
+        + ([f"    {line}" for line in body[cut:]] or ["        pass"])
+        + [f"    return {returned}"])
+    scalar, batched = peel_globals(n, zeros)
+    fn = bind_source(source, "_structure", f"<structure n={n}>",
+                     {**scalar, "_solving": _ZeroPivot},
+                     {**batched, "_solving": partial(np.errstate,
+                                                     all="ignore")})
+    fn.entries = tuple(entries)
+    return fn
+
+
+class _ZeroPivot:
+    """The context of the solve lines of the structure source at a single
+    state: a division by zero there is a zero pivot."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is ZeroDivisionError:
+            raise SingularFrameError(ZERO_PIVOT) from exc
 
 
 def quasi_velocities(frame, p):
@@ -370,8 +481,7 @@ def solve_transposed(frame, M, B):
     batch."""
     X = solve_peeled(M, B, frame.zeros)
     if X is None:
-        raise SingularFrameError("frame matrix is singular: a zero pivot "
-                                 "in the solve against its transpose")
+        raise SingularFrameError(ZERO_PIVOT)
     return X
 
 

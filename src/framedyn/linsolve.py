@@ -23,11 +23,12 @@ from functools import wraps
 
 import numpy as np
 
-from .exprlang import bind_source, generated
+from .exprlang import Tape, bind_source, generated
+from .folding import texts
 
 __all__ = ["det_pp", "min_abs", "max_abs", "solve_and_det", "cond_estimate",
            "unrolled", "factor", "substitute", "LU", "frame_gate", "peeled",
-           "solve_peeled"]
+           "solve_peeled", "peel_core", "peel_solve", "peel_globals"]
 
 
 def _generated(build):
@@ -373,62 +374,114 @@ def frame_gate(n, zeros=frozenset()):
     return _bind(lines, f"<frame gate n={n}>", _core=unrolled(len(rows)))
 
 
-@_generated
-def peeled(n, zeros=frozenset()):
-    """f(a, b) -> x with M^T x = b, for the row-major entries a of an n x n
-    matrix M with the structural zeros of frame_gate(n, zeros), peeled in
-    the gate's order.  Equation c of the system is sum_r M[r][c] x_r = b_c.
-    A peeled column c of M, singleton at row r, gives x_r from equation c
-    before the core, in the order of the peel; the core's equations, with
-    the known x moved to their right sides, are solved by factor(k) and
-    substitute(k); a peeled row r, singleton at column c, gives x_r from
-    equation c after the core, in the reverse order of the peel.  Each
-    equation subtracts its known M[r'][c] x_r' from b_c in increasing r',
-    then divides by M[r][c].  x is None at a zero pivot of a single state
-    (and not finite at one of a batch).  f.batched runs on columns; b's
-    entries may hold several right sides on a trailing axis."""
+def peel_core(tape, n, zeros, a):
+    """The factors of the core that the peel of an n x n matrix M with the
+    structural zeros in zeros leaves (_peel), for peel_solve: one line on
+    tape (an exprlang.Tape) that calls _lu (peel_globals) on the core's
+    entries, read from a, the values of M's row-major entries; None where
+    the peel leaves no core.  Raises ValueError for a structurally
+    singular M."""
     steps, rows, cols, line = _peel(n, zeros)
     if not line:
         raise ValueError("structurally singular matrix")
-    lines = ["def _f(a, b):", f"    {_seq(_names(n))} = a",
-             f"    {_seq(f'b{c}' for c in range(n))} = b"]
+    # the core's equations c are the rows of its matrix, its unknowns r
+    core = _seq(a[r * n + c] for c in cols for r in rows)
+    return tape.temp(f"_lu({core})") if rows else None
 
-    def equation(r, c, known, core=()):
-        s = f"b{c}"
-        for r2 in range(n):
-            if r2 == r or r2 * n + c in zeros or r2 in core:
+
+def peel_solve(tape, n, zeros, a, b, lu):
+    """The values of x with M^T x = b, emitted on tape in the order of the
+    peel (_peel(n, zeros)): a the values of M's row-major entries, b those
+    of the right side, lu the core's factors (peel_core).  Equation c of
+    the system is sum_r M[r][c] x_r = b_c.  A peeled column c of M,
+    singleton at row r, gives x_r from equation c before the core, in the
+    order of the peel; the core's equations, with the known x moved to
+    their right sides, go through _substitute(lu, ...); a peeled row r,
+    singleton at column c, gives x_r from equation c after the core, in
+    the reverse order of the peel.  Each equation subtracts its known
+    M[r'][c] x_r' from b_c in increasing r', then divides by M[r][c].
+    Every line is folded where it is emitted (Tape.fold): a term whose x
+    is a structural zero is dropped, and an x whose equation has no term
+    left is a structural zero itself, not divided by its pivot, as are the
+    core's x where its whole right side is."""
+    steps, rows, cols, _ = _peel(n, zeros)
+    x = {}
+
+    def equation(c, skip):
+        """(src, names): b_c less the known terms of equation c, for
+        Tape.fold; a term of a structurally zero x is left out."""
+        src, names = "s", {"s": b[c]}
+        for r in range(n):
+            if r in skip or r * n + c in zeros:
                 continue
-            if r2 not in known:  # the order of the peel rules this out
-                raise AssertionError(f"x{r2} is read before it is solved")
-            s = f"({s} - a{r2}_{c} * x{r2})"
-        return s
+            if r not in x:  # the order of the peel rules this out
+                raise AssertionError(f"x{r} is read before it is solved")
+            if x[r] is not None:
+                src = f"({src} - a{r}*x{r})"
+                names.update({f"a{r}": a[r * n + c], f"x{r}": x[r]})
+        return src, names
 
     def singleton(r, c):
-        lines.extend([f"    if _scalar and a{r}_{c} == 0.0:",
-                      "        return None",
-                      f"    x{r} = {equation(r, c, known)} / a{r}_{c}"])
-        known.add(r)
+        src, names = equation(c, (r,))
+        if len(names) == 1 and b[c] is None:
+            x[r] = None
+        else:
+            names["p"] = a[r * n + c]
+            x[r] = tape.fold(f"{src} / p", names)
 
-    known = set()
     for r, c, _, kind in steps:
         if kind == "col":
             singleton(r, c)
     if rows:
-        # the core's equations c (rows of its matrix), unknowns r
-        A = [f"a{r}_{c}" for c in cols for r in rows]
-        b = [equation(None, c, known, rows) for c in cols]
-        lines += [f"    _, lu = _factor({_seq(A)})",
-                  "    if lu is None:", "        return None",
-                  f"    {_seq(f'x{r}' for r in rows)} = _substitute(lu, "
-                  f"{_seq(b)})"]
-        known.update(rows)
+        rhs = [tape.fold(*equation(c, rows)) for c in cols]
+        if any(y is not None for y in rhs):
+            sol = tape.temp(f"_substitute({lu}, {_seq(texts(rhs))})")
+            x.update((r, tape.temp(f"{sol}[{i}]"))
+                     for i, r in enumerate(rows))
+        else:
+            x.update(dict.fromkeys(rows))
     for r, c, _, kind in reversed(steps):
         if kind == "row":
             singleton(r, c)
-    lines.append(f"    return {_seq(f'x{r}' for r in range(n))}")
-    k = len(rows)
-    return _bind(lines, f"<peeled n={n}>", _factor=factor(k),
-                 _substitute=substitute(k))
+    return [x[r] for r in range(n)]
+
+
+def peel_globals(n, zeros):
+    """The globals that peel_solve's lines read, for each binding of their
+    function (bind_source's scalar and batched): _lu(a), the factors of
+    the k x k core that _peel(n, zeros) leaves by factor(k), the float
+    binding raising ZeroDivisionError at a zero pivot as a division by a
+    zero pivot does, and _substitute, substitute(k)."""
+    k = len(_peel(n, zeros)[1])
+    if not k:
+        return {}, {}
+    fn, sub = factor(k), substitute(k)
+
+    def lu(a):
+        _, factors = fn(a)
+        if factors is None:
+            raise ZeroDivisionError("zero pivot")
+        return factors
+
+    return ({"_lu": lu, "_substitute": sub},
+            {"_lu": lambda a: fn.batched(a)[1], "_substitute": sub.batched})
+
+
+@_generated
+def peeled(n, zeros=frozenset()):
+    """f(a, b) -> x with M^T x = b, for the row-major entries a of an n x n
+    matrix M with the structural zeros of frame_gate(n, zeros), by the
+    lines of peel_solve, over names (so nothing is folded).  The float
+    binding raises ZeroDivisionError at a zero pivot; the numpy binding
+    leaves x not finite at one.  f.batched runs on columns; b's entries may
+    hold several right sides on a trailing axis."""
+    tape = Tape()
+    a, b = _names(n), [f"b{c}" for c in range(n)]
+    x = peel_solve(tape, n, zeros, a, b, peel_core(tape, n, zeros, a))
+    lines = (["def _f(a, b):", f"    {_seq(a)} = a", f"    {_seq(b)} = b"]
+             + tape.released(x) + [f"    return {_seq(texts(x))}"])
+    return bind_source("\n".join(lines), "_f", f"<peeled n={n}>",
+                       *peel_globals(n, zeros))
 
 
 def solve_peeled(M, B, zeros=frozenset()):
@@ -436,4 +489,8 @@ def solve_peeled(M, B, zeros=frozenset()):
     (..., n, k) for k right sides, at a single state or a batch; None at a
     zero pivot of a single state."""
     M, B = np.asarray(M, dtype=float), np.asarray(B, dtype=float)
-    return _apply(peeled(M.shape[-1], zeros), _entries(M), B, M.shape[:-2])
+    try:
+        return _apply(peeled(M.shape[-1], zeros), _entries(M), B,
+                      M.shape[:-2])
+    except ZeroDivisionError:  # a zero pivot of the float binding
+        return None

@@ -32,8 +32,7 @@ from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
                        _gathered, _guarded, _stacked, bind_source, generated,
                        run)
 from .folding import texts
-from .frames import (FAST_FRAME_DET, TangentPoint, _brackets, base_velocity,
-                     contract_structure, structure_from_matrix)
+from .frames import FAST_FRAME_DET, Structure, TangentPoint, base_velocity
 from .lagrangian import energy, hessian_regularity
 from .linsolve import (LU, cond_estimate, factor, frame_gate, min_abs,
                        substitute)
@@ -320,10 +319,11 @@ class StateContext:
     regularity tests read.  gamma is set once the system is solved.  The
     constraint side (the trailing rows D_a with their clift and correction,
     every vlift, the Hessian entries outside g_D) comes from one call of
-    the lift function on the first read of any of it; the brackets
-    of the frame's fields, R and R contracted with v (Rv) on first use.  A
-    context lives as long as its state (NonholonomicField._context), so
-    what it makes (memo) serves every later call there.
+    the lift function on the first read of any of it; the brackets of the
+    frame's fields, R and R contracted with v (Rv) from one run of the
+    structure source on the first read of any of them.  A context lives
+    as long as its state (NonholonomicField._context), so what it makes
+    (memo) serves every later call there.
     """
 
     def __init__(self, field, s):
@@ -401,22 +401,17 @@ class StateContext:
         return self.D[..., a, :] if a < m else self._lifts.D[..., a - m, :]
 
     @cached_property
-    def brackets(self):
-        """The brackets [X_i, X_j], i < j, at q (frames._brackets), from M
-        on first use.  R read after them is solved from this array."""
-        return _brackets(self.frame, self.q, self.M)
+    def _structure(self):
+        """The one run of the frame's structure source at this state
+        (frames.Structure), from M and v, on the first read of any of the
+        brackets, R and Rv; each is made an array when it is read."""
+        return Structure(self.frame, self.q, self.M, self.v)
 
-    @cached_property
-    def R(self):
-        """The structure functions at q, from M on first use: solved from
-        the kept brackets if they were read before, else from brackets
-        made and freed in the call, so that a batch's brackets stay in
-        memory only for a caller that reads them."""
-        return structure_from_matrix(self.frame, self.q, self.M,
-                                     self.__dict__.get("brackets"))
-
-    # R^k_ij v^j at [..., k, i], for every reader of R contracted with v
-    Rv = cached_property(lambda self: contract_structure(self.R, self.v))
+    # [X_i, X_j], i < j; R; and R^k_ij v^j at [..., k, i], for every reader
+    # of R contracted with v
+    brackets = property(lambda self: self._structure.brackets)
+    R = property(lambda self: self._structure.R)
+    Rv = property(lambda self: self._structure.Rv)
 
     def vlift(self, a):
         """vlift X_a(L); for a >= m the momentum p_a."""

@@ -27,9 +27,8 @@ from operator import add
 import numpy as np
 
 from .exprlang import ExprFunction, Kernels, _columns, _gathered, _guarded
-from .frames import (QuasiState, TangentPoint, base_velocity,
-                     contract_structure, solve_transposed,
-                     structure_from_matrix)
+from .frames import (QuasiState, Structure, TangentPoint, base_velocity,
+                     solve_transposed)
 from .jets import TaylorValue
 from .lagrangian import hessian_rows
 from .linsolve import max_abs, solve_and_det
@@ -367,7 +366,7 @@ def el_field(Lt, frame, p, det_tol=GAMMA_DET_TOL):
     M = frame.matrix(q)
     frame.check(M)
     v = solve_transposed(frame, M, p.u)
-    Rv = contract_structure(structure_from_matrix(frame, q, M), v)
+    Rv = Structure(frame, q, M, v).Rv
     if isinstance(Lt, VariationalLagrangian):
         jet = lambda q, v, dirs: Lt.qv_taylor(q, v, dirs).c
     else:

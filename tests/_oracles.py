@@ -444,18 +444,33 @@ class QuasiVelocityFunction:
 
 
 # The constraint and residual sides as they were assembled before their
-# generated sources (framedyn.frames._bracket_source,
+# generated sources (framedyn.frames._structure_source,
 # framedyn.nonholonomic._lift_source, _epsilon_source and _chart_source,
 # and framedyn.quasichart._fibre_source): one kernel call per piece.  Those
 # sources must give the same floats.
 
 
+def brackets_reference(frame, q, M):
+    """The brackets (D X_j) X_i - (D X_i) X_j, i < j, at [..., c, pair],
+    from one Frame.dfields call per X_i, placed by Python loops."""
+    n = frame.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    B = np.empty(q.shape[:-1] + (n, len(pairs)))
+    for i in range(n):
+        D = frame.dfields(q, M[..., i, :], n)
+        for idx, (a, b) in enumerate(pairs):
+            if a == i:
+                B[..., :, idx] = D[..., b, :]
+            elif b == i:
+                B[..., :, idx] -= D[..., a, :]
+    return B
+
+
 def structure_from_matrix_reference(frame, q, M, B=None):
-    """R^k_ij from the brackets (D X_j) X_i - (D X_i) X_j, one
-    Frame.dfields call per X_i, assembled and reflected by Python loops;
-    from B instead where the caller passes its brackets.  The brackets are
-    solved against M^T by the frame's peeled solve, which
-    tests/test_linsolve.py checks against LAPACK."""
+    """R^k_ij from the brackets B (brackets_reference unless the caller
+    passes them), solved against M^T by the frame's peeled solve, which
+    tests/test_linsolve.py checks against LAPACK, and reflected by Python
+    loops."""
     from framedyn.frames import solve_transposed
 
     n = frame.n
@@ -463,20 +478,30 @@ def structure_from_matrix_reference(frame, q, M, B=None):
     R = np.zeros(q.shape[:-1] + (n, n, n))
     if not pairs:
         return R
-    if B is None:
-        B = np.empty(q.shape[:-1] + (n, len(pairs)))
-        for i in range(n):
-            D = frame.dfields(q, M[..., i, :], n)
-            for idx, (a, b) in enumerate(pairs):
-                if a == i:
-                    B[..., :, idx] = D[..., b, :]
-                elif b == i:
-                    B[..., :, idx] -= D[..., a, :]
-    coeff = solve_transposed(frame, M, B)
+    coeff = solve_transposed(frame, M, brackets_reference(frame, q, M)
+                             if B is None else B)
     for idx, (i, j) in enumerate(pairs):
         R[..., :, i, j] = coeff[..., :, idx]
         R[..., :, j, i] = -coeff[..., :, idx]
     return R
+
+
+def contract_structure(R, v):
+    """Rv[..., k, i] = R^k_ij v^j by one np.einsum over the dense R: the
+    oracle of the structure source's R v, which sums its terms in
+    einsum's order, so that the two are equal under ==."""
+    return np.einsum("...ijk,...k->...ij", R, v)
+
+
+class StructureReference:
+    """framedyn.frames.Structure from the routes above: the brackets by
+    brackets_reference, R by structure_from_matrix_reference from them and
+    Rv by contract_structure."""
+
+    def __init__(self, frame, q, M, v):
+        self.brackets = brackets_reference(frame, q, M)
+        self.R = structure_from_matrix_reference(frame, q, M, self.brackets)
+        self.Rv = contract_structure(self.R, v)
 
 
 class StateContextLiftsReference:

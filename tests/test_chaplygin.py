@@ -54,30 +54,41 @@ class TestVerify:
         assert calls == [(6, 5), (5,), (5,)]
 
     def test_brackets_once_per_state(self, carriage, monkeypatch):
-        # [X_alpha, E_a] is read from the bracket array that R is solved
-        # from: one run of the bracket function per state.
+        # [X_alpha, E_a] and R are read from one run of the structure
+        # source per state.
         import framedyn.frames as frames
 
-        calls = []
-        bracket_source = frames._bracket_source
+        from _oracles import brackets_reference
+
+        runs = []
+        structure_source = frames._structure_source
 
         def counted(frame):
-            calls.append(frame)
-            return bracket_source(frame)
+            fn = structure_source(frame)
+
+            def scalar(*args):
+                runs.append("scalar")
+                return fn(*args)
+
+            def batched(*args):
+                runs.append("batched")
+                return fn.batched(*args)
+
+            scalar.batched, scalar.entries = batched, fn.entries
+            return scalar
 
         F, split = carriage.frame, carriage.split
         S = carriage.states(6, seed=42)
         states = [S] + [QuasiState(S.q[i], S.v[i]) for i in range(5)]
         i, j = np.triu_indices(split.n, 1)
         commute = (i < split.m) & (j >= split.m)
-        want = max(np.max(np.abs(frames._brackets(F, s.q, F.matrix(s.q))[
+        want = max(np.max(np.abs(brackets_reference(F, s.q, F.matrix(s.q))[
             ..., commute])) for s in states)
-        monkeypatch.setattr(frames, "_bracket_source", counted)
+        monkeypatch.setattr(frames, "_structure_source", counted)
         rep = verify_chaplygin(carriage.L, F, split, carriage.sysd.chaplygin,
                                states)
-        assert len(calls) == len(states) == 6
+        assert runs == ["batched"] + ["scalar"] * 5
         assert rep["commute"] == want and rep["passed"], rep
-
 
     def test_nan_state_fails_and_is_reported(self):
         # A NaN in one of three batched states reaches the invariance and

@@ -177,10 +177,12 @@ def test_derive_bad_grid_row(capsys, tmp_path):
     assert "$.points[0]" in err
 
 
-@pytest.mark.parametrize("entry", [True, None, "a"])
+@pytest.mark.parametrize("entry", [True, None, "a", math.nan, math.inf,
+                                   pytest.param(10 ** 400, id="int400")])
 def test_derive_grid_entries_must_be_numbers(capsys, tmp_path, entry):
-    # A JSON true, null or string in a grid row is a config error at its
-    # path, not a q1 of 1, a row of NaN or a conversion error.
+    # A JSON true, null, string, NaN, Infinity or an integer beyond the
+    # floats in a grid row is a config error at its path, not a q1 of 1, a
+    # row of NaN or a conversion error.
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"points": [[0.0, 0.1, 0.2, 0.3, 0.4, 1.0,
                                             0.0], [0.0, entry, 0.0, 0.0,
@@ -189,6 +191,17 @@ def test_derive_grid_entries_must_be_numbers(capsys, tmp_path, entry):
                        "--grid", str(grid))
     assert code == 2
     assert "config error at $.points[1][1]" in err
+
+
+def test_derive_grid_nan_row(capsys, tmp_path):
+    # a NaN q1 is a config error, not a row of the table with q1 = nan
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"points": [[math.nan, 0, 0, 0, 0, 1, 0]]}))
+    out = tmp_path / "d.csv"
+    code, _, err = run(capsys, "derive", "--system", "carriage",
+                       "--grid", str(grid), "--out", str(out))
+    assert code == 2 and "config error at $.points[0][0]" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", [5, {"0": [0.0] * 7}])
@@ -308,7 +321,38 @@ def test_simulate_bad_initial_state(capsys):
     assert "$.q0" in err
 
 
+@pytest.mark.parametrize("system,q0,where", [
+    ("carriage", "nan,0,0,0,0", "$.q0[0]"),
+    ("nonholonomic_particle", "0,inf,0", "$.q0[1]")])
+def test_simulate_non_finite_initial_state(capsys, system, q0, where):
+    # a config error at the entry, not a runtime error after the first step
+    code, _, err = run(capsys, "simulate", "--system", system, "--q0", q0,
+                       "--t-end", "0.01")
+    assert code == 2
+    assert f"config error at {where}:" in err
+
+
 class TestConsistencyCommand:
+    def test_overflowing_section_prints_no_warning(self, capsys, tmp_path):
+        # exp(10000*q1) overflows at the sampled states: numpy's overflow
+        # warning is not passed to the user, and the report, which carries
+        # the Infinity and NaN it causes, keeps its bytes.
+        import hashlib
+        import warnings
+
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(
+                capsys, "consistency", "--system", "nonholonomic_particle",
+                "--section", '{"kind": "custom", "phi": ["exp(10000*q1)"]}',
+                "--samples", "3", "--out", str(out))
+        assert code == 0 and err == "" and not caught
+        report = out.read_bytes()
+        assert b"Infinity" in report and b"NaN" in report
+        assert hashlib.sha256(report).hexdigest() == (
+            "c286e6700875c977d9a0b42b5b779f99a86694c0c1315a586f3b991c67d78443")
+
     def test_disk_momentum_strongly_consistent(self, capsys, tmp_path):
         out = tmp_path / "r.json"
         code, _, _ = run(capsys, "consistency", "--system", "vertical_disk",
@@ -655,10 +699,13 @@ class TestRunConfig:
         ("consistency", "params", {"l": True}, "$.params.l"),
         ("derive", "params", {"l": math.nan}, "$.params.l"),
         ("derive", "params", {"l": -math.inf}, "$.params.l"),
+        ("simulate", "q0", [math.nan, 0, 0, 0, 0], "$.q0[0]"),
+        ("simulate", "v0", [1.0, 10 ** 400], "$.v0[1]"),
     ])
     def test_config_entries_must_be_numbers(self, capsys, tmp_path, command,
                                             field, value, path):
         # a JSON true or false is no number, and each state entry is checked
+        # to be a finite one
         cfgp = tmp_path / "run.json"
         cfgp.write_text(json.dumps({"system": "carriage", "t_end": 0.01,
                                     "samples": 2, field: value}))

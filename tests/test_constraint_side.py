@@ -1,17 +1,17 @@
 """The constraint and residual sides of a state from their generated
-sources: the brackets behind R (frames._bracket_source), the trailing lifts
-of the state context (nonholonomic._lift_source), the rates of the one-form
-epsilon (nonholonomic._epsilon_source), the chart jets of the chart-form
-residuals (nonholonomic._chart_source) and the momentum partials of a chart
-point (quasichart._fibre_source), against the piecewise routes they replace
-(kept in _oracles)."""
+sources: the brackets, R and R v (frames._structure_source), the trailing
+lifts of the state context (nonholonomic._lift_source), the rates of the
+one-form epsilon (nonholonomic._epsilon_source), the chart jets of the
+chart-form residuals (nonholonomic._chart_source) and the momentum
+partials of a chart point (quasichart._fibre_source), against the
+piecewise routes they replace (kept in _oracles)."""
 
 import numpy as np
 import pytest
 
 from framedyn import NonholonomicField, builtin, sample_states
 from framedyn.chaplygin import gamma_k_residual, prop6_scalar
-from framedyn.frames import (QuasiState, TangentPoint, _bracket_source,
+from framedyn.frames import (QuasiState, TangentPoint, _structure_source,
                              structure_functions)
 from framedyn.lagrangian import REGULARITY_DET_TOL
 from framedyn.nonholonomic import (_chart_source, _epsilon_source,
@@ -82,16 +82,14 @@ def _use_piecewise_routes(monkeypatch):
     import framedyn.quasichart as quasichart
     import framedyn.vakonomic as vakonomic
 
-    from _oracles import (StateContextLiftsReference, chart_jets_reference,
-                          fibre_partial_reference,
-                          structure_from_matrix_reference)
+    from _oracles import (StateContextLiftsReference, StructureReference,
+                          chart_jets_reference, fibre_partial_reference)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a generated source was run")
 
     for module in (frames, nonholonomic, vakonomic):
-        monkeypatch.setattr(module, "structure_from_matrix",
-                            structure_from_matrix_reference)
+        monkeypatch.setattr(module, "Structure", StructureReference)
     for name in ("dfield", "vlift", "clift", "epsilon", "regularity_report"):
         monkeypatch.setattr(nonholonomic.StateContext, name,
                             getattr(StateContextLiftsReference, name))
@@ -99,7 +97,7 @@ def _use_piecewise_routes(monkeypatch):
                         chart_jets_reference)
     monkeypatch.setattr(quasichart.QvChartPoint, "eval_fibre_partial",
                         fibre_partial_reference)
-    for module, name in ((frames, "_bracket_source"),
+    for module, name in ((frames, "_structure_source"),
                          (nonholonomic, "_lift_function"),
                          (nonholonomic, "_epsilon_source"),
                          (nonholonomic, "_chart_source"),
@@ -197,10 +195,10 @@ def test_section_values_and_rate_are_made_once_per_state(carriage, first,
 
 def _sources(L, frame, split):
     """The generated functions of a system that read its frame: the
-    brackets, the lifts, the momentum partials along 0, 1 and 2 directions
-    and the chart jets."""
+    structure (brackets, R and R v), the lifts, the momentum partials along
+    0, 1 and 2 directions and the chart jets."""
     fn = _composite(L, frame)[0]
-    return ([_bracket_source(frame), _lift_source(L, frame, split)]
+    return ([_structure_source(frame), _lift_source(L, frame, split)]
             + [_fibre_source(fn, frame.n, k) for k in range(3)]
             + [_chart_source(fn, split.m)])
 

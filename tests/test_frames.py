@@ -242,3 +242,109 @@ def test_nan_point_is_a_singular_frame(particle):
                         particle.split)
     with np.errstate(invalid="ignore"), pytest.raises(SingularFrameError):
         particle.field.rate(s)
+
+
+def test_einsum_order_is_numpys(rng):
+    # The structure source sums R^k_ij v^j in the order of
+    # np.einsum("...ijk,...k->...ij"); on products of widely spread
+    # magnitudes another order gives other bits.  A numpy that sums in
+    # another order fails here first.
+    from framedyn.frames import _einsum_order
+
+    def summed(tree, t):
+        if type(tree) is int:
+            return t[..., tree]
+        return summed(tree[0], t) + summed(tree[1], t)
+
+    for n in range(1, 21):
+        for shape in ((), (41,), (1200,)):
+            R = rng.normal(size=shape + (n, n, n)) * 10.0 ** rng.integers(
+                -8, 8, size=shape + (n, n, n))
+            v = rng.normal(size=shape + (n,)) * 10.0 ** rng.integers(
+                -8, 8, size=shape + (n,))
+            want = np.einsum("...ijk,...k->...ij", R, v)
+            got = summed(_einsum_order(n), R * v[..., None, None, :])
+            assert np.array_equal(got, want), (n, shape)
+
+
+def _structure_systems():
+    """(name, L, frame, split, states): the gate systems at 40 sampled
+    states; the knife edge and the threshold frame at 40 seeded states, a
+    part of the threshold frame's below FAST_FRAME_DET."""
+    from framedyn import sample_states
+
+    from test_integrator import KNIFE_ROWS, THRESHOLD_ROWS, _knife_system
+    from test_nonholonomic import GATE_SYSTEMS
+
+    out = [(name, L, frame, split, sample_states(sysd, 40, seed=17))
+           for name, sysd, L, frame, split in GATE_SYSTEMS]
+    rng = np.random.default_rng(37)
+    for name, rows, low in (("knife_edge", KNIFE_ROWS, -2.0),
+                            ("threshold_frame", THRESHOLD_ROWS, -0.8)):
+        L, frame, split = _knife_system(rows)
+        q = rng.uniform(-2.0, 2.0, (40, 3))
+        q[:, 0] = rng.uniform(low, 0.5, 40)
+        out.append((name, L, frame, split, QuasiState.on_C(
+            q, rng.uniform(-2.0, 2.0, (40, 2)), split)))
+    return out
+
+
+STRUCTURE_SYSTEMS = _structure_systems()
+
+
+@pytest.mark.parametrize("first", ["Rv", "R"])
+@pytest.mark.parametrize("name,L,frame,split,S", STRUCTURE_SYSTEMS,
+                         ids=[g[0] for g in STRUCTURE_SYSTEMS])
+def test_state_context_structure_equals_einsum_over_dense_R(
+        name, L, frame, split, S, first):
+    # ctx.Rv, from one run of the structure source over R's structural
+    # nonzeros, is == to np.einsum over the dense R of the piecewise route,
+    # and ctx.R is that R, batched and one state at a time, whichever of
+    # the two is read first.  On C only the m leading v^j are nonzero, so
+    # the order of the sum shows only off C: the structure at a full v (as
+    # el_field runs it) is compared too, where the rotated carriage's
+    # three-term sums tell einsum's order from others.
+    from framedyn import NonholonomicField
+    from framedyn.frames import Structure
+
+    from _oracles import contract_structure, structure_from_matrix_reference
+
+    field = NonholonomicField(L, frame, split)
+    second = "R" if first == "Rv" else "Rv"
+    W = np.random.default_rng(41).normal(size=S.v.shape)
+    for s, w in [(S, W)] + [(QuasiState(S.q[i], S.v[i]), W[i])
+                            for i in range(40)]:
+        ctx = field._context(QuasiState(s.q.copy(), s.v.copy()))
+        got = {first: getattr(ctx, first)}
+        got[second] = getattr(ctx, second)
+        M = frame.matrix(s.q)
+        R = structure_from_matrix_reference(frame, s.q, M)
+        assert np.array_equal(got["R"], R), name
+        assert np.array_equal(got["Rv"], contract_structure(R, s.v)), name
+        assert np.all(np.isfinite(got["Rv"]))
+        off_C = Structure(frame, s.q, M, w)
+        assert np.array_equal(off_C.Rv, contract_structure(R, w)), name
+        assert np.array_equal(off_C.R, R), name
+
+
+def test_structure_source_zero_pivot():
+    # Past the frame check no pivot is zero; given a singular core
+    # directly, a single state raises SingularFrameError and a batch leaves
+    # that state not finite, the others as they are alone.
+    from framedyn.frames import Structure
+
+    from test_integrator import KNIFE_ROWS, _knife_system
+
+    _, frame, _ = _knife_system(KNIFE_ROWS)
+    q = np.array([[0.3, -0.2, 0.7], [0.1, 0.4, -1.1], [-0.5, 0.2, 0.4]])
+    v = np.array([[0.8, -0.3, 0.0], [0.2, 0.5, 0.0], [-1.0, 0.6, 0.0]])
+    M = frame.matrix(q)
+    M[1, [0, 2], :2] = [[1.0, 2.0], [2.0, 4.0]]  # the 2 x 2 core, singular
+    with pytest.raises(SingularFrameError, match="zero pivot"):
+        Structure(frame, q[1], M[1], v[1]).Rv
+    batch = Structure(frame, q, M, v)
+    assert not np.all(np.isfinite(batch.Rv[1]))
+    for i in (0, 2):
+        one = Structure(frame, q[i], M[i], v[i])
+        assert np.array_equal(batch.Rv[i], one.Rv)
+        assert np.array_equal(batch.R[i], one.R)

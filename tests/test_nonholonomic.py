@@ -1,5 +1,6 @@
 import ast
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -486,17 +487,17 @@ def test_generated_field_function_is_shared_by_structure():
 
 def _generated_sources(L, frame, split):
     """The generated functions of a system, the field's first: the field,
-    the lifts, the brackets, the chart jets, the momentum partials along
+    the lifts, the structure, the chart jets, the momentum partials along
     0, 1 and 2 directions and epsilon for the indices of the fundamental
     residual and for those of the multipliers."""
-    from framedyn.frames import _bracket_source
+    from framedyn.frames import _structure_source
     from framedyn.nonholonomic import (_chart_source, _epsilon_source,
                                        _lift_source)
     from framedyn.quasichart import _composite, _fibre_source
 
     fn = _composite(L, frame)[0]
     return ([_field_source(L, frame, split), _lift_source(L, frame, split),
-             _bracket_source(frame), _chart_source(fn, split.m)]
+             _structure_source(frame), _chart_source(fn, split.m)]
             + [_fibre_source(fn, frame.n, k) for k in range(3)]
             + [_epsilon_source(L, tuple(indices)) for indices in (
                 range(split.m), range(split.m, split.n))])
@@ -842,8 +843,9 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     from framedyn.linsolve import LU
     from framedyn.vakonomic import consistency_report, solve_gamma_C
 
-    counts = dict.fromkeys(("field", "R", "Rv", "einsum", "factorise",
-                            "lu_solve", "derivative", "taylor", "fibre"), 0)
+    counts = dict.fromkeys(("field", "structure", "R", "einsum",
+                            "factorise", "lu_solve", "derivative", "taylor",
+                            "fibre"), 0)
     runs = {"chart": [], "epsilon": []}
 
     def counted(key, fn):
@@ -876,11 +878,20 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     field_function = nonholonomic._field_function
     monkeypatch.setattr(nonholonomic, "_field_function",
                         lambda *a: counted("field", field_function(*a)))
-    build_R = counted("R", frames.structure_from_matrix)
-    for module in (frames, nonholonomic):
-        monkeypatch.setattr(module, "structure_from_matrix", build_R)
-    monkeypatch.setattr(nonholonomic, "contract_structure",
-                        counted("Rv", frames.contract_structure))
+    structure_source = frames._structure_source
+
+    def counted_structure(frame):
+        # each run of the structure source on either binding
+        fn = structure_source(frame)
+        scalar = counted("structure", fn)
+        scalar.batched = counted("structure", fn.batched)
+        scalar.entries = fn.entries
+        return scalar
+
+    monkeypatch.setattr(frames, "_structure_source", counted_structure)
+    dense_R = cached_property(counted("R", frames.Structure.R.func))
+    dense_R.__set_name__(frames.Structure, "R")
+    monkeypatch.setattr(frames.Structure, "R", dense_R)
     monkeypatch.setattr(np, "einsum", counted("einsum", np.einsum))
     monkeypatch.setattr(LU, "of", classmethod(counted("factorise",
                                                       LU.of.__func__)))
@@ -918,10 +929,11 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
                 len(runs["epsilon"]) - before[1]) == (chart, epsilon), oracle
     assert runs["epsilon"][2][1] == tuple(range(m))
     assert [args[1] for args in runs["chart"]] == [m, m]
-    # einsum: the contraction, the solve's two phi R v products, the one of
-    # prop6_scalar, and u = w^alpha X_alpha in the fibre of lambda, Lambda
-    # and the fundamental residual
-    assert counts == {"field": 1, "R": 1, "Rv": 1, "einsum": 7,
+    # one run of the structure source gives R v, and no dense R is built;
+    # einsum: the solve's two phi R v products, the one of prop6_scalar,
+    # and u = w^alpha X_alpha in the fibre of lambda, Lambda and the
+    # fundamental residual
+    assert counts == {"field": 1, "structure": 1, "R": 0, "einsum": 6,
                       "factorise": 1, "lu_solve": 3, "derivative": 0,
                       "taylor": 0, "fibre": 3}
 

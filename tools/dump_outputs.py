@@ -10,8 +10,10 @@ and writes one array per output to OUT.npz:
 
 * on the four built-ins, the carriage with D rotated by theta and the
   carriage at the special length l*, at 40 seeded states, batched and one
-  state at a time: Gamma, lambda, R, `det_D`, `det_Dperp` and `det_g` of
-  the state context's regularity report, `quasi_velocities` of the state's
+  state at a time: Gamma, lambda, R, R v (`Rv`, read first on a context
+  of its own, a fresh copy of the state, so that no earlier read can
+  choose its route), `det_D`, `det_Dperp` and `det_g` of the state
+  context's regularity report, `quasi_velocities` of the state's
   base velocity, the three residuals at the solved Gamma and at a seeded
   trial Gamma (the `gamma=` override), `prop6_scalar`,
   `gamma_k_residual`; `consistency_report`, `solve_gamma_C` and
@@ -20,9 +22,9 @@ and writes one array per output to OUT.npz:
   momentum sections;
 * on the same systems, `verify_chaplygin` at the 40 states, batched and
   one state at a time;
-* Gamma, lambda and R of the knife edge (`KNIFE_EDGE` in
-  bench/workloads.py, whose frame matrix has a dense 2 x 2 core) at 40
-  seeded states, batched and one state at a time;
+* Gamma, lambda, R and R v (on a context of its own) of the knife edge
+  (`KNIFE_EDGE` in bench/workloads.py, whose frame matrix has a dense
+  2 x 2 core) at 40 seeded states, batched and one state at a time;
 * on the same systems, an RK4 and a DOPRI5 trajectory with every
   observable, the defects of the shifted section included, and its
   `drift_report`;
@@ -166,7 +168,7 @@ def _state_outputs(fd, sysd, L, F, split, s, delta):
     sections = _sections(fd, sysd, *args)
     ctx = field._context(s)
     out = {"gamma": field.gamma(s), "lambda": field.multipliers(s),
-           "R": ctx.R.copy()}
+           "R": ctx.R.copy(), "Rv": _fresh_Rv(fd, field, s)}
     report = ctx.regularity_report(fd.nonholonomic.GAMMA_DET_TOL)
     for name in ("det_D", "det_Dperp", "det_g"):
         out[f"regularity.{name}"] = getattr(report, name)
@@ -198,6 +200,12 @@ def _state_outputs(fd, sysd, L, F, split, s, delta):
     return out
 
 
+def _fresh_Rv(fd, field, s):
+    """R v at the state s, read first on the context of a fresh copy of
+    s."""
+    return field._context(fd.QuasiState(s.q.copy(), s.v.copy())).Rv.copy()
+
+
 def _dump_states(fd, out, work):
     for name, sysd, L, F, split in _gate_systems(fd):
         S = fd.sample_states(sysd, STATES, seed=17)
@@ -227,7 +235,8 @@ def _dump_knife_edge_states(fd, out, work):
 
     def outputs(s):
         return {"gamma": field.gamma(s), "lambda": field.multipliers(s),
-                "R": field._context(s).R.copy()}
+                "R": field._context(s).R.copy(),
+                "Rv": _fresh_Rv(fd, field, s)}
 
     batched = outputs(S)
     single = [outputs(fd.QuasiState(S.q[i].copy(), S.v[i].copy()))
