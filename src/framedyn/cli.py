@@ -100,7 +100,10 @@ def _mismatch(value, shape):
         if (type(item) is Items and set(map(type, value)) <= {list}
                 and set(map(len, value)) <= {item.count}):
             entries, item = list(chain.from_iterable(value)), item.item
-        if type(item) is not frozenset or not set(map(type, entries)) <= item:
+        types = set(map(type, entries))
+        if not (types <= item if type(item) is frozenset else
+                item is FINITE and types <= NUM
+                and _finite(entries, int in types)):
             for i, x in enumerate(value):
                 bad = _mismatch(x, shape.item)
                 if bad:
@@ -120,6 +123,16 @@ def _mismatch(value, shape):
             if bad:
                 return bad[0], f".{key}{bad[1]}"
     return None
+
+
+def _finite(numbers, ints):
+    """Whether every int or float of numbers is FINITE: a finite float sum
+    (a huge int overflows), and if ints, each int tested on its own."""
+    try:
+        return math.isfinite(sum(numbers, 0.0)) and (not ints or all(
+            abs(x) <= sys.float_info.max for x in numbers if type(x) is int))
+    except OverflowError:
+        return False
 
 
 def _load_json(path):
@@ -230,9 +243,11 @@ def _parse_section(text, frame, split, builtin_k):
     kind = spec.get("kind")
     _walk(kind, ("zero", "momentum", "momentum_shifted", "custom"),
           "$.section.kind")
-    if kind in ("zero", "momentum"):
+    key = {"custom": "phi", "momentum_shifted": "k"}.get(kind)
+    _walk(spec, Fields({"kind": STR}, {key: JSON} if key else {}),
+          "$.section")
+    if key is None:
         return spec, None
-    key = "phi" if kind == "custom" else "k"
     path, exprs = f"$.section.{key}", spec.get(key, "builtin")
     if kind == "momentum_shifted" and exprs == "builtin":
         _require(builtin_k is not None, "$.section.kind", "this system has "

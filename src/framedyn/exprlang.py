@@ -510,14 +510,14 @@ class Tape:
             + [f"    return {returned}"])
         return bind_source(source, name, filename)
 
-    def kernel(self, kernels, k, values, dirs, params, count=None):
+    def kernel(self, kernels, k, values, dirs, params, count=None, at=0):
         """The slot values of the kernel of the first `count` expressions
         of kernels (a Kernels) along k directions, inlined at the leaf
         values given: values and each of the k directions follow its
-        variables, and params names the sequence of its parameters.  A
-        leaf value is the text of a name, None for a structural zero (the
-        zero base part of a vertical lift, the entries of a probe other
-        than its 1.0) or a float for a generator constant (a probe's 1.0).
+        variables, and params names a sequence holding its parameters from
+        index `at` on.  A leaf value is the text of a name, None for a
+        structural zero (the zero base part of a vertical lift, the entries
+        of a probe but its 1.0) or a float for a generator constant.
         Each line of the kernel's body (kernel_body) is copied with its
         leaf names (v[i], d{d}[i], p[j]) and temporaries renamed and bound
         by temp; a line whose text reduces to a name is not emitted, that
@@ -529,7 +529,7 @@ class Tape:
         template = self._templates.get(id(body))
         if template is None:
             template = self._templates[id(body)] = _template(body[0])
-        names = {f"p[{j}]": f"{params}[{j}]"
+        names = {f"p[{j}]": f"{params}[{at + j}]"
                  for j in range(len(kernels.param_names))}
         for i, x in enumerate(values):
             names[f"v[{i}]"] = x

@@ -19,8 +19,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .exprlang import (EvalDomainError, Expr, ExprFunction, Kernels, Tape,
-                       _gathered, _guarded, bind_source, eval_value,
-                       free_names, generated, parse, run)
+                       _gathered, bind_source, eval_value, free_names,
+                       generated, parse, run)
 from .folding import texts
 from .linsolve import (frame_gate, max_abs, min_abs, peel_core, peel_globals,
                        peel_solve, solve_peeled)
@@ -204,18 +204,14 @@ class Frame:
             [c.expr for f in self.fields for c in f.components], self.coords,
             tuple(self.params))
 
-    def _kernel(self, k, count):
-        """Fused kernel of the first `count` fields' components."""
-        return self._kernels(k, count * self.n)
-
     def derivative(self, q, dirs, count=None):
         """The coefficients X_i^j of the first `count` fields (all by
         default) differentiated once along each base direction in dirs,
         shape (..., count, n): the matrix for no direction, the rows
         (D X_i) w for one, the mixed second derivatives for two."""
         count = self.n if count is None else count
-        flat = _derivative(self._kernel(len(dirs), count), q, self._pvals,
-                           dirs)
+        flat = _derivative(self._kernels(len(dirs), count * self.n), q,
+                           self._pvals, dirs)
         return flat.reshape(flat.shape[:-1] + (count, self.n))
 
     def matrix(self, q):
@@ -264,15 +260,6 @@ class Frame:
     def dfields(self, q, w, count):
         """Rows (D X_i) w of the first `count` fields, shape (..., count, n)."""
         return self.derivative(q, [w], count)
-
-    def coefficient_slots(self, cols, dirs):
-        """Slots of every coefficient X_i^j (row-major, 2**len(dirs) each)
-        from the numpy binding of the fused kernel, over per-coordinate
-        leaves: cols[c] and dirs[d][c] are arrays of any shape, or floats.
-        QvChartPoint passes 0-d columns at a single point, so that the
-        coefficients round there as they do in a batch."""
-        return _guarded(self._kernel(len(dirs), self.n).batched, cols,
-                        self._pvals, *dirs)
 
     def exprs(self):
         return [[c.expr for c in f.components] for f in self.fields]

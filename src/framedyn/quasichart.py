@@ -7,14 +7,14 @@ v^n X_n^j(q) + w^j (summed left to right, v first in each product; w is a
 fibre probe held at zero).  A unit direction in w^i gives the jets of the
 velocity partial dL/du^i.
 
-The jets and the partials come from generated functions that inline the
-composite's kernel body with w a structural zero (docs/exprlang.md,
-"Structural zeros"), so they take q and v only.  They run through the
-numpy binding on per-coordinate columns (0-d arrays at a single point).
-They repeat the Taylor arithmetic that forms u from the frame's
-coefficient jets and walks L over it, without the structurally zero
-terms, so their slots equal that reference (kept in the tests) under ==;
-only the sign of an exact zero can differ.
+The jets, the partials and the momenta come from generated functions that
+inline the composite's kernel body with w a structural zero
+(docs/exprlang.md, "Structural zeros"), so they take q and v only, on
+per-coordinate columns of the numpy binding (0-d at a single point).  They
+repeat the Taylor arithmetic that forms u from the frame's coefficient jets
+and walks L over it, without the structurally zero terms, so their slots
+equal that reference (kept in the tests) under ==; only the sign of an
+exact zero can differ.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numpy as np
 
 from .exprlang import (Add, ExprFunction, Mul, Ref, Tape, _columns,
                        _guarded, generated, substitute)
-from .jets import TaylorValue
+from .folding import text
+from .jets import _MUL, TaylorValue
 
 __all__ = ["QvChartPoint"]
 
@@ -79,8 +80,39 @@ def _composite_source(fn, n, ndirs):
                      ndirs, False)
 
 
-def _generate_chart_point(kernels, n, ndirs, probes):
-    """The function of _fibre_source (probes) or of _composite_source."""
+def _section_source(fn, n, ndirs, frame, m):
+    """The one generated function of the momenta p_a, a >= m, of a
+    composite fn of frame along ndirs directions: f(vals, params, *dirs) ->
+    the slots of each p_a, from the fibre source and the frame's kernel
+    (reading the frame's parameters in params) inlined on one Tape
+    (_momenta).  Shared by every pair of the same structures."""
+    return generated("section", _generate_chart_point, fn.kernel, n, ndirs,
+                     True, frame._kernels, m)
+
+
+def _momenta(tape, P, X, n, m, k):
+    """The slots of p_a = sum_j P_j X_a^j, a >= m, on tape, from the slots
+    P of the n partials and X of the frame's coefficients: each product in
+    TaylorValue.__mul__'s group order (_MUL), a zero slot a 0.0 factor,
+    summed over j left to right as reduce(add) does, so they equal that
+    assembly (kept in the tests) bit for bit."""
+    size, out = 1 << k, []
+    for a in range(m, n):
+        for groups in _MUL[k]:
+            terms = []
+            for j in range(n):
+                p, x = P[j * size:], X[(a * n + j) * size:]
+                parts = [" + ".join(f"{text(p[s], 3)}*{text(x[t], 3)}"
+                                    for s, t in g) for g in groups]
+                terms.append("(" + " + ".join(
+                    f"({t})" if " + " in t else t for t in parts) + ")")
+            out.append(tape.temp(" + ".join(terms)))
+    return out
+
+
+def _generate_chart_point(kernels, n, ndirs, probes, frame=None, m=None):
+    """The function of _fibre_source (probes), of _composite_source, or,
+    given the frame's kernels and m, of _section_source."""
     tape = Tape()
     zero = [None] * n  # w and its directions
     x = [f"x{j}" for j in range(2 * n)]
@@ -96,11 +128,15 @@ def _generate_chart_point(kernels, n, ndirs, probes):
     else:
         slots = tape.kernel(kernels, ndirs, x + zero,
                             [d + zero for d in dirs], "p")
+    tag = "fibre" if probes else "composite"
+    if frame is not None:
+        X = tape.kernel(frame, ndirs, x[:n], [d[:n] for d in dirs], "p",
+                        at=len(kernels.param_names) - len(frame.param_names))
+        slots, tag = _momenta(tape, slots, X, n, m, ndirs), "section"
     names = [f"d{d}" for d in range(ndirs)]
-    return tape.function(
-        "_fibre" if probes else "_composite", ["v", "p"] + names,
-        {"v": x, **dict(zip(names, dirs))}, [slots],
-        f"<{'fibre' if probes else 'composite'} n={n} k={ndirs}>")
+    return tape.function(f"_{tag}", ["v", "p"] + names,
+                         {"v": x, **dict(zip(names, dirs))}, [slots],
+                         f"<{tag} n={n} k={ndirs}>")
 
 
 class QvChartPoint:
@@ -122,17 +158,27 @@ class QvChartPoint:
         self.dir_cols = [_columns(d, shape) for d in self.dirs]
         self._partials = {}  # L -> the n velocity partials
 
-    def _run(self, L, source):
+    def _run(self, L, source, *extra):
+        """The TaylorValues of source(fn, n, ndirs, *extra) at the point."""
         # the numpy binding also at a single point, on 0-d columns, so that
         # functions of the coordinates round there as they do in a batch
         fn, params = _composite(L, self.frame)
-        return _guarded(source(fn, self.frame.n, self.ndirs).batched,
-                        self.cols, params, *self.dir_cols)
+        slots = _guarded(source(fn, self.frame.n, self.ndirs,
+                                *extra).batched,
+                         self.cols, params, *self.dir_cols)
+        size = 1 << self.ndirs
+        return [TaylorValue(self.ndirs, slots[j:j + size])
+                for j in range(0, len(slots), size)]
+
+    def momenta(self, L, m):
+        """TaylorValues of the momenta p_a = vlift X_a(L), a >= m, from one
+        call of the section function (_section_source)."""
+        return self._run(L, _section_source, self.frame, m)
 
     def eval(self, L):
         """TaylorValue of the composite along the directions, from one call
         of the composite function (_composite_source)."""
-        return TaylorValue(self.ndirs, self._run(L, _composite_source))
+        return self._run(L, _composite_source)[0]
 
     def eval_fibre_partial(self, L, i):
         """TaylorValue of dL/du^i (as a chart function) along the directions:
@@ -141,11 +187,7 @@ class QvChartPoint:
         function (_fibre_source)."""
         partials = self._partials.get(L)
         if partials is None:
-            slots = self._run(L, _fibre_source)
-            size = 1 << self.ndirs
-            partials = self._partials[L] = [
-                TaylorValue(self.ndirs, slots[j:j + size])
-                for j in range(0, len(slots), size)]
+            partials = self._partials[L] = self._run(L, _fibre_source)
         return partials[i]
 
     def velocity(self, i):
@@ -153,13 +195,3 @@ class QvChartPoint:
         n = self.frame.n
         return TaylorValue.variable(
             self.cols[n + i], [d[n + i] for d in self.dir_cols], self.ndirs)
-
-    def coefficients(self):
-        """TaylorValues of the frame coefficients along the directions,
-        rows indexed by field: [i][j] is X_i^j."""
-        n = self.frame.n
-        slots = self.frame.coefficient_slots(
-            self.cols[:n], [d[:n] for d in self.dir_cols])
-        tvs = [TaylorValue(self.ndirs, slots[s:s + (1 << self.ndirs)])
-               for s in range(0, len(slots), 1 << self.ndirs)]
-        return [tvs[i * n:(i + 1) * n] for i in range(n)]

@@ -21,8 +21,6 @@ frame Hessian and the lifted derivatives are plain chart jets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 import numpy as np
 
@@ -51,8 +49,9 @@ def _slot(tvs, u, q):
 
 class Section:
     """Multiplier section phi: C -> R^(n-m).  Subclasses provide exact jets
-    of each component along C-chart directions (taylor) and the jets of
-    their canonical extension Phi_a off C at a chart point (extension)."""
+    of each component along C-chart directions [(dq, dv_alpha)] (taylor)
+    and the TaylorValues of their canonical extension Phi_a off C at a
+    QvChartPoint, or None where Phi vanishes identically (extension)."""
 
     kind = "abstract"
 
@@ -62,15 +61,6 @@ class Section:
 
     def values(self, q, v_alpha):
         return _slot(self.taylor(q, v_alpha, ()), 0, q)
-
-    def taylor(self, q, v_alpha, dirs):
-        """Jets of phi_a along C-chart directions [(dq, dv_alpha)]."""
-        raise NotImplementedError
-
-    def extension(self, pt):
-        """TaylorValues of the extensions Phi_a at a QvChartPoint, or None
-        where Phi vanishes identically."""
-        raise NotImplementedError
 
     def describe(self):
         return {"kind": self.kind}
@@ -158,12 +148,9 @@ class MomentumSection(Section):
         return MomentumSection.extension(self, pt)
 
     def extension(self, pt):
-        """The full momentum functions p_a on TQ."""
-        n, m = self.split.n, self.split.m
-        partials = [pt.eval_fibre_partial(self.L, i) for i in range(n)]
-        X = pt.coefficients()
-        return [reduce(add, [p * x for p, x in zip(partials, X[a])])
-                for a in range(m, n)]
+        """The full momentum functions p_a on TQ, from one run of the
+        section source (QvChartPoint.momenta)."""
+        return pt.momenta(self.L, self.split.m)
 
 
 class ShiftedMomentumSection(MomentumSection):
@@ -272,16 +259,23 @@ def _solve_C(ctx, section, s, det_tol):
     return ctx.memo(("C", section, det_tol), build)
 
 
-def _phi_rate(section, s, u, gamma, split):
-    """The rates of the section components phi_a along (u, gamma)."""
-    return _slot(section.taylor(s.q, s.v_alpha(split), [(u, gamma)]), 1, s.q)
-
-
 def _phi_memo(ctx, section, s, rate):
-    """The section's values, or its rates along (u, Gamma), once per state."""
-    return ctx.memo(("phi", section, rate), lambda: (
-        _phi_rate(section, s, ctx.u, ctx.gamma, ctx.split) if rate
-        else section.values(s.q, s.v_alpha(ctx.split))))
+    """The section's values, or (Gamma solved) its rates along (u, Gamma),
+    once per state; with Gamma solved, both from one run along (u, Gamma),
+    whose slot 0 is == to the values of a run along no direction."""
+    v_alpha = s.v_alpha(ctx.split)
+
+    def run():
+        jets = section.taylor(s.q, v_alpha, [(ctx.u, ctx.gamma)])
+        ctx.memo(("phi", section, False), lambda: _slot(jets, 0, s.q))
+        return [tv.c[1] for tv in jets]
+
+    if ctx.gamma is not None:
+        rates = ctx.memo(("phi", section, True), run)
+        if rate:
+            return _gathered(rates, s.q.shape[:-1])
+    return ctx.memo(("phi", section, False),
+                    lambda: section.values(s.q, v_alpha))
 
 
 def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
@@ -293,8 +287,9 @@ def consistency_report(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
     lam = ctx.multipliers()
     sol, weak, phi_shift = _solve_C(ctx, section, s, det_tol)
     strong = _phi_memo(ctx, section, s, rate=True) + phi_shift - lam
-    tangency = (_phi_rate(section, s, ctx.u, sol.gamma_C, split) + phi_shift
-                - sol.Lambda)
+    rate_C = _slot(section.taylor(s.q, s.v_alpha(split),
+                                  [(ctx.u, sol.gamma_C)]), 1, s.q)
+    tangency = rate_C + phi_shift - sol.Lambda
     return ConsistencyReport(weak.copy(), strong, tangency, s)
 
 

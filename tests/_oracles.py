@@ -89,6 +89,38 @@ def coordinate_gamma_oracle(sysd, q, v_alpha, h=FD_H):
     return vdot[:m], sol[n:]
 
 
+def coefficient_slots(frame, cols, dirs):
+    """Slots of every coefficient X_i^j of frame (row-major, 2**len(dirs)
+    each) from the numpy binding of its fused kernel, over per-coordinate
+    leaves: cols[c] and dirs[d][c] are arrays of any shape, or floats (0-d
+    columns at a single point, so that the coefficients round there as
+    they do in a batch)."""
+    from framedyn.exprlang import _guarded
+
+    return _guarded(frame._kernels(len(dirs)).batched, cols, frame._pvals,
+                    *dirs)
+
+
+def momentum_extension_reference(pt, L, m):
+    """QvChartPoint.momenta as it was assembled before the section source:
+    the n partials of one fibre run (eval_fibre_partial) and the frame's
+    coefficient jets (coefficient_slots) combined by TaylorValue products,
+    p_a = sum_j (dL/du^j) X_a^j summed left to right (reduce(add))."""
+    from functools import reduce
+    from operator import add
+
+    from framedyn.jets import TaylorValue
+
+    n, size = pt.frame.n, 1 << pt.ndirs
+    partials = [pt.eval_fibre_partial(L, i) for i in range(n)]
+    slots = coefficient_slots(pt.frame, pt.cols[:n],
+                              [d[:n] for d in pt.dir_cols])
+    X = [TaylorValue(pt.ndirs, slots[s:s + size])
+         for s in range(0, len(slots), size)]
+    return [reduce(add, [p * x for p, x in zip(partials, X[a * n:])])
+            for a in range(m, n)]
+
+
 class ChartPointReference:
     """The composite L(q, X(q)^T v) of a chart point, assembled leaf by leaf.
 
@@ -125,7 +157,7 @@ class ChartPointReference:
             for i, name in enumerate(frame.coords)}
         self.v_tvs = [TaylorValue.variable(
             v[..., i], tuple(d[i] for d in vdirs), k) for i in range(n)]
-        slots = frame.coefficient_slots(qcols, qdirs)
+        slots = coefficient_slots(frame, qcols, qdirs)
         nslots = 1 << k
         tvs = [TaylorValue(k, slots[s:s + nslots])
                for s in range(0, len(slots), nslots)]

@@ -332,6 +332,15 @@ def test_simulate_non_finite_initial_state(capsys, system, q0, where):
     assert f"config error at {where}:" in err
 
 
+# A section key that its kind does not read.
+STRAY_SECTION_KEYS = [
+    ("vertical_disk", '{"kind":"momentum","k":["q1","0"]}', "$.section.k"),
+    ("vertical_disk", '{"kind":"zero","phi":["q1","0"]}', "$.section.phi"),
+    ("vertical_disk", '{"kind":"custom","phi":["q1","q2"],"k":["q1","0"]}',
+     "$.section.k"),
+]
+
+
 class TestConsistencyCommand:
     def test_overflowing_section_prints_no_warning(self, capsys, tmp_path):
         # exp(10000*q1) overflows at the sampled states: numpy's overflow
@@ -498,9 +507,11 @@ class TestConsistencyCommand:
         ("carriage", '{"kind": "momentum_shifted", "k": ["0", "v1", "q"]}',
          "$.section.k[2]"),
         ("vertical_disk", "momentum_shifted", "$.section.kind"),
+        *STRAY_SECTION_KEYS,
     ], ids=["custom_without_phi", "phi_string", "phi_number",
             "k_numbers", "k_null", "unknown_kind", "list", "phi_syntax",
-            "phi_unbound", "k_unbound", "no_builtin_k"])
+            "phi_unbound", "k_unbound", "no_builtin_k", "momentum_k",
+            "zero_phi", "custom_k"])
     def test_bad_section_is_config_error(self, capsys, tmp_path, system,
                                          section, path):
         out = tmp_path / "r.json"
@@ -509,6 +520,8 @@ class TestConsistencyCommand:
                            "--out", str(out))
         assert code == 2
         assert f"config error at {path}:" in err
+        if (system, section, path) in STRAY_SECTION_KEYS:
+            assert f"config error at {path}: unknown field" in err
         assert not out.exists()
 
 

@@ -2,9 +2,10 @@
 sources: the brackets, R and R v (frames._structure_source), the trailing
 lifts of the state context (nonholonomic._lift_source), the rates of the
 one-form epsilon (nonholonomic._epsilon_source), the chart jets of the
-chart-form residuals (nonholonomic._chart_source) and the momentum
-partials of a chart point (quasichart._fibre_source), against the
-piecewise routes they replace (kept in _oracles)."""
+chart-form residuals (nonholonomic._chart_source), the momentum
+partials of a chart point (quasichart._fibre_source) and the momenta of
+the sections (quasichart._section_source), against the piecewise routes
+they replace (kept in _oracles)."""
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from framedyn.frames import (QuasiState, TangentPoint, _structure_source,
 from framedyn.lagrangian import REGULARITY_DET_TOL
 from framedyn.nonholonomic import (_chart_source, _epsilon_source,
                                    _lift_source)
-from framedyn.quasichart import QvChartPoint, _composite, _fibre_source
+from framedyn.quasichart import (QvChartPoint, _composite, _fibre_source,
+                                 _section_source)
 from framedyn.vakonomic import (MomentumSection, VariationalLagrangian,
-                                consistency_report, el_field,
+                                _slot, consistency_report, el_field,
                                 gamma_bar_tangency, solve_gamma_C)
 
 from test_nonholonomic import GATE_SYSTEMS, _same, _shifted
@@ -32,8 +34,10 @@ RESIDUALS = ("residual_fundamental", "residual_hamel",
 
 def _outputs(sysd, L, frame, split, s, delta, with_el):
     """Every output that reads R, the trailing lifts, epsilon, the chart
-    jets or the momentum partials at the state s, in one flat dict of
-    arrays; the residuals also at the trial coefficients Gamma + delta."""
+    jets, the momentum partials or the momenta at the state s, in one flat
+    dict of arrays; the residuals also at the trial coefficients
+    Gamma + delta, and each section's values and its rates along
+    (u, Gamma) and (u, Gamma_C), read directly."""
     field = NonholonomicField(L, frame, split)
     ctx = field._solve(s)
     reg = ctx.regularity_report(REGULARITY_DET_TOL)
@@ -54,7 +58,10 @@ def _outputs(sysd, L, frame, split, s, delta, with_el):
         r = consistency_report(L, frame, split, sec, s)
         sol = solve_gamma_C(L, frame, split, sec, s)
         jets = sec.taylor(s.q, s.v_alpha(split), [(ctx.u, ctx.gamma)])
+        jets_C = sec.taylor(s.q, s.v_alpha(split), [(ctx.u, sol.gamma_C)])
         out.update({
+            f"{name}.rate": _slot(jets, 1, s.q),
+            f"{name}.rate_C": _slot(jets_C, 1, s.q),
             f"{name}.weak": r.weak_defect, f"{name}.strong": r.strong_defect,
             f"{name}.tangency": r.tangency_defect,
             f"{name}.gamma_C": sol.gamma_C, f"{name}.A": sol.A,
@@ -75,15 +82,16 @@ def _outputs(sysd, L, frame, split, s, delta, with_el):
 
 def _use_piecewise_routes(monkeypatch):
     """Route R, the context's lifts, epsilon, the chart jets of the
-    residuals and the momentum partials through the piecewise oracles; the
-    generated sources raise if reached."""
+    residuals, the momentum partials and the momenta through the piecewise
+    oracles; the generated sources raise if reached."""
     import framedyn.frames as frames
     import framedyn.nonholonomic as nonholonomic
     import framedyn.quasichart as quasichart
     import framedyn.vakonomic as vakonomic
 
     from _oracles import (StateContextLiftsReference, StructureReference,
-                          chart_jets_reference, fibre_partial_reference)
+                          chart_jets_reference, fibre_partial_reference,
+                          momentum_extension_reference)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a generated source was run")
@@ -97,11 +105,14 @@ def _use_piecewise_routes(monkeypatch):
                         chart_jets_reference)
     monkeypatch.setattr(quasichart.QvChartPoint, "eval_fibre_partial",
                         fibre_partial_reference)
+    monkeypatch.setattr(quasichart.QvChartPoint, "momenta",
+                        momentum_extension_reference)
     for module, name in ((frames, "_structure_source"),
                          (nonholonomic, "_lift_function"),
                          (nonholonomic, "_epsilon_source"),
                          (nonholonomic, "_chart_source"),
-                         (quasichart, "_fibre_source")):
+                         (quasichart, "_fibre_source"),
+                         (quasichart, "_section_source")):
         monkeypatch.setattr(module, name, forbidden)
 
 
@@ -157,9 +168,9 @@ def test_section_values_and_rate_are_made_once_per_state(carriage, first,
                                                          monkeypatch):
     # consistency_report and gamma_bar_tangency at one state share the
     # section's values and its rate along (u, Gamma) through the state
-    # context: in either order the fibre function runs three times (the
-    # values, the rates along Gamma and along Gamma_C), not five, and
-    # every output is == to the one that call gives alone on a fresh state.
+    # context: in either order the section source runs twice (the values
+    # with the rate along Gamma, then the rate along Gamma_C), and every
+    # output is == to the one that call gives alone on a fresh state.
     import framedyn.quasichart as quasichart
 
     L, F, split = carriage.L, carriage.frame, carriage.split
@@ -177,29 +188,87 @@ def test_section_values_and_rate_are_made_once_per_state(carriage, first,
 
     want = {name: calls[name](fresh()) for name in order}
     runs = []
-    source = quasichart._fibre_source
+    source = quasichart._section_source
 
     def counted(*args):
-        runs.append(args[1:])
+        runs.append(args[2:3] + args[4:])
         return source(*args)
 
-    monkeypatch.setattr(quasichart, "_fibre_source", counted)
+    monkeypatch.setattr(quasichart, "_section_source", counted)
     s = fresh()
     got = {name: calls[name](s) for name in order}
-    assert len(runs) == 3
+    assert runs == [(1, split.m)] * 2
     report, again = got["consistency_report"], want["consistency_report"]
     for key in ("weak_defect", "strong_defect", "tangency_defect"):
         assert _same(getattr(report, key), getattr(again, key)), key
     assert _same(got["gamma_bar_tangency"], want["gamma_bar_tangency"])
 
 
+# A sled whose L and frame hold exp, log and tan: the section values must
+# round the same in a run along a direction as in a run along none.
+SLED = {
+    "name": "sled", "n": 3, "m": 2, "coords": ["x", "y", "s"],
+    "frame": [["1", "0", "0"], ["0", "1", "tan(s/3)"], ["0", "0", "1"]],
+    "lagrangian": "exp(x/4)*u1*u1/2 + (u2*u2 + u3*u3)/2"
+                  " + log(1 + y*y)*u2*u3/4 - x*y",
+    "sample_box": {"q": [[-1.5, 1.5]] * 3, "v": [[-2.0, 2.0]] * 2},
+}
+
+
+@pytest.mark.parametrize("route", ["batched", "single"])
+def test_section_values_do_not_depend_on_the_run(route):
+    # Slot 0 of a run along (u, Gamma) is == to the values of a run along
+    # no direction, so the state context may keep either; and
+    # gamma_bar_tangency and solve_gamma_C give the same floats before
+    # consistency_report has run at the state (values alone, where
+    # solve_gamma_C's context is not solved) and after it (values and
+    # rate from one run).
+    from framedyn.systems import SystemDef
+
+    sysd = SystemDef.from_json_dict(SLED)
+    L, frame, split = sysd.lagrangian(), sysd.frame(), sysd.split()
+    S = sample_states(sysd, 40, seed=7)
+    states = [S] if route == "batched" else [
+        QuasiState(S.q[i], S.v[i]) for i in range(40)]
+    sections = [MomentumSection(L, frame, split),
+                _shifted(sysd, L, frame, split)]
+    for sec, s in ((sec, s) for sec in sections for s in states):
+        def fresh():
+            return QuasiState(s.q.copy(), s.v.copy())
+
+        def calls(t, report_first):
+            out = []
+            if report_first:
+                out += vars(consistency_report(L, frame, split, sec, t)
+                            ).values()
+            sol = solve_gamma_C(L, frame, split, sec, t)
+            out += [sol.gamma_C, sol.A, sol.Lambda,
+                    gamma_bar_tangency(L, frame, split, sec, t)]
+            if not report_first:
+                out += vars(consistency_report(L, frame, split, sec, t)
+                            ).values()
+            return [x for x in out if isinstance(x, np.ndarray)]
+
+        ctx = NonholonomicField(L, frame, split)._solve(fresh())
+        v_alpha = s.v_alpha(split)
+        jets = sec.taylor(s.q, v_alpha, [(ctx.u, ctx.gamma)])
+        assert _same(_slot(jets, 0, s.q), sec.values(s.q, v_alpha))
+        before, after = calls(fresh(), False), calls(fresh(), True)
+        after = after[3:] + after[:3]  # the report's defects last
+        assert len(before) == len(after) == 7
+        for got, want in zip(after, before):
+            assert _same(got, want), sec.kind
+
+
 def _sources(L, frame, split):
     """The generated functions of a system that read its frame: the
-    structure (brackets, R and R v), the lifts, the momentum partials along
-    0, 1 and 2 directions and the chart jets."""
+    structure (brackets, R and R v), the lifts, the momentum partials and
+    the momenta along 0, 1 and 2 directions and the chart jets."""
     fn = _composite(L, frame)[0]
     return ([_structure_source(frame), _lift_source(L, frame, split)]
             + [_fibre_source(fn, frame.n, k) for k in range(3)]
+            + [_section_source(fn, frame.n, k, frame, split.m)
+               for k in range(3)]
             + [_chart_source(fn, split.m)])
 
 

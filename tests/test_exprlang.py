@@ -422,7 +422,7 @@ class TestKernelCache:
         q = rng.uniform(-1, 1, 5)
         assert not np.array_equal(La.value(q, q), Lb.value(q, q))
         for k in range(3):
-            assert Fa._kernel(k, Fa.n) is Fb._kernel(k, Fb.n)
+            assert Fa._kernels(k) is Fb._kernels(k)
             assert La.fn.kernel(k) is Lb.fn.kernel(k)
             for ca, cb in zip(Fa.fields[4].components,
                               Fb.fields[4].components):
@@ -467,7 +467,7 @@ class TestKernelCache:
         frame = _frames_under_test()[-1]
         for k in range(3):
             for count in (frame.n, 2, 1):
-                fn = frame._kernel(k, count)
+                fn = frame._kernels(k, count * frame.n)
                 assert fn is compile_taylor(
                     [c.expr for f in frame.fields[:count]
                      for c in f.components], frame.coords,

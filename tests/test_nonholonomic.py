@@ -833,19 +833,21 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     # (0, X_a) and (u, w) of lambda, Lambda and the fundamental residual
     # come from one run of the epsilon source each, over the whole index
     # range, and the chart jets of each chart-form residual from one run
-    # of the chart source.  The momentum partials run one generated
-    # function per chart point: for the section's values and its two
-    # rates in the report.
+    # of the chart source.  The momenta run the section source twice:
+    # along (u, Gamma) for the section's values and its rate, and along
+    # (u, Gamma_C); no fibre source is fetched and no TaylorValue product
+    # is formed.
     import framedyn.frames as frames
     import framedyn.nonholonomic as nonholonomic
     import framedyn.quasichart as quasichart
     from framedyn.chaplygin import gamma_k_residual, prop6_scalar
+    from framedyn.jets import TaylorValue
     from framedyn.linsolve import LU
     from framedyn.vakonomic import consistency_report, solve_gamma_C
 
     counts = dict.fromkeys(("field", "structure", "R", "einsum",
                             "factorise", "lu_solve", "derivative", "taylor",
-                            "fibre"), 0)
+                            "fibre", "section", "mul"), 0)
     runs = {"chart": [], "epsilon": []}
 
     def counted(key, fn):
@@ -902,6 +904,18 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
                         counted("taylor", Lagrangian.taylor))
     monkeypatch.setattr(quasichart, "_fibre_source",
                         counted("fibre", quasichart._fibre_source))
+    section_source = quasichart._section_source
+
+    def counted_section(*args):
+        # each run of the section source on either binding
+        fn = section_source(*args)
+        scalar = counted("section", fn)
+        scalar.batched = counted("section", fn.batched)
+        return scalar
+
+    monkeypatch.setattr(quasichart, "_section_source", counted_section)
+    monkeypatch.setattr(TaylorValue, "__mul__",
+                        counted("mul", TaylorValue.__mul__))
     counted_source("chart")
     counted_source("epsilon")
     L, F, split = carriage.L, carriage.frame, carriage.split
@@ -935,7 +949,7 @@ def test_sweep_sequence_evaluates_each_state_once(carriage, monkeypatch):
     # fundamental residual
     assert counts == {"field": 1, "structure": 1, "R": 0, "einsum": 6,
                       "factorise": 1, "lu_solve": 3, "derivative": 0,
-                      "taylor": 0, "fibre": 3}
+                      "taylor": 0, "fibre": 0, "section": 2, "mul": 0}
 
 
 @pytest.mark.parametrize("route", ["scalar", "batched"])

@@ -19,7 +19,11 @@ and writes one array per output to OUT.npz:
   `gamma_k_residual`; `consistency_report`, `solve_gamma_C` and
   `gamma_bar_tangency` for the zero, momentum and shifted momentum
   sections; `el_field` of L and of the variational Lagrangian of both
-  momentum sections;
+  momentum sections; and, for both momentum sections, the section's
+  values (`<section>.values`), its rate along (u, Gamma) (`.rate`, slot 1
+  of `taylor` along that direction) and `VariationalLagrangian.phi_values`
+  at the full chart velocity (`.phi_values`), each read directly on a
+  fresh copy of the state, so that no earlier call can choose its route;
 * on the same systems, `verify_chaplygin` at the 40 states, batched and
   one state at a time;
 * Gamma, lambda, R and R v (on a context of its own) of the knife edge
@@ -192,12 +196,27 @@ def _state_outputs(fd, sysd, L, F, split, s, delta):
                     f"{name}.Lambda": sol.Lambda,
                     f"{name}.gamma_bar": fd.gamma_bar_tangency(*args, sec,
                                                                s)})
+    for name in ("momentum", "shifted"):
+        out.update(_fresh_section(fd, field, sections[name], name, s))
     p = fd.velocities_from_quasi(F, s)
     out["el_field"] = fd.el_field(L, F, p)
     for name in ("momentum", "shifted"):
         out[f"el_field.{name}"] = fd.el_field(fd.VariationalLagrangian(
             *args, sections[name]), F, p)
     return out
+
+
+def _fresh_section(fd, field, sec, name, s):
+    """A section's values, its rate along (u, Gamma) and the extension's
+    phi_values at s, each read on a fresh copy of s."""
+    split = field.split
+    t = [fd.QuasiState(s.q.copy(), s.v.copy()) for _ in range(3)]
+    ctx = field._solve(t[0])
+    jets = sec.taylor(t[0].q, t[0].v_alpha(split), [(ctx.u, ctx.gamma)])
+    Lt = fd.VariationalLagrangian(field.L, field.frame, split, sec)
+    return {f"{name}.values": sec.values(t[1].q, t[1].v_alpha(split)),
+            f"{name}.rate": fd.vakonomic._slot(jets, 1, t[0].q),
+            f"{name}.phi_values": Lt.phi_values(t[2].q, t[2].v)}
 
 
 def _fresh_Rv(fd, field, s):
