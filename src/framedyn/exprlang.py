@@ -26,7 +26,7 @@ from itertools import compress
 
 import numpy as np
 
-from .folding import fold, postfix_form, texts
+from .folding import fold, postfix_form, target, texts
 from .jets import FUNCTION_NAMES, TaylorValue, _is_scalar, taylor_fun
 
 __all__ = [
@@ -496,15 +496,15 @@ class Tape:
 
     def function(self, name, args, inputs, outputs, filename):
         """The generated function `name`(*args), bound by bind_source: it
-        unpacks each argument named in inputs into the names given there,
-        runs the released lines, those that the outputs read, and returns
-        one tuple per sequence of outputs (their values as text, see
-        folding.texts), the tuple itself when there is one."""
+        unpacks each argument named in inputs into the values given there
+        (folding.target), runs the released lines, those that the outputs
+        read, and returns one tuple per sequence of outputs (their values
+        as text, see folding.texts), the tuple itself when there is one."""
         returned = ", ".join(f"({''.join(f'{x}, ' for x in texts(p))})"
                              for p in outputs)
         source = "\n".join(
             [f"def {name}({', '.join(args)}):"]
-            + [f"    {', '.join(names)}, = {arg}"
+            + [f"    {target(names)}, = {arg}"
                for arg, names in inputs.items()]
             + self.released(sum(outputs, []))
             + [f"    return {returned}"])

@@ -8,7 +8,8 @@ parsed into postfix form (postfix_form) and evaluated over the values
 (fold): products with a structural zero are not formed, zero terms of a sum
 are dropped, products with 1.0 become the other factor, and arithmetic on
 generator constants is done at emission.  Literals, the user's and those of
-the derivative formulas, are text and are never folded.
+the derivative formulas, are text and are never folded, but for a frame's
+constant entries where a generator contracts with its rows (frame_values).
 """
 
 from __future__ import annotations
@@ -21,6 +22,19 @@ def texts(values):
     """The text of each value on a tape that is returned or tested: a
     structural zero is 0.0 and a generator constant its repr."""
     return [text(x, 0) for x in values]
+
+
+def frame_values(rows, zeros, ones):
+    """Rows of a frame matrix's names as values on a tape: None at the flat
+    indices in zeros (Frame.zeros), 1.0 at those in ones (Frame.ones)."""
+    return [[None if k in zeros else 1.0 if k in ones else x
+             for k, x in enumerate(row, i * len(row))]
+            for i, row in enumerate(rows)]
+
+
+def target(values):
+    """The target that unpacks an input into values: _ for a constant."""
+    return ", ".join(x if x.__class__ is str else "_" for x in values)
 
 
 # The tokens of a generated line: a number, a name (a leaf such as v[0], a

@@ -21,7 +21,7 @@ import numpy as np
 from .exprlang import (EvalDomainError, Expr, ExprFunction, Kernels, Tape,
                        _gathered, bind_source, eval_value, free_names,
                        generated, parse, run)
-from .folding import texts
+from .folding import frame_values, target, texts
 from .linsolve import (frame_gate, max_abs, min_abs, peel_core, peel_globals,
                        peel_solve, solve_peeled)
 
@@ -164,19 +164,20 @@ def _derivative(fn, q, params, dirs):
     return _gathered(top, q.shape[:-1]) if q.ndim > 1 else np.array(top)
 
 
-def _structural_zero(expr):
-    """Whether expr has no free names and the value 0.0."""
+def _constant(expr):
+    """The value of expr if it has no free names, else None."""
     if free_names(expr):
-        return False
+        return None
     try:
-        return eval_value(expr, {}) == 0.0
+        return eval_value(expr, {})
     except EvalDomainError:
-        return False
+        return None
 
 
-def _structural_zeros(kernels, n):
-    return frozenset(i for i, e in enumerate(kernels.exprs[:n * n])
-                     if _structural_zero(e))
+def _constants(kernels, n):
+    values = [_constant(e) for e in kernels.exprs[:n * n]]
+    return tuple(frozenset(i for i, x in enumerate(values) if x == c)
+                 for c in (0.0, 1.0))
 
 
 class Frame:
@@ -219,12 +220,16 @@ class Frame:
         return self.derivative(q, ())
 
     @cached_property
-    def zeros(self):
-        """The flat indices (i * n + j) of the coefficients X_i^j that are
-        structural zeros, constant 0.0 at every point: the pattern that the
-        frame gate and the solves against M^T are generated for.  Found
-        once per structure, in exprlang's module cache."""
-        return generated("zeros", _structural_zeros, self._kernels, self.n)
+    def constants(self):
+        """(zeros, ones): the flat indices (i * n + j) of the coefficients
+        X_i^j constant 0.0 (structural zeros) and 1.0 at every point, that
+        the frame gate and the solves against M^T (zeros) and every
+        contraction with M's rows (folding.frame_values) are generated
+        for.  Found once per structure, in exprlang's module cache."""
+        return generated("constants", _constants, self._kernels, self.n)
+
+    zeros = property(lambda self: self.constants[0])
+    ones = property(lambda self: self.constants[1])
 
     def check(self, M):
         """Reject a singular frame matrix M, scalar or batched: the
@@ -349,13 +354,13 @@ def _structure_source(frame):
     3. Rv[k, i] = R^k_ij v^j over the terms that are not structural zeros,
        summed in np.einsum's order (_einsum_order).
 
-    All of it is on one Tape, folded where it is emitted, so a
-    structurally zero bracket, column or term emits no line.  The solve
-    and Rv run under _solving(): numpy's errors are ignored at a batch, and
-    a zero pivot at a single state raises SingularFrameError.  Shared by
-    every frame of the same structure and structural zeros."""
+    All of it is on one Tape, folded where it is emitted (M's constant
+    entries too), so a structurally zero bracket, column or term emits no
+    line.  The solve and Rv run under _solving(): numpy's errors are
+    ignored at a batch, and a zero pivot at a single state raises
+    SingularFrameError.  Shared by every frame of the same structure."""
     return generated("structure", _generate_structure, frame._kernels,
-                     frame.n, frame.zeros)
+                     frame.n, *frame.constants)
 
 
 def _einsum_order(n):
@@ -396,10 +401,11 @@ def _contracted(tape, R, k, i, n):
     return tape.fold(term(_einsum_order(n)), names) if n else None
 
 
-def _generate_structure(fk, n, zeros):
+def _generate_structure(fk, n, zeros, ones):
     tape = Tape()
     q, v = [f"q{i}" for i in range(n)], [f"v{j}" for j in range(n)]
-    X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    X = frame_values([[f"m{i}_{j}" for j in range(n)] for i in range(n)],
+                     zeros, ones)
     a = sum(X, [])
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     # D[i][j * n + c] = ((DX_j) X_i)^c
@@ -428,7 +434,7 @@ def _generate_structure(fk, n, zeros):
                          for p in outputs)
     source = "\n".join(
         ["def _structure(q, fp, M, v):"]
-        + [f"    {', '.join(names)}, = {arg}"
+        + [f"    {target(names)}, = {arg}"
            for arg, names in (("q", q), ("M", a), ("v", v))]
         + body[:cut] + ["    with _solving():"]
         + ([f"    {line}" for line in body[cut:]] or ["        pass"])

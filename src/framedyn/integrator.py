@@ -365,7 +365,7 @@ def _json(x, sort_keys, nl):
     """The text of x at the indent nl (a newline, one space a level).  A
     numeric array is one call of the C encoder, whose text ("[[1.0, 2.0],
     [3.0, 4.0]]") is indented by replacing ", " and "], [": no number's
-    text holds either."""
+    text holds either.  A float, int, bool or None is written without it."""
     inner = nl + " "
     if isinstance(x, np.ndarray) and x.dtype.kind in "biuf" and x.size and (
             x.ndim in (1, 2)):
@@ -385,7 +385,12 @@ def _json(x, sort_keys, nl):
     if isinstance(x, (list, tuple)) and x:
         return "[" + ",".join(inner + _json(v, sort_keys, inner)
                               for v in x) + nl + "]"
-    return _ENCODE(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, float) and not math.isfinite(x):
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return (float.__repr__(x) if isinstance(x, float) else int.__repr__(x)
+            if isinstance(x, int) else _ENCODE(x))
 
 
 def csv_text(names, table):

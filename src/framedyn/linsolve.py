@@ -385,7 +385,7 @@ def peel_core(tape, n, zeros, a):
     if not line:
         raise ValueError("structurally singular matrix")
     # the core's equations c are the rows of its matrix, its unknowns r
-    core = _seq(a[r * n + c] for c in cols for r in rows)
+    core = _seq(texts([a[r * n + c] for c in cols for r in rows]))
     return tape.temp(f"_lu({core})") if rows else None
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
                        _gathered, _guarded, _stacked, bind_source, generated,
                        run)
-from .folding import texts
+from .folding import frame_values, texts
 from .frames import FAST_FRAME_DET, Structure, TangentPoint, base_velocity
 from .lagrangian import energy, hessian_regularity
 from .linsolve import (LU, cond_estimate, factor, frame_gate, min_abs,
@@ -66,13 +66,13 @@ def _field_source(L, frame, split):
     with Frame.check_matrix as its fallback, and solution is (Gamma, det,
     lu) of g_D Gamma = rhs: det and the factors lu of g_D by
     linsolve.factor, Gamma from them by linsolve.substitute.
-    Shared by every (L, frame, split) of the same structure and structural
-    zeros (Frame.zeros)."""
+    Shared by every (L, frame, split) of the same structure and constant
+    entries of M (Frame.constants), which u and the jets along X_a fold."""
     return generated("field", _generate_field, frame._kernels, L.fn.kernel,
-                     split.n, split.m, frame.zeros)
+                     split.n, split.m, *frame.constants)
 
 
-def _generate_field(fk, lk, n, m, zeros):
+def _generate_field(fk, lk, n, m, zeros, ones):
     tape = Tape()
     temp = tape.temp
     q, v = [f"q{i}" for i in range(n)], [f"v{a}" for a in range(m)]
@@ -85,10 +85,12 @@ def _generate_field(fk, lk, n, m, zeros):
 
     X = tape.kernel(fk, 0, q, [], "fp")
     frame_lines = len(tape.lines)  # the frame check follows them
-    rows = [X[a * n:(a + 1) * n] for a in range(m)]
+    rows = frame_values([X[a * n:(a + 1) * n] for a in range(m)], zeros,
+                        ones)
     u = h = ["0.0"] * n
-    for a in range(m):
-        u = [temp(f"{x} + v{a}*{y}") for x, y in zip(u, rows[a])]
+    for a in range(m):  # a structurally zero entry of X_a adds no term
+        u = [x if y is None else tape.fold("x + w*y", {
+            "x": x, "w": f"v{a}", "y": y}) for x, y in zip(u, rows[a])]
     D = tape.kernel(fk, 1, q, [u], "fp", m * n)[1::2]
     D = [D[a * n:(a + 1) * n] for a in range(m)]
     for a in range(m):  # a structurally zero entry of D_a adds no term
@@ -206,13 +208,14 @@ def _lift_source(L, frame, split):
     Tape; each temporary is deleted after its last read.  Shared by every
     (L, frame, split) of the same structure."""
     return generated("lifts", _generate_lifts, frame._kernels, L.fn.kernel,
-                     split.n, split.m)
+                     split.n, split.m, *frame.constants)
 
 
-def _generate_lifts(fk, lk, n, m):
+def _generate_lifts(fk, lk, n, m, zeros, ones):
     tape = Tape()
     q, u = [f"q{i}" for i in range(n)], [f"u{i}" for i in range(n)]
-    X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    X = frame_values([[f"m{i}_{j}" for j in range(n)] for i in range(n)],
+                     zeros, ones)
     zq = [None] * n  # the base part of a vertical lift: a structural zero
 
     def lagrangian(k, *dirs):
@@ -232,18 +235,21 @@ def _generate_lifts(fk, lk, n, m):
         [D[m * n:], H, clift, vlift, corr], f"<lifts n={n} m={m}>")
 
 
-def _epsilon_source(L, indices):
+def _epsilon_source(L, indices, constants):
     """The one generated function of the rates in the one-form epsilon
     (StateContext.epsilon): f(q + u + M + w, lp) -> for each a in indices,
     slot 3 of L's jet at (q, u) along (0, X_a) and (u, w), X_a the row a of
-    M, as lagrangian.vlift_rate_at makes it.  Shared by structure."""
-    return generated("epsilon", _generate_epsilon, L.fn.kernel, L.n, indices)
+    M, as lagrangian.vlift_rate_at makes it, M's constant entries
+    (Frame.constants) folded.  Shared by structure."""
+    return generated("epsilon", _generate_epsilon, L.fn.kernel, L.n, indices,
+                     *constants)
 
 
-def _generate_epsilon(lk, n, indices):
+def _generate_epsilon(lk, n, indices, zeros, ones):
     tape = Tape()
     q, u, w = ([f"{x}{i}" for i in range(n)] for x in "quw")
-    X = [[f"m{i}_{j}" for j in range(n)] for i in range(n)]
+    X = frame_values([[f"m{i}_{j}" for j in range(n)] for i in range(n)],
+                     zeros, ones)
     rates = [tape.kernel(lk, 2, q + u, [[None] * n + X[a], u + w],
                          "lp")[3] for a in indices]
     return tape.function("_epsilon", ["x", "lp"],
@@ -251,20 +257,22 @@ def _generate_epsilon(lk, n, indices):
                          f"<epsilon n={n} a={indices}>")
 
 
-def _chart_source(fn, m):
+def _chart_source(fn, m, constants):
     """The one generated function of the chart jets of the chart-form
     residuals (NonholonomicField._chart_jets) from the kernel of a composite
     fn (quasichart._composite): f(q + v + u + Gamma + the X_alpha + the
-    c_alpha, p) -> the three jets of each alpha.  Shared by structure."""
-    return generated("chart", _generate_chart, fn.kernel, m)
+    c_alpha, p) -> the three jets of each alpha, the X_alpha's constant
+    entries folded.  Shared by structure."""
+    return generated("chart", _generate_chart, fn.kernel, m, *constants)
 
 
-def _generate_chart(kernels, m):
+def _generate_chart(kernels, m, zeros, ones):
     n = len(kernels.var_names) // 3
     tape = Tape()
     q, v, u, g = ([f"{x}{i}" for i in range(n)] for x in "qvug")
     X, c = ([[f"{x}{a}_{j}" for j in range(n)] for a in range(m)]
             for x in "Xc")
+    X = frame_values(X, zeros, ones)
     zero = [None] * n  # the fibre probe w and the zero halves
 
     def jet(k, *dirs):
@@ -456,7 +464,7 @@ class StateContext:
         """(u, w)(vlift X_a(L)) - clift X_a(L) for each a in indices, with w
         the fibre part for gamma; the rates from one epsilon source run."""
         indices, shape = tuple(indices), self.q.shape[:-1]
-        rates = run(_epsilon_source(self.L, indices), (
+        rates = run(_epsilon_source(self.L, indices, self.frame.constants), (
             self.q, self.u, self.M.reshape(shape + (-1,)), self.fibre(gamma)),
             self.L._pvals)
         return _gathered([r + self._correction(a) - self.clift(a)
@@ -585,7 +593,8 @@ class NonholonomicField:
         cols = (_columns((ctx.q, v, ctx.u, gamma), shape)
                 + [ctx.M[..., a, j] for a in range(m) for j in range(n)]
                 + [C[..., j, a] for a in range(m) for j in range(n)])
-        slots = _guarded(_chart_source(fn, m).batched, cols, params)
+        chart = _chart_source(fn, m, self.frame.constants).batched
+        slots = _guarded(chart, cols, params)
         return [slots[i:i + 3] for i in range(0, 3 * m, 3)]
 
     def residual_hamel(self, s, gamma=None):

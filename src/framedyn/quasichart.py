@@ -20,13 +20,13 @@ exact zero can differ.
 from __future__ import annotations
 
 import weakref
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from .exprlang import (Add, ExprFunction, Mul, Ref, Tape, _columns,
                        _guarded, generated, substitute)
-from .folding import text
+from .folding import binary
 from .jets import _MUL, TaylorValue
 
 __all__ = ["QvChartPoint"]
@@ -36,18 +36,21 @@ _COMPOSITES = weakref.WeakKeyDictionary()
 
 
 def _composite(L, frame):
-    """L(q, X(q)^T v + w) over the frame's coordinates, v and w.  The names
-    of v, w and the frame's parameters contain a '.', which no parsed name
-    can, so a frame parameter keeps its value where L binds its name."""
+    """L(q, X(q)^T v + w) over the frame's coordinates, v and w, with v^i
+    for v^i*1 and no v^i*0 (Frame.constants).  The names of v, w and the
+    frame's parameters contain a '.', which no parsed name can, so a frame
+    parameter keeps its value where L binds its name."""
     by_frame = _COMPOSITES.setdefault(L, {})
     found = by_frame.get(frame)
     if found is None:
-        v = [f"chart.v{i}" for i in range(frame.n)]
-        w = [f"chart.w{i}" for i in range(frame.n)]
+        n, zeros, ones = frame.n, frame.zeros, frame.ones
+        v = [f"chart.v{i}" for i in range(n)]
+        w = [f"chart.w{i}" for i in range(n)]
         renamed = {p: Ref(f"frame.{p}") for p in frame.params}
         X = [[substitute(e, renamed) for e in row] for row in frame.exprs()]
-        u = {name: Add(reduce(Add, [Mul(Ref(v[i]), X[i][j])
-                                    for i in range(frame.n)]), Ref(w[j]))
+        u = {name: Add(reduce(Add, [
+            Ref(v[i]) if i * n + j in ones else Mul(Ref(v[i]), X[i][j])
+            for i in range(n) if i * n + j not in zeros]), Ref(w[j]))
              for j, name in enumerate(L.vel_names)}
         fn = ExprFunction(substitute(L.expr, u), frame.coords + tuple(v + w),
                           tuple(L.params) + tuple(r.name for r in
@@ -87,32 +90,34 @@ def _section_source(fn, n, ndirs, frame, m):
     (reading the frame's parameters in params) inlined on one Tape
     (_momenta).  Shared by every pair of the same structures."""
     return generated("section", _generate_chart_point, fn.kernel, n, ndirs,
-                     True, frame._kernels, m)
+                     True, frame._kernels, m, *frame.constants)
 
 
-def _momenta(tape, P, X, n, m, k):
+def _momenta(tape, P, X, m, k, zeros, ones):
     """The slots of p_a = sum_j P_j X_a^j, a >= m, on tape, from the slots
     P of the n partials and X of the frame's coefficients: each product in
     TaylorValue.__mul__'s group order (_MUL), a zero slot a 0.0 factor,
     summed over j left to right as reduce(add) does, so they equal that
-    assembly (kept in the tests) bit for bit."""
-    size, out = 1 << k, []
+    assembly (kept in the tests) bit for bit, but that a constant entry's
+    slots (zeros, ones) are structural: None, or 1.0 then None."""
+    size, out, n = 1 << k, [], len(P) >> k
+    X = [None if i // size in zeros else (None if i % size else 1.0)
+         if i // size in ones else "0.0" if x is None else x
+         for i, x in enumerate(X)]
+    add = partial(reduce, partial(binary, "+"))
     for a in range(m, n):
         for groups in _MUL[k]:
-            terms = []
-            for j in range(n):
-                p, x = P[j * size:], X[(a * n + j) * size:]
-                parts = [" + ".join(f"{text(p[s], 3)}*{text(x[t], 3)}"
-                                    for s, t in g) for g in groups]
-                terms.append("(" + " + ".join(
-                    f"({t})" if " + " in t else t for t in parts) + ")")
-            out.append(tape.temp(" + ".join(terms)))
+            total = add([add([add([binary("*", P[j * size + s] or "0.0",
+                                          X[(a * n + j) * size + t])
+                                   for s, t in g]) for g in groups])
+                         for j in range(n)])
+            out.append(tape.fold("p", {"p": total}))  # bound as fold binds
     return out
 
 
-def _generate_chart_point(kernels, n, ndirs, probes, frame=None, m=None):
+def _generate_chart_point(kernels, n, ndirs, probes, *section):
     """The function of _fibre_source (probes), of _composite_source, or,
-    given the frame's kernels and m, of _section_source."""
+    given section = (frame kernels, m, zeros, ones), of _section_source."""
     tape = Tape()
     zero = [None] * n  # w and its directions
     x = [f"x{j}" for j in range(2 * n)]
@@ -129,10 +134,11 @@ def _generate_chart_point(kernels, n, ndirs, probes, frame=None, m=None):
         slots = tape.kernel(kernels, ndirs, x + zero,
                             [d + zero for d in dirs], "p")
     tag = "fibre" if probes else "composite"
-    if frame is not None:
+    if section:
+        frame, m, *constants = section
         X = tape.kernel(frame, ndirs, x[:n], [d[:n] for d in dirs], "p",
                         at=len(kernels.param_names) - len(frame.param_names))
-        slots, tag = _momenta(tape, slots, X, n, m, ndirs), "section"
+        slots, tag = _momenta(tape, slots, X, m, ndirs, *constants), "section"
     names = [f"d{d}" for d in range(ndirs)]
     return tape.function(f"_{tag}", ["v", "p"] + names,
                          {"v": x, **dict(zip(names, dirs))}, [slots],

@@ -10,7 +10,8 @@ they replace (kept in _oracles)."""
 import numpy as np
 import pytest
 
-from framedyn import NonholonomicField, builtin, sample_states
+from framedyn import (NonholonomicField, builtin, change_of_D_basis,
+                      sample_states)
 from framedyn.chaplygin import gamma_k_residual, prop6_scalar
 from framedyn.frames import (QuasiState, TangentPoint, _structure_source,
                              structure_functions)
@@ -269,21 +270,21 @@ def _sources(L, frame, split):
             + [_fibre_source(fn, frame.n, k) for k in range(3)]
             + [_section_source(fn, frame.n, k, frame, split.m)
                for k in range(3)]
-            + [_chart_source(fn, split.m)])
+            + [_chart_source(fn, split.m, frame.constants)])
 
 
-def _epsilon_sources(L, split):
+def _epsilon_sources(L, frame, split):
     """The epsilon functions of a system, for the indices of the
     fundamental residual and for those of the multipliers."""
-    return [_epsilon_source(L, tuple(indices)) for indices in (
-        range(split.m), range(split.m, split.n))]
+    return [_epsilon_source(L, tuple(indices), frame.constants)
+            for indices in (range(split.m), range(split.m, split.n))]
 
 
 def test_generated_constraint_side_is_shared_by_structure():
     def sources(sysd, frame=None):
         L, split = sysd.lagrangian(), sysd.split()
-        return (_sources(L, frame or sysd.frame(), split),
-                _epsilon_sources(L, split))
+        frame = frame or sysd.frame()
+        return _sources(L, frame, split), _epsilon_sources(L, frame, split)
 
     def same(a, b):
         return all(x is y for x, y in zip(a, b))
@@ -295,12 +296,20 @@ def test_generated_constraint_side_is_shared_by_structure():
     for sysd in (builtin("carriage"), builtin("carriage", {"l": 0.0})):
         assert same(sources(sysd)[0], first)
         assert same(sources(sysd)[1], epsilon)
-    _, _, L, frame, split = {g[0]: g for g in GATE_SYSTEMS}[
+    _, sysd, L, frame, split = {g[0]: g for g in GATE_SYSTEMS}[
         "carriage_rotated"]
     assert apart(_sources(L, frame, split), first)
-    # epsilon reads no frame expression: the rotated carriage, whose L is
-    # the carriage's, shares it; another L does not
-    assert same(_epsilon_sources(L, split), epsilon)
+    # epsilon reads no frame expression, only M's constant entries
+    # (Frame.constants): the carriage with its D-basis changed by the
+    # identity, whose entries are other expressions with the same
+    # constants, shares it; the rotated carriage, whose L is the carriage's
+    # but whose M has other constant entries, does not, nor does another L
+    identity = change_of_D_basis(sysd.frame(), split, [["1", "0"],
+                                                        ["0", "1"]])
+    assert identity.constants == sysd.frame().constants
+    assert apart(_sources(L, identity, split)[:2], first[:2])
+    assert same(_epsilon_sources(L, identity, split), epsilon)
+    assert apart(_epsilon_sources(L, frame, split), epsilon)
     assert apart(sources(builtin("vertical_disk"))[1], epsilon)
 
 
@@ -311,7 +320,7 @@ def test_generated_constraint_side_emits_each_line_once(name, sysd, L, frame,
     # values, L's subtrees at (q, u), the slots no probe reaches) is
     # emitted once in each source.  Dead lines are left out, so the floor
     # that keeps the test from passing on empty sources is on the total.
-    sources = _sources(L, frame, split) + _epsilon_sources(L, split)
+    sources = _sources(L, frame, split) + _epsilon_sources(L, frame, split)
     total = 0
     for fn in sources:
         right = [line.split(" = ", 1)[1]
@@ -373,7 +382,7 @@ def test_domain_faults_in_lift_and_bracket_sources(route, monkeypatch):
     calls["chart_jets"] = lambda: list(field._chart_jets(
         ctx, ctx.v, ctx.gamma, C))
     calls["epsilon_rates"] = lambda: run(
-        nonholonomic._epsilon_source(Lu, (0, 1, 2)),
+        nonholonomic._epsilon_source(Lu, (0, 1, 2), frame.constants),
         (ctx.q, ctx.u, ctx.M.reshape(s.q.shape[:-1] + (-1,)), w), Lu._pvals)
     assert np.all(np.isfinite(field.gamma(fresh())))
     got = {name: _raised(call) for name, call in calls.items()}
@@ -413,7 +422,7 @@ def test_no_structural_zero_is_emitted():
     sysd = SystemDef.from_json_dict(DENSE_SYSTEM)
     L, frame, split = sysd.lagrangian(), sysd.frame(), sysd.split()
     fn = _composite(L, frame)[0]
-    sources = (_sources(L, frame, split) + _epsilon_sources(L, split)
+    sources = (_sources(L, frame, split) + _epsilon_sources(L, frame, split)
                + [_composite_source(fn, frame.n, k) for k in range(3)])
     for source in sources:
         text = source.__source__
@@ -423,9 +432,112 @@ def test_no_structural_zero_is_emitted():
             text)
 
 
+# A frame whose entries hold the literals 0, -0.0, 1, 2-1 and 0*x, and an L
+# with no literal 0 or 1 (tools/dump_outputs.py dumps the same system).
+LITERAL_SYSTEM = {
+    "name": "literal_frame", "n": 3, "m": 2, "coords": ["x", "y", "z"],
+    "frame": [["1", "0*x", "y"], ["-0.0", "2-1", "z"], ["0", "0", "1"]],
+    "lagrangian": "(2 + sin(y))*u1*u1/2 + u2*u2/2 + (2 + cos(x))*u3*u3/2"
+                  " + z*u1*u2/4 - y*z",
+    "sample_box": {"q": [[-1.0, 1.0]] * 3, "v": [[-1.0, 1.0]] * 2},
+}
+
+
+def _constant_systems():
+    from framedyn.systems import SystemDef
+
+    carriage = builtin("carriage")
+    literal = SystemDef.from_json_dict(LITERAL_SYSTEM)
+    rotated = {g[0]: g for g in GATE_SYSTEMS}["carriage_rotated"]
+    return [("carriage", carriage.lagrangian(), carriage.frame(),
+             carriage.split(), 17), ("carriage_rotated", *rotated[2:], 13),
+            ("literal_frame", literal.lagrangian(), literal.frame(),
+             literal.split(), 6)]
+
+
+@pytest.mark.parametrize("name,L,frame,split,count", _constant_systems(),
+                         ids=["carriage", "carriage_rotated", "literal_frame"])
+def test_no_frame_constant_is_read_or_multiplied_by_one(name, L, frame,
+                                                        split, count):
+    # The frame's constant entries (Frame.zeros, Frame.ones) are structural
+    # where a generator contracts with the rows of M: a source that takes M
+    # as an input unpacks them into _, the field source, which makes M
+    # with the frame's kernel, forms u = v^a X_a without their literals,
+    # and no source multiplies by 1.0.  The entry 0*x is not constant: its
+    # literal 0.0 stays a factor.
+    import re
+
+    from framedyn.nonholonomic import _field_source
+    from framedyn.quasichart import _composite_source
+
+    constant = frame.zeros | frame.ones
+    assert len(constant) == count
+    n, m = split.n, split.m
+    fn = _composite(L, frame)[0]
+    inputs = ([("m", _structure_source(frame)),
+               ("m", _lift_source(L, frame, split)),
+               ("X", _chart_source(fn, m, frame.constants))]
+              + [("m", _epsilon_source(L, tuple(indices), frame.constants))
+                 for indices in (range(m), range(m, n))])
+    for prefix, source in inputs:
+        read = re.findall(rf"\b{prefix}(\d+)_(\d+)\b", source.__source__)
+        assert read, source.__source__
+        assert not {int(i) * n + int(j) for i, j in read} & constant, (
+            source.__source__)
+    field = _field_source(L, frame, split).__source__
+    head, tail = field.split("    M = (")
+    M = tail.split(")", 1)[0].rstrip(", ").split(", ")
+    literals = {M[i] for i in constant}
+    zero = re.search(r"(t\d+) = 0\.0$", head, re.M).group(1)
+    if name == "literal_frame":  # the entry 0*x reads the literal 0.0
+        assert f" = {zero}*q0" in head
+    # u = v^a X_a reads no literal of M; the entries of h with no term
+    # keep the literal 0.0 of their sum's start, so the other literals of
+    # M are read by no line after it
+    for line in tail.splitlines()[1:]:
+        assert not re.search(rf"v\d+\*({'|'.join(literals)})\b", line), line
+        assert not (literals - {zero}) & set(re.findall(r"\bt\d+\b",
+                                                        line)), line
+    sources = ([field] + [s.__source__ for _, s in inputs]
+               + [f(fn, n, k).__source__ for k in range(3)
+                  for f in (_fibre_source, _composite_source)]
+               + [_section_source(fn, n, k, frame, m).__source__
+                  for k in range(3)])
+    for text in sources:
+        assert not re.search(r"\*\s*1\.0(?![\d])|(?<![\w.])1\.0\s*\*",
+                             text), text
+    # the section source reads no line of the frame's kernel that makes a
+    # constant entry (the rotated carriage's entries hold products 1*X_b)
+    for text in sources[-3:] if name != "carriage_rotated" else ():
+        assert not [x for x in re.findall(r"^ +t\d+ = ([-+(). \d]+)$", text,
+                                          re.M) if eval(x) in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("name,count", [
+    ("nonholonomic_particle", 1), ("vertical_disk", 2), ("delta_class", 2),
+    ("carriage", 8)])
+def test_structure_source_keeps_the_nonzero_entries(name, count):
+    # Folded with the frame's constant entries, the structure source keeps
+    # exactly the R^k_ij (i < j) that are nonzero at seeded states; the
+    # carriage keeps 8 of its 50, where its constant entries read as values
+    # kept 18.
+    sysd = builtin(name)
+    frame = sysd.frame()
+    n = frame.n
+    R = structure_functions(frame, sample_states(sysd, 200, seed=7).q)
+    nonzero = {(k, i, j) for k in range(n) for i in range(n)
+               for j in range(i + 1, n) if np.any(R[:, k, i, j] != 0.0)}
+    entries = set(_structure_source(frame).entries)
+    assert len(entries) == count
+    assert nonzero <= entries
+    if name != "carriage":
+        assert entries == nonzero
+
+
 def test_user_literals_keep_their_semantics_on_generated_routes():
-    # The literals 0 and -0.0 of a frame entry and of L are never folded:
-    # 0*x is NaN at x = NaN, and a literal zero keeps its sign, on the
+    # The literals of L and the frame's 0*x are never folded, and M keeps
+    # the frame's literal entries, -0.0 included: 0*x is NaN at x = NaN,
+    # and a literal zero of M keeps its sign, on the
     # scalar and the batched field, lift and fibre routes as on the
     # piecewise oracles.  Two differences from the oracles are by design
     # (docs/exprlang.md, "Structural zeros"): an exact zero that a dropped

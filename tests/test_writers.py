@@ -60,6 +60,12 @@ def test_json_text_is_json_dumps_indent_1(doc, sort_keys):
     {", ": "], [", "é": ["日本", False, 0]},
     [np.array([1e308, 0.1]), np.array([[True, False]]), (1, "a")],
     np.arange(24, dtype=float).reshape(2, 3, 4),
+    # scalars, written without the encoder
+    [math.nan, math.inf, -math.inf, -0.0, np.float64(0.1),
+     np.float64(-math.inf), 10 ** 400 - 1, -10 ** 399, True, False, None],
+    {"nan": math.nan, "big": 10 ** 400, "f64": np.float64(-0.0), "t": True,
+     "none": None},
+    math.nan, -math.inf, -0.0, np.float64(1e-300), 10 ** 400, False, None,
 ])
 @pytest.mark.parametrize("sort_keys", [False, True])
 def test_json_text_edge_documents(doc, sort_keys):

@@ -24,8 +24,11 @@ and writes one array per output to OUT.npz:
   of `taylor` along that direction) and `VariationalLagrangian.phi_values`
   at the full chart velocity (`.phi_values`), each read directly on a
   fresh copy of the state, so that no earlier call can choose its route;
-* on the same systems, `verify_chaplygin` at the 40 states, batched and
-  one state at a time;
+* the same outputs of a JSON system whose frame holds the literals 0,
+  -0.0, 1, 2-1 and 0*x (`LITERAL_SYSTEM`) at its 40 seeded states,
+  batched and one state at a time;
+* on the built-ins and the two carriages, `verify_chaplygin` at the 40
+  states, batched and one state at a time;
 * Gamma, lambda, R and R v (on a context of its own) of the knife edge
   (`KNIFE_EDGE` in bench/workloads.py, whose frame matrix has a dense
   2 x 2 core) at 40 seeded states, batched and one state at a time;
@@ -225,8 +228,26 @@ def _fresh_Rv(fd, field, s):
     return field._context(fd.QuasiState(s.q.copy(), s.v.copy())).Rv.copy()
 
 
+# A JSON system whose frame holds the literals 0, -0.0, 1, 2-1 and 0*x: the
+# generated contractions fold the constant entries, and 0*x stays a product.
+LITERAL_SYSTEM = {
+    "name": "literal_frame", "n": 3, "m": 2, "coords": ["x", "y", "z"],
+    "frame": [["1", "0*x", "y"], ["-0.0", "2-1", "z"], ["0", "0", "1"]],
+    "lagrangian": "(2 + sin(y))*u1*u1/2 + u2*u2/2 + (2 + cos(x))*u3*u3/2"
+                  " + z*u1*u2/4 - y*z",
+    "sample_box": {"q": [[-1.0, 1.0]] * 3, "v": [[-1.0, 1.0]] * 2},
+}
+
+
+def _literal_system(fd):
+    sysd = fd.SystemDef.from_json_dict(LITERAL_SYSTEM)
+    return ("literal_frame", sysd, sysd.lagrangian(), sysd.frame(),
+            sysd.split())
+
+
 def _dump_states(fd, out, work):
-    for name, sysd, L, F, split in _gate_systems(fd):
+    for name, sysd, L, F, split in (_gate_systems(fd)
+                                    + [_literal_system(fd)]):
         S = fd.sample_states(sysd, STATES, seed=17)
         delta = np.random.default_rng(23).normal(0.0, 0.1, (STATES, split.m))
         batched = _state_outputs(fd, sysd, L, F, split, S, delta)
@@ -236,6 +257,8 @@ def _dump_states(fd, out, work):
             out[f"states/{name}/batched/{key}"] = np.asarray(value)
             out[f"states/{name}/single/{key}"] = np.stack(
                 [np.asarray(x[key]) for x in single])
+        if sysd.chaplygin is None:
+            continue
         for route, states in (("batched", [S]), ("single", [
                 fd.QuasiState(S.q[i].copy(), S.v[i].copy())
                 for i in range(STATES)])):
