@@ -17,7 +17,6 @@ batched points.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 import types
@@ -27,7 +26,7 @@ from itertools import compress
 import numpy as np
 
 from .folding import fold, postfix_form, target, texts
-from .jets import FUNCTION_NAMES, TaylorValue, _is_scalar, taylor_fun
+from .jets import FLOATS, FUNCTION_NAMES, TaylorValue, power, taylor_fun
 
 __all__ = [
     "Expr", "Const", "Ref", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
@@ -371,7 +370,7 @@ def tree_eval(expr, env):
         elif isinstance(e, Neg):
             vals.append(-vals.pop())
         elif isinstance(e, Pow):
-            vals.append(vals.pop() ** e.exponent)
+            vals.append(power(vals.pop(), e.exponent))
         else:
             vals.append(taylor_fun(e.name, vals.pop()))
     return vals.pop()
@@ -398,21 +397,11 @@ def substitute(expr, mapping):
 # Compiled evaluators
 
 
-def _either(name):
-    """An elementary function for the numpy binding: math on Python floats
-    (as jets._fn_derivs does, so parameter-only subtrees round the same way
-    on every route), numpy on arrays."""
-    scalar, array = getattr(math, name), getattr(np, name)
-
-    def fn(x):
-        return scalar(x) if _is_scalar(x) else array(x)
-
-    fn.__name__ = name
-    return fn
-
-
-_MATH_GLOBALS = {f"_{name}": getattr(math, name) for name in FUNCTION_NAMES}
-_NUMPY_GLOBALS = {f"_{name}": _either(name) for name in FUNCTION_NAMES}
+# The two bindings of a generated source, with one rounding and one fault
+# rule: jets.FLOATS on Python floats, numpy's ufuncs on arrays.
+_FLOAT_GLOBALS, _NUMPY_GLOBALS = (
+    {f"_{name}": getattr(m, name) for name in FUNCTION_NAMES + ("pow",)}
+    for m in (FLOATS, np))
 
 
 class Tape:
@@ -683,8 +672,8 @@ class _Codegen:
             elif p == 1:
                 derivs.append(f"{float(coeff)!r}*{x}" if coeff != 1 else x)
             else:
-                derivs.append(f"{float(coeff)!r}*{x}**{p}"
-                              if coeff != 1 else f"{x}**{p}")
+                derivs.append(f"{float(coeff)!r}*_pow({x}, {p})"
+                              if coeff != 1 else f"_pow({x}, {p})")
             coeff *= p
             p -= 1
         return self.compose(a, derivs)
@@ -711,7 +700,7 @@ class _Codegen:
         elif name == "log":
             inv = self.temp(f"1.0/{x}") if k >= 1 else None
             derivs = (f"_log({x})", inv, f"(-{inv}*{inv})",
-                      f"2.0*{inv}**3")
+                      f"2.0*_pow({inv}, 3)")
         elif name == "sqrt":
             r = self.temp(f"_sqrt({x})")
             inv = self.temp(f"0.5/{r}") if k >= 1 else None
@@ -839,10 +828,10 @@ def compile_taylor(exprs, var_names, param_names, k, structure=None):
     generated code exploits.
 
     The source is compiled once and bound twice: the returned function runs
-    on Python floats through the math module, and its `batched` attribute
-    runs the same code on numpy arrays (see run_kernel).  Kernels are
-    memoized by expression structure, names and k; structure, when given,
-    is _structure(exprs), already computed (see Kernels).
+    on Python floats, and its `batched` attribute runs the same code on
+    numpy arrays (see run_kernel).  Kernels are memoized by expression
+    structure, names and k; structure, when given, is _structure(exprs),
+    already computed (see Kernels).
     """
     if isinstance(exprs, Expr):
         exprs = (exprs,)
@@ -899,11 +888,12 @@ class Kernels:
 
 
 def bind_source(source, name, filename, scalar=None, batched=None):
-    """Compile source once and bind its function `name` twice: to the math
-    module (the returned function) and, as its `batched` attribute, to
-    numpy (see _either), with the same default arguments.  scalar and
-    batched add globals to each binding."""
-    namespace = {**_MATH_GLOBALS, **(scalar or {})}
+    """Compile source once and bind its function `name` twice: to the
+    functions on Python floats (the returned function) and, as its
+    `batched` attribute, to numpy's, with the same default arguments (one
+    rounding and one fault rule, docs/exprlang.md).  scalar and batched
+    add globals to each binding."""
+    namespace = {**_FLOAT_GLOBALS, **(scalar or {})}
     exec(compile(source, filename, "exec"), namespace)
     fn = namespace[name]
     fn.__source__ = source
@@ -964,7 +954,7 @@ _DOMAIN_FAULTS = (ZeroDivisionError, FloatingPointError, ValueError,
 
 def _guarded(fn, *args):
     """fn(*args), numpy's division by zero and invalid operations raised
-    and overflow ignored; a math domain fault raises EvalDomainError."""
+    and overflow ignored; a domain fault raises EvalDomainError."""
     try:
         with np.errstate(divide="raise", invalid="raise", over="ignore"):
             return fn(*args)
@@ -1006,10 +996,10 @@ def run(fn, point, consts, *more):
     """fn(point, consts, *more) for a kernel f(vals, params, *dirs) or a
     generated source.  point and each of more are sequences of arrays whose
     last axes, joined, follow fn's inputs; consts is passed as it is.  A 1-D
-    point runs the math binding on a list of Python floats per input; a
+    point runs the float binding on a list of Python floats per input; a
     batched one, shape (..., d), the numpy binding (fn.batched) on
     per-coordinate columns broadcast to the batch shape, under _guarded.
-    Math domain faults raise EvalDomainError."""
+    Domain faults raise EvalDomainError."""
     shape = np.shape(point[0])[:-1]
     if shape:
         return _guarded(fn.batched, _columns(point, shape), consts,

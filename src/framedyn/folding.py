@@ -40,16 +40,17 @@ def target(values):
 # The tokens of a generated line: a number, a name (a leaf such as v[0], a
 # temporary or a function) or an operator.
 TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:e[-+]?\d+)?)"
-                   r"|([A-Za-z_]\w*(?:\[\d+\])?)|(\*\*|[-+*/()]))")
-# Python's binding power of each operator; "~" is unary minus.
-PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "~": 3, "**": 4}
+                   r"|([A-Za-z_]\w*(?:\[\d+\])?)|(\*\*|[-+*/(),]))")
+# Python's binding power of each operator; "~" is unary minus, and the
+# comma between a call's arguments (_pow(x, p)) binds loosest.
+PREC = {",": 0, "+": 1, "-": 1, "*": 2, "/": 2, "~": 3, "**": 4}
 
 
 def postfix_form(src):
     """The expression src of a generated line (Python arithmetic on
-    numbers and names, with calls of one argument) in postfix order, for
-    fold: a str for a number or a name, a 1-tuple for an operator of
-    PREC or a call of the function it names.  Made with an explicit
+    numbers and names, with calls of one or two arguments) in postfix
+    order, for fold: a str for a number or a name, a 1-tuple for an
+    operator of PREC or a call of the function it names.  Made with an explicit
     stack, so a deeply nested line needs no recursion."""
     tokens = TOKEN.findall(src) + [("", "", "")]
     out, ops = [], []

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -115,16 +116,47 @@ def _is_scalar(x):
     return isinstance(x, (float, int))
 
 
+def _tan(x):
+    if math.isinf(x):
+        raise ValueError("math domain error")
+    return float(np.tan(x))
+
+
+def _log(x):
+    if x <= 0.0:
+        raise ValueError("math domain error")
+    return float(np.log(x))
+
+
+def power(x, p):
+    """x**p for an integer p; on a float, as numpy's power rounds it on an
+    array (x*x for p == 2, which is numpy's square), with its faults."""
+    if not _is_scalar(x):
+        return x ** p
+    if p == 2:
+        return x * x
+    if p < 0 and x == 0.0:
+        raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+    with np.errstate(over="ignore"):
+        return float(np.power(x, p))
+
+
+# The elementary functions and power on Python floats, rounded as numpy's
+# are on arrays (math's sin, cos and sqrt already are), with a batch's
+# faults (docs/exprlang.md, "Jets"): a domain fault raises, an overflow
+# gives inf (exp beyond 709.782712893384, where numpy's overflows).
+FLOATS = SimpleNamespace(
+    sin=math.sin, cos=math.cos, sqrt=math.sqrt, tan=_tan, log=_log,
+    exp=lambda x: math.inf if x > 709.782712893384 else float(np.exp(x)),
+    pow=power)
+
+
 def _fn_derivs(name, x, order):
     """Values of an elementary function and its derivatives up to `order` at x.
 
-    Uses the math module for plain floats (so domain violations raise) and
-    numpy otherwise.
+    Uses FLOATS for plain floats and numpy otherwise.
     """
-    if _is_scalar(x):
-        m = math
-    else:
-        m = np
+    m = FLOATS if _is_scalar(x) else np
     if name == "sin":
         s, c = m.sin(x), m.cos(x)
         return (s, c, -s, -c)[: order + 1]
@@ -140,7 +172,7 @@ def _fn_derivs(name, x, order):
         return (e,) * (order + 1)
     if name == "log":
         inv = 1.0 / x
-        return (m.log(x), inv, -inv * inv, 2.0 * inv ** 3)[: order + 1]
+        return (m.log(x), inv, -inv * inv, 2.0 * power(inv, 3))[: order + 1]
     if name == "sqrt":
         r = m.sqrt(x)
         if order == 0:
@@ -274,7 +306,7 @@ class TaylorValue:
             if coeff == 0.0:
                 derivs.append(0.0)
             else:
-                derivs.append(coeff * x ** p)
+                derivs.append(coeff * power(x, p))
             coeff *= p
             p -= 1
         return _compose(self, tuple(derivs))

@@ -28,9 +28,8 @@ from itertools import compress
 
 import numpy as np
 
-from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _columns,
-                       _gathered, _guarded, _stacked, bind_source, generated,
-                       run)
+from .exprlang import (_DOMAIN_FAULTS, EvalDomainError, Tape, _gathered,
+                       _stacked, bind_source, generated, run)
 from .folding import frame_values, texts
 from .frames import FAST_FRAME_DET, Structure, TangentPoint, base_velocity
 from .lagrangian import energy, hessian_regularity
@@ -172,14 +171,14 @@ def _field_function(L, frame, split):
 
         return frame._pvals, L._pvals, check
 
-    scalar = consts((), {})  # the math binding runs outside any errstate
+    scalar = consts((), {})  # the float binding runs outside any errstate
 
     def function(s):
         if s.q.ndim == 1:
             x = s.q.tolist() + s.v.tolist()
             if x[n + m:] != on_C:  # a nonzero v^a: the full test
                 s.require_on_C(split)
-            # the math binding called as run would call it: run's generic
+            # the float binding called as run would call it: run's generic
             # flattening costs 2-3 us a call
             try:
                 return kernel(x, scalar)
@@ -588,13 +587,10 @@ class NonholonomicField:
         (X_alpha, 0), and the first slot along (0, C[..., :, alpha])."""
         n, m = self.split.n, self.split.m
         fn, params = _composite(self.L, self.frame)
-        shape = ctx.q.shape[:-1]
-        # the numpy binding on 0-d columns at a single state, as QvChartPoint
-        cols = (_columns((ctx.q, v, ctx.u, gamma), shape)
-                + [ctx.M[..., a, j] for a in range(m) for j in range(n)]
-                + [C[..., j, a] for a in range(m) for j in range(n)])
-        chart = _chart_source(fn, m, self.frame.constants).batched
-        slots = _guarded(chart, cols, params)
+        shape = ctx.q.shape[:-1] + (m * n,)
+        slots = run(_chart_source(fn, m, self.frame.constants), (
+            ctx.q, v, ctx.u, gamma, ctx.M[..., :m, :].reshape(shape),
+            np.swapaxes(C[..., :m], -1, -2).reshape(shape)), params)
         return [slots[i:i + 3] for i in range(0, 3 * m, 3)]
 
     def residual_hamel(self, s, gamma=None):

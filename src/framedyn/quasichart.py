@@ -9,23 +9,23 @@ velocity partial dL/du^i.
 
 The jets, the partials and the momenta come from generated functions that
 inline the composite's kernel body with w a structural zero
-(docs/exprlang.md, "Structural zeros"), so they take q and v only, on
-per-coordinate columns of the numpy binding (0-d at a single point).  They
-repeat the Taylor arithmetic that forms u from the frame's coefficient jets
-and walks L over it, without the structurally zero terms, so their slots
-equal that reference (kept in the tests) under ==; only the sign of an
-exact zero can differ.
+(docs/exprlang.md, "Structural zeros"), so they take q and v only; they
+run through exprlang.run, on Python floats at a single point and on
+per-coordinate columns at a batch.  They repeat the Taylor arithmetic
+that forms u from the frame's coefficient jets and walks L over it,
+without the structurally zero terms, so their slots equal that reference
+(kept in the tests) under ==; only the sign of an exact zero can differ.
 """
 
 from __future__ import annotations
 
 import weakref
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
 from .exprlang import (Add, ExprFunction, Mul, Ref, Tape, _columns,
-                       _guarded, generated, substitute)
+                       generated, run, substitute)
 from .folding import binary
 from .jets import _MUL, TaylorValue
 
@@ -155,23 +155,27 @@ class QvChartPoint:
 
     def __init__(self, frame, q, v, dirs):
         self.frame = frame
-        self.q = q = np.asarray(q, dtype=float)
-        self.v = v = np.asarray(v, dtype=float)
+        self.q = np.asarray(q, dtype=float)
+        self.v = np.asarray(v, dtype=float)
         self.dirs = list(dirs)
         self.ndirs = len(self.dirs)
-        shape = q.shape[:-1]
-        self.cols = _columns((q, v), shape)
-        self.dir_cols = [_columns(d, shape) for d in self.dirs]
         self._partials = {}  # L -> the n velocity partials
+
+    @cached_property
+    def cols(self):
+        """Per-coordinate columns of q and v (0-d at a single point)."""
+        return _columns((self.q, self.v), self.q.shape[:-1])
+
+    @cached_property
+    def dir_cols(self):
+        """Per-coordinate columns of each direction (dq, dv)."""
+        return [_columns(d, self.q.shape[:-1]) for d in self.dirs]
 
     def _run(self, L, source, *extra):
         """The TaylorValues of source(fn, n, ndirs, *extra) at the point."""
-        # the numpy binding also at a single point, on 0-d columns, so that
-        # functions of the coordinates round there as they do in a batch
         fn, params = _composite(L, self.frame)
-        slots = _guarded(source(fn, self.frame.n, self.ndirs,
-                                *extra).batched,
-                         self.cols, params, *self.dir_cols)
+        slots = run(source(fn, self.frame.n, self.ndirs, *extra),
+                    (self.q, self.v), params, *self.dirs)
         size = 1 << self.ndirs
         return [TaylorValue(self.ndirs, slots[j:j + size])
                 for j in range(0, len(slots), size)]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import ExprFunction, Kernels, _columns, _gathered, _guarded
+from .exprlang import ExprFunction, Kernels, _gathered, run
 from .frames import (QuasiState, Structure, TangentPoint, base_velocity,
                      solve_transposed)
 from .jets import TaylorValue
@@ -106,11 +106,7 @@ class CustomSection(Section):
     def taylor(self, q, v_alpha, dirs):
         """One fused kernel of the expressions at (q, v_alpha)."""
         k = len(dirs)
-        shape = np.shape(q)[:-1]
-        # the numpy binding also at a single state, on 0-d columns, so that
-        # functions of the coordinates round there as they do in a batch
-        x, *d = [_columns(p, shape) for p in [(q, v_alpha), *dirs]]
-        slots = _guarded(self._kernels(k).batched, x, self._pvals, *d)
+        slots = run(self._kernels(k), (q, v_alpha), self._pvals, *dirs)
         return [TaylorValue(k, slots[s:s + (1 << k)])
                 for s in range(0, len(slots), 1 << k)]
 
@@ -265,13 +261,13 @@ def _phi_memo(ctx, section, s, rate):
     whose slot 0 is == to the values of a run along no direction."""
     v_alpha = s.v_alpha(ctx.split)
 
-    def run():
+    def along():
         jets = section.taylor(s.q, v_alpha, [(ctx.u, ctx.gamma)])
         ctx.memo(("phi", section, False), lambda: _slot(jets, 0, s.q))
         return [tv.c[1] for tv in jets]
 
     if ctx.gamma is not None:
-        rates = ctx.memo(("phi", section, True), run)
+        rates = ctx.memo(("phi", section, True), along)
         if rate:
             return _gathered(rates, s.q.shape[:-1])
     return ctx.memo(("phi", section, False),

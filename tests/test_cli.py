@@ -332,6 +332,23 @@ def test_simulate_non_finite_initial_state(capsys, system, q0, where):
     assert f"config error at {where}:" in err
 
 
+def test_simulate_overflowing_field_names_the_state(capsys, tmp_path):
+    # exp(1000*q1) overflows to inf at q1 = 1, as it would in a batch: the
+    # run stops at its first stage with the non-finite component and the
+    # state on one line
+    _, shown, _ = run(capsys, "systems", "show", "nonholonomic_particle")
+    doc = json.loads(shown)
+    doc["lagrangian"] += " + exp(1000*q1)"
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "simulate", "--system", str(path),
+                       "--q0", "1,0,0", "--v0", "0.1,0.1", "--t-end", "0.1",
+                       "--out", str(tmp_path / "t.csv"))
+    assert code == 1
+    assert err == ("runtime error: non-finite dv1/dt = inf from the field"
+                   " at q = [1.0, 0.0, 0.0], v = [0.1, 0.1] (at t = 0.0)\n")
+
+
 # A section key that its kind does not read.
 STRAY_SECTION_KEYS = [
     ("vertical_disk", '{"kind":"momentum","k":["q1","0"]}', "$.section.k"),

@@ -130,16 +130,41 @@ class TestEvalJet2:
         with pytest.raises(EvalDomainError):
             eval_value(parse("sqrt(q1)"), {"q1": -4.0})
 
-    def test_overflow_is_domain_error(self):
-        # every tree-walk entry point maps math faults alike
-        with pytest.raises(EvalDomainError):
-            eval_value(parse("exp(x)"), {"x": 1000.0})
-        with pytest.raises(EvalDomainError):
-            eval_jet2("exp(x)", {"x": 1000.0}, {}, {"x": 1.0}, {})
-        with pytest.raises(EvalDomainError):
-            ExprFunction("exp(x)", ["x"]).taylor_env({"x": 1000.0})
-        with pytest.raises(EvalDomainError):
-            ExprFunction("exp(x)", ["x"]).value((1000.0,))
+    def test_overflow_gives_inf(self):
+        # one fault rule on every entry point, as in a batch: an overflow
+        # gives inf and raises nothing
+        for src, x in (("exp(x)", 1000.0), ("pow(x, 3)", 1e200)):
+            f = ExprFunction(src, ["x"])
+            batch = np.full((3, 1), x)
+            assert eval_value(parse(src), {"x": x}) == math.inf
+            assert eval_jet2(src, {"x": x}, {}, {"x": 1.0},
+                             {}).value == math.inf
+            assert f.taylor_env({"x": x}) == math.inf
+            assert f.value((x,)) == math.inf
+            assert f.taylor((x,), (), ((1.0,),))[0] == math.inf
+            assert f.taylor_env({"x": batch[:, 0]}).tolist() == [math.inf] * 3
+            for k in range(2):
+                got = run_kernel(f.kernel(k), (batch,), (), [(batch,)] * k)
+                assert got[0].tolist() == [math.inf] * 3
+
+    @pytest.mark.parametrize("src,x", [
+        ("log(x)", -1.0), ("sqrt(x)", -4.0), ("1/x", 0.0),
+        ("pow(x, -2)", 0.0), ("tan(x)", math.inf)])
+    def test_domain_fault_raises_at_a_point_and_at_a_batch(self, src, x):
+        f = ExprFunction(src, ["x"])
+        batch = np.array([[0.5], [x], [2.0]])
+        calls = [lambda: eval_value(parse(src), {"x": x}),
+                 lambda: eval_jet2(src, {"x": x}, {}, {"x": 1.0}, {}),
+                 lambda: f.taylor_env({"x": x}),
+                 lambda: f.taylor_env({"x": batch[:, 0]})]
+        for k in range(2):
+            calls += [lambda k=k: run_kernel(f.kernel(k), (batch[1],), (),
+                                             [(np.ones(1),)] * k),
+                      lambda k=k: run_kernel(f.kernel(k), (batch,), (),
+                                             [(np.ones((3, 1)),)] * k)]
+        for call in calls:
+            with pytest.raises(EvalDomainError):
+                call()
 
 
 class TestExprFunction:
@@ -179,9 +204,8 @@ class TestExprFunction:
         batch = f.taylor_env(env)
         for i in range(40):
             got = f.taylor(tuple(pts[i]), (), (tuple(d1[i]),))
-            # math and numpy may round pow differently in the last bit
-            np.testing.assert_array_max_ulp(got[0], batch.c[0][i], maxulp=1)
-            np.testing.assert_array_max_ulp(got[1], batch.c[1][i], maxulp=1)
+            # one rounding on floats and on arrays (docs/exprlang.md)
+            assert got == (batch.c[0][i], batch.c[1][i])
 
 
 def _builtin_expressions():

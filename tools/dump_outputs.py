@@ -24,9 +24,11 @@ and writes one array per output to OUT.npz:
   of `taylor` along that direction) and `VariationalLagrangian.phi_values`
   at the full chart velocity (`.phi_values`), each read directly on a
   fresh copy of the state, so that no earlier call can choose its route;
-* the same outputs of a JSON system whose frame holds the literals 0,
-  -0.0, 1, 2-1 and 0*x (`LITERAL_SYSTEM`) at its 40 seeded states,
-  batched and one state at a time;
+* the same outputs of three JSON systems at their 40 seeded states,
+  batched and one state at a time: one whose frame holds the literals 0,
+  -0.0, 1, 2-1 and 0*x (`LITERAL_SYSTEM`), a sled whose frame and
+  Lagrangian read exp, log and tan (`SLED_SYSTEM`) and one whose frame
+  and Lagrangian read integer powers (`POW_SYSTEM`);
 * on the built-ins and the two carriages, `verify_chaplygin` at the 40
   states, batched and one state at a time;
 * Gamma, lambda, R and R v (on a context of its own) of the knife edge
@@ -239,15 +241,34 @@ LITERAL_SYSTEM = {
 }
 
 
-def _literal_system(fd):
-    sysd = fd.SystemDef.from_json_dict(LITERAL_SYSTEM)
-    return ("literal_frame", sysd, sysd.lagrangian(), sysd.frame(),
-            sysd.split())
+# A sled whose frame and Lagrangian read exp, log and tan, and one on its
+# coordinates and box whose frame and Lagrangian read integer powers.
+SLED_SYSTEM = {
+    "name": "sled", "n": 3, "m": 2, "coords": ["x", "y", "s"],
+    "frame": [["1", "0", "0"], ["0", "1", "tan(s/3)"], ["0", "0", "1"]],
+    "lagrangian": "exp(x/4)*u1*u1/2 + (u2*u2 + u3*u3)/2"
+                  " + log(1 + y*y)*u2*u3/4 - x*y",
+    "sample_box": {"q": [[-1.5, 1.5]] * 3, "v": [[-2.0, 2.0]] * 2},
+}
+POW_SYSTEM = {
+    **SLED_SYSTEM, "name": "pow_sled",
+    "frame": [["1", "0", "0"], ["0", "1", "pow(s, 3)/5"], ["0", "0", "1"]],
+    "lagrangian": "(1 + pow(x, 2)/7)*u1*u1/2 + (u2*u2 + u3*u3)/2"
+                  " + pow(y, 3)*u2*u3/9 - pow(x*y, 2)",
+}
+
+
+def _json_systems(fd):
+    out = []
+    for doc in (LITERAL_SYSTEM, SLED_SYSTEM, POW_SYSTEM):
+        sysd = fd.SystemDef.from_json_dict(doc)
+        out.append((doc["name"], sysd, sysd.lagrangian(), sysd.frame(),
+                    sysd.split()))
+    return out
 
 
 def _dump_states(fd, out, work):
-    for name, sysd, L, F, split in (_gate_systems(fd)
-                                    + [_literal_system(fd)]):
+    for name, sysd, L, F, split in _gate_systems(fd) + _json_systems(fd):
         S = fd.sample_states(sysd, STATES, seed=17)
         delta = np.random.default_rng(23).normal(0.0, 0.1, (STATES, split.m))
         batched = _state_outputs(fd, sysd, L, F, split, S, delta)
