@@ -400,8 +400,8 @@ def substitute(expr, mapping):
 # The two bindings of a generated source, with one rounding and one fault
 # rule: jets.FLOATS on Python floats, numpy's ufuncs on arrays.
 _FLOAT_GLOBALS, _NUMPY_GLOBALS = (
-    {f"_{name}": getattr(m, name) for name in FUNCTION_NAMES + ("pow",)}
-    for m in (FLOATS, np))
+    {f"_{name}": getattr(m, name) for name in FUNCTION_NAMES}
+    | {"_pow": pw} for m, pw in ((FLOATS, power), (np, np.power)))
 
 
 class Tape:
@@ -671,9 +671,9 @@ class _Codegen:
                 derivs.append(f"{float(coeff)!r}")
             elif p == 1:
                 derivs.append(f"{float(coeff)!r}*{x}" if coeff != 1 else x)
-            else:
-                derivs.append(f"{float(coeff)!r}*_pow({x}, {p})"
-                              if coeff != 1 else f"_pow({x}, {p})")
+            else:  # a square is x*x on both bindings, as numpy squares
+                xp = f"({x}*{x})" if p == 2 else f"_pow({x}, {p})"
+                derivs.append(f"{float(coeff)!r}*{xp}" if coeff != 1 else xp)
             coeff *= p
             p -= 1
         return self.compose(a, derivs)

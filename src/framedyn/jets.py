@@ -133,22 +133,24 @@ def power(x, p):
     array (x*x for p == 2, which is numpy's square), with its faults."""
     if not _is_scalar(x):
         return x ** p
-    if p == 2:
-        return x * x
-    if p < 0 and x == 0.0:
-        raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+    if p in (0, 1, 2):
+        return (1.0, x, x * x)[p]
+    try:  # Python's power raises at 0 to p < 0, and where it overflows
+        if abs(x) ** p < 1e300:  # numpy's cannot overflow either
+            return float(np.power(x, p))
+    except OverflowError:
+        pass
     with np.errstate(over="ignore"):
         return float(np.power(x, p))
 
 
-# The elementary functions and power on Python floats, rounded as numpy's
-# are on arrays (math's sin, cos and sqrt already are), with a batch's
-# faults (docs/exprlang.md, "Jets"): a domain fault raises, an overflow
-# gives inf (exp beyond 709.782712893384, where numpy's overflows).
+# The elementary functions on Python floats, rounded as numpy's are on
+# arrays (math's sin, cos and sqrt already are), with a batch's faults
+# (docs/exprlang.md, "Jets"): a domain fault raises, an overflow gives inf
+# (exp beyond 709.782712893384, where numpy's overflows).
 FLOATS = SimpleNamespace(
     sin=math.sin, cos=math.cos, sqrt=math.sqrt, tan=_tan, log=_log,
-    exp=lambda x: math.inf if x > 709.782712893384 else float(np.exp(x)),
-    pow=power)
+    exp=lambda x: math.inf if x > 709.782712893384 else float(np.exp(x)))
 
 
 def _fn_derivs(name, x, order):

@@ -585,12 +585,11 @@ class NonholonomicField:
         chart point (q, v), from one run of the chart source: the mixed
         slot along (0, e_alpha) and (u, Gamma), the first slot along
         (X_alpha, 0), and the first slot along (0, C[..., :, alpha])."""
-        n, m = self.split.n, self.split.m
+        m = self.split.m
         fn, params = _composite(self.L, self.frame)
-        shape = ctx.q.shape[:-1] + (m * n,)
         slots = run(_chart_source(fn, m, self.frame.constants), (
-            ctx.q, v, ctx.u, gamma, ctx.M[..., :m, :].reshape(shape),
-            np.swapaxes(C[..., :m], -1, -2).reshape(shape)), params)
+            ctx.q, v, ctx.u, gamma, *[ctx.M[..., a, :] for a in range(m)],
+            *[C[..., :, a] for a in range(m)]), params)
         return [slots[i:i + 3] for i in range(0, 3 * m, 3)]
 
     def residual_hamel(self, s, gamma=None):
