@@ -21,12 +21,14 @@ import operator
 import re
 import types
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
 
 from .folding import fold, postfix_form, target, texts
-from .jets import FLOATS, FUNCTION_NAMES, TaylorValue, power, taylor_fun
+from .jets import (FLOATS, FUNCTION_NAMES, MAX_DIRECTIONS, TaylorValue, power,
+                   taylor_fun)
 
 __all__ = [
     "Expr", "Const", "Ref", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Fun",
@@ -801,8 +803,8 @@ def _emit(gen, root, ids, leaf_slots):
 # kernels, their bodies, the functions built from many kernels (such as the
 # nonholonomic field) and linsolve's eliminations.  Parameter values are
 # call arguments, so systems that differ only in parameter values share
-# them.
-_KERNELS = {}
+# them.  _TOKENS interns each Kernels key (Kernels.key).
+_KERNELS, _TOKENS = {}, {}
 
 
 def generated(tag, build, *args):
@@ -859,12 +861,13 @@ class Kernels:
             self._structure = _structure(self.exprs)
         return self._structure
 
-    @property
+    @cached_property
     def key(self):
-        """The key of these expressions in the module cache (generated):
-        the subtree table, the roots, the variable and parameter names."""
-        table, roots, _ = self.structure
-        return table, roots, self.var_names, self.param_names
+        """The key of these expressions in the module cache (generated): a
+        token of the subtree table, the roots, the variable and parameter
+        names, interned once per Kernels so that a lookup hashes no tree."""
+        key = (*self.structure[:2], self.var_names, self.param_names)
+        return _TOKENS.setdefault(key, len(_TOKENS))
 
     def head(self, count=None):
         """The Kernels of the leading `count` expressions (all by
@@ -913,6 +916,8 @@ def kernel_body(kernels, k, count=None):
 
 
 def _emit_body(kernels, k):
+    if k > MAX_DIRECTIONS:
+        raise ValueError(f"at most {MAX_DIRECTIONS} directions, not {k}")
     table, roots, ids = kernels.structure
     var_index = {name: i for i, name in enumerate(kernels.var_names)}
     param_index = {name: i for i, name in enumerate(kernels.param_names)}

@@ -125,13 +125,13 @@ class MomentumSection(Section):
     """phi_a = p_a = vlift X_a(L) restricted to C."""
 
     kind = "momentum"
+    shift = None  # the CustomSection of the k_a (ShiftedMomentumSection)
 
     def __init__(self, L, frame, split):
         super().__init__(frame, split)
         self.L = L
 
     def taylor(self, q, v_alpha, dirs):
-        # the momenta alone, also for the shifted subclass, which adds k_a
         q = np.asarray(q, dtype=float)
 
         def pad(va):
@@ -139,14 +139,13 @@ class MomentumSection(Section):
             v[..., : self.split.m] = va
             return v
 
-        pt = QvChartPoint(self.frame, q, pad(v_alpha),
-                          [(dq, pad(dv)) for dq, dv in dirs])
-        return MomentumSection.extension(self, pt)
+        return self.extension(QvChartPoint(self.frame, q, pad(v_alpha),
+                                           [(dq, pad(dv)) for dq, dv in dirs]))
 
     def extension(self, pt):
-        """The full momentum functions p_a on TQ, from one run of the
-        section source (QvChartPoint.momenta)."""
-        return pt.momenta(self.L, self.split.m)
+        """The full momentum functions p_a on TQ, plus the k_a of a shift
+        (b + e), from one run of the section source (QvChartPoint.section)."""
+        return pt.section(self.L, self.split.m, exprs=self.shift)
 
 
 class ShiftedMomentumSection(MomentumSection):
@@ -158,14 +157,7 @@ class ShiftedMomentumSection(MomentumSection):
         super().__init__(L, frame, split)
         self.shift = CustomSection(frame, split, k_exprs, params, parsed)
 
-    def taylor(self, q, v_alpha, dirs):
-        base = MomentumSection.taylor(self, q, v_alpha, dirs)
-        extra = self.shift.taylor(q, v_alpha, dirs)
-        return [b + e for b, e in zip(base, extra)]
-
-    def extension(self, pt):
-        base = MomentumSection.extension(self, pt)
-        return [b + e for b, e in zip(base, self.shift.extension(pt))]
+    taylor = MomentumSection.taylor  # an entry of its own, for bench/tracing
 
     def describe(self):
         return {"kind": self.kind, "k": [str(e) for e in self.shift.phi]}
@@ -305,8 +297,8 @@ def gamma_bar_tangency(L, frame, split, section, s, det_tol=GAMMA_DET_TOL):
 
 
 class VariationalLagrangian:
-    """L~ = L - Phi_a v^a for the canonical extension Phi that the section
-    supplies (Section.extension).
+    """L~ = L - Phi_a v^a for the canonical extension Phi of the section
+    (Section.extension), formed on the section source (qv_taylor).
 
     Momentum sections extend as the full momentum functions p_a on TQ;
     expression-backed sections are re-read on TQ unchanged.  Any choice of
@@ -321,16 +313,15 @@ class VariationalLagrangian:
         self.section = section
 
     def qv_taylor(self, q, v, dirs):
-        """Jet of L~ in the (q, v) chart along full-chart directions."""
-        m, n = self.split.m, self.split.n
+        """Jet of L~ in the (q, v) chart along full-chart directions: one
+        run of the section source, or of the composite one (zero section)."""
         pt = QvChartPoint(self.frame, q, v, dirs)
-        out = pt.eval(self.L)
-        phis = self.section.extension(pt)
-        if phis is None:
-            return out
-        for j, a in enumerate(range(m, n)):
-            out = out - phis[j] * pt.velocity(a)
-        return out
+        sec, m = self.section, self.split.m
+        if isinstance(sec, ZeroSection):
+            return pt.eval(self.L)
+        if isinstance(sec, CustomSection):
+            return pt.section(self.L, m, False, sec, tilde=True)[0]
+        return pt.section(self.L, m, exprs=sec.shift, tilde=True)[0]
 
     def value(self, q, v):
         return self.qv_taylor(q, v, ()).c[0]

@@ -101,24 +101,87 @@ def coefficient_slots(frame, cols, dirs):
                     *dirs)
 
 
-def momentum_extension_reference(pt, L, m):
-    """QvChartPoint.momenta as it was assembled before the section source:
-    the n partials of one fibre run (eval_fibre_partial) and the frame's
-    coefficient jets (coefficient_slots) combined by TaylorValue products,
-    p_a = sum_j (dL/du^j) X_a^j summed left to right (reduce(add))."""
+def chart_columns(pt):
+    """Per-coordinate columns of a QvChartPoint's (q, v) and of each of its
+    directions (0-d at a single point), as exprlang.run builds them at a
+    batch."""
+    from framedyn.exprlang import _columns
+
+    shape = pt.q.shape[:-1]
+    return (_columns((pt.q, pt.v), shape),
+            [_columns(d, shape) for d in pt.dirs])
+
+
+def momentum_extension_reference(pt, L, m, momenta=True, exprs=None,
+                                 tilde=False):
+    """QvChartPoint.section for the momenta as they were assembled before
+    the section source: the n partials of one fibre run
+    (eval_fibre_partial) and the frame's coefficient jets
+    (coefficient_slots) combined by TaylorValue products,
+    p_a = sum_j (dL/du^j) X_a^j summed left to right (reduce(add)), then
+    the slots of exprs (a CustomSection's extension) added (b + e)."""
     from functools import reduce
     from operator import add
 
     from framedyn.jets import TaylorValue
 
+    assert momenta and not tilde
     n, size = pt.frame.n, 1 << pt.ndirs
+    cols, dir_cols = chart_columns(pt)
     partials = [pt.eval_fibre_partial(L, i) for i in range(n)]
-    slots = coefficient_slots(pt.frame, pt.cols[:n],
-                              [d[:n] for d in pt.dir_cols])
+    slots = coefficient_slots(pt.frame, cols[:n], [d[:n] for d in dir_cols])
     X = [TaylorValue(pt.ndirs, slots[s:s + size])
          for s in range(0, len(slots), size)]
-    return [reduce(add, [p * x for p, x in zip(partials, X[a * n:])])
-            for a in range(m, n)]
+    out = [reduce(add, [p * x for p, x in zip(partials, X[a * n:])])
+           for a in range(m, n)]
+    if exprs is not None:
+        out = [b + e for b, e in zip(out, exprs.extension(pt))]
+    return out
+
+
+def shifted_extension_reference(section, pt):
+    """Section.extension as it was before the section source took the
+    shift: a shifted section's momenta (QvChartPoint.section without the
+    shift) plus its shift's extension by TaylorValue.__add__ (b + e)."""
+    from framedyn.vakonomic import ShiftedMomentumSection
+
+    if not isinstance(section, ShiftedMomentumSection):
+        return section.extension(pt)
+    return [b + e for b, e in zip(pt.section(section.L, section.split.m),
+                                  section.shift.extension(pt))]
+
+
+def shifted_taylor_reference(section, q, v_alpha, dirs):
+    """ShiftedMomentumSection.taylor as it was before the section source
+    took the shift: the momenta on C (MomentumSection.taylor of the same
+    L, frame and split) plus the shift's taylor by TaylorValue.__add__."""
+    from framedyn.vakonomic import MomentumSection
+
+    base = MomentumSection(section.L, section.frame, section.split)
+    return [b + e for b, e in zip(base.taylor(q, v_alpha, dirs),
+                                  section.shift.taylor(q, v_alpha, dirs))]
+
+
+def qv_taylor_reference(Lt, q, v, dirs):
+    """VariationalLagrangian.qv_taylor as it was before the section source
+    formed L~: the composite's jets (QvChartPoint.eval) less each extension
+    Phi_a (shifted_extension_reference) times the chart velocity v^a, in
+    TaylorValue arithmetic, v^a a TaylorValue.variable of the point's own
+    columns."""
+    from framedyn.jets import TaylorValue
+    from framedyn.quasichart import QvChartPoint
+
+    m, n = Lt.split.m, Lt.split.n
+    pt = QvChartPoint(Lt.frame, q, v, dirs)
+    out = pt.eval(Lt.L)
+    phis = shifted_extension_reference(Lt.section, pt)
+    if phis is None:
+        return out
+    cols, dir_cols = chart_columns(pt)
+    for j, a in enumerate(range(m, n)):
+        out = out - phis[j] * TaylorValue.variable(
+            cols[n + a], [d[n + a] for d in dir_cols], pt.ndirs)
+    return out
 
 
 class ChartPointReference:
@@ -618,8 +681,9 @@ def fibre_partial_reference(pt, L, i):
     w = [0.0] * n
     probe = [0.0] * (3 * n)
     probe[2 * n + i] = 1.0
-    slots = _guarded(fn.kernel(pt.ndirs + 1).batched, pt.cols + w, params,
-                     *[d + w for d in pt.dir_cols], probe)
+    cols, dir_cols = chart_columns(pt)
+    slots = _guarded(fn.kernel(pt.ndirs + 1).batched, cols + w, params,
+                     *[d + w for d in dir_cols], probe)
     return TaylorValue(pt.ndirs, slots[1 << pt.ndirs:])
 
 

@@ -83,8 +83,9 @@ def _outputs(sysd, L, frame, split, s, delta, with_el):
 
 def _use_piecewise_routes(monkeypatch):
     """Route R, the context's lifts, epsilon, the chart jets of the
-    residuals, the momentum partials and the momenta through the piecewise
-    oracles; the generated sources raise if reached."""
+    residuals, the momentum partials, the momenta and the jets of L~
+    through the piecewise oracles; the generated sources raise if
+    reached."""
     import framedyn.frames as frames
     import framedyn.nonholonomic as nonholonomic
     import framedyn.quasichart as quasichart
@@ -92,7 +93,7 @@ def _use_piecewise_routes(monkeypatch):
 
     from _oracles import (StateContextLiftsReference, StructureReference,
                           chart_jets_reference, fibre_partial_reference,
-                          momentum_extension_reference)
+                          momentum_extension_reference, qv_taylor_reference)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a generated source was run")
@@ -106,8 +107,10 @@ def _use_piecewise_routes(monkeypatch):
                         chart_jets_reference)
     monkeypatch.setattr(quasichart.QvChartPoint, "eval_fibre_partial",
                         fibre_partial_reference)
-    monkeypatch.setattr(quasichart.QvChartPoint, "momenta",
+    monkeypatch.setattr(quasichart.QvChartPoint, "section",
                         momentum_extension_reference)
+    monkeypatch.setattr(vakonomic.VariationalLagrangian, "qv_taylor",
+                        qv_taylor_reference)
     for module, name in ((frames, "_structure_source"),
                          (nonholonomic, "_lift_function"),
                          (nonholonomic, "_epsilon_source"),

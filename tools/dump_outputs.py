@@ -24,6 +24,13 @@ and writes one array per output to OUT.npz:
   of `taylor` along that direction) and `VariationalLagrangian.phi_values`
   at the full chart velocity (`.phi_values`), each read directly on a
   fresh copy of the state, so that no earlier call can choose its route;
+  and, for the variational Lagrangian L~ of the zero, momentum, shifted
+  and custom sections (the custom one's phi_a the shift's k_a), each on a
+  fresh copy of the state: `el_field` of L~ for the zero and custom
+  sections, `VariationalLagrangian.value` at the chart velocity and at a
+  seeded off-C velocity, the four slots of `qv_taylor` at that velocity
+  along two seeded directions (k = 2) and the per-point residuals of
+  `tilde_tangency_check` (`tilde.<section>.*`);
 * the same outputs of three JSON systems at their 40 seeded states,
   batched and one state at a time: one whose frame holds the literals 0,
   -0.0, 1, 2-1 and 0*x (`LITERAL_SYSTEM`), a sled whose frame and
@@ -169,9 +176,10 @@ RESIDUALS = ("residual_fundamental", "residual_hamel",
              "constrained_form_residual")
 
 
-def _state_outputs(fd, sysd, L, F, split, s, delta):
+def _state_outputs(fd, sysd, L, F, split, s, delta, off):
     """Every state output of the gate list at s, in a fixed call order;
-    the residuals also at the trial coefficients Gamma + delta."""
+    the residuals also at the trial coefficients Gamma + delta, and L~ at
+    and along the offsets off (_tilde_outputs)."""
     args = (L, F, split)
     field = fd.NonholonomicField(*args)
     sections = _sections(fd, sysd, *args)
@@ -208,6 +216,37 @@ def _state_outputs(fd, sysd, L, F, split, s, delta):
     for name in ("momentum", "shifted"):
         out[f"el_field.{name}"] = fd.el_field(fd.VariationalLagrangian(
             *args, sections[name]), F, p)
+    out.update(_tilde_outputs(fd, sysd, L, F, split, s, off))
+    return out
+
+
+def _tilde_outputs(fd, sysd, L, F, split, s, off):
+    """The variational Lagrangian L~ of the zero, momentum, shifted and
+    custom sections (phi_a the shift's k_a), each on a fresh copy of s:
+    `el_field` of L~ for the zero and custom sections, L~'s value at the
+    chart velocity and at the off-C velocity v + off[0], the four slots of
+    `qv_taylor` at that velocity along the directions (off[1], off[2]) and
+    (off[3], off[4]), and the per-point residuals of
+    `tilde_tangency_check`."""
+    sections = _sections(fd, sysd, L, F, split)
+    sections["custom"] = fd.CustomSection(F, split,
+                                          sections["shifted"].shift.phi)
+    out = {}
+    for name, sec in sections.items():
+        Lt = fd.VariationalLagrangian(L, F, split, sec)
+        t = [fd.QuasiState(s.q.copy(), s.v.copy()) for _ in range(4)]
+        if name in ("zero", "custom"):
+            out[f"el_field.{name}"] = fd.el_field(
+                Lt, F, fd.velocities_from_quasi(F, t[0]))
+        v = t[1].v + off[..., 0, :]
+        jet = Lt.qv_taylor(t[1].q, v, [(off[..., 1, :], off[..., 2, :]),
+                                       (off[..., 3, :], off[..., 4, :])])
+        out.update({
+            f"tilde.{name}.value": Lt.value(t[2].q, t[2].v),
+            f"tilde.{name}.value_off_C": Lt.value(t[2].q, v),
+            f"tilde.{name}.qv_taylor": np.stack(np.broadcast_arrays(*jet.c)),
+            f"tilde.{name}.tangency": fd.tilde_tangency_check(
+                Lt, F, split, [t[3]])["per_point"]})
     return out
 
 
@@ -271,9 +310,11 @@ def _dump_states(fd, out, work):
     for name, sysd, L, F, split in _gate_systems(fd) + _json_systems(fd):
         S = fd.sample_states(sysd, STATES, seed=17)
         delta = np.random.default_rng(23).normal(0.0, 0.1, (STATES, split.m))
-        batched = _state_outputs(fd, sysd, L, F, split, S, delta)
+        off = np.random.default_rng(37).normal(0.0, 0.3, (STATES, 5, split.n))
+        batched = _state_outputs(fd, sysd, L, F, split, S, delta, off)
         single = [_state_outputs(fd, sysd, L, F, split, fd.QuasiState(
-            S.q[i].copy(), S.v[i].copy()), delta[i]) for i in range(STATES)]
+            S.q[i].copy(), S.v[i].copy()), delta[i], off[i])
+            for i in range(STATES)]
         for key, value in batched.items():
             out[f"states/{name}/batched/{key}"] = np.asarray(value)
             out[f"states/{name}/single/{key}"] = np.stack(
